@@ -17,7 +17,7 @@ frame-level invariant instance by instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
@@ -105,6 +105,7 @@ class RoundIdealFrame:
         self.ideal_basis = ideal_basis
         self.down_index = down_index
         self._by_members = {ideal.members: i for i, ideal in enumerate(ideals)}
+        self._join_map = None  # built once by join_map
 
     def index_of(self, members):
         return self._by_members.get(frozenset(members))
@@ -120,6 +121,11 @@ class Compactification:
 
     map: ContinuousMap
     frame: RoundIdealFrame | None = None
+    # caches: derived once per object, never part of equality, hash or repr
+    _violations: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _reconstruction: Reconstruction | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def source(self):
@@ -130,7 +136,13 @@ class Compactification:
         return self.map.target
 
     def violations(self):
-        out = list(validate_map(self.map))
+        """Reasons this is not a compactification; computed once, fresh list."""
+        if self._violations is None:
+            object.__setattr__(self, "_violations", tuple(self._check()))
+        return list(self._violations)
+
+    def _check(self):
+        out = validate_map(self.map)
         if out:
             return out
         if not is_dense(self.map):
@@ -285,18 +297,23 @@ def is_compatible(l, p, si):
 
 
 def join_map(l, fr):
-    """The map from the source into the round-ideal frame: an ideal goes to its join."""
+    """The map from the source into the round-ideal frame: an ideal goes to its join.
+
+    Built and checked once per frame; later calls return the same map.
+    """
     if fr.p.lattice != l:
         raise MalformedInput("frame was not built over this lattice")
-    assignment = {
-        idx: l.join_all(sorted(fr.ideals[idx].members))
-        for idx in fr.ideal_basis.elements
-    }
-    m = ContinuousMap(l, fr.lattice, fr.ideal_basis, assignment)
-    report = validate_map(m)
-    if report:
-        raise InvariantViolation(f"join map is not continuous: {report[0]}")
-    return m
+    if fr._join_map is None:
+        assignment = {
+            idx: l.join_all(sorted(fr.ideals[idx].members))
+            for idx in fr.ideal_basis.elements
+        }
+        m = ContinuousMap(l, fr.lattice, fr.ideal_basis, assignment)
+        report = validate_map(m)
+        if report:
+            raise InvariantViolation(f"join map is not continuous: {report[0]}")
+        fr._join_map = m
+    return fr._join_map
 
 
 def extension_map(fr, f, codomain_basis=None):
@@ -489,12 +506,22 @@ def from_compactification(k, target_basis=None):
     inclusion is generated by preimages of well-inside pairs, and the
     isomorphism witness is the extension of the compactification itself; it
     is verified bijective and order-preserving in both directions.
+
+    With the default basis the result is memoised on ``k``; an explicit
+    ``target_basis`` always builds afresh.
     """
     k.require_valid()
+    if target_basis is None:
+        if k._reconstruction is None:
+            rec = _reconstruct(k, full_basis(k.codomain))
+            object.__setattr__(k, "_reconstruction", rec)
+        return k._reconstruction
+    return _reconstruct(k, target_basis)
+
+
+def _reconstruct(k, target_basis):
     l = k.source
     klat = k.codomain
-    if target_basis is None:
-        target_basis = full_basis(klat)
     p, si = strong_inclusion_from_maps(l, (), [k.map], [target_basis])
     if not is_compatible(l, p, si):
         raise InvariantViolation("reconstructed strong inclusion is not compatible")

@@ -6,12 +6,13 @@ Lattice documents::
     elements <label> <label> ...
     le <a> <b>                   # a <= b; closed reflexively/transitively
 
-In ``lattice`` mode the closure of the pairs must validate as a pcd-lattice;
-in ``poset-downsets`` mode the pairs describe a poset whose downset lattice
-is built (always valid).  Relation documents carry ``pair a b`` lines over a
-host lattice; map documents carry ``to b x`` lines (target basis element b,
-source element x) plus ``source``/``target`` paths resolved relative to the
-document.  ``#`` starts a comment.
+In ``lattice`` mode the closure of the pairs must validate as a pcd-lattice
+of at most 64 elements; in ``poset-downsets`` mode the pairs describe a
+poset whose downset lattice is built (always valid).  Relation documents
+carry ``pair a b`` lines over a host lattice; map documents carry ``to b x``
+lines (target basis element b, source element x) plus ``source``/``target``
+paths resolved relative to the document.  Each header line (``lattice``;
+``source``, ``target``, ``basis``) may appear once.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .errors import MalformedInput, ValidationFailure
 from .framemap import ContinuousMap
-from .lattice import Basis, PcdLattice, downset_lattice, full_basis
+from .lattice import MAX_ELEMENTS, Basis, PcdLattice, downset_lattice, full_basis
 from .relation import Relation
 
 GENERATE_POSET_CAP = 8
@@ -45,6 +46,8 @@ def parse_lattice(text):
         if head == "lattice":
             if len(tokens) != 3:
                 raise MalformedInput(f"line {no}: expected 'lattice <name> <mode>'")
+            if name is not None:
+                raise MalformedInput(f"line {no}: duplicate 'lattice' header")
             name, mode = tokens[1], tokens[2]
             if mode not in ("lattice", "poset-downsets"):
                 raise MalformedInput(f"line {no}: unknown mode {mode!r}")
@@ -70,6 +73,10 @@ def parse_lattice(text):
     if labels is None:
         raise MalformedInput("missing 'elements' line")
     k = len(labels)
+    if mode == "lattice" and k > MAX_ELEMENTS:
+        raise MalformedInput(
+            f"lattice mode is capped at {MAX_ELEMENTS} elements, got {k}"
+        )
     leq = [[i == j for j in range(k)] for i in range(k)]
     for a, b in pairs:
         leq[a][b] = True
@@ -145,10 +152,15 @@ def parse_map(text, base_dir="."):
     source = target = None
     basis_labels = None
     lines = []
+    seen = set()
     for no, tokens in _lines(text):
         head = tokens[0]
         if head == "map":
             continue
+        if head in ("source", "target", "basis"):
+            if head in seen:
+                raise MalformedInput(f"line {no}: duplicate '{head}' line")
+            seen.add(head)
         if head in ("source", "target"):
             if len(tokens) != 2:
                 raise MalformedInput(f"line {no}: expected '{head} <path>'")

@@ -5,8 +5,9 @@ join tables and pseudocomplements are derived eagerly but defensively, so
 that ``validate`` can report every violated axiom instead of crashing on bad
 input.  All subsequent operations require a valid lattice.
 
-Sizes are desk scale (intended cap: 64 elements); the O(n^3) axiom checks
-are run in full rather than sampled.
+Sizes are desk scale (cap: ``MAX_ELEMENTS`` = 64 elements, enforced where
+lattice documents are read); the O(n^3) axiom checks are run in full rather
+than sampled.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from itertools import combinations
 from . import fixpoint
 from .errors import MalformedInput, NotACoverError, PreconditionError
 from .relation import Relation, well_inside_pairs
+
+MAX_ELEMENTS = 64
 
 
 class PcdLattice:

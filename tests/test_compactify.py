@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
+from roundideal import compactify, framemap
 from roundideal.compactify import (
     Compactification,
     Ordering,
@@ -460,6 +461,67 @@ class TestCompare:
         k2 = identity_compactification(boolean(2))
         with pytest.raises(MalformedInput):
             compare(k1, k2)
+
+
+class TestCheckedOnce:
+    def test_compare_checks_each_map_once(self, monkeypatch):
+        checked = []
+        real = framemap._continuity_report
+
+        def counting(f):
+            checked.append(f)
+            return real(f)
+
+        monkeypatch.setattr(framemap, "_continuity_report", counting)
+        l = boolean(3)
+        k, _ = compactify_extending(l, full_basis(l), [util.atom_map(l, boolean(2), [0, 1, 1])])
+        assert compare(k, k).verdict is Ordering.ISO
+        assert checked
+        # the list keeps every checked map alive, so ids cannot be reused
+        assert len({id(f) for f in checked}) == len(checked)
+
+    def test_reconstruction_memoised_for_default_basis(self, monkeypatch):
+        built = []
+        real = compactify._reconstruct
+
+        def counting(k, target_basis):
+            built.append(target_basis)
+            return real(k, target_basis)
+
+        monkeypatch.setattr(compactify, "_reconstruct", counting)
+        l = boolean(2)
+        k, _ = compactify_extending(l, full_basis(l), [])
+        first = from_compactification(k)
+        assert from_compactification(k) is first
+        assert len(built) == 1
+        explicit = from_compactification(k, full_basis(k.codomain))
+        assert len(built) == 2
+        assert explicit is not first
+        assert explicit.frame.lattice == first.frame.lattice
+        assert from_compactification(k) is first
+
+    def test_join_map_built_once_per_frame(self):
+        l = boolean(2)
+        fr = enumerate_round_ideals(full_basis(l), order_si(l))
+        assert join_map(l, fr) is join_map(l, fr)
+
+    def test_caches_not_part_of_equality_or_repr(self):
+        l = boolean(2)
+        k1 = identity_compactification(l)
+        k2 = identity_compactification(l)
+        fresh = repr(k1)
+        assert k1.violations() == []
+        from_compactification(k1)
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert repr(k1) == repr(k2) == fresh
+
+    def test_violations_list_is_fresh(self):
+        src, tgt = boolean(3), boolean(2)
+        k = Compactification(map=util.atom_map(src, tgt, [0, 1, 1]))
+        out = k.violations()
+        assert out == ["map is not an embedding"]
+        out.clear()
+        assert k.violations() == ["map is not an embedding"]
 
 
 class TestInterpolatedSubcover:

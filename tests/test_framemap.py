@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import util
+from roundideal import framemap
 from roundideal.errors import MalformedInput
 from roundideal.framemap import (
     ContinuousMap,
@@ -16,6 +17,7 @@ from roundideal.framemap import (
     validate_map,
 )
 from roundideal.lattice import (
+    Basis,
     boolean,
     chain,
     full_basis,
@@ -73,6 +75,47 @@ class TestValidateMap:
         l = boolean(1)
         with pytest.raises(MalformedInput):
             ContinuousMap(l, l, full_basis(l), {0: 0})
+
+
+class TestValidateOnce:
+    def test_assignment_is_read_only(self):
+        f = to_terminal(boolean(2))
+        with pytest.raises(TypeError):
+            f.assignment[0] = 1
+        assert f.assignment == {0: 0, 1: 3}
+
+    def test_report_list_is_fresh(self):
+        f = to_terminal(boolean(2))
+        first = validate_map(f)
+        first.append("meets: tampered")
+        assert validate_map(f) == []
+        l = boolean(2)
+        bad = ContinuousMap(l, l, full_basis(l), {x: l.top for x in range(l.n)})
+        report = validate_map(bad)
+        report.clear()
+        assert validate_map(bad)
+
+    def test_continuity_checked_once_per_object(self, monkeypatch):
+        checked = []
+        real = framemap._continuity_report
+
+        def counting(f):
+            checked.append(f)
+            return real(f)
+
+        monkeypatch.setattr(framemap, "_continuity_report", counting)
+        f = to_terminal(boolean(2))
+        g = to_terminal(boolean(2))
+        for _ in range(3):
+            assert validate_map(f) == validate_map(g) == []
+        assert len(checked) == 2 and checked[0] is f and checked[1] is g
+
+    def test_cache_not_part_of_equality(self):
+        f = to_terminal(boolean(2))
+        g = to_terminal(boolean(2))
+        validate_map(f)
+        extend(f, 1)
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
 
 
 class TestExtend:
@@ -146,6 +189,55 @@ class TestCoverRefinementReformulation:
         report = validate_map(f)
         refinement_ok = not any("cover refinement" in line for line in report)
         assert refinement_ok == self.literal_cover_condition(f)
+
+
+class TestMeetsIdentity:
+    """validate_map takes the meets right-hand side as extend(f, a ^ b);
+    compare its meets line with the literal triple loop over the basis, for
+    arbitrary assignments over arbitrary (often non-generating) sub-bases."""
+
+    @staticmethod
+    def literal_meets_line(f):
+        src, tgt = f.source, f.target
+        basis = sorted(f.basis.elements)
+        for a in basis:
+            for b in basis:
+                lhs = src.meet[f.assignment[a]][f.assignment[b]]
+                rhs = src.join_all(
+                    f.assignment[c] for c in basis if tgt.leq(c, a) and tgt.leq(c, b)
+                )
+                if lhs != rhs:
+                    return (
+                        f"meets: images of ({tgt.names[a]}, {tgt.names[b]}) "
+                        f"meet at {src.names[lhs]} but common refinements join to "
+                        f"{src.names[rhs]}"
+                    )
+        return None
+
+    @given(st.integers(0, 10**6), st.sampled_from(["random", "identity", "restricted"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_triple_loop(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "restricted":
+            # a valid map cut down to a sub-basis of its target
+            src, tgt = boolean(rng.randint(0, 3)), boolean(rng.randint(1, 3))
+            phi = util.random_phi(rng, len(util.atoms(src)), len(util.atoms(tgt)))
+            whole = util.atom_map(src, tgt, phi).assignment
+        else:
+            tgt = util.downset_instance(seed, rng.randint(0, 4))
+            src = tgt if kind == "identity" else util.downset_instance(
+                seed ^ 0x5A5A, rng.randint(0, 4))
+        basis = Basis(tgt, frozenset(x for x in range(tgt.n) if rng.random() < 0.6))
+        if kind == "random":
+            assignment = {a: rng.randrange(src.n) for a in basis.elements}
+        elif kind == "identity":
+            assignment = {a: a for a in basis.elements}
+        else:
+            assignment = {a: whole[a] for a in basis.elements}
+        f = ContinuousMap(src, tgt, basis, assignment)
+        meets = [line for line in validate_map(f) if line.startswith("meets:")]
+        expected = self.literal_meets_line(f)
+        assert meets == ([expected] if expected else [])
 
 
 class TestCompose:

@@ -3,9 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 import util
 from roundideal import io as rio
+from roundideal.cli import main
 from roundideal.errors import MalformedInput, ValidationFailure
 from roundideal.framemap import validate_map
-from roundideal.lattice import boolean, full_basis
+from roundideal.lattice import boolean, chain, full_basis
 from roundideal.relation import least_strong_inclusion, Relation
 
 
@@ -69,6 +70,24 @@ class TestParseLattice:
         lat = rio.parse_lattice(doc)
         assert lat.n == 4 and lat.is_valid
 
+    def test_duplicate_header_rejected(self):
+        doc = "lattice t lattice\nelements a\nlattice u poset-downsets\n"
+        with pytest.raises(MalformedInput, match="line 3: duplicate 'lattice'"):
+            rio.parse_lattice(doc)
+
+    def test_64_elements_accepted(self):
+        lat = rio.parse_lattice(rio.serialize_lattice(chain(64)))
+        assert lat == chain(64)
+
+    def test_65_elements_rejected_before_closure(self, tmp_path, capsys):
+        doc = rio.serialize_lattice(chain(65))
+        with pytest.raises(MalformedInput, match="capped at 64"):
+            rio.parse_lattice(doc)
+        path = tmp_path / "chain65.lat"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 2
+        assert "capped at 64" in capsys.readouterr().err
+
 
 class TestRoundTrips:
     @given(st.integers(0, 2000), st.integers(0, 5))
@@ -107,6 +126,14 @@ class TestRoundTrips:
     def test_map_requires_source_and_target(self):
         with pytest.raises(MalformedInput, match="source"):
             rio.parse_map("map f\nto a b\n")
+
+    @pytest.mark.parametrize("line", ["source l.lat", "target l.lat", "basis {}"])
+    def test_map_duplicate_lines_rejected(self, tmp_path, line):
+        (tmp_path / "l.lat").write_text(rio.serialize_lattice(boolean(1)))
+        doc = f"map f\nsource l.lat\ntarget l.lat\nbasis {{}} {{a}}\n{line}\n"
+        head = line.split()[0]
+        with pytest.raises(MalformedInput, match=f"line 5: duplicate '{head}'"):
+            rio.parse_map(doc, base_dir=tmp_path)
 
     def test_map_coverage_enforced(self, tmp_path):
         src = boolean(1)
