@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import InvariantViolation, MalformedInput, PreconditionError
-from .lattice import Basis, full_basis
+from .lattice import Basis, _bits, full_basis
 from .relation import check_strong_inclusion, well_inside_pairs
 
 
@@ -89,14 +89,6 @@ def extend(f, a):
     )
     f._ext[a] = value
     return value
-
-
-def _bits(mask):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def validate_map(f):

@@ -8,11 +8,12 @@ Lattice documents::
 
 In ``lattice`` mode the closure of the pairs must validate as a pcd-lattice
 of at most 64 elements; in ``poset-downsets`` mode the pairs describe a
-poset whose downset lattice is built (always valid).  Relation documents
-carry ``pair a b`` lines over a host lattice; map documents carry ``to b x``
-lines (target basis element b, source element x) plus ``source``/``target``
-paths resolved relative to the document.  Each header line (``lattice``;
-``source``, ``target``, ``basis``) may appear once.  ``#`` starts a comment.
+poset of at most 8 points whose downset lattice (at most 256 elements) is
+built (always valid).  Relation documents carry ``pair a b`` lines over a
+host lattice; map documents carry ``to b x`` lines (target basis element b,
+source element x) plus ``source``/``target`` paths resolved relative to the
+document.  Each header line (``lattice``; ``source``, ``target``, ``basis``)
+may appear once.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def parse_lattice(text):
             if labels is not None:
                 raise MalformedInput(f"line {no}: duplicate elements line")
             labels = tokens[1:]
-            if len(set(labels)) != len(labels):
+            index = {label: i for i, label in enumerate(labels)}
+            if len(index) != len(labels):
                 raise MalformedInput(f"line {no}: element labels must be unique")
         elif head == "le":
             if len(tokens) != 3:
@@ -63,9 +65,9 @@ def parse_lattice(text):
             if labels is None:
                 raise MalformedInput(f"line {no}: 'le' before 'elements'")
             for label in tokens[1:]:
-                if label not in labels:
+                if label not in index:
                     raise MalformedInput(f"line {no}: undeclared label {label!r}")
-            pairs.append((labels.index(tokens[1]), labels.index(tokens[2])))
+            pairs.append((index[tokens[1]], index[tokens[2]]))
         else:
             raise MalformedInput(f"line {no}: unknown directive {head!r}")
     if name is None:
@@ -77,19 +79,11 @@ def parse_lattice(text):
         raise MalformedInput(
             f"lattice mode is capped at {MAX_ELEMENTS} elements, got {k}"
         )
-    leq = [[i == j for j in range(k)] for i in range(k)]
-    for a, b in pairs:
-        leq[a][b] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(k):
-                if leq[i][j]:
-                    for m in range(k):
-                        if leq[j][m] and not leq[i][m]:
-                            leq[i][m] = True
-                            changed = True
+    if mode == "poset-downsets" and k > GENERATE_POSET_CAP:
+        raise MalformedInput(
+            f"poset-downsets mode is capped at {GENERATE_POSET_CAP} points, got {k}"
+        )
+    leq = _reflexive_transitive_closure(k, pairs)
     if mode == "poset-downsets":
         bad = next(
             ((i, j) for i in range(k) for j in range(k)
@@ -106,6 +100,23 @@ def parse_lattice(text):
     if report:
         raise ValidationFailure(report)
     return lat
+
+
+def _reflexive_transitive_closure(k, pairs):
+    """Order matrix of the least preorder on range(k) containing the pairs.
+
+    Warshall's algorithm on row bitmasks: after step m, bit j of rows[i]
+    says j is reachable from i through intermediate points among 0..m.
+    """
+    rows = [1 << i for i in range(k)]
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    for m in range(k):
+        bit, through = 1 << m, rows[m]
+        for i in range(k):
+            if rows[i] & bit:
+                rows[i] |= through
+    return [[bool(row >> j & 1) for j in range(k)] for row in rows]
 
 
 def serialize_lattice(l):
@@ -219,17 +230,10 @@ def generate(seed, size):
     if not 0 <= size <= GENERATE_POSET_CAP:
         raise MalformedInput(f"poset size must be between 0 and {GENERATE_POSET_CAP}")
     rng = random.Random(seed)
-    leq = [[i == j for j in range(size)] for i in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < 0.5:
-                leq[i][j] = True
-    for i in range(size):
-        for j in range(size):
-            if leq[i][j]:
-                for m in range(size):
-                    if leq[j][m]:
-                        leq[i][m] = True
+    pairs = [
+        (i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.5
+    ]
+    leq = _reflexive_transitive_closure(size, pairs)
     labels = [f"p{i}" for i in range(size)]
     return downset_lattice(labels, leq, name=f"gen-s{seed}-k{size}")
 

@@ -1,25 +1,67 @@
 """Finite pseudocomplemented distributive lattices.
 
-A lattice is given by element labels and an order matrix; bounds, meet and
-join tables and pseudocomplements are derived eagerly but defensively, so
-that ``validate`` can report every violated axiom instead of crashing on bad
-input.  All subsequent operations require a valid lattice.
+A lattice is given by element labels and an order matrix, held as integer
+bitmasks: bit j of ``_up[i]`` says i <= j and ``_down`` is the transpose.
+Bounds, meet and join tables and pseudocomplements are derived eagerly but
+defensively, so that ``validate`` can report every violated axiom instead of
+crashing on bad input.  All subsequent operations require a valid lattice.
+
+In a transitive order the meet of i and j is the unique element whose down
+cone is the common down cone of i and j (the join likewise on up cones), so
+each table entry is one dictionary lookup; only an order that is not
+transitive falls back to scanning the common cone.  The order axioms are
+checked on the masks in O(n^2) word operations.  Distributivity is checked
+on all n^3 triples, one row of n at a time.
 
 Sizes are desk scale (cap: ``MAX_ELEMENTS`` = 64 elements, enforced where
-lattice documents are read); the O(n^3) axiom checks are run in full rather
-than sampled.
+lattice documents are read); every axiom check is run in full rather than
+sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
-from . import fixpoint
 from .errors import MalformedInput, NotACoverError, PreconditionError
 from .relation import Relation, well_inside_pairs
 
 MAX_ELEMENTS = 64
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lowest(mask):
+    """Index of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _bound_table(cone):
+    """Meet (cone = down cones) or join (up cones) table of a transitive order.
+
+    The bound of i and j is the member k of ``common = cone[i] & cone[j]``
+    with ``cone[k] == common``; None when there is no such k or more than one.
+    """
+    n = len(cone)
+    with_cone = {}
+    for k, c in enumerate(cone):
+        with_cone[c] = with_cone.get(c, 0) | 1 << k
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        ci, row = cone[i], table[i]
+        for j in range(i, n):
+            common = ci & cone[j]
+            hit = with_cone.get(common, 0) & common
+            if hit and not hit & (hit - 1):
+                row[j] = table[j][i] = hit.bit_length() - 1
+    return table
 
 
 class PcdLattice:
@@ -45,9 +87,9 @@ class PcdLattice:
         # bit j of _up[i] says i <= j; _down is the transpose
         self._up = [0] * n
         self._down = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
+        for i, row in enumerate(leq):
+            for j, related in enumerate(row):
+                if related:
                     self._up[i] |= 1 << j
                     self._down[j] |= 1 << i
         self._analyze()
@@ -62,13 +104,30 @@ class PcdLattice:
         tops = [i for i in range(n) if self._down[i] == full]
         self.bottom = bottoms[0] if len(bottoms) == 1 else None
         self.top = tops[0] if len(tops) == 1 else None
-        self.meet = [[self._bound(i, j, self._down) for j in range(n)] for i in range(n)]
-        self.join = [[self._bound(i, j, self._up) for j in range(n)] for i in range(n)]
+        self._intransitive = self._transitivity_witness()
+        if self._intransitive is None:
+            self.meet = _bound_table(self._down)
+            self.join = _bound_table(self._up)
+        else:
+            self.meet = [[self._bound(i, j, self._down) for j in range(n)]
+                         for i in range(n)]
+            self.join = [[self._bound(i, j, self._up) for j in range(n)]
+                         for i in range(n)]
         self.pstar = [self._pstar_of(y) for y in range(n)]
+
+    def _transitivity_witness(self):
+        """First (i, j, k) with i <= j <= k but not i <= k, or None."""
+        up = self._up
+        for i in range(self.n):
+            for j in _bits(up[i]):
+                escaped = up[j] & ~up[i]
+                if escaped:
+                    return i, j, _lowest(escaped)
+        return None
 
     def _bound(self, i, j, cone):
         # glb when cone=_down, lub when cone=_up: the member of the common
-        # cone whose own cone covers all of it
+        # cone whose own cone covers all of it (any order, transitive or not)
         common = cone[i] & cone[j]
         found = None
         k = 0
@@ -84,33 +143,19 @@ class PcdLattice:
         return found
 
     def _pstar_of(self, y):
-        if self.bottom is None:
+        # the meet table is symmetric, so row y holds every meet c ^ y
+        row = self.meet[y]
+        if self.bottom is None or None in row:
             return None
-        disjoint = []
-        for c in range(self.n):
-            m = self.meet[c][y]
-            if m is None:
-                return None
-            if m == self.bottom:
-                disjoint.append(c)
-        return self.join_all(disjoint)
+        return self.join_all(c for c, m in enumerate(row) if m == self.bottom)
 
     # -- basic queries ----------------------------------------------------
 
     def leq(self, i, j):
         return bool(self._up[i] & (1 << j))
 
-    def order_matrix(self):
-        """The order as a tuple-of-tuples truth matrix."""
-        return tuple(
-            tuple(self.leq(i, j) for j in range(self.n)) for i in range(self.n)
-        )
-
     def down_list(self, i):
-        return [j for j in range(self.n) if self.leq(j, i)]
-
-    def up_list(self, i):
-        return [j for j in range(self.n) if self.leq(i, j)]
+        return list(_bits(self._down[i]))
 
     def element(self, label):
         try:
@@ -154,50 +199,30 @@ class PcdLattice:
         """Report of violated axioms; empty means valid.  Cached."""
         if self._report is not None:
             return list(self._report)
-        names = self.names
-        n = self.n
+        names, up, down = self.names, self._up, self._down
         report = []
-        for i in range(n):
-            if not self.leq(i, i):
+        for i in range(self.n):
+            if not up[i] >> i & 1:
                 report.append(f"reflexivity fails at {names[i]}")
                 break
-        for i in range(n):
-            hit = next(
-                (j for j in range(n) if i != j and self.leq(i, j) and self.leq(j, i)),
-                None,
-            )
-            if hit is not None:
-                report.append(f"antisymmetry fails at ({names[i]}, {names[hit]})")
+        for i in range(self.n):
+            twins = up[i] & down[i] & ~(1 << i)
+            if twins:
+                j = _lowest(twins)
+                report.append(f"antisymmetry fails at ({names[i]}, {names[j]})")
                 break
-        trans = next(
-            (
-                (i, j, k)
-                for i in range(n)
-                for j in range(n)
-                if self.leq(i, j)
-                for k in range(n)
-                if self.leq(j, k) and not self.leq(i, k)
-            ),
-            None,
-        )
-        if trans is not None:
-            i, j, k = trans
+        if self._intransitive is not None:
+            i, j, k = self._intransitive
             report.append(f"transitivity fails at ({names[i]}, {names[j]}, {names[k]})")
         if self.bottom is None:
             report.append("no bottom element")
         if self.top is None:
             report.append("no top element")
-        missing_meet = next(
-            ((i, j) for i in range(n) for j in range(n) if self.meet[i][j] is None),
-            None,
-        )
+        missing_meet = _first_none(self.meet)
         if missing_meet:
             i, j = missing_meet
             report.append(f"no greatest lower bound for ({names[i]}, {names[j]})")
-        missing_join = next(
-            ((i, j) for i in range(n) for j in range(n) if self.join[i][j] is None),
-            None,
-        )
+        missing_join = _first_none(self.join)
         if missing_join:
             i, j = missing_join
             report.append(f"no least upper bound for ({names[i]}, {names[j]})")
@@ -208,10 +233,17 @@ class PcdLattice:
         return report
 
     def _check_distributive(self):
+        # x ^ (y v z) == (x ^ y) v (x ^ z) for every z at once: both sides
+        # are row gathers, join[y] picked out of meet[x] and meet[x] picked
+        # out of join[x ^ y]; the per-z loop only names the first failure
         n, meet, join, names = self.n, self.meet, self.join, self.names
+        through_join = [itemgetter(*row) for row in join]
         for x in range(n):
             mx = meet[x]
+            through_meet = itemgetter(*mx)
             for y in range(n):
+                if through_join[y](mx) == through_meet(join[mx[y]]):
+                    continue
                 for z in range(n):
                     if mx[join[y][z]] != join[mx[y]][mx[z]]:
                         return [
@@ -222,18 +254,24 @@ class PcdLattice:
 
     def _check_pseudocomplements(self):
         # pstar is the join of all elements disjoint from y, so maximality can
-        # only fail through disjointness of that join itself
-        names = self.names
+        # only fail through disjointness of that join itself; the meet table
+        # is symmetric, so row y holds every meet c ^ y
+        names, meet, bottom = self.names, self.meet, self.bottom
         for y in range(self.n):
             s = self.pstar[y]
-            if s is None or self.meet[y][s] != self.bottom:
+            if s is None or meet[y][s] != bottom:
                 return [f"pseudocomplement fails at {names[y]}: y and y* do not meet at 0"]
-            for c in range(self.n):
-                if (self.meet[c][y] == self.bottom) != self.leq(c, s):
-                    return [
-                        f"pseudocomplement fails at {names[y]}: "
-                        f"{names[c]} disjoint from y does not match c <= y*"
-                    ]
+            disjoint = 0
+            for c, m in enumerate(meet[y]):
+                if m == bottom:
+                    disjoint |= 1 << c
+            mismatch = disjoint ^ self._down[s]
+            if mismatch:
+                c = _lowest(mismatch)
+                return [
+                    f"pseudocomplement fails at {names[y]}: "
+                    f"{names[c]} disjoint from y does not match c <= y*"
+                ]
         return []
 
     @property
@@ -257,6 +295,14 @@ class PcdLattice:
 
     def __repr__(self):
         return f"PcdLattice({self.name!r}, n={self.n})"
+
+
+def _first_none(table):
+    """First (i, j) in row-major order with ``table[i][j] is None``, or None."""
+    for i, row in enumerate(table):
+        if None in row:
+            return i, row.index(None)
+    return None
 
 
 @dataclass(frozen=True)
@@ -376,25 +422,35 @@ def is_compact(l, b, c):
 def pcd_closure(l, seed):
     """Least subset containing seed, the bounds, and closed under *, meet, join.
 
-    Computed as the least fixpoint of the saturation steps over the element
-    universe (binary meet/join steps; the empty join and meet contribute the
-    bounds outright).
+    A worklist closure: the members found so far are kept in a list (and a
+    bitmask), and each member in turn adds its star and its meets and joins
+    with every member found so far.  Of any two members, the one processed
+    later finds the other already listed, so the result is closed; it holds
+    only the bounds, the seed and what the operations derive from them, so
+    it is the least closed set.  Cost: O(r^2) table lookups for a closure of
+    r elements.
     """
     l.require_valid()
     seed = sorted(set(seed))
     for x in seed:
         if not 0 <= x < l.n:
             raise MalformedInput(f"seed index {x} out of range")
-    universe = fixpoint.Universe(range(l.n))
-    steps = [(l.bottom, ()), (l.top, ())]
-    steps.extend((s, ()) for s in seed)
-    for u in range(l.n):
-        steps.append((l.pstar[u], (u,)))
-        for v in range(u, l.n):
-            steps.append((l.meet[u][v], (u, v)))
-            steps.append((l.join[u][v], (u, v)))
-    defn = fixpoint.InductiveDefinition(universe, steps)
-    return Basis(l, frozenset(fixpoint.lfp(defn)))
+    meet, join, pstar = l.meet, l.join, l.pstar
+    members = []
+    found = 0
+
+    def add(candidates):
+        nonlocal found
+        for y in candidates:
+            if not found >> y & 1:
+                found |= 1 << y
+                members.append(y)
+
+    add([l.bottom, l.top, *seed])
+    for x in members:  # grows while it is walked
+        mx, jx = meet[x], join[x]
+        add([pstar[x], *[mx[m] for m in members], *[jx[m] for m in members]])
+    return Basis(l, frozenset(members))
 
 
 # -- constructors ----------------------------------------------------------
@@ -408,15 +464,16 @@ def downset_lattice(point_labels, point_leq, name="downsets"):
     labelled by their members.
     """
     k = len(point_labels)
-    down = []
-    for mask in range(1 << k):
-        closed = all(
-            not (mask >> j) & 1 or not point_leq[i][j] or (mask >> i) & 1
-            for i in range(k)
-            for j in range(k)
-        )
-        if closed:
-            down.append(mask)
+    below = [0] * k  # bit i of below[j] says point i <= point j
+    for i, row in enumerate(point_leq):
+        for j, related in enumerate(row):
+            if related:
+                below[j] |= 1 << i
+    down = [
+        mask
+        for mask in range(1 << k)
+        if all(below[j] & ~mask == 0 for j in _bits(mask))
+    ]
     down.sort(key=lambda m: (bin(m).count("1"), m))
     names = []
     for mask in down:

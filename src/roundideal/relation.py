@@ -73,11 +73,6 @@ class Relation:
     def with_carrier(self, carrier):
         return Relation(self.lattice, self.pairs, carrier)
 
-    def successors(self, a):
-        return sorted(b for x, b in self.pairs if x == a)
-
-    def predecessors(self, b):
-        return sorted(a for a, y in self.pairs if y == b)
 
 
 def well_inside_pairs(lat):

@@ -162,3 +162,169 @@ def assert_minimal_subcover(lat, parts, target, result):
         assert lat.join_all(combo) != target, (
             f"earlier subcover exists: {combo}"
         )
+
+
+def reference_tables(names, leq):
+    """Bounds, meet/join tables, pseudocomplements and the axiom report of an
+    order matrix, from the definitions on Python sets of pairs.
+
+    Follows the lattice conventions: a bound or table entry is None unless
+    exactly one element qualifies, the pseudocomplement of y is the join of
+    the elements whose meet with y is the bottom, and each report line names
+    the first witness of its failed axiom in index order.
+    """
+    n = len(names)
+    el = range(n)
+    le = {(i, j) for i in el for j in el if leq[i][j]}
+
+    def unique(candidates):
+        return candidates[0] if len(candidates) == 1 else None
+
+    def glb(i, j):
+        lower = [c for c in el if (c, i) in le and (c, j) in le]
+        return unique([k for k in lower if all((c, k) in le for c in lower)])
+
+    def lub(i, j):
+        upper = [c for c in el if (i, c) in le and (j, c) in le]
+        return unique([k for k in upper if all((k, c) in le for c in upper)])
+
+    bottom = unique([b for b in el if all((b, x) in le for x in el)])
+    top = unique([t for t in el if all((x, t) in le for x in el)])
+    meet = [[glb(i, j) for j in el] for i in el]
+    join = [[lub(i, j) for j in el] for i in el]
+
+    def join_all(items):
+        out = bottom
+        for x in items:
+            if out is None:
+                return None
+            out = join[out][x]
+        return out
+
+    def star(y):
+        column = [meet[c][y] for c in el]
+        if bottom is None or None in column:
+            return None
+        return join_all([c for c in el if column[c] == bottom])
+
+    pstar = [star(y) for y in el]
+
+    report = []
+    refl = [i for i in el if (i, i) not in le]
+    if refl:
+        report.append(f"reflexivity fails at {names[refl[0]]}")
+    anti = [(i, j) for i, j in sorted(le) if i != j and (j, i) in le]
+    if anti:
+        i, j = anti[0]
+        report.append(f"antisymmetry fails at ({names[i]}, {names[j]})")
+    trans = [
+        (i, j, k)
+        for i in el for j in el for k in el
+        if (i, j) in le and (j, k) in le and (i, k) not in le
+    ]
+    if trans:
+        i, j, k = trans[0]
+        report.append(f"transitivity fails at ({names[i]}, {names[j]}, {names[k]})")
+    if bottom is None:
+        report.append("no bottom element")
+    if top is None:
+        report.append("no top element")
+    no_meet = [(i, j) for i in el for j in el if meet[i][j] is None]
+    if no_meet:
+        i, j = no_meet[0]
+        report.append(f"no greatest lower bound for ({names[i]}, {names[j]})")
+    no_join = [(i, j) for i in el for j in el if join[i][j] is None]
+    if no_join:
+        i, j = no_join[0]
+        report.append(f"no least upper bound for ({names[i]}, {names[j]})")
+    if not report:
+        dist = [
+            (x, y, z)
+            for x in el for y in el for z in el
+            if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]
+        ]
+        if dist:
+            x, y, z = dist[0]
+            report.append(f"distributivity fails at ({names[x]}, {names[y]}, {names[z]})")
+        for y in el:
+            s = pstar[y]
+            if s is None or meet[y][s] != bottom:
+                report.append(
+                    f"pseudocomplement fails at {names[y]}: y and y* do not meet at 0"
+                )
+                break
+            odd = [c for c in el if (meet[c][y] == bottom) != ((c, s) in le)]
+            if odd:
+                report.append(
+                    f"pseudocomplement fails at {names[y]}: "
+                    f"{names[odd[0]]} disjoint from y does not match c <= y*"
+                )
+                break
+    return {
+        "bottom": bottom, "top": top, "meet": meet, "join": join,
+        "pstar": pstar, "report": report,
+    }
+
+
+def reference_parse(labels, pairs, mode):
+    """Outcome of reading a well-formed lattice document, by naive rescans.
+
+    Returns ``("malformed",)`` for a document over the size caps (64
+    elements in ``lattice`` mode, 8 points in ``poset-downsets`` mode),
+    ``("invalid", report)`` for one that does not describe a pcd-lattice,
+    and ``("ok", names, order)`` with the order as a set of index pairs.
+    """
+    k = len(labels)
+    if k > (64 if mode == "lattice" else 8):
+        return ("malformed",)
+    le = {(i, i) for i in range(k)} | set(pairs)
+    while True:
+        more = {(i, m) for i, j in le for j2, m in le if j == j2} - le
+        if not more:
+            break
+        le |= more
+    if mode == "lattice":
+        leq = [[(i, j) in le for j in range(k)] for i in range(k)]
+        report = reference_tables(labels, leq)["report"]
+        if report:
+            return ("invalid", report)
+        return ("ok", tuple(labels), frozenset(le))
+    cyclic = sorted((i, j) for i, j in le if i != j and (j, i) in le)
+    if cyclic:
+        i, j = cyclic[0]
+        return ("invalid", [f"poset antisymmetry fails at ({labels[i]}, {labels[j]})"])
+    downsets = []
+    for mask in range(1 << k):
+        members = {i for i in range(k) if mask >> i & 1}
+        if all(i in members for i, j in le if j in members):
+            downsets.append((len(members), mask, frozenset(members)))
+    downsets.sort(key=lambda d: d[:2])
+    sets = [d[2] for d in downsets]
+    names = tuple(
+        "{" + ",".join(labels[i] for i in sorted(s)) + "}" for s in sets
+    )
+    order = frozenset(
+        (a, b) for a in range(len(sets)) for b in range(len(sets)) if sets[a] <= sets[b]
+    )
+    return ("ok", names, order)
+
+
+def brute_pcd_closure(lat, seed):
+    """Least subset holding seed and the bounds and closed under *, meet, join.
+
+    The intersection of every closed subset that contains the seed and the
+    bounds, found by enumerating all subsets (at most 16 free elements).
+    """
+    forced = set(seed) | {lat.bottom, lat.top}
+    free = [x for x in range(lat.n) if x not in forced]
+    assert len(free) <= 16, "oracle capped at 2^16 candidate subsets"
+    least = set(range(lat.n))
+    for mask in range(1 << len(free)):
+        s = forced | {x for i, x in enumerate(free) if mask >> i & 1}
+        if all(
+            lat.pstar[u] in s
+            and all(lat.meet[u][v] in s and lat.join[u][v] in s for v in s)
+            for u in s
+        ):
+            least &= s
+    return frozenset(least)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import util
 from roundideal import io as rio
 from roundideal.cli import main
@@ -87,6 +90,65 @@ class TestParseLattice:
         path.write_text(doc)
         assert main(["validate", str(path)]) == 2
         assert "capped at 64" in capsys.readouterr().err
+
+
+class TestPosetCap:
+    def test_8_point_antichain_accepted(self, tmp_path):
+        doc = "lattice t poset-downsets\nelements a b c d e f g h\n"
+        lat = rio.parse_lattice(doc)
+        assert lat.n == 256
+        assert lat.names[0] == "{}" and lat.names[-1] == "{a,b,c,d,e,f,g,h}"
+        path = tmp_path / "eight.lat"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 0
+
+    def test_9_points_rejected_before_enumeration(self, tmp_path, capsys):
+        doc = "lattice t poset-downsets\nelements a b c d e f g h i\n"
+        with pytest.raises(MalformedInput, match="capped at 8 points, got 9"):
+            rio.parse_lattice(doc)
+        path = tmp_path / "nine.lat"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 2
+        assert "capped at 8" in capsys.readouterr().err
+
+
+def random_document(rng, mode):
+    """Labels and ``le`` pairs: random, acyclic, or a relabelled lattice's order."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        names, leq = util.random_order(rng, rng.choice(["downsets", "n5-m3"]))
+        k = len(names)
+        pairs = [(i, j) for i in range(k) for j in range(k) if leq[i][j] and i != j]
+        return names, rng.sample(pairs, len(pairs))
+    k = rng.randint(0, 9)
+    labels = [f"x{i}" for i in range(k)]
+    p = rng.random() / 2
+    pairs = [
+        (i, j) for i in range(k) for j in range(k)
+        if (kind == 0 or i < j) and rng.random() < p
+    ]
+    return labels, pairs
+
+
+class TestParseAgainstReference:
+    @given(st.sampled_from(["lattice", "poset-downsets"]), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_matches_reference(self, mode, seed):
+        labels, pairs = random_document(random.Random(seed), mode)
+        lines = [f"lattice t {mode}", "elements " + " ".join(labels)]
+        lines += [f"le {labels[a]} {labels[b]}" for a, b in pairs]
+        try:
+            lat = rio.parse_lattice("\n".join(lines) + "\n")
+        except ValidationFailure as exc:
+            got = ("invalid", exc.report)
+        except MalformedInput:
+            got = ("malformed",)
+        else:
+            order = frozenset(
+                (i, j) for i in range(lat.n) for j in range(lat.n) if lat.leq(i, j)
+            )
+            got = ("ok", lat.names, order)
+        assert got == oracles.reference_parse(labels, pairs, mode)
 
 
 class TestRoundTrips:

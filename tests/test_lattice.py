@@ -286,3 +286,29 @@ class TestBasis:
             assert carrier.is_sub_pcd()
             if carrier.is_basis():
                 assert carrier.elements == frozenset(range(l.n))
+
+
+class TestAgainstReference:
+    """Tables and reports equal the set-based definitions in ``oracles``."""
+
+    @given(st.sampled_from(util.ORDER_KINDS), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_tables_and_report_match_reference(self, kind, seed):
+        names, leq = util.random_order(random.Random(seed), kind)
+        lat = PcdLattice(names, leq)
+        ref = oracles.reference_tables(names, leq)
+        assert (lat.bottom, lat.top) == (ref["bottom"], ref["top"])
+        assert lat.meet == ref["meet"]
+        assert lat.join == ref["join"]
+        assert lat.pstar == ref["pstar"]
+        assert lat.validate() == ref["report"]
+
+
+class TestPcdClosureIsLeast:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_least_closed_set(self, seed):
+        rng = random.Random(seed)
+        l = util.downset_instance(seed, rng.randint(0, 4))
+        seeds = [x for x in range(l.n) if rng.random() < 0.25]
+        assert pcd_closure(l, seeds).elements == oracles.brute_pcd_closure(l, seeds)

@@ -2,7 +2,7 @@
 
 from roundideal import io as rio
 from roundideal.framemap import ContinuousMap
-from roundideal.lattice import boolean, full_basis, pcd_closure
+from roundideal.lattice import boolean, chain, full_basis, pcd_closure
 from roundideal.relation import (
     Relation,
     interpolative_core_on_basis,
@@ -94,3 +94,67 @@ def relabelled_boolean(k, rng, name="relabelled"):
 def iso_map(src, tgt, phi):
     """Isomorphism src -> tgt from a bijection on atoms (both Boolean)."""
     return atom_map(src, tgt, phi)
+
+
+ORDER_KINDS = ("arbitrary", "cyclic", "intransitive", "n5-m3", "downsets", "flipped")
+
+
+def relabel(names, leq, rng):
+    """The same order with its elements listed in a shuffled order."""
+    perm = list(range(len(names)))
+    rng.shuffle(perm)
+    return (
+        [names[p] for p in perm],
+        [[leq[p][q] for q in perm] for p in perm],
+    )
+
+
+def order_of(lat):
+    return list(lat.names), [[lat.leq(i, j) for j in range(lat.n)] for i in range(lat.n)]
+
+
+def random_order(rng, kind):
+    """Labels and a truth matrix on at most 9 elements, valid or not.
+
+    ``arbitrary`` need not even be reflexive; ``cyclic`` is a preorder with
+    cycles likely; ``intransitive`` is reflexive but rarely transitive;
+    ``n5-m3`` is a relabelled pentagon or diamond (lattices that are not
+    distributive); ``downsets`` is a relabelled downset lattice (valid);
+    ``flipped`` is a chain or Boolean algebra with one or two entries
+    flipped.
+    """
+    n = rng.randint(0, 9)
+    p = rng.random()
+    if kind == "arbitrary":
+        return [f"e{i}" for i in range(n)], [
+            [rng.random() < p for _ in range(n)] for _ in range(n)
+        ]
+    if kind == "intransitive":
+        return [f"e{i}" for i in range(n)], [
+            [i == j or rng.random() < p for j in range(n)] for i in range(n)
+        ]
+    if kind == "cyclic":
+        leq = [[i == j or rng.random() < p / 3 for j in range(n)] for i in range(n)]
+        for m in range(n):
+            for i in range(n):
+                if leq[i][m]:
+                    leq[i] = [a or b for a, b in zip(leq[i], leq[m])]
+        return [f"e{i}" for i in range(n)], leq
+    if kind == "n5-m3":
+        if rng.random() < 0.5:
+            above = {0: {1, 2, 3, 4}, 1: {4}, 2: {3, 4}, 3: {4}}
+        else:
+            above = {0: {1, 2, 3, 4}, 1: {4}, 2: {4}, 3: {4}}
+        leq = [[i == j or j in above.get(i, ()) for j in range(5)] for i in range(5)]
+        return relabel(list("0abc1"), leq, rng)
+    if kind == "downsets":
+        lat = downset_instance(rng.randrange(10**6), rng.randint(0, 3))
+        return relabel(*order_of(lat), rng)
+    if kind == "flipped":
+        lat = chain(rng.randint(1, 9)) if rng.random() < 0.5 else boolean(rng.randint(0, 3))
+        names, leq = order_of(lat)
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(lat.n), rng.randrange(lat.n)
+            leq[i][j] = not leq[i][j]
+        return relabel(names, leq, rng)
+    raise ValueError(kind)
