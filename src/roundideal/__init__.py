@@ -1,8 +1,9 @@
 """Finite pcd-lattices, strong inclusions and round-ideal compactifications.
 
 Everything is desk scale and exhaustively checkable: lattices are given by
-explicit order matrices, relations by pair sets, and the compactification
-theorems are asserted instance by instance rather than assumed.
+explicit order matrices, relations by per-element row bitmasks, and the
+compactification theorems are asserted instance by instance rather than
+assumed.
 """
 
 from .compactify import (

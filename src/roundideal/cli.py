@@ -95,7 +95,7 @@ def _invariant_suite(lat):
         for y in range(n)
     )
     yield "star antitone", anti, ""
-    inside_order = all(lat.leq(y, x) for y, x in wi.pairs)
+    inside_order = all(lat.leq(y, x) for y, x in wi)
     yield "well-inside within order", inside_order, ""
     closure = pcd_closure(lat, ())
     again = pcd_closure(lat, closure.elements)

@@ -42,18 +42,22 @@ from .lattice import (
     Basis,
     Cover,
     PcdLattice,
+    Relation,
+    _bits,
+    _joins_of_related,
+    _lowest,
+    _mask,
     full_basis,
     is_compact,
     is_regular,
     pcd_closure,
+    well_inside,
 )
 from .relation import (
-    Relation,
     check_strong_inclusion,
     interpolative_core_on_basis,
     is_strongly_regular_basis,
     least_strong_inclusion,
-    well_inside_pairs,
 )
 
 ENUMERATION_CAP = 24
@@ -68,29 +72,27 @@ class RoundIdeal:
 
     def violations(self, si):
         lat = self.basis.lattice
-        pset = self.basis.elements
+        if si.lattice != lat:
+            raise MalformedInput("relation belongs to another lattice")
+        names = lat.names
+        if not self.members <= self.basis.elements:
+            return ["members leave the carrier"]
         out = []
-        if not self.members <= pset:
-            out.append("members leave the carrier")
-            return out
         if lat.bottom not in self.members:
             out.append("missing the bottom")
-        for b in sorted(self.members):
-            for c in sorted(pset):
-                if lat.leq(c, b) and c not in self.members:
-                    out.append(f"not downward closed at {lat.names[c]}")
-                    break
-        for a in sorted(self.members):
-            for b in sorted(self.members):
-                if lat.join[a][b] not in self.members:
-                    out.append(
-                        f"not join closed at ({lat.names[a]}, {lat.names[b]})"
-                    )
-                    break
-        for b in sorted(self.members):
-            if not any((b, a) in si.pairs for a in sorted(self.members)):
-                out.append(f"not round at {lat.names[b]}")
-                break
+        keep, inside = _mask(self.basis.elements), _mask(self.members)
+        for b in _bits(inside):
+            gap = lat._down[b] & keep & ~inside
+            if gap:
+                out.append(f"not downward closed at {names[_lowest(gap)]}")
+        for a in _bits(inside):
+            ja = lat.join[a]
+            b = next((b for b in _bits(inside) if not inside >> ja[b] & 1), None)
+            if b is not None:
+                out.append(f"not join closed at ({names[a]}, {names[b]})")
+        flat = next((b for b in _bits(inside) if not si.rows[b] & inside), None)
+        if flat is not None:
+            out.append(f"not round at {names[flat]}")
         return out
 
 
@@ -182,8 +184,7 @@ def strong_downset(p, si, a):
     _require_strong_inclusion(si, p)
     if a not in p.elements:
         raise MalformedInput("element outside the carrier")
-    members = frozenset(b for b in p.elements if (b, a) in si.pairs)
-    ideal = RoundIdeal(p, members)
+    ideal = RoundIdeal(p, frozenset(_bits(si.cols[a])))
     bad = ideal.violations(si)
     if bad:
         raise InvariantViolation(f"strong-downset ideal invalid: {bad[0]}")
@@ -205,11 +206,11 @@ def enumerate_round_ideals(p, si):
         raise MalformedInput(
             f"round-ideal enumeration capped at {ENUMERATION_CAP} carrier elements"
         )
-    self_related = [t for t in members_sorted if (t, t) in si.pairs]
+    keep = _mask(members_sorted)
     seen = {}
-    for t in self_related:
-        mem = frozenset(b for b in members_sorted if lat.leq(b, t))
-        seen[mem] = t
+    for t in members_sorted:
+        if si.rows[t] >> t & 1:
+            seen[frozenset(_bits(lat._down[t] & keep))] = t
     ordered = sorted(seen, key=lambda m: tuple(sorted(m)))
     ideals = tuple(RoundIdeal(p, mem) for mem in ordered)
     for ideal in ideals:
@@ -225,8 +226,7 @@ def enumerate_round_ideals(p, si):
     by_members = {ideal.members: i for i, ideal in enumerate(ideals)}
     down_index = {}
     for a in members_sorted:
-        mem = frozenset(b for b in members_sorted if (b, a) in si.pairs)
-        idx = by_members.get(mem)
+        idx = by_members.get(frozenset(_bits(si.cols[a])))
         if idx is None:
             raise InvariantViolation(
                 f"strong downset of {lat.names[a]} is not among the round ideals"
@@ -244,6 +244,7 @@ def _assert_frame_structure(fr):
     lat = fr.p.lattice
     ideals = fr.ideals
     frame = fr.lattice
+    keep = _mask(fr.p.elements)
     for i, a in enumerate(ideals):
         for j, b in enumerate(ideals):
             inter = a.members & b.members
@@ -252,9 +253,7 @@ def _assert_frame_structure(fr):
             # join formula: everything under the join of some finite
             # sub-family drawn from the union
             u = lat.join_all(sorted(a.members | b.members))
-            formula = frozenset(
-                x for x in sorted(fr.p.elements) if lat.leq(x, u)
-            )
+            formula = frozenset(_bits(lat._down[u] & keep))
             if ideals[frame.join[i][j]].members != formula:
                 raise InvariantViolation("frame join misses the covering formula")
 
@@ -289,11 +288,9 @@ def check_compact_regular(fr):
 def is_compatible(l, p, si):
     """Every carrier element is the join of elements strongly included in it."""
     l.require_valid()
-    for a in sorted(p.elements):
-        below = [x for x in sorted(p.elements) if (x, a) in si.pairs]
-        if l.join_all(below) != a:
-            return False
-    return True
+    if p.lattice != l or si.lattice != l:
+        raise MalformedInput("carrier and relation must belong to the lattice")
+    return _joins_of_related(l, p.elements, si.cols, _mask(p.elements))
 
 
 def join_map(l, fr):
@@ -341,17 +338,14 @@ def extension_map(fr, f, codomain_basis=None):
             "map is outside the extension class: no sandwich witnesses for "
             f"the well-inside pair ({ltgt.names[y]}, {ltgt.names[x]})"
         )
-    wi = well_inside_pairs(ltgt)
-    carrier = sorted(fr.p.elements)
+    inside = well_inside(ltgt).cols
+    basis, keep = _mask(codomain_basis.elements), _mask(fr.p.elements)
     assignment = {}
     for a in sorted(codomain_basis.elements):
-        images = [
-            extend(f, b) for b in sorted(codomain_basis.elements) if (b, a) in wi
-        ]
-        members = frozenset(
-            c for c in carrier if any(lsrc.leq(c, x) for x in images)
-        )
-        idx = fr.index_of(members)
+        below = 0
+        for b in _bits(inside[a] & basis):
+            below |= lsrc._down[extend(f, b)]
+        idx = fr.index_of(_bits(below & keep))
         if idx is None:
             raise InvariantViolation(
                 f"extension image of {ltgt.names[a]} is not a round ideal"
@@ -387,12 +381,12 @@ def strong_inclusion_from_maps(l, s, maps, target_bases=None):
             )
         if not is_regular(f.target, tb):
             raise PreconditionError("map codomain is not regular")
-        wi = well_inside_pairs(f.target)
+        wi = well_inside(f.target)
         images = {b: extend(f, b) for b in sorted(tb.elements)}
         s_f.update(images.values())
-        for b, a in sorted(wi):
-            if b in images and a in images:
-                seed_pairs.add((images[b], images[a]))
+        basis = _mask(tb.elements)
+        for b, fb in images.items():
+            seed_pairs.update((fb, images[a]) for a in _bits(wi.rows[b] & basis))
     p = pcd_closure(l, s_f)
     seed = Relation(l, seed_pairs, carrier=p.elements)
     return p, least_strong_inclusion(p, seed)
@@ -455,33 +449,22 @@ def explicit_strong_inclusion(p, f, codomain_basis=None):
             )
     if not is_regular(ltgt, codomain_basis):
         raise PreconditionError("codomain is not regular")
-    carrier = sorted(p.elements)
     for x in {extend(f, b) for b in codomain_basis.elements}:
         if x not in p.elements:
             raise PreconditionError("carrier does not contain the basis preimages")
-    wi = well_inside_pairs(ltgt)
-    pairs = set()
-    for b, a in sorted(wi):
-        if b not in codomain_basis.elements or a not in codomain_basis.elements:
-            continue
-        fb, fa = extend(f, b), extend(f, a)
-        for x in carrier:
-            if not lsrc.leq(x, fb):
-                continue
-            for y in carrier:
-                if lsrc.leq(fa, y):
-                    pairs.add((x, y))
-    rhs = Relation(lsrc, pairs, carrier=p.elements)
-    seed = Relation(
-        lsrc,
-        {
-            (extend(f, b), extend(f, a))
-            for b, a in wi
-            if b in codomain_basis.elements and a in codomain_basis.elements
-        },
-        carrier=p.elements,
-    )
-    lhs = least_strong_inclusion(p, seed)
+    wi = well_inside(ltgt)
+    basis, keep = _mask(codomain_basis.elements), _mask(p.elements)
+    rows = [0] * lsrc.n
+    seed_pairs = set()
+    for b in _bits(basis):
+        fb = extend(f, b)
+        for a in _bits(wi.rows[b] & basis):
+            fa = extend(f, a)
+            seed_pairs.add((fb, fa))
+            for x in _bits(lsrc._down[fb] & keep):
+                rows[x] |= lsrc._up[fa] & keep
+    rhs = Relation._from_rows(lsrc, rows, p.elements)
+    lhs = least_strong_inclusion(p, Relation(lsrc, seed_pairs, p.elements))
     if lhs != rhs:
         raise InvariantViolation(
             "sandwich description disagrees with the generated strong inclusion"
@@ -630,23 +613,19 @@ def interpolated_subcover(l, p, b, parts):
     None when the minimal subcover shows b is the bottom.
     """
     l.require_valid()
+    if p.lattice != l:
+        raise MalformedInput("carrier belongs to another lattice")
     parts = sorted(set(parts))
     if any(x not in p.elements for x in parts):
         raise PreconditionError("cover parts must lie in the carrier")
-    wi = well_inside_pairs(l)
+    wi = well_inside(l)
     total = l.join_all(parts)
     if (b, total) not in wi:
         raise PreconditionError("element is not well-inside the join of the cover")
-    members = sorted(p.elements)
-    candidates = [
-        q
-        for q in members
-        if any(
-            (qq, pp) in wi and (q, qq) in wi
-            for pp in parts
-            for qq in members
-        )
-    ]
+    keep, cover = _mask(p.elements), _mask(parts)
+    # carrier elements well-inside some part, and those well-inside one of them
+    mids = _mask(m for m in _bits(keep) if wi.rows[m] & cover)
+    candidates = [q for q in _bits(keep) if wi.rows[q] & mids]
     bstar = l.pstar[b]
     cover_parts = [bstar] + candidates
     if l.join_all(cover_parts) != l.top:
@@ -662,13 +641,9 @@ def interpolated_subcover(l, p, b, parts):
     middle = []
     upper = []
     for q in lower:
-        m = next(
-            qq
-            for qq in members
-            if (q, qq) in wi and any((qq, pp) in wi for pp in parts)
-        )
+        m = _lowest(wi.rows[q] & mids)
         middle.append(m)
-        upper.append(next(pp for pp in parts if (m, pp) in wi))
+        upper.append(_lowest(wi.rows[m] & cover))
     vee = l.join_all(lower)
     vee_m = l.join_all(middle)
     checks = (

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import InvariantViolation, MalformedInput, PreconditionError
-from .lattice import Basis, _bits, full_basis
-from .relation import check_strong_inclusion, well_inside_pairs
+from .lattice import Basis, _bits, _lowest, full_basis, well_inside
+from .relation import check_strong_inclusion
 
 
 class ContinuousMap:
@@ -214,35 +214,27 @@ def is_embedding(f):
     return image == set(range(f.source.n))
 
 
-def finer_than(si, f, verify=True):
+def finer_than(si, f):
     """Search sandwich witnesses p <| p' for every well-inside pair of the target.
 
-    Returns a tag holding a witness per pair (searched lexicographically by
-    element index) or the first failing pair in index order.
+    ``si`` is first checked to be a strong inclusion on its carrier.  Returns
+    a tag holding a witness per pair (searched lexicographically by element
+    index) or the first failing pair in index order.
     """
     require_valid_map(f)
-    if verify:
-        carrier = Basis(f.source, si.carrier)
-        report = check_strong_inclusion(si, carrier)
-        if not report.ok:
-            bad = report.failed()[0]
-            raise PreconditionError(
-                f"not a strong inclusion: condition {bad.number} fails at {bad.witness}"
-            )
-    src, tgt = f.source, f.target
-    members = sorted(si.carrier)
+    report = check_strong_inclusion(si, Basis(f.source, si.carrier))
+    if not report.ok:
+        bad = report.failed()[0]
+        raise PreconditionError(
+            f"not a strong inclusion: condition {bad.number} fails at {bad.witness}"
+        )
+    src, rows = f.source, si.rows
     witnesses = []
-    for y, x in sorted(well_inside_pairs(tgt)):
-        fy = extend(f, y)
-        fx = extend(f, x)
+    for y, x in well_inside(f.target):
+        below = src._down[extend(f, x)]
         found = next(
-            (
-                (p, q)
-                for p in members
-                if src.leq(fy, p)
-                for q in members
-                if (p, q) in si.pairs and src.leq(q, fx)
-            ),
+            ((p, _lowest(rows[p] & below))
+             for p in _bits(src._up[extend(f, y)]) if rows[p] & below),
             None,
         )
         if found is None:

@@ -152,7 +152,7 @@ def parse_relation(text, lattice):
 def serialize_relation(rel, name="relation"):
     names = rel.lattice.names
     out = [f"relation {name}", f"host {rel.lattice.name}"]
-    for a, b in sorted(rel.pairs):
+    for a, b in rel:
         out.append(f"pair {names[a]} {names[b]}")
     return "\n".join(out) + "\n"
 

@@ -13,6 +13,9 @@ transitive falls back to scanning the common cone.  The order axioms are
 checked on the masks in O(n^2) word operations.  Distributivity is checked
 on all n^3 triples, one row of n at a time.
 
+Binary relations over a lattice (``Relation``) use the same encoding, one
+row mask per element; the well-inside relation is built once per lattice.
+
 Sizes are desk scale (cap: ``MAX_ELEMENTS`` = 64 elements, enforced where
 lattice documents are read); every axiom check is run in full rather than
 sampled.
@@ -25,7 +28,6 @@ from itertools import combinations
 from operator import itemgetter
 
 from .errors import MalformedInput, NotACoverError, PreconditionError
-from .relation import Relation, well_inside_pairs
 
 MAX_ELEMENTS = 64
 
@@ -41,6 +43,14 @@ def _bits(mask):
 def _lowest(mask):
     """Index of the lowest set bit of a nonzero ``mask``."""
     return (mask & -mask).bit_length() - 1
+
+
+def _mask(indices):
+    """Bitmask with the given (in-range) indices set."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
 
 
 def _bound_table(cone):
@@ -94,6 +104,7 @@ class PcdLattice:
                     self._down[j] |= 1 << i
         self._analyze()
         self._report = None
+        self._well_inside = None  # built once by well_inside
 
     # -- derived structure ------------------------------------------------
 
@@ -305,6 +316,104 @@ def _first_none(table):
     return None
 
 
+def _checked_carrier(lattice, carrier):
+    """``carrier`` as a frozenset of element indices; None means all of them."""
+    if carrier is None:
+        return frozenset(range(lattice.n))
+    carrier = frozenset(carrier)
+    for x in carrier:
+        if not 0 <= x < lattice.n:
+            raise MalformedInput(f"carrier index {x} out of range")
+    return carrier
+
+
+class Relation:
+    """A binary relation over a lattice, held as one row mask per element.
+
+    Bit b of ``rows[a]`` says (a, b) is related; ``cols`` is the transpose,
+    derived once.  The carrier records which sublattice the relation is
+    considered on and holds every related element.  ``pairs``, membership,
+    iteration (in index order), ``len`` and ``repr`` are views of the rows;
+    equality ignores the carrier and compares the rows (matrix equality).
+    """
+
+    def __init__(self, lattice, pairs, carrier=None):
+        carrier = _checked_carrier(lattice, carrier)
+        rows = [0] * lattice.n
+        for a, b in pairs:
+            a, b = int(a), int(b)
+            if a not in carrier or b not in carrier:
+                raise MalformedInput(f"pair ({a}, {b}) outside the carrier")
+            rows[a] |= 1 << b
+        self.lattice, self.carrier, self.rows = lattice, carrier, tuple(rows)
+        self._cols = self._pairs = None
+
+    @classmethod
+    def _from_rows(cls, lattice, rows, carrier):
+        """The relation with these row masks on a checked carrier holding them."""
+        rel = cls.__new__(cls)
+        rel.lattice, rel.carrier, rel.rows = lattice, carrier, tuple(rows)
+        rel._cols = rel._pairs = None
+        return rel
+
+    @property
+    def cols(self):
+        """Column masks: bit a of ``cols[b]`` says (a, b) is related."""
+        if self._cols is None:
+            cols = [0] * len(self.rows)
+            for a, row in enumerate(self.rows):
+                for b in _bits(row):
+                    cols[b] |= 1 << a
+            self._cols = tuple(cols)
+        return self._cols
+
+    @property
+    def pairs(self):
+        """The related index pairs, as a frozenset."""
+        if self._pairs is None:
+            self._pairs = frozenset(self)
+        return self._pairs
+
+    def __contains__(self, pair):
+        a, b = pair
+        return 0 <= a < len(self.rows) and b >= 0 and bool(self.rows[a] >> b & 1)
+
+    def __iter__(self):
+        for a, row in enumerate(self.rows):
+            for b in _bits(row):
+                yield a, b
+
+    def __len__(self):
+        return sum(row.bit_count() for row in self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return self.lattice == other.lattice and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.lattice, self.rows))
+
+    def __repr__(self):
+        names = self.lattice.names
+        inner = ", ".join(f"({names[a]},{names[b]})" for a, b in self)
+        return f"Relation{{{inner}}}"
+
+    def restricted_to(self, carrier):
+        carrier = _checked_carrier(self.lattice, carrier)
+        keep = _mask(carrier)
+        rows = [row & keep if keep >> a & 1 else 0 for a, row in enumerate(self.rows)]
+        return Relation._from_rows(self.lattice, rows, carrier)
+
+    def with_carrier(self, carrier):
+        return Relation(self.lattice, self, carrier)
+
+
+def _joins_of_related(lat, targets, cols, pool):
+    """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``."""
+    return all(lat.join_all(_bits(cols[a] & pool)) == a for a in targets)
+
+
 @dataclass(frozen=True)
 class Basis:
     """A distinguished subset of a lattice.
@@ -328,11 +437,7 @@ class Basis:
     def is_basis(self):
         """Every lattice element is the join of the basis elements below it."""
         lat = self.lattice
-        for x in range(lat.n):
-            below = [b for b in self.sorted_elements() if lat.leq(b, x)]
-            if lat.join_all(below) != x:
-                return False
-        return True
+        return _joins_of_related(lat, range(lat.n), lat._down, _mask(self.elements))
 
     def is_sub_pcd(self):
         """Contains the bounds and is closed under meet, join and star."""
@@ -376,19 +481,22 @@ def pseudocomplement(l, y):
 
 
 def well_inside(l):
-    """The relation of pairs (y, x) with top = x v y*."""
-    return Relation(l, well_inside_pairs(l))
+    """The relation of pairs (y, x) with top = x v y*; built once per lattice."""
+    if l._well_inside is None:
+        l.require_valid()
+        top, join = l.top, l.join
+        # the join table is symmetric, so row y* holds every x v y*
+        rows = [_mask(x for x, j in enumerate(join[s]) if j == top) for s in l.pstar]
+        l._well_inside = Relation._from_rows(l, rows, frozenset(range(l.n)))
+    return l._well_inside
 
 
 def is_regular(l, b):
     """Every basis element is the join of basis elements well-inside it."""
     l.require_valid()
-    wi = well_inside_pairs(l)
-    for a in b.sorted_elements():
-        below = [x for x in b.sorted_elements() if (x, a) in wi]
-        if l.join_all(below) != a:
-            return False
-    return True
+    if b.lattice != l:
+        raise MalformedInput("basis belongs to another lattice")
+    return _joins_of_related(l, b.elements, well_inside(l).cols, _mask(b.elements))
 
 
 def minimal_subcover(l, parts, target):

@@ -1,8 +1,18 @@
-"""Binary relations over a pcd-lattice.
+"""Kernels on binary relations over a pcd-lattice.
 
-Hosts the well-inside relation and its interpolative core, the seven
-strong-inclusion conditions, inductively generated least strong inclusions,
-strong-regularity predicates, and dyadic scales.
+Hosts the interpolative core of a relation (of well-inside in particular),
+the seven strong-inclusion conditions, inductively generated least strong
+inclusions, strong-regularity predicates, and dyadic scales.
+
+A ``Relation`` (defined in ``lattice``, next to the lattices it lives on)
+stores one row mask per element: bit b of ``rows[a]`` says (a, b) is
+related, and the column masks ``cols`` are derived once.  Every kernel here
+works on those masks.  z interpolates (x, y) exactly when bit z of
+``rows[x] & cols[y]`` is set, so the interpolant test is one AND; the order
+sandwich of (a, b) ORs the up cone of b into the row of each element below
+a.  With at most 64 elements each mask is one machine word, and checking all
+seven conditions costs O(|R| * n) word operations for a relation of |R|
+pairs.
 """
 
 from __future__ import annotations
@@ -11,83 +21,26 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fixpoint
 from .errors import (
     InvariantViolation,
     MalformedInput,
     NoScaleError,
     PreconditionError,
 )
-
-
-class Relation:
-    """A set of index pairs over a lattice, together with its carrier set.
-
-    The carrier records which sublattice the relation is considered on;
-    equality ignores it and compares the pair sets (matrix equality).
-    """
-
-    def __init__(self, lattice, pairs, carrier=None):
-        self.lattice = lattice
-        if carrier is None:
-            carrier = frozenset(range(lattice.n))
-        else:
-            carrier = frozenset(carrier)
-            for x in carrier:
-                if not 0 <= x < lattice.n:
-                    raise MalformedInput(f"carrier index {x} out of range")
-        self.carrier = carrier
-        pairs = frozenset((int(a), int(b)) for a, b in pairs)
-        for a, b in pairs:
-            if a not in carrier or b not in carrier:
-                raise MalformedInput(f"pair ({a}, {b}) outside the carrier")
-        self.pairs = pairs
-
-    def __contains__(self, pair):
-        return tuple(pair) in self.pairs
-
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Relation):
-            return NotImplemented
-        return self.lattice == other.lattice and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.lattice, self.pairs))
-
-    def __repr__(self):
-        names = self.lattice.names
-        inner = ", ".join(f"({names[a]},{names[b]})" for a, b in sorted(self.pairs))
-        return f"Relation{{{inner}}}"
-
-    def restricted_to(self, carrier):
-        carrier = frozenset(carrier)
-        kept = {(a, b) for a, b in self.pairs if a in carrier and b in carrier}
-        return Relation(self.lattice, kept, carrier)
-
-    def with_carrier(self, carrier):
-        return Relation(self.lattice, self.pairs, carrier)
-
+from .lattice import (
+    Relation,
+    _bits,
+    _checked_carrier,
+    _joins_of_related,
+    _lowest,
+    _mask,
+    well_inside,
+)
 
 
 def well_inside_pairs(lat):
-    """Pairs (y, x) with top = x v y*, as a raw set of index pairs."""
-    cached = getattr(lat, "_wi_pairs", None)
-    if cached is not None:
-        return cached
-    lat.require_valid()
-    top, join, pstar = lat.top, lat.join, lat.pstar
-    n = lat.n
-    pairs = frozenset(
-        (y, x) for y in range(n) for x in range(n) if join[x][pstar[y]] == top
-    )
-    lat._wi_pairs = pairs
-    return pairs
+    """Pairs (y, x) with top = x v y*, as a frozenset of index pairs."""
+    return well_inside(lat).pairs
 
 
 @dataclass(frozen=True)
@@ -140,27 +93,42 @@ class Scale:
         return {Fraction(k, d): v for k, v in enumerate(self.values)}
 
 
+def _uninterpolated(rel):
+    """Pairs (x, y) of ``rel``, in index order, with no z such that x rel z rel y."""
+    rows, cols = rel.rows, rel.cols
+    return ((x, y) for x, row in enumerate(rows) for y in _bits(row) if not row & cols[y])
+
+
+def _first_missing(rows, allowed):
+    """First (a, b) in index order with bit b set in rows[a] but not in allowed[a]."""
+    return next(
+        ((a, _lowest(row & ~ok)) for a, (row, ok) in enumerate(zip(rows, allowed))
+         if row & ~ok),
+        None,
+    )
+
+
+def _square(keep, n):
+    """Row masks of the full relation on the elements of the mask ``keep``."""
+    return [keep if keep >> a & 1 else 0 for a in range(n)]
+
+
 def largest_interpolative(r):
     """Largest subrelation of ``r`` in which every pair admits an interpolant.
 
-    Realized as the greatest fixpoint of the definition whose steps justify a
-    pair (x, z) from any two-pair set {(x, y), (y, z)} inside r; the Kleene
-    iteration prunes non-interpolable pairs until stable.
+    The greatest fixpoint of "(x, z) stays when some (x, y) and (y, z) stay":
+    each round drops every pair whose row and column masks no longer meet,
+    until a round drops nothing.
     """
     r.lattice.require_valid()
-    pair_list = sorted(r.pairs)
-    universe = fixpoint.Universe(pair_list)
-    succ = {}
-    for a, b in pair_list:
-        succ.setdefault(a, set()).add(b)
-    steps = []
-    for x, z in pair_list:
-        mids = succ.get(x, ())
-        for y in mids:
-            if (y, z) in r.pairs:
-                steps.append(((x, z), ((x, y), (y, z))))
-    defn = fixpoint.InductiveDefinition(universe, steps)
-    return Relation(r.lattice, fixpoint.gfp(defn), r.carrier)
+    while True:
+        dropped = list(_uninterpolated(r))
+        if not dropped:
+            return r
+        rows = list(r.rows)
+        for x, z in dropped:
+            rows[x] &= ~(1 << z)
+        r = Relation._from_rows(r.lattice, rows, r.carrier)
 
 
 def _require_sub_pcd(basis):
@@ -168,6 +136,13 @@ def _require_sub_pcd(basis):
         raise PreconditionError(
             "carrier is not closed under meet, join and pseudocomplement"
         )
+
+
+def _result(number, name, failure):
+    """The condition's result from its first ``(witness, detail)`` failure, or None."""
+    if failure is None:
+        return ConditionResult(number, name, True)
+    return ConditionResult(number, name, False, *failure)
 
 
 def check_strong_inclusion(si, on):
@@ -182,119 +157,64 @@ def check_strong_inclusion(si, on):
     if on.lattice != lat:
         raise MalformedInput("relation and carrier live on different lattices")
     _require_sub_pcd(on)
-    pset = on.elements
-    for a, b in sorted(si.pairs):
-        if a not in pset or b not in pset:
-            raise PreconditionError(
-                f"pair ({lat.names[a]}, {lat.names[b]}) leaves the carrier"
-            )
-    members = sorted(pset)
-    pairs = si.pairs
+    names, n = lat.names, lat.n
+    keep = _mask(on.elements)
+    stray = _first_missing(si.rows, _square(keep, n))
+    if stray is not None:
+        a, b = stray
+        raise PreconditionError(f"pair ({names[a]}, {names[b]}) leaves the carrier")
+    rows, cols = si.rows, si.cols
     meet, join, pstar = lat.meet, lat.join, lat.pstar
-    results = []
+    up, down = lat._up, lat._down
 
-    missing = [q for q in ((lat.bottom, lat.bottom), (lat.top, lat.top)) if q not in pairs]
-    results.append(
-        ConditionResult(
-            1,
-            "bounds are self-related",
-            not missing,
-            missing[0] if missing else None,
-            "" if not missing else "0<|0 or 1<|1 missing",
-        )
-    )
+    def sandwich():
+        for a, row in enumerate(rows):
+            for b in _bits(row):
+                need = up[b] & keep
+                for x in _bits(down[a] & keep):
+                    if need & ~rows[x]:
+                        yield (x, _lowest(need & ~rows[x])), \
+                            f"derived from ({names[a]}, {names[b]})"
 
-    down = {a: [x for x in members if lat.leq(x, a)] for a in members}
-    up = {b: [y for y in members if lat.leq(b, y)] for b in members}
-    c2 = None
-    for a, b in sorted(pairs):
-        for x in down[a]:
-            for y in up[b]:
-                if (x, y) not in pairs:
-                    c2 = ((x, y), f"derived from ({lat.names[a]}, {lat.names[b]})")
-                    break
-            if c2:
-                break
-        if c2:
-            break
-    results.append(
-        ConditionResult(2, "order sandwich", c2 is None, c2[0] if c2 else None,
-                        c2[1] if c2 else "")
-    )
+    # meets and joins are symmetric, so the first failing (a, b) has a <= b
+    def meets():
+        for x, row in enumerate(rows):
+            for a in _bits(row):
+                ma = meet[a]
+                for b in _bits(row >> a << a):
+                    if not row >> ma[b] & 1:
+                        yield (x, ma[b]), f"from ({names[x]})<|both"
 
-    by_left = {}
-    by_right = {}
-    for a, b in pairs:
-        by_left.setdefault(a, []).append(b)
-        by_right.setdefault(b, []).append(a)
+    def joins():
+        for a, col in enumerate(cols):
+            for x in _bits(col):
+                jx = join[x]
+                for y in _bits(col >> x << x):
+                    if not col >> jx[y] & 1:
+                        yield (jx[y], a), f"joint lower bounds of {names[a]}"
 
-    c3 = None
-    for x in members:
-        rights = sorted(by_left.get(x, ()))
-        for a in rights:
-            for b in rights:
-                if (x, meet[a][b]) not in pairs:
-                    c3 = ((x, meet[a][b]), f"from ({lat.names[x]})<|both")
-                    break
-            if c3:
-                break
-        if c3:
-            break
-    results.append(
-        ConditionResult(3, "meets on the right", c3 is None, c3[0] if c3 else None,
-                        c3[1] if c3 else "")
-    )
+    def stars():
+        for a, b in si:
+            if not rows[pstar[b]] >> pstar[a] & 1:
+                yield (pstar[b], pstar[a]), f"stars of ({names[a]}, {names[b]})"
 
-    c4 = None
-    for a in members:
-        lefts = sorted(by_right.get(a, ()))
-        for x in lefts:
-            for y in lefts:
-                if (join[x][y], a) not in pairs:
-                    c4 = ((join[x][y], a), f"joint lower bounds of {lat.names[a]}")
-                    break
-            if c4:
-                break
-        if c4:
-            break
-    results.append(
-        ConditionResult(4, "joins on the left", c4 is None, c4[0] if c4 else None,
-                        c4[1] if c4 else "")
-    )
-
-    c5 = next(
-        (
-            ((pstar[b], pstar[a]), f"stars of ({lat.names[a]}, {lat.names[b]})")
-            for a, b in sorted(pairs)
-            if (pstar[b], pstar[a]) not in pairs
-        ),
+    bounds = next(
+        (q for q in ((lat.bottom, lat.bottom), (lat.top, lat.top)) if q not in si),
         None,
     )
-    results.append(
-        ConditionResult(5, "star reversal", c5 is None, c5[0] if c5 else None,
-                        c5[1] if c5 else "")
-    )
-
-    wi = well_inside_pairs(lat)
-    c6 = next((q for q in sorted(pairs) if q not in wi), None)
-    results.append(
-        ConditionResult(6, "contained in well-inside", c6 is None, c6,
-                        "pair is not well-inside" if c6 else "")
-    )
-
-    c7 = next(
-        (
-            (x, y)
-            for x, y in sorted(pairs)
-            if not any((x, z) in pairs and (z, y) in pairs for z in members)
-        ),
-        None,
-    )
-    results.append(
-        ConditionResult(7, "interpolation", c7 is None, c7,
-                        "no interpolant" if c7 else "")
-    )
-    return SiReport(tuple(results))
+    outside = _first_missing(rows, well_inside(lat).rows)
+    gap = next(_uninterpolated(si), None)
+    return SiReport((
+        _result(1, "bounds are self-related",
+                bounds and (bounds, "0<|0 or 1<|1 missing")),
+        _result(2, "order sandwich", next(sandwich(), None)),
+        _result(3, "meets on the right", next(meets(), None)),
+        _result(4, "joins on the left", next(joins(), None)),
+        _result(5, "star reversal", next(stars(), None)),
+        _result(6, "contained in well-inside",
+                outside and (outside, "pair is not well-inside")),
+        _result(7, "interpolation", gap and (gap, "no interpolant")),
+    ))
 
 
 def least_strong_inclusion(p, seed):
@@ -302,64 +222,64 @@ def least_strong_inclusion(p, seed):
 
     The closure is the least fixpoint of the rule system: seed pairs and the
     self-related bounds enter outright; order sandwiching, meets on the right,
-    joins on the left, and star reversal fire until stable.  The result is a
-    strong inclusion on ``p`` (all seven conditions; re-checked before
-    returning).
+    joins on the left, and star reversal fire until stable.  A worklist of
+    new pairs drives it, and each rule adds a whole row mask at once.  The
+    result is a strong inclusion on ``p`` (all seven conditions; re-checked
+    before returning).
     """
     lat = p.lattice
     lat.require_valid()
+    if seed.lattice != lat:
+        raise MalformedInput("seed and carrier live on different lattices")
     _require_sub_pcd(p)
-    pset = p.elements
-    members = sorted(pset)
-    wi = well_inside_pairs(lat)
-    for a, b in sorted(seed.pairs):
-        if a not in pset or b not in pset:
-            raise PreconditionError(
-                f"seed pair ({lat.names[a]}, {lat.names[b]}) leaves the carrier"
-            )
-        if (a, b) not in wi:
-            raise PreconditionError(
-                f"seed pair ({lat.names[a]}, {lat.names[b]}) is not well-inside"
-            )
-    for a, b in sorted(seed.pairs):
-        if not any((a, z) in seed.pairs and (z, b) in seed.pairs for z in members):
-            raise PreconditionError(
-                f"seed pair ({lat.names[a]}, {lat.names[b]}) has no interpolant in the seed"
-            )
+    names, n = lat.names, lat.n
+    keep = _mask(p.elements)
+    square = _square(keep, n)
+    wi = well_inside(lat).rows
+    bad = _first_missing(seed.rows, [s & w for s, w in zip(square, wi)])
+    if bad is not None:
+        a, b = bad
+        why = "is not well-inside" if square[a] >> b & 1 else "leaves the carrier"
+        raise PreconditionError(f"seed pair ({names[a]}, {names[b]}) {why}")
+    gap = next(_uninterpolated(seed), None)
+    if gap is not None:
+        a, b = gap
+        raise PreconditionError(
+            f"seed pair ({names[a]}, {names[b]}) has no interpolant in the seed"
+        )
 
     meet, join, pstar = lat.meet, lat.join, lat.pstar
-    down = {a: [x for x in members if lat.leq(x, a)] for a in members}
-    up = {b: [y for y in members if lat.leq(b, y)] for b in members}
-
-    known = set()
+    up, down = lat._up, lat._down
+    rows = [0] * n
+    done_left = [0] * n  # bit b of done_left[a]: (a, b) has fired its rules
+    done_right = [0] * n  # the transpose of done_left
     queue = deque()
 
-    def add(pair):
-        if pair not in known:
-            known.add(pair)
-            queue.append(pair)
+    def add(a, new):
+        new &= ~rows[a]
+        if new:
+            rows[a] |= new
+            queue.extend((a, b) for b in _bits(new))
 
-    add((lat.bottom, lat.bottom))
-    add((lat.top, lat.top))
-    for pair in sorted(seed.pairs):
-        add(pair)
-
-    by_left = {a: [] for a in members}
-    by_right = {b: [] for b in members}
+    add(lat.bottom, 1 << lat.bottom)
+    add(lat.top, 1 << lat.top)
+    for a, row in enumerate(seed.rows):
+        add(a, row)
     while queue:
         a, b = queue.popleft()
-        by_left[a].append(b)
-        by_right[b].append(a)
-        add((pstar[b], pstar[a]))
-        for x in down[a]:
-            for y in up[b]:
-                add((x, y))
-        for b2 in list(by_left[a]):
-            add((a, meet[b][b2]))
-        for a2 in list(by_right[b]):
-            add((join[a][a2], b))
+        done_left[a] |= 1 << b
+        done_right[b] |= 1 << a
+        add(pstar[b], 1 << pstar[a])
+        above = up[b] & keep
+        for x in _bits(down[a] & keep):
+            add(x, above)
+        mb = meet[b]
+        add(a, _mask(mb[c] for c in _bits(done_left[a])))
+        ja = join[a]
+        for c in _bits(done_right[b]):
+            add(ja[c], 1 << b)
 
-    result = Relation(lat, known, carrier=pset)
+    result = Relation._from_rows(lat, rows, p.elements)
     report = check_strong_inclusion(result, p)
     if not report.ok:
         bad = report.failed()[0]
@@ -371,18 +291,13 @@ def least_strong_inclusion(p, seed):
 
 def interpolative_core_on_basis(l, b):
     """Largest interpolative subrelation of well-inside restricted to ``b``."""
-    wi = Relation(l, well_inside_pairs(l))
-    return largest_interpolative(wi.restricted_to(b.elements))
+    return largest_interpolative(well_inside(l).restricted_to(b.elements))
 
 
 def is_strongly_regular_basis(l, b):
     """Every basis element is the join of elements core-below it."""
     core = interpolative_core_on_basis(l, b)
-    for a in sorted(b.elements):
-        below = [x for x in sorted(b.elements) if (x, a) in core.pairs]
-        if l.join_all(below) != a:
-            return False
-    return True
+    return _joins_of_related(l, b.elements, core.cols, _mask(b.elements))
 
 
 def ordered_sandwich(rel, carrier=None):
@@ -394,18 +309,16 @@ def ordered_sandwich(rel, carrier=None):
     """
     lat = rel.lattice
     lat.require_valid()
-    if carrier is None:
-        carrier = rel.carrier
-    carrier = frozenset(carrier)
-    members = sorted(carrier)
-    out = set()
-    for u, v in sorted(rel.pairs):
-        xs = [x for x in members if lat.leq(x, u)]
-        ys = [y for y in members if lat.leq(v, y)]
-        for x in xs:
-            for y in ys:
-                out.add((x, y))
-    return Relation(lat, out, carrier)
+    carrier = rel.carrier if carrier is None else _checked_carrier(lat, carrier)
+    keep = _mask(carrier)
+    rows = [0] * lat.n
+    for u, row in enumerate(rel.rows):
+        above = 0
+        for v in _bits(row):
+            above |= lat._up[v]
+        for x in _bits(lat._down[u] & keep):
+            rows[x] |= above & keep
+    return Relation._from_rows(lat, rows, carrier)
 
 
 def build_scale(si, y, x, depth):
@@ -413,41 +326,48 @@ def build_scale(si, y, x, depth):
 
     Midpoints are chosen by repeated interpolation inside ``si``, lowest
     element index first.  Requires ``si`` interpolative and contained in
-    well-inside; raises NoScaleError when (y, x) is not related.
+    well-inside; raises NoScaleError when (y, x) is not related.  The
+    postcondition (every value well-inside every later one) compares each
+    value with the distinct values before it, one mask test per position.
     """
     lat = si.lattice
     lat.require_valid()
     if not 0 <= depth <= 16:
         raise MalformedInput("scale depth must be between 0 and 16")
-    wi = well_inside_pairs(lat)
-    stray = next((q for q in sorted(si.pairs) if q not in wi), None)
+    if not (0 <= y < lat.n and 0 <= x < lat.n):
+        raise MalformedInput("scale endpoints must be element indices")
+    names = lat.names
+    wi = well_inside(lat)
+    stray = _first_missing(si.rows, wi.rows)
     if stray is not None:
-        raise PreconditionError(f"relation pair {stray} is not well-inside")
-    members = sorted(si.carrier)
-    for a, b in sorted(si.pairs):
-        if not any((a, z) in si.pairs and (z, b) in si.pairs for z in members):
-            raise PreconditionError(f"relation pair ({a}, {b}) has no interpolant")
-    if (y, x) not in si.pairs:
+        a, b = stray
+        raise PreconditionError(f"relation pair ({names[a]}, {names[b]}) is not well-inside")
+    gap = next(_uninterpolated(si), None)
+    if gap is not None:
+        a, b = gap
+        raise PreconditionError(f"relation pair ({names[a]}, {names[b]}) has no interpolant")
+    if (y, x) not in si:
         raise NoScaleError(
-            f"({lat.names[y]}, {lat.names[x]}) is not in the relation; no scale exists"
+            f"({names[y]}, {names[x]}) is not in the relation; no scale exists"
         )
+    rows, cols = si.rows, si.cols
     seq = [y, x]
     for _ in range(depth):
-        refined = [seq[0]]
+        refined = [y]
         for u, v in zip(seq, seq[1:]):
-            z = next(
-                m for m in members if (u, m) in si.pairs and (m, v) in si.pairs
-            )
-            refined.extend([z, v])
+            refined += (_lowest(rows[u] & cols[v]), v)
         seq = refined
-    scale = Scale(lat, depth, tuple(seq))
-    for i, a in enumerate(seq):
-        for b in seq[i + 1:]:
-            if (a, b) not in wi:
-                raise InvariantViolation(
-                    f"scale values at positions {i} and later are not well-inside"
-                )
-    return scale
+    earlier = 0
+    for j, a in enumerate(seq):
+        stray = earlier & ~wi.cols[a]
+        if stray:
+            e = _lowest(stray)
+            raise InvariantViolation(
+                f"scale value {names[e]} at position {seq.index(e)} is not "
+                f"well-inside {names[a]} at position {j}"
+            )
+        earlier |= 1 << a
+    return Scale(lat, depth, tuple(seq))
 
 
 def really_inside_via_scales(l, b, depth=3):

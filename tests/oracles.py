@@ -328,3 +328,65 @@ def brute_pcd_closure(lat, seed):
         ):
             least &= s
     return frozenset(least)
+
+
+def reference_si_report(lat, carrier, pairs):
+    """``(holds, witness, detail)`` of the seven strong-inclusion conditions.
+
+    Written from the definitions over a Python set of pairs: the order is
+    read off the meet table (x <= y when x ^ y = x) and well-inside from the
+    join table and the pseudocomplements.  Each condition names its first
+    counterexample in the enumeration order of its definition (pairs in
+    index order, then the quantified elements in index order), with the
+    library's detail text.
+    """
+    names, meet, join, pstar = lat.names, lat.meet, lat.join, lat.pstar
+    members = sorted(carrier)
+    rel = set(pairs)
+    ordered = sorted(rel)
+
+    def le(x, y):
+        return meet[x][y] == x
+
+    def first(failures):
+        return next(iter(failures), None)
+
+    bounds = first(q for q in [(lat.bottom, lat.bottom), (lat.top, lat.top)] if q not in rel)
+    failures = [
+        bounds and (bounds, "0<|0 or 1<|1 missing"),
+        first(
+            ((x, y), f"derived from ({names[a]}, {names[b]})")
+            for a, b in ordered
+            for x in members if le(x, a)
+            for y in members if le(b, y) and (x, y) not in rel
+        ),
+        first(
+            ((x, meet[a][b]), f"from ({names[x]})<|both")
+            for x in members
+            for a in members if (x, a) in rel
+            for b in members if (x, b) in rel and (x, meet[a][b]) not in rel
+        ),
+        first(
+            ((join[x][y], a), f"joint lower bounds of {names[a]}")
+            for a in members
+            for x in members if (x, a) in rel
+            for y in members if (y, a) in rel and (join[x][y], a) not in rel
+        ),
+        first(
+            ((pstar[b], pstar[a]), f"stars of ({names[a]}, {names[b]})")
+            for a, b in ordered if (pstar[b], pstar[a]) not in rel
+        ),
+        first(
+            ((y, x), "pair is not well-inside")
+            for y, x in ordered if join[x][pstar[y]] != lat.top
+        ),
+        first(
+            ((x, y), "no interpolant")
+            for x, y in ordered
+            if not any((x, z) in rel and (z, y) in rel for z in members)
+        ),
+    ]
+    return [
+        (True, None, "") if failure is None else (False, *failure)
+        for failure in failures
+    ]

@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
+from roundideal.compactify import RoundIdeal, interpolated_subcover, is_compatible
 from roundideal.errors import (
     MalformedInput,
     NoScaleError,
@@ -151,6 +153,31 @@ class TestCheckStrongInclusion:
         with pytest.raises(PreconditionError):
             check_strong_inclusion(Relation(l, (), open_carrier.elements), open_carrier)
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_report(self, seed):
+        # every holds, witness and detail field equals the set-based report,
+        # on well-inside subsets, random pair sets, full relations and strong
+        # inclusions, over full bases and pcd-closure carriers
+        rng = random.Random(seed)
+        l = util.downset_instance(seed, rng.randint(0, 4))
+        p = full_basis(l) if rng.random() < 0.5 else util.random_carrier(l, rng)
+        members = sorted(p.elements)
+        kind = rng.randrange(4)
+        if kind == 0:
+            pairs = [q for q in sorted(well_inside_pairs(l))
+                     if q[0] in p.elements and q[1] in p.elements and rng.random() < 0.7]
+        elif kind == 1:
+            pairs = [(rng.choice(members), rng.choice(members))
+                     for _ in range(rng.randint(0, 2 * len(members)))]
+        elif kind == 2:
+            pairs = [(a, b) for a in members for b in members]
+        else:
+            pairs = util.random_strong_inclusion(l, p, rng).pairs
+        report = check_strong_inclusion(Relation(l, pairs, p.elements), p)
+        got = [(c.holds, c.witness, c.detail) for c in report.conditions]
+        assert got == oracles.reference_si_report(l, p.elements, pairs)
+
 
 class TestLeastStrongInclusion:
     def test_empty_seed_gives_trivial(self):
@@ -173,6 +200,13 @@ class TestLeastStrongInclusion:
         wi = Relation(l, well_inside_pairs(l))
         got = least_strong_inclusion(b, wi)
         assert got == wi  # well-inside is the order there, already closed
+
+    def test_seed_from_another_lattice_rejected(self):
+        l = boolean(2)
+        for other in (boolean(3), chain(4)):
+            seed = Relation(other, {(other.top, other.top)})
+            with pytest.raises(MalformedInput, match="different lattices"):
+                least_strong_inclusion(full_basis(l), seed)
 
     def test_seed_outside_well_inside_rejected(self):
         c = chain(3)
@@ -400,6 +434,35 @@ class TestScales:
         with pytest.raises(MalformedInput):
             build_scale(core, 0, 1, 40)
 
+    def test_endpoints_must_be_elements(self):
+        l = boolean(1)
+        core = interpolative_core_on_basis(l, full_basis(l))
+        for y, x in [(2, 0), (0, 2), (-1, 1), (1, -1)]:
+            with pytest.raises(MalformedInput, match="endpoints"):
+                build_scale(core, y, x, 1)
+
+    def test_depth_cap_within_budget(self):
+        l = boolean(2)
+        core = interpolative_core_on_basis(l, full_basis(l))
+        start = time.perf_counter()
+        s = build_scale(core, l.bottom, l.top, 16)
+        assert time.perf_counter() - start < 10
+        assert len(s.values) == 2**16 + 1
+        assert s.values[0] == l.bottom and s.values[-1] == l.top
+
+    def test_preconditions_name_labels(self):
+        c = chain(3)
+        with pytest.raises(PreconditionError, match=r"pair \(c1, c1\) is not well-inside"):
+            build_scale(Relation(c, {(1, 1)}), 1, 1, 1)
+        l = zigzag()
+        wi = Relation(l, well_inside_pairs(l))
+        x, y = check_strong_inclusion(wi, full_basis(l)).condition(7).witness
+        with pytest.raises(
+            PreconditionError,
+            match=rf"pair \({l.names[x]}, {l.names[y]}\) has no interpolant",
+        ):
+            build_scale(wi, l.bottom, l.top, 1)
+
 
 class TestReallyInsideViaScales:
     def test_one_element(self):
@@ -439,3 +502,47 @@ class TestRelationType:
         l = boolean(2)
         r = Relation(l, {(0, 1), (0, 2), (1, 3)})
         assert r.restricted_to({0, 1}).pairs == {(0, 1)}
+
+    def test_relation_or_basis_from_another_lattice_is_malformed(self):
+        small, big = boolean(1), boolean(3)
+        si = interpolative_core_on_basis(small, full_basis(small))
+        with pytest.raises(MalformedInput):
+            is_regular(small, full_basis(big))
+        with pytest.raises(MalformedInput):
+            is_compatible(big, full_basis(big), si)
+        with pytest.raises(MalformedInput):
+            RoundIdeal(full_basis(big), frozenset({0, 1})).violations(si)
+        with pytest.raises(MalformedInput):
+            interpolated_subcover(small, full_basis(big), small.top, [small.top])
+
+    def test_membership_outside_the_lattice_is_false(self):
+        l = boolean(2)
+        r = Relation(l, {(0, 0), (0, 3), (3, 3)})
+        for pair in [(-1, 0), (0, -1), (-1, -1), (4, 0), (0, 4), (0, 10**6), (10**6, 0)]:
+            assert pair not in r
+        assert (0, 3) in r and (3, 0) not in r
+        # a raw row-mask test on a negative index would raise instead
+        with pytest.raises(ValueError):
+            r.rows[0] >> -1
+
+    def test_views_of_the_rows(self):
+        l = boolean(2)
+        pairs = [(3, 3), (0, 2), (1, 3), (0, 0), (2, 3), (0, 1)]
+        r = Relation(l, pairs)
+        assert list(r) == sorted(pairs)
+        assert len(r) == len(pairs)
+        assert r.pairs == frozenset(pairs)
+        assert r.rows[0] == 0b111 and r.cols[3] == 0b1110
+        assert repr(r) == (
+            "Relation{({},{}), ({},{a}), ({},{b}), ({a},{a,b}), ({b},{a,b}), "
+            "({a,b},{a,b})}"
+        )
+
+    def test_carrier_ignored_by_equality_and_hash(self):
+        l = boolean(2)
+        pairs = {(0, 1), (1, 3)}
+        small = Relation(l, pairs, carrier={0, 1, 3})
+        full = Relation(l, pairs)
+        assert small.carrier != full.carrier
+        assert small == full and hash(small) == hash(full)
+        assert small != Relation(l, pairs | {(0, 0)})
