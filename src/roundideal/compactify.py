@@ -13,13 +13,20 @@ principal characterization (round ideals are the principal downsets of
 self-related elements), which the test suite re-proves against exhaustive
 subset enumeration before trusting it; the construction still asserts every
 frame-level invariant instance by instance.
+
+Frames and reconstructions are built and checked once per value, in the
+memo their lattice keeps for as long as it lives (``PcdLattice.once``): one
+frame per (relation rows, relation carrier, carrier), one default-basis
+reconstruction per compactification map.  The per-frame join map and the
+per-map continuity reports then hit however often a compactification is
+rebuilt, reconstructed or compared; argument checks run on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from types import MappingProxyType
 
 from .errors import (
     InvariantViolation,
@@ -50,6 +57,7 @@ from .lattice import (
     full_basis,
     is_compact,
     is_regular,
+    minimal_subcover,
     pcd_closure,
     well_inside,
 )
@@ -97,7 +105,11 @@ class RoundIdeal:
 
 
 class RoundIdealFrame:
-    """The frame of all round ideals of (P, <|), ordered by inclusion."""
+    """The frame of all round ideals of (P, <|), ordered by inclusion.
+
+    Read-only (``down_index`` is a read-only view), since one frame is shared
+    by every caller that derives it from equal arguments.
+    """
 
     def __init__(self, p, si, ideals, lattice, ideal_basis, down_index):
         self.p = p
@@ -105,7 +117,7 @@ class RoundIdealFrame:
         self.ideals = ideals
         self.lattice = lattice
         self.ideal_basis = ideal_basis
-        self.down_index = down_index
+        self.down_index = MappingProxyType(down_index)
         self._by_members = {ideal.members: i for i, ideal in enumerate(ideals)}
         self._join_map = None  # built once by join_map
 
@@ -197,15 +209,23 @@ def enumerate_round_ideals(p, si):
     Round ideals of a finite carrier are the principal downsets of
     self-related elements; each produced ideal is re-validated, the frame is
     validated as a pcd-lattice, and meets/joins are checked against set
-    intersection and the covering-family join formula.
+    intersection and the covering-family join formula.  The frame stores
+    ``p`` and ``si``, so it is shared per (rows of ``si``, carrier of ``si``,
+    ``p``) on the lattice.
     """
-    lat = p.lattice
     _require_strong_inclusion(si, p)
-    members_sorted = sorted(p.elements)
-    if len(members_sorted) > ENUMERATION_CAP:
+    if len(p.elements) > ENUMERATION_CAP:
         raise MalformedInput(
             f"round-ideal enumeration capped at {ENUMERATION_CAP} carrier elements"
         )
+    return p.lattice.once(("frame", si.rows, si.carrier, p.elements),
+                          lambda: _round_ideal_frame(p, si))
+
+
+def _round_ideal_frame(p, si):
+    """The checked frame of round ideals of (p, si), uncached."""
+    lat = p.lattice
+    members_sorted = sorted(p.elements)
     keep = _mask(members_sorted)
     seen = {}
     for t in members_sorted:
@@ -490,13 +510,15 @@ def from_compactification(k, target_basis=None):
     isomorphism witness is the extension of the compactification itself; it
     is verified bijective and order-preserving in both directions.
 
-    With the default basis the result is memoised on ``k``; an explicit
-    ``target_basis`` always builds afresh.
+    With the default basis the result is memoised on ``k``, and shared
+    through the source lattice's memo by every compactification with an
+    equal map; an explicit ``target_basis`` always builds afresh.
     """
     k.require_valid()
     if target_basis is None:
         if k._reconstruction is None:
-            rec = _reconstruct(k, full_basis(k.codomain))
+            key = ("reconstruction", k.codomain, frozenset(k.map.assignment.items()))
+            rec = k.source.once(key, lambda: _reconstruct(k, full_basis(k.codomain)))
             object.__setattr__(k, "_reconstruction", rec)
         return k._reconstruction
     return _reconstruct(k, target_basis)
@@ -627,13 +649,13 @@ def interpolated_subcover(l, p, b, parts):
     mids = _mask(m for m in _bits(keep) if wi.rows[m] & cover)
     candidates = [q for q in _bits(keep) if wi.rows[q] & mids]
     bstar = l.pstar[b]
-    cover_parts = [bstar] + candidates
+    cover_parts = [bstar] + [q for q in candidates if q != bstar]
     if l.join_all(cover_parts) != l.top:
         raise PreconditionError(
             "carrier is not regular enough to refine the cover"
         )
-    chosen = _first_minimal_subcover(l, cover_parts)
-    lower = sorted(cover_parts[i] for i in chosen if i != 0)
+    chosen = minimal_subcover(l, cover_parts, l.top)
+    lower = sorted(q for q in chosen if q != bstar)
     if not lower:
         if b != l.bottom:
             raise InvariantViolation("empty refinement for a non-bottom element")
@@ -657,13 +679,3 @@ def interpolated_subcover(l, p, b, parts):
     if not checks:
         raise InvariantViolation("interpolated subcover fails its inequalities")
     return CoverWitness(tuple(lower), tuple(middle), tuple(upper))
-
-
-def _first_minimal_subcover(l, parts):
-    """Positions of the lexicographically first minimal-cardinality subcover."""
-    idx = list(range(len(parts)))
-    for k in range(len(parts) + 1):
-        for combo in combinations(idx, k):
-            if l.join_all(parts[i] for i in combo) == l.top:
-                return combo
-    raise NotACoverError("parts do not cover the top")

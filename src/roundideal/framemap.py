@@ -3,6 +3,9 @@
 A map from L to M is stored contravariantly: an assignment from a basis of
 the target M into L.  The whole-frame inverse-image homomorphism is always
 the derived join extension, which keeps map equality decidable pointwise.
+
+Continuity reports are derived once per map value, in the source lattice's
+memo (``PcdLattice.once``).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import InvariantViolation, MalformedInput, PreconditionError
-from .lattice import Basis, _bits, _lowest, full_basis, well_inside
+from .lattice import Basis, _bits, _index, _lowest, full_basis, well_inside
 from .relation import check_strong_inclusion
 
 
@@ -25,12 +28,12 @@ class ContinuousMap:
     def __init__(self, source, target, basis, assignment):
         if basis.lattice != target:
             raise MalformedInput("basis must belong to the target lattice")
-        assignment = {int(a): int(x) for a, x in assignment.items()}
+        assignment = {
+            _index(a, target.n, "assignment key"): _index(x, source.n, "assignment value")
+            for a, x in assignment.items()
+        }
         if set(assignment) != set(basis.elements):
             raise MalformedInput("assignment must cover exactly the target basis")
-        for a, x in assignment.items():
-            if not 0 <= x < source.n:
-                raise MalformedInput(f"assignment value {x} outside the source lattice")
         self.source = source
         self.target = target
         self.basis = basis
@@ -84,6 +87,7 @@ def extend(f, a):
     """Whole-frame inverse image: join over basis elements below ``a``."""
     if a in f._ext:
         return f._ext[a]
+    a = _index(a, f.target.n, "target element")
     value = f.source.join_all(
         f.assignment[b] for b in _bits(f._basis_mask & f.target._down[a])
     )
@@ -103,11 +107,13 @@ def validate_map(f):
     exactly the basis elements below a ^ b, so the right-hand side is
     ``extend(f, a ^ b)``, which makes the whole check O(|B|^2).
 
-    The report is computed once per map object and cached on it; every call
-    returns a fresh list.
+    The report is computed once per map value on the source lattice, keyed
+    by the target lattice and the assignment, and kept on the map object;
+    every call returns a fresh list.
     """
     if f._report is None:
-        f._report = tuple(_continuity_report(f))
+        key = ("continuity", f.target, frozenset(f.assignment.items()))
+        f._report = f.source.once(key, lambda: tuple(_continuity_report(f)))
     return list(f._report)
 
 
@@ -220,6 +226,11 @@ def finer_than(si, f):
     ``si`` is first checked to be a strong inclusion on its carrier.  Returns
     a tag holding a witness per pair (searched lexicographically by element
     index) or the first failing pair in index order.
+
+    The elements p with some p <| q below f(x) form the mask ``reach``, the
+    OR of the columns of the elements below f(x), built once per distinct
+    f(x); the witness for (y, x) is then the lowest p of ``reach`` above
+    f(y), and the lowest q below f(x) that p relates to.
     """
     require_valid_map(f)
     report = check_strong_inclusion(si, Basis(f.source, si.carrier))
@@ -228,16 +239,19 @@ def finer_than(si, f):
         raise PreconditionError(
             f"not a strong inclusion: condition {bad.number} fails at {bad.witness}"
         )
-    src, rows = f.source, si.rows
+    src, rows, cols = f.source, si.rows, si.cols
+    ext = [extend(f, a) for a in range(f.target.n)]
+    reach = {}
     witnesses = []
     for y, x in well_inside(f.target):
-        below = src._down[extend(f, x)]
-        found = next(
-            ((p, _lowest(rows[p] & below))
-             for p in _bits(src._up[extend(f, y)]) if rows[p] & below),
-            None,
-        )
-        if found is None:
+        fx = ext[x]
+        if fx not in reach:
+            reach[fx] = 0
+            for q in _bits(src._down[fx]):
+                reach[fx] |= cols[q]
+        above = src._up[ext[y]] & reach[fx]
+        if not above:
             return MapClassTag(f, si, False, tuple(witnesses), (y, x))
-        witnesses.append(((y, x), found))
+        p = _lowest(above)
+        witnesses.append(((y, x), (p, _lowest(rows[p] & src._down[fx]))))
     return MapClassTag(f, si, True, tuple(witnesses), None)

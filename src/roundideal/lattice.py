@@ -14,7 +14,20 @@ checked on the masks in O(n^2) word operations.  Distributivity is checked
 on all n^3 triples, one row of n at a time.
 
 Binary relations over a lattice (``Relation``) use the same encoding, one
-row mask per element; the well-inside relation is built once per lattice.
+row mask per element.
+
+Each lattice keeps one memo of the theorem-backed derivations made on it:
+the well-inside relation, strong-inclusion reports, least strong inclusions,
+interpolative cores, round-ideal frames, the continuity reports of maps out
+of it and the default-basis reconstructions of its compactifications.  Each
+is computed and checked in full once per distinct value (a key holding
+everything the result depends on and stores) and then shared, so equal
+relations, carriers and maps built as separate objects are checked once.
+Argument checks (foreign lattice, index range, carrier closure, stray pairs)
+run on every call before the lookup, and a derivation that raises stores
+nothing, so a repeated call raises what the first call raised.  The memo
+lives and dies with its lattice and takes no part in equality, hashing or
+``repr``.
 
 Sizes are desk scale (cap: ``MAX_ELEMENTS`` = 64 elements, enforced where
 lattice documents are read); every axiom check is run in full rather than
@@ -25,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import MalformedInput, NotACoverError, PreconditionError
 
@@ -51,6 +64,18 @@ def _mask(indices):
     for i in indices:
         out |= 1 << i
     return out
+
+
+def _index(x, n, what):
+    """``x`` as an int in range(n); MalformedInput naming ``what`` otherwise."""
+    if type(x) is not int:
+        try:
+            x = index(x)
+        except TypeError:
+            raise MalformedInput(f"{what} {x!r} is not an integer") from None
+    if not 0 <= x < n:
+        raise MalformedInput(f"{what} {x} out of range")
+    return x
 
 
 def _bound_table(cone):
@@ -104,7 +129,7 @@ class PcdLattice:
                     self._down[j] |= 1 << i
         self._analyze()
         self._report = None
-        self._well_inside = None  # built once by well_inside
+        self._memo = {}  # derivation key -> checked result; see once()
 
     # -- derived structure ------------------------------------------------
 
@@ -203,6 +228,19 @@ class PcdLattice:
                 if between == 0:
                     out.append((i, j))
         return out
+
+    def once(self, key, derive):
+        """``derive()``, computed once per ``key`` on this lattice and then shared.
+
+        ``key`` starts with the derivation's name and holds everything its
+        result depends on and stores.  A ``derive`` that raises stores
+        nothing, so errors are raised afresh on every call.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = derive()
+            return value
 
     # -- validation --------------------------------------------------------
 
@@ -320,11 +358,7 @@ def _checked_carrier(lattice, carrier):
     """``carrier`` as a frozenset of element indices; None means all of them."""
     if carrier is None:
         return frozenset(range(lattice.n))
-    carrier = frozenset(carrier)
-    for x in carrier:
-        if not 0 <= x < lattice.n:
-            raise MalformedInput(f"carrier index {x} out of range")
-    return carrier
+    return frozenset(_index(x, lattice.n, "carrier index") for x in carrier)
 
 
 class Relation:
@@ -339,9 +373,10 @@ class Relation:
 
     def __init__(self, lattice, pairs, carrier=None):
         carrier = _checked_carrier(lattice, carrier)
-        rows = [0] * lattice.n
+        n = lattice.n
+        rows = [0] * n
         for a, b in pairs:
-            a, b = int(a), int(b)
+            a, b = _index(a, n, "pair element"), _index(b, n, "pair element")
             if a not in carrier or b not in carrier:
                 raise MalformedInput(f"pair ({a}, {b}) outside the carrier")
             rows[a] |= 1 << b
@@ -426,10 +461,9 @@ class Basis:
     elements: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", frozenset(self.elements))
-        for x in self.elements:
-            if not 0 <= x < self.lattice.n:
-                raise MalformedInput(f"basis index {x} out of range")
+        n = self.lattice.n
+        elements = frozenset(_index(x, n, "basis index") for x in self.elements)
+        object.__setattr__(self, "elements", elements)
 
     def sorted_elements(self):
         return sorted(self.elements)
@@ -445,13 +479,12 @@ class Basis:
         els = self.elements
         if lat.bottom not in els or lat.top not in els:
             return False
-        for u in els:
-            if lat.pstar[u] not in els:
-                return False
-            for v in els:
-                if lat.meet[u][v] not in els or lat.join[u][v] not in els:
-                    return False
-        return True
+        # each closure test gathers one table row over the members, in C
+        return els.issuperset(map(lat.pstar.__getitem__, els)) and all(
+            els.issuperset(map(lat.meet[u].__getitem__, els))
+            and els.issuperset(map(lat.join[u].__getitem__, els))
+            for u in els
+        )
 
 
 def full_basis(lat):
@@ -482,13 +515,15 @@ def pseudocomplement(l, y):
 
 def well_inside(l):
     """The relation of pairs (y, x) with top = x v y*; built once per lattice."""
-    if l._well_inside is None:
-        l.require_valid()
-        top, join = l.top, l.join
-        # the join table is symmetric, so row y* holds every x v y*
-        rows = [_mask(x for x, j in enumerate(join[s]) if j == top) for s in l.pstar]
-        l._well_inside = Relation._from_rows(l, rows, frozenset(range(l.n)))
-    return l._well_inside
+    return l.once(("well_inside",), lambda: _well_inside(l))
+
+
+def _well_inside(l):
+    l.require_valid()
+    top, join = l.top, l.join
+    # the join table is symmetric, so row y* holds every x v y*
+    rows = [_mask(x for x, j in enumerate(join[s]) if j == top) for s in l.pstar]
+    return Relation._from_rows(l, rows, frozenset(range(l.n)))
 
 
 def is_regular(l, b):
@@ -500,16 +535,16 @@ def is_regular(l, b):
 
 
 def minimal_subcover(l, parts, target):
-    """Smallest sub-family of parts joining to target, lowest indices first.
+    """Smallest sub-family of parts joining to target, earliest parts first.
 
-    The empty family is admitted: it covers the top of the degenerate
-    one-element lattice.
+    ``parts`` is a sequence of distinct elements; of the smallest covering
+    sub-families the first in the lexicographic order of positions is
+    returned, in sequence order.  The empty family is admitted: it covers
+    the top of the degenerate one-element lattice.
     """
-    parts = sorted(parts)
+    parts = list(parts)
     if l.join_all(parts) != target:
-        raise NotACoverError(
-            f"parts do not cover {l.names[target]}"
-        )
+        raise NotACoverError(f"parts do not cover {l.names[target]}")
     for k in range(len(parts) + 1):
         for combo in combinations(parts, k):
             if l.join_all(combo) == target:
@@ -522,9 +557,10 @@ def is_compact(l, b, c):
     l.require_valid()
     if not c.parts <= b.elements:
         raise PreconditionError("cover parts must be basis elements")
-    if l.join_all(sorted(c.parts)) != l.top:
+    parts = sorted(c.parts)
+    if l.join_all(parts) != l.top:
         raise NotACoverError("parts do not join to the top")
-    return minimal_subcover(l, c.parts, l.top)
+    return minimal_subcover(l, parts, l.top)
 
 
 def pcd_closure(l, seed):
@@ -539,10 +575,7 @@ def pcd_closure(l, seed):
     r elements.
     """
     l.require_valid()
-    seed = sorted(set(seed))
-    for x in seed:
-        if not 0 <= x < l.n:
-            raise MalformedInput(f"seed index {x} out of range")
+    seed = sorted({_index(x, l.n, "seed index") for x in seed})
     meet, join, pstar = l.meet, l.join, l.pstar
     members = []
     found = 0

@@ -13,6 +13,12 @@ sandwich of (a, b) ORs the up cone of b into the row of each element below
 a.  With at most 64 elements each mask is one machine word, and checking all
 seven conditions costs O(|R| * n) word operations for a relation of |R|
 pairs.
+
+Strong-inclusion reports, least strong inclusions and interpolative cores
+are derived once per value in the memo their lattice keeps for as long as
+it lives (``PcdLattice.once``): a report per (relation rows, carrier), a
+least strong inclusion per (seed rows, carrier), a core per carrier.
+Argument checks run on every call, before the lookup.
 """
 
 from __future__ import annotations
@@ -150,7 +156,8 @@ def check_strong_inclusion(si, on):
 
     ``on`` must be closed as a pcd-sublattice and ``si`` must live inside
     ``on x on``.  Every condition is checked exhaustively; the first failing
-    pair in index order is reported as the counterexample.
+    pair in index order is reported as the counterexample.  The report is
+    derived once per (rows, carrier) on the lattice and shared.
     """
     lat = si.lattice
     lat.require_valid()
@@ -163,6 +170,14 @@ def check_strong_inclusion(si, on):
     if stray is not None:
         a, b = stray
         raise PreconditionError(f"pair ({names[a]}, {names[b]}) leaves the carrier")
+    return lat.once(("si_report", si.rows, on.elements),
+                    lambda: _strong_inclusion_report(si, keep))
+
+
+def _strong_inclusion_report(si, keep):
+    """The seven conditions of ``si`` on the carrier mask ``keep``, uncached."""
+    lat = si.lattice
+    names = lat.names
     rows, cols = si.rows, si.cols
     meet, join, pstar = lat.meet, lat.join, lat.pstar
     up, down = lat._up, lat._down
@@ -224,8 +239,9 @@ def least_strong_inclusion(p, seed):
     self-related bounds enter outright; order sandwiching, meets on the right,
     joins on the left, and star reversal fire until stable.  A worklist of
     new pairs drives it, and each rule adds a whole row mask at once.  The
-    result is a strong inclusion on ``p`` (all seven conditions; re-checked
-    before returning).
+    result is a strong inclusion on ``p`` (all seven conditions; checked when
+    first derived).  It is derived once per (seed rows, carrier) on the
+    lattice and shared.
     """
     lat = p.lattice
     lat.require_valid()
@@ -247,7 +263,14 @@ def least_strong_inclusion(p, seed):
         raise PreconditionError(
             f"seed pair ({names[a]}, {names[b]}) has no interpolant in the seed"
         )
+    return lat.once(("least_si", seed.rows, p.elements),
+                    lambda: _least_strong_inclusion(p, seed, keep))
 
+
+def _least_strong_inclusion(p, seed, keep):
+    """The closure of ``seed`` on the carrier mask ``keep``, checked, uncached."""
+    lat = p.lattice
+    n = lat.n
     meet, join, pstar = lat.meet, lat.join, lat.pstar
     up, down = lat._up, lat._down
     rows = [0] * n
@@ -290,8 +313,14 @@ def least_strong_inclusion(p, seed):
 
 
 def interpolative_core_on_basis(l, b):
-    """Largest interpolative subrelation of well-inside restricted to ``b``."""
-    return largest_interpolative(well_inside(l).restricted_to(b.elements))
+    """Largest interpolative subrelation of well-inside restricted to ``b``.
+
+    Derived once per carrier on the lattice and shared.
+    """
+    if b.lattice != l:
+        raise MalformedInput("basis belongs to another lattice")
+    return l.once(("core", b.elements),
+                  lambda: largest_interpolative(well_inside(l).restricted_to(b.elements)))
 
 
 def is_strongly_regular_basis(l, b):

@@ -1,8 +1,15 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import util
 from roundideal import io as rio
 from roundideal.cli import main
+from roundideal.errors import RoundIdealError
 from roundideal.lattice import boolean, chain
 
 
@@ -191,3 +198,101 @@ class TestGenAndDot:
     def test_dot(self, square, capsys):
         assert main(["dot", str(square)]) == 0
         assert "digraph" in capsys.readouterr().out
+
+
+# -- any generated document: exit 0, 1 or 2 and never a traceback ------------
+
+BASES = [rio.serialize_lattice(lat) for lat in (boolean(0), boolean(1), boolean(2), chain(3))]
+BASES += [
+    "lattice v poset-downsets\nelements a b c\n",
+    "lattice w poset-downsets\nelements a b\nle a b\n",
+    "lattice N5 lattice\nelements 0 a b c 1\nle 0 a\nle 0 b\nle b c\nle a 1\nle c 1\n",
+]
+
+
+def element_labels(doc):
+    try:
+        return list(rio.parse_lattice(doc).names)
+    except RoundIdealError:
+        return next(line.split()[1:] for line in doc.splitlines() if line.startswith("elements"))
+
+
+LABELS = {doc: element_labels(doc) for doc in BASES}
+
+
+def atom_map_lines(k, j, phi):
+    """The 'to' lines of the atom map boolean(k) -> boolean(j) given by ``phi``."""
+    f = util.atom_map(boolean(k), boolean(j), phi)
+    return [line for line in rio.serialize_map(f).splitlines() if line.startswith("to ")]
+
+
+# continuous maps between Boolean base lattices: (source, target, 'to' lines)
+MAPS = [(BASES[k], BASES[j], atom_map_lines(k, j, phi))
+        for k, j, phi in ((2, 1, [0, 0]), (2, 2, [1, 0]), (2, 2, [0, 0]), (1, 1, [0]))]
+WORDS = sorted({"lattice", "poset-downsets", "elements", "le", "relation", "host", "pair",
+                "map", "source", "target", "basis", "to", "#", "src.lat", "nope.lat", "zz"}
+               | {label for labels in LABELS.values() for label in labels})
+
+
+def mutated(draw, body):
+    """``body`` with a few lines dropped, repeated or inserted from stray words."""
+    body = list(body)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(body)))
+        edit = draw(st.sampled_from(["drop", "repeat", "insert"]))
+        if edit == "insert" or not body:
+            words = draw(st.lists(st.sampled_from(WORDS), max_size=5))
+            body.insert(at, " ".join(words))
+        elif edit == "drop":
+            del body[min(at, len(body) - 1)]
+        else:
+            body.insert(at, body[min(at, len(body) - 1)])
+    return "\n".join(body) + "\n"
+
+
+@st.composite
+def document_sets(draw):
+    """Source and target lattices, a seed relation and a map between them."""
+    if draw(st.booleans()):
+        source, target, to_lines = draw(st.sampled_from(MAPS))
+        label = st.sampled_from(LABELS[source])
+    else:
+        source, target = draw(st.sampled_from(BASES)), draw(st.sampled_from(BASES))
+        label = st.sampled_from(LABELS[source] or ["zz"])
+        to_lines = [f"to {b} {draw(label)}" for b in LABELS[target]]
+    pairs = draw(st.lists(st.tuples(label, label), max_size=3))
+    return {
+        "src.lat": mutated(draw, source.splitlines()),
+        "tgt.lat": mutated(draw, target.splitlines()),
+        "r.rel": mutated(draw, ["relation r"] + [f"pair {a} {b}" for a, b in pairs]),
+        "m.map": mutated(draw, ["map m", "source src.lat", "target tgt.lat"] + to_lines),
+    }
+
+
+COMMANDS = [
+    ["validate", "{dir}/src.lat"],
+    ["validate", "{dir}/src.lat", "--check-all"],
+    ["derive", "{dir}/src.lat", "wellinside"],
+    ["derive", "{dir}/src.lat", "pseudo"],
+    ["derive", "{dir}/src.lat", "core"],
+    ["si", "{dir}/src.lat", "--seed-rel", "{dir}/r.rel"],
+    ["si", "{dir}/src.lat", "--basis", "{{}}", "{{a}}", "c0", "zz"],
+    ["compactify", "{dir}/src.lat", "--maps", "{dir}/m.map", "--dot", "{dir}/frame.dot"],
+    ["compactify", "{dir}/src.lat", "--basis", "{{}}", "{{a}}", "{{b}}", "{{a,b}}"],
+    ["extend", "{dir}/src.lat", "{dir}/m.map"],
+    ["extend", "{dir}/src.lat", "{dir}/m.map", "--through", "canonical:m.map"],
+    ["compare", "{dir}/src.lat", "{dir}/src.lat:m.map"],
+    ["dot", "{dir}/tgt.lat"],
+]
+
+
+@given(document_sets(), st.sampled_from(COMMANDS))
+@settings(max_examples=200, deadline=None)
+def test_generated_documents_exit_cleanly(documents, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in documents.items():
+            (Path(tmp) / name).write_text(text)
+        argv = [a.format(dir=tmp) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -76,6 +76,13 @@ class TestValidateMap:
         with pytest.raises(MalformedInput):
             ContinuousMap(l, l, full_basis(l), {0: 0})
 
+    def test_non_integer_assignment_key_is_malformed(self):
+        l, t = boolean(2), boolean(1)
+        with pytest.raises(MalformedInput, match="not an integer"):
+            ContinuousMap(l, t, full_basis(t), {"x": 0})
+        with pytest.raises(MalformedInput, match="out of range"):
+            ContinuousMap(l, t, full_basis(t), {0: 0, 1: l.n})
+
 
 class TestValidateOnce:
     def test_assignment_is_read_only(self):
@@ -124,6 +131,12 @@ class TestExtend:
         f = to_terminal(l)
         assert extend(f, 0) == l.bottom
         assert extend(f, 1) == l.top
+
+    def test_index_outside_the_target_is_malformed(self):
+        f = to_terminal(boolean(2))
+        for a in (99, -1, "x", 1.0):
+            with pytest.raises(MalformedInput):
+                extend(f, a)
 
     def test_identity_fixes_everything(self):
         l = util.downset_instance(8, 4)

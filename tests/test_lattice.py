@@ -213,6 +213,13 @@ class TestPcdClosure:
         c = chain(3)
         assert pcd_closure(c, (1,)).elements == frozenset({0, 1, 2})
 
+    def test_seed_index_checked(self):
+        l = boolean(2)
+        with pytest.raises(MalformedInput, match="not an integer"):
+            pcd_closure(l, ["a"])
+        with pytest.raises(MalformedInput, match="out of range"):
+            pcd_closure(l, [0, l.n])
+
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_closure_laws(self, seed):
@@ -271,6 +278,10 @@ class TestBasis:
     def test_out_of_range_rejected(self):
         with pytest.raises(MalformedInput):
             Basis(boolean(1), frozenset({9}))
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(MalformedInput, match="not an integer"):
+            Basis(boolean(2), {"a"})
 
     @given(st.integers(0, 500))
     @settings(max_examples=20, deadline=None)

@@ -1,0 +1,271 @@
+"""The per-lattice memo: each derivation runs once per value, and sharing is invisible.
+
+Strong-inclusion reports, least strong inclusions, interpolative cores,
+round-ideal frames, continuity reports and default-basis reconstructions are
+derived once per distinct key on their lattice (``PcdLattice.once``).  The counting tests wrap the uncached
+derivations and require one run per key; the differential tests require a
+lattice whose memo is warm to give the same reports, frames, verdicts and
+error messages as a freshly built equal lattice.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import util
+from roundideal import compactify, framemap, relation
+from roundideal.compactify import (
+    Compactification,
+    compactify_extending,
+    compare,
+    enumerate_round_ideals,
+    from_compactification,
+    Ordering,
+)
+from roundideal.errors import RoundIdealError
+from roundideal.framemap import ContinuousMap, validate_map
+from roundideal.lattice import Basis, PcdLattice, boolean, full_basis, pcd_closure
+from roundideal.relation import (
+    Relation,
+    check_strong_inclusion,
+    interpolative_core_on_basis,
+    is_strongly_regular_basis,
+    least_strong_inclusion,
+)
+
+UNCACHED = {
+    # module, function name, key of its arguments (lattices by identity)
+    "report": (relation, "_strong_inclusion_report",
+               lambda si, keep: (id(si.lattice), si.rows, keep)),
+    "least": (relation, "_least_strong_inclusion",
+              lambda p, seed, keep: (id(p.lattice), seed.rows, keep)),
+    "core": (relation, "largest_interpolative",
+             lambda r: (id(r.lattice), r.carrier)),
+    "frame": (compactify, "_round_ideal_frame",
+              lambda p, si: (id(p.lattice), si.rows, si.carrier, p.elements)),
+    "continuity": (framemap, "_continuity_report",
+                   lambda f: (id(f.source), f.target, frozenset(f.assignment.items()))),
+    "reconstruction": (compactify, "_reconstruct",
+                       lambda k, basis: (id(k.source), k.codomain,
+                                         frozenset(k.map.assignment.items()), basis)),
+}
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Keys of every uncached derivation run while the test is active."""
+    out = {name: [] for name in UNCACHED}
+    alive = []  # keeps the lattices alive, so that their ids stay unique
+
+    def counting(name, real, key_of):
+        def wrapper(*args):
+            alive.append(args)
+            out[name].append(key_of(*args))
+            return real(*args)
+
+        return wrapper
+
+    for name, (module, attr, key_of) in UNCACHED.items():
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr), key_of))
+    return out
+
+
+def pipeline(l):
+    """compactify_extending with one map and with none, then compare them."""
+    f = util.atom_map(l, boolean(2), [0, 1, 1])
+    k, _ = compactify_extending(l, full_basis(l), [f])
+    canonical, _ = compactify_extending(l, full_basis(l), [])
+    return compare(k, canonical)
+
+
+class TestOncePerKey:
+    def test_pipeline_derives_each_value_once(self, runs):
+        l = boolean(3)
+        assert pipeline(l).verdict is Ordering.ISO
+        for name, keys in runs.items():
+            assert keys, name
+            assert len(set(keys)) == len(keys), f"{name} ran twice for one key"
+
+    def test_second_pass_over_equal_values_derives_nothing(self, runs):
+        l = boolean(3)
+        pipeline(l)
+        before = {name: len(keys) for name, keys in runs.items()}
+        assert pipeline(l).verdict is Ordering.ISO
+        assert {name: len(keys) for name, keys in runs.items()} == before
+
+    def test_explicit_basis_rebuilds_the_reconstruction_not_its_checks(self, runs):
+        l = boolean(2)
+        k, _ = compactify_extending(l, full_basis(l), [])
+        first = from_compactification(k)
+        before = {name: len(keys) for name, keys in runs.items()}
+        explicit = from_compactification(k, full_basis(k.codomain))
+        assert explicit is not first
+        assert explicit.frame.lattice == first.frame.lattice
+        before["reconstruction"] += 1
+        assert {name: len(keys) for name, keys in runs.items()} == before
+
+    def test_errors_are_not_stored(self, runs):
+        l = boolean(2)
+        p = full_basis(l)
+        not_si = Relation(l, [(l.bottom, l.bottom)])
+        for _ in range(2):
+            with pytest.raises(RoundIdealError):
+                enumerate_round_ideals(p, not_si)
+        assert len(runs["report"]) == 1 and not runs["frame"]
+        bad_seed = Relation(l, [(l.bottom, l.top)])
+        for _ in range(2):
+            with pytest.raises(RoundIdealError, match="interpolant"):
+                least_strong_inclusion(p, bad_seed)
+        assert not runs["least"]
+        for _ in range(2):
+            f = ContinuousMap(l, pentagon(), full_basis(pentagon()), dict.fromkeys(range(5), 0))
+            with pytest.raises(RoundIdealError, match="invalid lattice"):
+                validate_map(f)
+        assert len(runs["continuity"]) == 2
+
+    def test_memo_not_part_of_equality_hash_or_repr(self):
+        warm, cold = boolean(3), boolean(3)
+        fresh = repr(warm)
+        pipeline(warm)
+        assert warm._memo
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) == fresh
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and message of what it raised."""
+    try:
+        return "value", call()
+    except RoundIdealError as exc:
+        return "error", type(exc), str(exc)
+
+
+def twin(lat, suffix=""):
+    """A freshly built copy of ``lat``; equal to it unless ``suffix`` renames the elements."""
+    leq = [[lat.leq(i, j) for j in range(lat.n)] for i in range(lat.n)]
+    return PcdLattice([name + suffix for name in lat.names], leq, name=lat.name)
+
+
+def pentagon():
+    """The lattice N5: not distributive, so no map into it can be checked."""
+    above = {0: {1, 2, 3, 4}, 1: {4}, 2: {3, 4}, 3: {4}}
+    leq = [[i == j or j in above.get(i, ()) for j in range(5)] for i in range(5)]
+    return PcdLattice(list("0abc1"), leq, name="N5")
+
+
+TARGETS = {"bool1": lambda: boolean(1), "bool2": lambda: boolean(2),
+           "chain4": lambda: PcdLattice(list("wxyz"), [[i <= j for j in range(4)]
+                                                       for i in range(4)]),
+           "N5": pentagon}
+
+
+def queries(l, rng):
+    """Seeded derivation requests on ``l``, as plain index data.
+
+    Equal rows recur on several carriers, relations with equal rows carry
+    different carriers of their own, and every carrier gets the empty seed,
+    so that a key missing a part would hand one request another's result.
+    """
+    everything = frozenset(range(l.n))
+    carriers = [everything, pcd_closure(l, rng.sample(range(l.n), min(2, l.n))).elements,
+                pcd_closure(l, ()).elements]
+    out = []
+    for p in carriers:
+        inside = sorted(p)
+        core = interpolative_core_on_basis(l, Basis(l, p))
+        start = util.random_interpolative_seed(l, Basis(l, p), rng)
+        out += [("core", p), ("strongly regular", p),
+                ("least", tuple(start), p), ("least", (), p)]
+        loose = [(rng.choice(inside), rng.choice(inside)) for _ in range(rng.randint(0, 6))]
+        stray = [(rng.randrange(l.n), rng.randrange(l.n)) for _ in range(2)]
+        for pairs in (tuple(loose), tuple(stray), tuple(core)):
+            for own in (p, everything):
+                for on in carriers:
+                    out += [("report", pairs, own, on), ("frame", pairs, own, on)]
+        out.append(("foreign carrier", tuple(core), p))
+    # equal assignments into unequal targets of one size
+    for _ in range(2):
+        images = tuple(rng.randrange(l.n) for _ in range(4))
+        out += [("continuity", "bool2", images), ("continuity", "chain4", images)]
+    out += [("continuity", "bool1", (l.bottom, l.top)),
+            ("continuity", "N5", (l.bottom,) * 4 + (l.top,))]
+    if l.n <= 16 and is_strongly_regular_basis(l, full_basis(l)):
+        out.append(("verdict",))
+    atoms = util.atoms(l)
+    if l.n == 2 ** len(atoms) > 2:
+        # Boolean: equal codomains, maps differing by an automorphism
+        shuffled = rng.sample(range(len(atoms)), len(atoms))
+        out += [("reconstruction", tuple(range(len(atoms)))), ("reconstruction", tuple(shuffled))]
+    return out
+
+
+def frame_view(fr):
+    return fr.lattice, fr.ideals, fr.down_index, fr.ideal_basis, fr.p, fr.si, fr.si.carrier
+
+
+def answer(lat, query):
+    """What the library derives for ``query`` on ``lat``, as comparable values."""
+    kind, *args = query
+    if kind == "core":
+        core = interpolative_core_on_basis(lat, Basis(lat, args[0]))
+        return core.rows, core.carrier
+    if kind == "strongly regular":
+        return is_strongly_regular_basis(lat, Basis(lat, args[0]))
+    if kind == "least":
+        pairs, p = args
+        si = least_strong_inclusion(Basis(lat, p), Relation(lat, pairs, p))
+        return si.rows, si.carrier
+    if kind == "report":
+        pairs, own, on = args
+        return check_strong_inclusion(Relation(lat, pairs, own), Basis(lat, on))
+    if kind == "frame":
+        pairs, own, on = args
+        return frame_view(enumerate_round_ideals(Basis(lat, on), Relation(lat, pairs, own)))
+    if kind == "foreign carrier":
+        pairs, p = args
+        return check_strong_inclusion(Relation(lat, pairs, p), Basis(twin(lat, "'"), p))
+    if kind == "continuity":
+        name, images = args
+        target = TARGETS[name]()
+        f = ContinuousMap(lat, target, full_basis(target), dict(enumerate(images)))
+        return validate_map(f)
+    if kind == "reconstruction":
+        (phi,) = args
+        k = Compactification(map=util.atom_map(lat, boolean(len(phi)), list(phi)))
+        rec = from_compactification(k)
+        return rec.p, rec.si, frame_view(rec.frame), dict(rec.iso.assignment)
+    k, _ = compactify_extending(lat, full_basis(lat), [])
+    rec = from_compactification(k)
+    j = Compactification(map=rec.iso)
+    return rec.p, rec.si, frame_view(rec.frame), j.violations(), compare(k, k).verdict
+
+
+class TestWarmEqualsCold:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_warm_lattice_answers_like_a_fresh_one(self, seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.4:
+            l = boolean(rng.randint(0, 3))
+        else:
+            l = util.downset_instance(seed, rng.randint(0, 4))
+        asked = queries(l, rng)
+        for query in asked + rng.sample(asked, len(asked)):
+            warm = outcome(lambda: answer(l, query))
+            assert warm == outcome(lambda: answer(twin(l), query)), query
+
+    def test_equal_rows_different_carriers_share_a_report_not_a_frame(self, runs):
+        l = boolean(2)
+        p = pcd_closure(l, ())
+        si = least_strong_inclusion(p, Relation(l, (), p.elements))
+        narrow, wide = Relation(l, si, p.elements), Relation(l, si, range(l.n))
+        assert narrow == wide and narrow.carrier != wide.carrier
+        assert check_strong_inclusion(narrow, p) is check_strong_inclusion(wide, p)
+        assert len(runs["report"]) == 1
+        fr_narrow = enumerate_round_ideals(p, narrow)
+        fr_wide = enumerate_round_ideals(p, wide)
+        assert fr_narrow is not fr_wide
+        assert fr_narrow.si.carrier == narrow.carrier
+        assert fr_wide.si.carrier == wide.carrier
+        assert enumerate_round_ideals(p, Relation(l, si, range(l.n))) is fr_wide

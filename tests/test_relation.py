@@ -493,6 +493,13 @@ class TestRelationType:
         with pytest.raises(MalformedInput):
             Relation(l, {(0, 1)}, carrier={0})
 
+    def test_pair_elements_must_be_indices(self):
+        l = boolean(2)
+        with pytest.raises(MalformedInput, match="not an integer"):
+            Relation(l, [("a", 1)])
+        with pytest.raises(MalformedInput, match="out of range"):
+            Relation(l, [(0, l.n)])
+
     def test_equality_is_matrix_equality(self):
         l = boolean(2)
         assert Relation(l, {(0, 1)}) == Relation(l, {(0, 1)}, carrier={0, 1, 2})
