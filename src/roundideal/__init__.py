@@ -76,7 +76,6 @@ from .relation import (
     least_strong_inclusion,
     ordered_sandwich,
     really_inside_via_scales,
-    well_inside_pairs,
 )
 
 __version__ = "0.1.0"

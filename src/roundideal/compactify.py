@@ -16,10 +16,11 @@ frame-level invariant instance by instance.
 
 Frames and reconstructions are built and checked once per value, in the
 memo their lattice keeps for as long as it lives (``PcdLattice.once``): one
-frame per (relation rows, relation carrier, carrier), one default-basis
-reconstruction per compactification map.  The per-frame join map and the
-per-map continuity reports then hit however often a compactification is
-rebuilt, reconstructed or compared; argument checks run on every call.
+frame per (relation rows, relation carrier, carrier), one join map per
+frame, one default-basis reconstruction per compactification map.  These
+and the per-map continuity reports then hit however often a
+compactification is rebuilt, reconstructed or compared; argument checks run
+on every call.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .relation import (
     interpolative_core_on_basis,
     is_strongly_regular_basis,
     least_strong_inclusion,
+    ordered_sandwich,
 )
 
 ENUMERATION_CAP = 24
@@ -119,7 +121,6 @@ class RoundIdealFrame:
         self.ideal_basis = ideal_basis
         self.down_index = MappingProxyType(down_index)
         self._by_members = {ideal.members: i for i, ideal in enumerate(ideals)}
-        self._join_map = None  # built once by join_map
 
     def index_of(self, members):
         return self._by_members.get(frozenset(members))
@@ -135,11 +136,8 @@ class Compactification:
 
     map: ContinuousMap
     frame: RoundIdealFrame | None = None
-    # caches: derived once per object, never part of equality, hash or repr
+    # cache: derived once per object, never part of equality, hash or repr
     _violations: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _reconstruction: Reconstruction | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def source(self):
@@ -316,21 +314,24 @@ def is_compatible(l, p, si):
 def join_map(l, fr):
     """The map from the source into the round-ideal frame: an ideal goes to its join.
 
-    Built and checked once per frame; later calls return the same map.
+    Built and checked once per frame, in the lattice's memo; later calls
+    return the same map.
     """
     if fr.p.lattice != l:
         raise MalformedInput("frame was not built over this lattice")
-    if fr._join_map is None:
-        assignment = {
-            idx: l.join_all(sorted(fr.ideals[idx].members))
-            for idx in fr.ideal_basis.elements
-        }
-        m = ContinuousMap(l, fr.lattice, fr.ideal_basis, assignment)
-        report = validate_map(m)
-        if report:
-            raise InvariantViolation(f"join map is not continuous: {report[0]}")
-        fr._join_map = m
-    return fr._join_map
+    return l.once(("join_map", fr), lambda: _join_map(l, fr))
+
+
+def _join_map(l, fr):
+    assignment = {
+        idx: l.join_all(sorted(fr.ideals[idx].members))
+        for idx in fr.ideal_basis.elements
+    }
+    m = ContinuousMap(l, fr.lattice, fr.ideal_basis, assignment)
+    report = validate_map(m)
+    if report:
+        raise InvariantViolation(f"join map is not continuous: {report[0]}")
+    return m
 
 
 def extension_map(fr, f, codomain_basis=None):
@@ -473,18 +474,12 @@ def explicit_strong_inclusion(p, f, codomain_basis=None):
         if x not in p.elements:
             raise PreconditionError("carrier does not contain the basis preimages")
     wi = well_inside(ltgt)
-    basis, keep = _mask(codomain_basis.elements), _mask(p.elements)
-    rows = [0] * lsrc.n
-    seed_pairs = set()
-    for b in _bits(basis):
-        fb = extend(f, b)
-        for a in _bits(wi.rows[b] & basis):
-            fa = extend(f, a)
-            seed_pairs.add((fb, fa))
-            for x in _bits(lsrc._down[fb] & keep):
-                rows[x] |= lsrc._up[fa] & keep
-    rhs = Relation._from_rows(lsrc, rows, p.elements)
-    lhs = least_strong_inclusion(p, Relation(lsrc, seed_pairs, p.elements))
+    basis = _mask(codomain_basis.elements)
+    seed = Relation(lsrc, [(extend(f, b), extend(f, a))
+                           for b in _bits(basis) for a in _bits(wi.rows[b] & basis)],
+                    p.elements)
+    rhs = ordered_sandwich(seed)
+    lhs = least_strong_inclusion(p, seed)
     if lhs != rhs:
         raise InvariantViolation(
             "sandwich description disagrees with the generated strong inclusion"
@@ -510,17 +505,14 @@ def from_compactification(k, target_basis=None):
     isomorphism witness is the extension of the compactification itself; it
     is verified bijective and order-preserving in both directions.
 
-    With the default basis the result is memoised on ``k``, and shared
-    through the source lattice's memo by every compactification with an
-    equal map; an explicit ``target_basis`` always builds afresh.
+    With the default basis the result is shared through the source
+    lattice's memo by every compactification with an equal map; an explicit
+    ``target_basis`` always builds afresh.
     """
     k.require_valid()
     if target_basis is None:
-        if k._reconstruction is None:
-            key = ("reconstruction", k.codomain, frozenset(k.map.assignment.items()))
-            rec = k.source.once(key, lambda: _reconstruct(k, full_basis(k.codomain)))
-            object.__setattr__(k, "_reconstruction", rec)
-        return k._reconstruction
+        key = ("reconstruction", k.codomain, frozenset(k.map.assignment.items()))
+        return k.source.once(key, lambda: _reconstruct(k, full_basis(k.codomain)))
     return _reconstruct(k, target_basis)
 
 

@@ -10,6 +10,7 @@ memo (``PcdLattice.once``).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -21,13 +22,15 @@ from .relation import check_strong_inclusion
 class ContinuousMap:
     """A map L -> M given by its inverse assignment on a basis of M.
 
-    Immutable: ``assignment`` is a read-only view, so the continuity report
-    and the extension values cached on the object stay sound.
+    Immutable: ``assignment`` is a read-only view, so the extension values
+    cached on the object stay sound.
     """
 
     def __init__(self, source, target, basis, assignment):
         if basis.lattice != target:
             raise MalformedInput("basis must belong to the target lattice")
+        if not isinstance(assignment, Mapping):
+            raise MalformedInput(f"assignment must be a mapping, not {type(assignment).__name__}")
         assignment = {
             _index(a, target.n, "assignment key"): _index(x, source.n, "assignment value")
             for a, x in assignment.items()
@@ -39,9 +42,7 @@ class ContinuousMap:
         self.basis = basis
         self.assignment = MappingProxyType(assignment)
         self._basis_mask = sum(1 << b for b in assignment)
-        # caches: derived once per object, never part of equality or repr
-        self._ext = {}
-        self._report = None
+        self._ext = {}  # extension values, never part of equality or repr
 
     @classmethod
     def identity(cls, lat):
@@ -108,13 +109,11 @@ def validate_map(f):
     ``extend(f, a ^ b)``, which makes the whole check O(|B|^2).
 
     The report is computed once per map value on the source lattice, keyed
-    by the target lattice and the assignment, and kept on the map object;
-    every call returns a fresh list.
+    by the target lattice and the assignment; every call returns a fresh
+    list.
     """
-    if f._report is None:
-        key = ("continuity", f.target, frozenset(f.assignment.items()))
-        f._report = f.source.once(key, lambda: tuple(_continuity_report(f)))
-    return list(f._report)
+    key = ("continuity", f.target, frozenset(f.assignment.items()))
+    return list(f.source.once(key, lambda: tuple(_continuity_report(f))))
 
 
 def _continuity_report(f):

@@ -18,11 +18,12 @@ row mask per element.
 
 Each lattice keeps one memo of the theorem-backed derivations made on it:
 the well-inside relation, strong-inclusion reports, least strong inclusions,
-interpolative cores, round-ideal frames, the continuity reports of maps out
-of it and the default-basis reconstructions of its compactifications.  Each
-is computed and checked in full once per distinct value (a key holding
-everything the result depends on and stores) and then shared, so equal
-relations, carriers and maps built as separate objects are checked once.
+interpolative cores, round-ideal frames and their join maps, the continuity
+reports of maps out of it and the default-basis reconstructions of its
+compactifications.  Each is computed and checked in full once per distinct
+value (a key holding everything the result depends on and stores) and then
+shared, so equal relations, carriers and maps built as separate objects are
+checked once.
 Argument checks (foreign lattice, index range, carrier closure, stray pairs)
 run on every call before the lookup, and a derivation that raises stores
 nothing, so a repeated call raises what the first call raised.  The memo
@@ -76,6 +77,20 @@ def _index(x, n, what):
     if not 0 <= x < n:
         raise MalformedInput(f"{what} {x} out of range")
     return x
+
+
+def _items(value, what, pairs=False):
+    """The items of the collection ``value`` as a tuple, each a 2-tuple when ``pairs``.
+
+    MalformedInput naming ``what`` when ``value`` cannot be iterated or, with
+    ``pairs``, when one of its items does not unpack into exactly two values.
+    """
+    try:
+        items = tuple(value)
+        return tuple((a, b) for a, b in items) if pairs else items
+    except (TypeError, ValueError):
+        shape = "a collection of pairs" if pairs else "a collection"
+        raise MalformedInput(f"{what} must be {shape}") from None
 
 
 def _bound_table(cone):
@@ -206,15 +221,6 @@ class PcdLattice:
             if out is None:
                 return None
             out = self.join[out][x]
-        return out
-
-    def meet_all(self, items):
-        """Meet of a finite family; the empty meet is the top."""
-        out = self.top
-        for x in items:
-            if out is None:
-                return None
-            out = self.meet[out][x]
         return out
 
     def covers(self):
@@ -358,7 +364,7 @@ def _checked_carrier(lattice, carrier):
     """``carrier`` as a frozenset of element indices; None means all of them."""
     if carrier is None:
         return frozenset(range(lattice.n))
-    return frozenset(_index(x, lattice.n, "carrier index") for x in carrier)
+    return frozenset(_index(x, lattice.n, "carrier index") for x in _items(carrier, "carrier"))
 
 
 class Relation:
@@ -375,7 +381,7 @@ class Relation:
         carrier = _checked_carrier(lattice, carrier)
         n = lattice.n
         rows = [0] * n
-        for a, b in pairs:
+        for a, b in _items(pairs, "relation pairs", pairs=True):
             a, b = _index(a, n, "pair element"), _index(b, n, "pair element")
             if a not in carrier or b not in carrier:
                 raise MalformedInput(f"pair ({a}, {b}) outside the carrier")
@@ -462,11 +468,10 @@ class Basis:
 
     def __post_init__(self):
         n = self.lattice.n
-        elements = frozenset(_index(x, n, "basis index") for x in self.elements)
+        elements = frozenset(
+            _index(x, n, "basis index") for x in _items(self.elements, "basis elements")
+        )
         object.__setattr__(self, "elements", elements)
-
-    def sorted_elements(self):
-        return sorted(self.elements)
 
     def is_basis(self):
         """Every lattice element is the join of the basis elements below it."""
@@ -499,7 +504,7 @@ class Cover:
     parts: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", frozenset(self.parts))
+        object.__setattr__(self, "parts", frozenset(_items(self.parts, "cover parts")))
 
 
 def validate(l):
@@ -575,7 +580,7 @@ def pcd_closure(l, seed):
     r elements.
     """
     l.require_valid()
-    seed = sorted({_index(x, l.n, "seed index") for x in seed})
+    seed = sorted({_index(x, l.n, "seed index") for x in _items(seed, "seed")})
     meet, join, pstar = l.meet, l.join, l.pstar
     members = []
     found = 0

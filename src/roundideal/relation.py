@@ -14,6 +14,20 @@ a.  With at most 64 elements each mask is one machine word, and checking all
 seven conditions costs O(|R| * n) word operations for a relation of |R|
 pairs.
 
+On a finite carrier P every strong inclusion <| is an order sandwich
+{(x, y) : x <= s <= y, s in S} of its self-related set S.  Interpolating
+x <| y again and again must revisit some s; as <| lies inside well-inside
+and so inside <=, the whole cycle equals s, so s <| s and x <= s <= y
+(condition 2 gives the converse).  Conditions 1, 3, 4 and 5 close S under
+0, 1, meet, join and *.  Hence the least strong inclusion holding an
+interpolative seed is the sandwich of the ``pcd_closure`` of the seed's
+self-related elements, and the interpolative core of well-inside on any
+carrier is the sandwich of the carrier elements well-inside themselves.
+Both are built by ``ordered_sandwich``; the least strong inclusion is still
+checked against all seven conditions, and the core is asserted
+interpolative and inside well-inside.  ``largest_interpolative`` keeps its
+pruning loop, as it takes relations that need not lie inside the order.
+
 Strong-inclusion reports, least strong inclusions and interpolative cores
 are derived once per value in the memo their lattice keeps for as long as
 it lives (``PcdLattice.once``): a report per (relation rows, carrier), a
@@ -23,7 +37,6 @@ Argument checks run on every call, before the lookup.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,13 +53,9 @@ from .lattice import (
     _joins_of_related,
     _lowest,
     _mask,
+    pcd_closure,
     well_inside,
 )
-
-
-def well_inside_pairs(lat):
-    """Pairs (y, x) with top = x v y*, as a frozenset of index pairs."""
-    return well_inside(lat).pairs
 
 
 @dataclass(frozen=True)
@@ -235,13 +244,11 @@ def _strong_inclusion_report(si, keep):
 def least_strong_inclusion(p, seed):
     """Close an interpolating seed inside well-inside under conditions 1 to 5.
 
-    The closure is the least fixpoint of the rule system: seed pairs and the
-    self-related bounds enter outright; order sandwiching, meets on the right,
-    joins on the left, and star reversal fire until stable.  A worklist of
-    new pairs drives it, and each rule adds a whole row mask at once.  The
-    result is a strong inclusion on ``p`` (all seven conditions; checked when
-    first derived).  It is derived once per (seed rows, carrier) on the
-    lattice and shared.
+    The closure is the order sandwich of the ``pcd_closure`` of the seed's
+    self-related elements (see the module docstring).  The result is a
+    strong inclusion on ``p`` (all seven conditions; checked when first
+    derived).  It is derived once per (seed rows, carrier) on the lattice
+    and shared.
     """
     lat = p.lattice
     lat.require_valid()
@@ -268,41 +275,10 @@ def least_strong_inclusion(p, seed):
 
 
 def _least_strong_inclusion(p, seed, keep):
-    """The closure of ``seed`` on the carrier mask ``keep``, checked, uncached."""
+    """The sandwich of the closure of the seed's self-related elements, checked, uncached."""
     lat = p.lattice
-    n = lat.n
-    meet, join, pstar = lat.meet, lat.join, lat.pstar
-    up, down = lat._up, lat._down
-    rows = [0] * n
-    done_left = [0] * n  # bit b of done_left[a]: (a, b) has fired its rules
-    done_right = [0] * n  # the transpose of done_left
-    queue = deque()
-
-    def add(a, new):
-        new &= ~rows[a]
-        if new:
-            rows[a] |= new
-            queue.extend((a, b) for b in _bits(new))
-
-    add(lat.bottom, 1 << lat.bottom)
-    add(lat.top, 1 << lat.top)
-    for a, row in enumerate(seed.rows):
-        add(a, row)
-    while queue:
-        a, b = queue.popleft()
-        done_left[a] |= 1 << b
-        done_right[b] |= 1 << a
-        add(pstar[b], 1 << pstar[a])
-        above = up[b] & keep
-        for x in _bits(down[a] & keep):
-            add(x, above)
-        mb = meet[b]
-        add(a, _mask(mb[c] for c in _bits(done_left[a])))
-        ja = join[a]
-        for c in _bits(done_right[b]):
-            add(ja[c], 1 << b)
-
-    result = Relation._from_rows(lat, rows, p.elements)
+    selves = pcd_closure(lat, (a for a in _bits(keep) if seed.rows[a] >> a & 1))
+    result = _sandwich_of(lat, selves.elements, p.elements)
     report = check_strong_inclusion(result, p)
     if not report.ok:
         bad = report.failed()[0]
@@ -315,12 +291,25 @@ def _least_strong_inclusion(p, seed, keep):
 def interpolative_core_on_basis(l, b):
     """Largest interpolative subrelation of well-inside restricted to ``b``.
 
-    Derived once per carrier on the lattice and shared.
+    The sandwich of the elements of ``b`` well-inside themselves (see the
+    module docstring).  Derived once per carrier on the lattice and shared.
     """
     if b.lattice != l:
         raise MalformedInput("basis belongs to another lattice")
-    return l.once(("core", b.elements),
-                  lambda: largest_interpolative(well_inside(l).restricted_to(b.elements)))
+    return l.once(("core", b.elements), lambda: _interpolative_core(l, b))
+
+
+def _interpolative_core(l, b):
+    """The core on the carrier ``b``, uncached; asserted interpolative and well-inside."""
+    wi = well_inside(l).rows
+    core = _sandwich_of(l, [a for a in b.elements if wi[a] >> a & 1], b.elements)
+    gap = next(_uninterpolated(core), None) or _first_missing(core.rows, wi)
+    if gap is not None:
+        a, c = gap
+        raise InvariantViolation(
+            f"core pair ({l.names[a]}, {l.names[c]}) is uninterpolated or not well-inside"
+        )
+    return core
 
 
 def is_strongly_regular_basis(l, b):
@@ -348,6 +337,14 @@ def ordered_sandwich(rel, carrier=None):
         for x in _bits(lat._down[u] & keep):
             rows[x] |= above & keep
     return Relation._from_rows(lat, rows, carrier)
+
+
+def _sandwich_of(lat, selves, carrier):
+    """The order sandwich of the diagonal on ``selves``, on ``carrier``."""
+    rows = [0] * lat.n
+    for s in selves:
+        rows[s] = 1 << s
+    return ordered_sandwich(Relation._from_rows(lat, rows, carrier))
 
 
 def build_scale(si, y, x, depth):

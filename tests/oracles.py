@@ -390,3 +390,27 @@ def reference_si_report(lat, carrier, pairs):
         (True, None, "") if failure is None else (False, *failure)
         for failure in failures
     ]
+
+
+def reference_well_inside(lat, carrier):
+    """Pairs (y, x) of carrier elements with x v y* = 1, read off the tables."""
+    members = sorted(carrier)
+    return frozenset(
+        (y, x) for y in members for x in members if lat.join[x][lat.pstar[y]] == lat.top
+    )
+
+
+def sandwich(lat, carrier, selves):
+    """Pairs (x, y) of carrier elements with x <= s <= y for some s in ``selves``.
+
+    The order is read off the meet table (x <= y when x ^ y = x).
+    """
+    members = sorted(carrier)
+
+    def le(x, y):
+        return lat.meet[x][y] == x
+
+    return frozenset(
+        (x, y) for x in members for y in members
+        if any(le(x, s) and le(s, y) for s in selves)
+    )

@@ -35,13 +35,12 @@ from roundideal.framemap import (
     maps_equal,
     validate_map,
 )
-from roundideal.lattice import boolean, full_basis, pcd_closure
+from roundideal.lattice import boolean, full_basis, pcd_closure, well_inside
 from roundideal.relation import (
     Relation,
     check_strong_inclusion,
     largest_interpolative,
     least_strong_inclusion,
-    well_inside_pairs,
 )
 
 
@@ -153,7 +152,7 @@ def test_criterion_05_boolean_fixed_point():
         for k in range(5):
             lat = boolean(k)
             p = full_basis(lat)
-            wi = Relation(lat, well_inside_pairs(lat))
+            wi = Relation(lat, well_inside(lat).pairs)
             assert check_strong_inclusion(wi, p).ok
             fr = enumerate_round_ideals(p, wi)
             j = join_map(lat, fr)
@@ -174,7 +173,7 @@ def test_criterion_06_factorization_and_uniqueness():
             k = rng.randint(1, 3)
             lat = boolean(k)
             p = full_basis(lat)
-            si = least_strong_inclusion(p, Relation(lat, well_inside_pairs(lat)))
+            si = least_strong_inclusion(p, Relation(lat, well_inside(lat).pairs))
             assert is_compatible(lat, p, si)
             fr = enumerate_round_ideals(p, si)
             m = join_map(lat, fr)
@@ -241,7 +240,7 @@ def test_criterion_08_explicit_characterization():
             assert is_dense(f) and is_embedding(f)
             p = pcd_closure(lat, {extend(f, b) for b in range(f.target.n)})
             rel = explicit_strong_inclusion(p, f)
-            wi = well_inside_pairs(f.target)
+            wi = well_inside(f.target).pairs
             seed = Relation(
                 lat,
                 {(extend(f, b), extend(f, a)) for b, a in wi},
@@ -328,7 +327,7 @@ def test_criterion_12_interpolated_subcover_witnesses():
             if w is None:
                 assert b == lat.bottom
                 continue
-            wi = well_inside_pairs(lat)
+            wi = well_inside(lat).pairs
             assert lat.leq(b, lat.join_all(w.lower))
             assert (lat.join_all(w.lower), lat.join_all(w.middle)) in wi
             assert (lat.join_all(w.middle), total) in wi

@@ -38,11 +38,11 @@ from roundideal.lattice import (
     chain,
     full_basis,
     pcd_closure,
+    well_inside,
 )
 from roundideal.relation import (
     Relation,
     least_strong_inclusion,
-    well_inside_pairs,
 )
 
 
@@ -53,7 +53,7 @@ def trivial_si(lat, p):
 def order_si(lat):
     # on a Boolean algebra the order is the largest strong inclusion
     p = full_basis(lat)
-    return least_strong_inclusion(p, Relation(lat, well_inside_pairs(lat)))
+    return least_strong_inclusion(p, Relation(lat, well_inside(lat).pairs))
 
 
 def identity_compactification(lat):
@@ -277,7 +277,7 @@ class TestLhdFromMaps:
         l = boolean(2)
         p, si = strong_inclusion_from_maps(l, (), [ContinuousMap.identity(l)])
         assert p.elements == frozenset(range(l.n))
-        assert si.pairs == well_inside_pairs(l)
+        assert si.pairs == well_inside(l).pairs
 
     def test_seed_elements_enter_carrier(self):
         c = chain(3)
@@ -369,7 +369,7 @@ class TestExplicitDescription:
         f = util.atom_map(src, tgt, phi)
         p = pcd_closure(src, {extend(f, b) for b in range(tgt.n)})
         rel = explicit_strong_inclusion(p, f)
-        wi = well_inside_pairs(tgt)
+        wi = well_inside(tgt).pairs
         seed_rel = Relation(
             src,
             {(extend(f, b), extend(f, a)) for b, a in wi},
@@ -534,7 +534,7 @@ class TestInterpolatedSubcover:
         w = interpolated_subcover(l, p, b, parts)
         assert w is not None
         assert l.leq(b, l.join_all(w.lower))
-        wi = well_inside_pairs(l)
+        wi = well_inside(l).pairs
         assert (l.join_all(w.lower), l.join_all(w.middle)) in wi
         assert (l.join_all(w.middle), l.join_all(parts)) in wi
         for q, m, u in zip(w.lower, w.middle, w.upper):
@@ -564,7 +564,7 @@ class TestInterpolatedSubcover:
         if w is None:
             assert b == l.bottom
             return
-        wi = well_inside_pairs(l)
+        wi = well_inside(l).pairs
         assert l.leq(b, l.join_all(w.lower))
         assert (l.join_all(w.lower), l.join_all(w.middle)) in wi
         assert (l.join_all(w.middle), total) in wi

@@ -23,11 +23,11 @@ from roundideal.lattice import (
     full_basis,
     is_regular,
     pcd_closure,
+    well_inside,
 )
 from roundideal.relation import (
     Relation,
     least_strong_inclusion,
-    well_inside_pairs,
 )
 
 
@@ -332,16 +332,16 @@ class TestFinerThan:
     def test_order_inclusion_fine_for_identity(self):
         l = boolean(2)
         p = full_basis(l)
-        wi = Relation(l, well_inside_pairs(l))
+        wi = Relation(l, well_inside(l).pairs)
         si = least_strong_inclusion(p, wi)
         tag = finer_than(si, ContinuousMap.identity(l))
         assert tag.finer
-        assert len(tag.witnesses) == len(well_inside_pairs(l))
+        assert len(tag.witnesses) == len(well_inside(l).pairs)
 
     def test_witnesses_lowest_index_first(self):
         l = boolean(2)
         p = full_basis(l)
-        si = least_strong_inclusion(p, Relation(l, well_inside_pairs(l)))
+        si = least_strong_inclusion(p, Relation(l, well_inside(l).pairs))
         tag = finer_than(si, ContinuousMap.identity(l))
         for (y, x), (pw, qw) in tag.witnesses:
             best_p = min(m for m in range(l.n) if l.leq(y, m)
@@ -355,7 +355,7 @@ class TestFinerThan:
         l = boolean(rng.randint(1, 3))
         p = full_basis(l)
         small = least_strong_inclusion(p, util.random_interpolative_seed(l, p, rng))
-        big = least_strong_inclusion(p, Relation(l, well_inside_pairs(l)))
+        big = least_strong_inclusion(p, Relation(l, well_inside(l).pairs))
         assert small.pairs <= big.pairs
         f = util.atom_map(l, l, util.random_phi(
             rng, len(util.atoms(l)), len(util.atoms(l))))

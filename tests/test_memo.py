@@ -40,8 +40,8 @@ UNCACHED = {
                lambda si, keep: (id(si.lattice), si.rows, keep)),
     "least": (relation, "_least_strong_inclusion",
               lambda p, seed, keep: (id(p.lattice), seed.rows, keep)),
-    "core": (relation, "largest_interpolative",
-             lambda r: (id(r.lattice), r.carrier)),
+    "core": (relation, "_interpolative_core",
+             lambda l, b: (id(l), b.elements)),
     "frame": (compactify, "_round_ideal_frame",
               lambda p, si: (id(p.lattice), si.rows, si.carrier, p.elements)),
     "continuity": (framemap, "_continuity_report",

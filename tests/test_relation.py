@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -12,15 +13,17 @@ from roundideal.errors import (
     NoScaleError,
     PreconditionError,
 )
-from roundideal.framemap import extend, is_embedding
+from roundideal.framemap import ContinuousMap, extend, is_embedding
 from roundideal.lattice import (
     Basis,
+    Cover,
     boolean,
     chain,
     downset_lattice,
     full_basis,
     is_regular,
     pcd_closure,
+    well_inside,
 )
 from roundideal.relation import (
     Relation,
@@ -32,7 +35,6 @@ from roundideal.relation import (
     least_strong_inclusion,
     ordered_sandwich,
     really_inside_via_scales,
-    well_inside_pairs,
 )
 
 
@@ -76,7 +78,7 @@ class TestLargestInterpolative:
 
     def test_boolean_well_inside_fixed(self):
         l = boolean(3)
-        wi = Relation(l, well_inside_pairs(l))
+        wi = Relation(l, well_inside(l).pairs)
         assert largest_interpolative(wi) == wi
 
     def test_strict_chain_with_reflexive_top_prunes_gradually(self):
@@ -123,7 +125,7 @@ class TestCheckStrongInclusion:
     def test_well_inside_on_chain(self):
         c = chain(3)
         rep = check_strong_inclusion(
-            Relation(c, well_inside_pairs(c)), full_basis(c)
+            Relation(c, well_inside(c).pairs), full_basis(c)
         )
         for number in range(1, 7):
             assert rep.condition(number).holds
@@ -132,7 +134,7 @@ class TestCheckStrongInclusion:
     def test_well_inside_can_fail_interpolation(self):
         l = zigzag()
         rep = check_strong_inclusion(
-            Relation(l, well_inside_pairs(l)), full_basis(l)
+            Relation(l, well_inside(l).pairs), full_basis(l)
         )
         for number in range(1, 7):
             assert rep.condition(number).holds
@@ -145,7 +147,7 @@ class TestCheckStrongInclusion:
         rep = check_strong_inclusion(everything, full_basis(c))
         bad = rep.condition(6)
         assert not bad.holds
-        assert bad.witness not in well_inside_pairs(c)
+        assert bad.witness not in well_inside(c).pairs
 
     def test_carrier_must_be_closed(self):
         l = boolean(2)
@@ -165,7 +167,7 @@ class TestCheckStrongInclusion:
         members = sorted(p.elements)
         kind = rng.randrange(4)
         if kind == 0:
-            pairs = [q for q in sorted(well_inside_pairs(l))
+            pairs = [q for q in sorted(well_inside(l).pairs)
                      if q[0] in p.elements and q[1] in p.elements and rng.random() < 0.7]
         elif kind == 1:
             pairs = [(rng.choice(members), rng.choice(members))
@@ -197,7 +199,7 @@ class TestLeastStrongInclusion:
     def test_order_seed_on_boolean_is_order(self):
         l = boolean(2)
         b = full_basis(l)
-        wi = Relation(l, well_inside_pairs(l))
+        wi = Relation(l, well_inside(l).pairs)
         got = least_strong_inclusion(b, wi)
         assert got == wi  # well-inside is the order there, already closed
 
@@ -216,7 +218,7 @@ class TestLeastStrongInclusion:
     def test_non_interpolating_seed_rejected(self):
         l = zigzag()
         bad_pair = check_strong_inclusion(
-            Relation(l, well_inside_pairs(l)), full_basis(l)
+            Relation(l, well_inside(l).pairs), full_basis(l)
         ).condition(7).witness
         with pytest.raises(PreconditionError, match="no interpolant"):
             least_strong_inclusion(full_basis(l), Relation(l, {bad_pair}))
@@ -278,9 +280,9 @@ class TestInterpolativeCore:
         c = chain(3)
         core = interpolative_core_on_basis(c, full_basis(c))
         assert core.pairs == oracles.brute_largest_interpolative(
-            well_inside_pairs(c)
+            well_inside(c).pairs
         )
-        assert core.pairs == well_inside_pairs(c)
+        assert core.pairs == well_inside(c).pairs
         assert (1, 2) in core.pairs
 
     def test_one_element_core(self):
@@ -291,7 +293,84 @@ class TestInterpolativeCore:
     def test_zigzag_core_proper(self):
         l = zigzag()
         core = interpolative_core_on_basis(l, full_basis(l))
-        assert core.pairs < well_inside_pairs(l)
+        assert core.pairs < well_inside(l).pairs
+
+
+def small_lattices():
+    """Boolean algebras, chains and generated downset lattices of at most 32 elements."""
+    yield from (boolean(k) for k in range(4))
+    yield from (chain(k) for k in range(1, 6))
+    for seed in range(30):
+        yield util.downset_instance(seed, 1 + seed % 5)
+
+
+def sub_pcd_carriers(l):
+    """The distinct pcd-closures of the subsets of at most three elements of ``l``."""
+    seen = set()
+    for r in range(min(l.n, 3) + 1):
+        for seed in itertools.combinations(range(l.n), r):
+            p = pcd_closure(l, seed).elements
+            if p not in seen:
+                seen.add(p)
+                yield p
+
+
+class TestStructureTheorem:
+    """On a finite carrier every strong inclusion is the order sandwich of its
+    self-related elements; the kernels are checked against set-based oracles."""
+
+    def test_every_strong_inclusion_is_the_sandwich_of_its_diagonal(self):
+        carriers = candidates = found = 0
+        for l in small_lattices():
+            for p in sub_pcd_carriers(l):
+                wi = sorted(oracles.reference_well_inside(l, p))
+                if len(wi) > 10:
+                    continue
+                carriers += 1
+                for mask in range(1 << len(wi)):
+                    rel = {q for i, q in enumerate(wi) if mask >> i & 1}
+                    candidates += 1
+                    if not all(ok for ok, *_ in oracles.reference_si_report(l, p, rel)):
+                        continue
+                    found += 1
+                    selves = {a for a, b in rel if a == b}
+                    assert rel == oracles.sandwich(l, p, selves), (l.name, sorted(p))
+                    assert {l.bottom, l.top} <= selves
+                    assert all(
+                        l.pstar[s] in selves and l.join[s][l.pstar[s]] == l.top
+                        and {l.meet[s][t], l.join[s][t]} <= selves
+                        for s in selves for t in selves
+                    )
+        assert carriers >= 100 and candidates >= 10000 and found >= 100
+
+    def test_core_matches_brute_force_on_sub_pcd_carriers(self):
+        checked = 0
+        for l in small_lattices():
+            for p in sub_pcd_carriers(l):
+                wi = oracles.reference_well_inside(l, p)
+                if len(wi) > 14:
+                    continue
+                core = interpolative_core_on_basis(l, Basis(l, p))
+                assert core.pairs == oracles.brute_largest_interpolative(wi)
+                assert core.carrier == p
+                checked += 1
+        assert checked >= 100
+
+    def test_least_matches_naive_closure_on_proper_carriers(self):
+        rng = random.Random(6)
+        checked = 0
+        for l in small_lattices():
+            for p in sub_pcd_carriers(l):
+                wi = sorted(oracles.reference_well_inside(l, p))
+                if p == frozenset(range(l.n)) or len(wi) > 14:
+                    continue
+                chosen = [q for q in wi if rng.random() < 0.5]
+                for start in ((), oracles.brute_largest_interpolative(chosen)):
+                    got = least_strong_inclusion(Basis(l, p), Relation(l, start, p))
+                    assert got.pairs == oracles.naive_closure_conditions_1_to_5(l, p, start)
+                    assert got.carrier == p
+                    checked += 1
+        assert checked >= 100
 
 
 class TestStrongRegularity:
@@ -395,7 +474,7 @@ class TestScales:
         core = interpolative_core_on_basis(l, full_basis(l))
         s = build_scale(core, l.bottom, l.top, 2)
         assert s.values[0] == l.bottom and s.values[-1] == l.top
-        wi = well_inside_pairs(l)
+        wi = well_inside(l).pairs
         vals = s.values
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
@@ -455,7 +534,7 @@ class TestScales:
         with pytest.raises(PreconditionError, match=r"pair \(c1, c1\) is not well-inside"):
             build_scale(Relation(c, {(1, 1)}), 1, 1, 1)
         l = zigzag()
-        wi = Relation(l, well_inside_pairs(l))
+        wi = Relation(l, well_inside(l).pairs)
         x, y = check_strong_inclusion(wi, full_basis(l)).condition(7).witness
         with pytest.raises(
             PreconditionError,
@@ -499,6 +578,22 @@ class TestRelationType:
             Relation(l, [("a", 1)])
         with pytest.raises(MalformedInput, match="out of range"):
             Relation(l, [(0, l.n)])
+
+    @pytest.mark.parametrize("build", [
+        lambda l: Relation(l, [5]),
+        lambda l: Relation(l, [(1, 2, 3)]),
+        lambda l: Relation(l, 5),
+        lambda l: Relation(l, [], carrier=5),
+        lambda l: ContinuousMap(l, boolean(1), full_basis(boolean(1)), [0, 1]),
+        lambda l: Basis(l, 3),
+        lambda l: Cover(0, 5),
+        lambda l: pcd_closure(l, 3),
+    ], ids=["pair-not-a-pair", "pair-too-long", "pairs-not-a-collection",
+            "carrier-not-a-collection", "assignment-not-a-mapping",
+            "basis-not-a-collection", "parts-not-a-collection", "seed-not-a-collection"])
+    def test_malformed_containers_are_malformed_input(self, build):
+        with pytest.raises(MalformedInput, match="collection|pair|mapping"):
+            build(boolean(2))
 
     def test_equality_is_matrix_equality(self):
         l = boolean(2)
