@@ -8,24 +8,25 @@ factor suitable continuous maps through them, the reconstruction of a frame
 of round ideals from an arbitrary compactification, and the induced ordering
 between compactifications.
 
-Ideals are kept as explicit member sets.  Enumeration rides on the finite
-principal characterization (round ideals are the principal downsets of
-self-related elements), which the test suite re-proves against exhaustive
-subset enumeration before trusting it; the construction still asserts every
-frame-level invariant instance by instance.
+On a finite carrier P the round ideals are the sets down(s) & P for the
+self-related s (s <| s), so the frame is that set S ordered as in the
+lattice.  A round ideal I is finite and join closed, so it is down(t) & P
+for t, the join of I, which I holds; roundness at t gives t <| y for some y
+in I, y <= t, and the sandwich condition gives t <| t.  Conversely down(s) &
+P is round for s in S, since x <= s <| s gives x <| s.  Each ideal is held
+as a member mask (bit x says x is a member), frames list their ideals by
+sorted members, and the frame checks run on masks: inclusion is the order,
+AND the meet, ``_down[join[s][t]] & P`` the join of the ideals with tops s
+and t; the ideal of elements strongly included in a is ``si.cols[a]``.
 
-Frames and reconstructions are built and checked once per value, in the
-memo their lattice keeps for as long as it lives (``PcdLattice.once``): one
-frame per (relation rows, relation carrier, carrier), one join map per
-frame, one default-basis reconstruction per compactification map.  These
-and the per-map continuity reports then hit however often a
-compactification is rebuilt, reconstructed or compared; argument checks run
-on every call.
+Frames, join maps, reconstructions and compactification reports are derived
+once per value in the memo of their lattice (``PcdLattice.once``); argument
+checks run on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
@@ -38,7 +39,6 @@ from .errors import (
 from .framemap import (
     ContinuousMap,
     compose,
-    extend,
     finer_than,
     is_dense,
     is_embedding,
@@ -52,6 +52,7 @@ from .lattice import (
     PcdLattice,
     Relation,
     _bits,
+    _index,
     _joins_of_related,
     _lowest,
     _mask,
@@ -120,13 +121,12 @@ class RoundIdealFrame:
         self.lattice = lattice
         self.ideal_basis = ideal_basis
         self.down_index = MappingProxyType(down_index)
-        self._by_members = {ideal.members: i for i, ideal in enumerate(ideals)}
-
-    def index_of(self, members):
-        return self._by_members.get(frozenset(members))
 
     def down(self, a):
         """Index of the ideal of elements strongly included in ``a``."""
+        a = _index(a, self.p.lattice.n, "carrier element")
+        if a not in self.down_index:
+            raise MalformedInput(f"element {self.p.lattice.names[a]} is outside the carrier")
         return self.down_index[a]
 
 
@@ -136,8 +136,6 @@ class Compactification:
 
     map: ContinuousMap
     frame: RoundIdealFrame | None = None
-    # cache: derived once per object, never part of equality, hash or repr
-    _violations: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def source(self):
@@ -148,35 +146,37 @@ class Compactification:
         return self.map.target
 
     def violations(self):
-        """Reasons this is not a compactification; computed once, fresh list."""
-        if self._violations is None:
-            object.__setattr__(self, "_violations", tuple(self._check()))
-        return list(self._violations)
-
-    def _check(self):
-        out = validate_map(self.map)
-        if out:
-            return out
-        if not is_dense(self.map):
-            out.append("map is not dense")
-        if not is_embedding(self.map):
-            out.append("map is not an embedding")
-        cod = self.codomain
-        if not is_regular(cod, full_basis(cod)):
-            out.append("codomain is not regular")
-        else:
-            try:
-                is_compact(cod, full_basis(cod), Cover(cod.top, frozenset(range(cod.n))))
-            except NotACoverError:  # pragma: no cover - tops always cover
-                out.append("codomain has no finite subcover of the top")
-        if self.frame is not None and self.frame.lattice != cod:
-            out.append("frame does not match the codomain")
-        return out
+        """Reasons this is not a compactification, derived once per value; fresh list."""
+        key = ("compactification", self.codomain,
+               frozenset(self.map.assignment.items()), self.frame)
+        return list(self.source.once(key, lambda: tuple(_check_compactification(self))))
 
     def require_valid(self):
         out = self.violations()
         if out:
             raise PreconditionError(f"not a compactification: {out[0]}")
+
+
+def _check_compactification(k):
+    """The reasons ``k`` is not a compactification, uncached."""
+    out = validate_map(k.map)
+    if out:
+        return out
+    if not is_dense(k.map):
+        out.append("map is not dense")
+    if not is_embedding(k.map):
+        out.append("map is not an embedding")
+    cod = k.codomain
+    if not is_regular(cod, full_basis(cod)):
+        out.append("codomain is not regular")
+    else:
+        try:
+            is_compact(cod, full_basis(cod), Cover(cod.top, frozenset(range(cod.n))))
+        except NotACoverError:  # pragma: no cover - tops always cover
+            out.append("codomain has no finite subcover of the top")
+    if k.frame is not None and k.frame.lattice != cod:
+        out.append("frame does not match the codomain")
+    return out
 
 
 def _require_strong_inclusion(si, p):
@@ -223,28 +223,24 @@ def enumerate_round_ideals(p, si):
 def _round_ideal_frame(p, si):
     """The checked frame of round ideals of (p, si), uncached."""
     lat = p.lattice
-    members_sorted = sorted(p.elements)
-    keep = _mask(members_sorted)
-    seen = {}
-    for t in members_sorted:
-        if si.rows[t] >> t & 1:
-            seen[frozenset(_bits(lat._down[t] & keep))] = t
-    ordered = sorted(seen, key=lambda m: tuple(sorted(m)))
-    ideals = tuple(RoundIdeal(p, mem) for mem in ordered)
+    keep = _mask(p.elements)
+    tops = {lat._down[t] & keep: t for t in _bits(keep) if si.rows[t] >> t & 1}
+    masks = sorted(tops, key=lambda m: tuple(_bits(m)))
+    ideals = tuple(RoundIdeal(p, frozenset(_bits(m))) for m in masks)
     for ideal in ideals:
         bad = ideal.violations(si)
         if bad:
             raise InvariantViolation(f"enumerated ideal invalid: {bad[0]}")
-    names = [f"dn({lat.names[seen[mem]]})" for mem in ordered]
-    leq = [[a.members <= b.members for b in ideals] for a in ideals]
+    names = [f"dn({lat.names[tops[m]]})" for m in masks]
+    leq = [[not a & ~b for b in masks] for a in masks]
     frame_lat = PcdLattice(names, leq, name=f"R({lat.name})")
     report = frame_lat.validate()
     if report:
         raise InvariantViolation(f"round-ideal frame invalid: {report[0]}")
-    by_members = {ideal.members: i for i, ideal in enumerate(ideals)}
+    index = {m: i for i, m in enumerate(masks)}
     down_index = {}
-    for a in members_sorted:
-        idx = by_members.get(frozenset(_bits(si.cols[a])))
+    for a in _bits(keep):
+        idx = index.get(si.cols[a])
         if idx is None:
             raise InvariantViolation(
                 f"strong downset of {lat.names[a]} is not among the round ideals"
@@ -252,27 +248,27 @@ def _round_ideal_frame(p, si):
         down_index[a] = idx
     ideal_basis = Basis(frame_lat, frozenset(down_index.values()))
     fr = RoundIdealFrame(p, si, ideals, frame_lat, ideal_basis, down_index)
-    _assert_frame_structure(fr)
+    _assert_frame_structure(fr, masks, [tops[m] for m in masks])
     if not ideal_basis.is_basis():
         raise InvariantViolation("basic downset ideals do not generate the frame")
     return fr
 
 
-def _assert_frame_structure(fr):
-    lat = fr.p.lattice
-    ideals = fr.ideals
-    frame = fr.lattice
+def _assert_frame_structure(fr, masks, tops):
+    """Frame meets are intersections; joins hold all under some finite join from the union.
+
+    Ideal i has member mask ``masks[i]`` and top ``tops[i]``.  Each ideal was
+    checked join closed before this runs, so its top is the join of its members.
+    """
+    lat, frame = fr.p.lattice, fr.lattice
     keep = _mask(fr.p.elements)
-    for i, a in enumerate(ideals):
-        for j, b in enumerate(ideals):
-            inter = a.members & b.members
-            if ideals[frame.meet[i][j]].members != inter:
+    down, join = lat._down, lat.join
+    for i, (a, s) in enumerate(zip(masks, tops)):
+        meet_i, join_i, join_s = frame.meet[i], frame.join[i], join[s]
+        for j, (b, t) in enumerate(zip(masks, tops)):
+            if masks[meet_i[j]] != a & b:
                 raise InvariantViolation("frame meet is not set intersection")
-            # join formula: everything under the join of some finite
-            # sub-family drawn from the union
-            u = lat.join_all(sorted(a.members | b.members))
-            formula = frozenset(_bits(lat._down[u] & keep))
-            if ideals[frame.join[i][j]].members != formula:
+            if masks[join_i[j]] != down[join_s[t]] & keep:
                 raise InvariantViolation("frame join misses the covering formula")
 
 
@@ -346,12 +342,7 @@ def extension_map(fr, f, codomain_basis=None):
     require_valid_map(f)
     if fr.p.lattice != lsrc:
         raise MalformedInput("frame and map sources do not match")
-    if codomain_basis is None:
-        codomain_basis = full_basis(ltgt)
-    if not codomain_basis.is_sub_pcd() or not codomain_basis.is_basis():
-        raise PreconditionError("codomain basis must be a generating pcd-sublattice")
-    if not is_regular(ltgt, codomain_basis):
-        raise PreconditionError("codomain is not regular")
+    codomain_basis = _regular_codomain_basis(f, codomain_basis, "codomain")
     tag = finer_than(fr.si, f)
     if not tag.finer:
         y, x = tag.failing
@@ -365,9 +356,12 @@ def extension_map(fr, f, codomain_basis=None):
     for a in sorted(codomain_basis.elements):
         below = 0
         for b in _bits(inside[a] & basis):
-            below |= lsrc._down[extend(f, b)]
-        idx = fr.index_of(_bits(below & keep))
-        if idx is None:
+            below |= lsrc._down[f.ext[b]]
+        below &= keep
+        # a round ideal is the strong downset of its join, a carrier element
+        top = lsrc.join_all(_bits(below))
+        idx = fr.down_index.get(top)
+        if idx is None or fr.si.cols[top] != below:
             raise InvariantViolation(
                 f"extension image of {ltgt.names[a]} is not a round ideal"
             )
@@ -379,6 +373,27 @@ def extension_map(fr, f, codomain_basis=None):
     if not maps_equal(compose(g, join_map(lsrc, fr)), f):
         raise InvariantViolation("extension does not factor the map through join_map")
     return g
+
+
+def _regular_codomain_basis(f, basis, what):
+    """``basis`` (all of the codomain of ``f`` when None), checked to be a
+    regular, generating pcd-sublattice; ``what`` names the codomain if not regular."""
+    if basis is None:
+        basis = full_basis(f.target)
+    if not basis.is_sub_pcd() or not basis.is_basis():
+        raise PreconditionError("codomain basis must be a generating pcd-sublattice")
+    if not is_regular(f.target, basis):
+        raise PreconditionError(f"{what} is not regular")
+    return basis
+
+
+def _preimage_seed(f, basis):
+    """The preimages of the ``basis`` elements, and of its well-inside pairs."""
+    ext, keep = f.ext, _mask(basis.elements)
+    rows = well_inside(f.target).rows
+    images = {ext[b] for b in basis.elements}
+    pairs = {(ext[b], ext[a]) for b in basis.elements for a in _bits(rows[b] & keep)}
+    return images, pairs
 
 
 def strong_inclusion_from_maps(l, s, maps, target_bases=None):
@@ -395,19 +410,11 @@ def strong_inclusion_from_maps(l, s, maps, target_bases=None):
         if f.source != l:
             raise MalformedInput("map source does not match the lattice")
         require_valid_map(f)
-        tb = target_bases[i] if target_bases else full_basis(f.target)
-        if not tb.is_sub_pcd() or not tb.is_basis():
-            raise PreconditionError(
-                "codomain basis must be a generating pcd-sublattice"
-            )
-        if not is_regular(f.target, tb):
-            raise PreconditionError("map codomain is not regular")
-        wi = well_inside(f.target)
-        images = {b: extend(f, b) for b in sorted(tb.elements)}
-        s_f.update(images.values())
-        basis = _mask(tb.elements)
-        for b, fb in images.items():
-            seed_pairs.update((fb, images[a]) for a in _bits(wi.rows[b] & basis))
+        tb = _regular_codomain_basis(f, target_bases[i] if target_bases else None,
+                                     "map codomain")
+        images, pairs = _preimage_seed(f, tb)
+        s_f.update(images)
+        seed_pairs.update(pairs)
     p = pcd_closure(l, s_f)
     seed = Relation(l, seed_pairs, carrier=p.elements)
     return p, least_strong_inclusion(p, seed)
@@ -436,7 +443,7 @@ def compactify_extending(l, b, maps, target_bases=None):
         if not is_regular(f.target, full_basis(f.target)):
             raise PreconditionError("map codomain is not regular")
         closed = pcd_closure(f.target, tb.elements)
-        enlarged.update(extend(f, x) for x in sorted(closed.elements))
+        enlarged.update(f.ext[x] for x in closed.elements)
     p = pcd_closure(l, enlarged)
     si = interpolative_core_on_basis(l, p)
     if not is_compatible(l, p, si):
@@ -457,27 +464,23 @@ def explicit_strong_inclusion(p, f, codomain_basis=None):
     extension of ``f`` to preserve pseudocomplements; the result is checked
     equal to the inductively generated strong inclusion before returning.
     """
-    lsrc, ltgt = f.source, f.target
+    lsrc, ltgt, ext = f.source, f.target, f.ext
     require_valid_map(f)
     if codomain_basis is None:
         codomain_basis = full_basis(ltgt)
     if not codomain_basis.is_sub_pcd() or not codomain_basis.is_basis():
         raise PreconditionError("codomain basis must be a generating pcd-sublattice")
     for a in range(ltgt.n):
-        if extend(f, ltgt.pstar[a]) != lsrc.pstar[extend(f, a)]:
+        if ext[ltgt.pstar[a]] != lsrc.pstar[ext[a]]:
             raise PreconditionError(
                 f"extension does not preserve the pseudocomplement of {ltgt.names[a]}"
             )
     if not is_regular(ltgt, codomain_basis):
         raise PreconditionError("codomain is not regular")
-    for x in {extend(f, b) for b in codomain_basis.elements}:
-        if x not in p.elements:
-            raise PreconditionError("carrier does not contain the basis preimages")
-    wi = well_inside(ltgt)
-    basis = _mask(codomain_basis.elements)
-    seed = Relation(lsrc, [(extend(f, b), extend(f, a))
-                           for b in _bits(basis) for a in _bits(wi.rows[b] & basis)],
-                    p.elements)
+    images, pairs = _preimage_seed(f, codomain_basis)
+    if not images <= p.elements:
+        raise PreconditionError("carrier does not contain the basis preimages")
+    seed = Relation(lsrc, pairs, p.elements)
     rhs = ordered_sandwich(seed)
     lhs = least_strong_inclusion(p, seed)
     if lhs != rhs:
@@ -524,7 +527,7 @@ def _reconstruct(k, target_basis):
         raise InvariantViolation("reconstructed strong inclusion is not compatible")
     fr = enumerate_round_ideals(p, si)
     g = extension_map(fr, k.map, target_basis)
-    images = [extend(g, m) for m in range(klat.n)]
+    images = g.ext
     if len(set(images)) != klat.n:
         raise InvariantViolation("reconstruction witness is not one-one")
     if set(images) != set(range(fr.lattice.n)):
@@ -558,11 +561,8 @@ class CompareResult:
 def _inverse_iso(g):
     """Invert a frame isomorphism given as a continuous map."""
     fr_lat, klat = g.source, g.target
-    ext = {m: extend(g, m) for m in range(klat.n)}
-    inv = {v: m for m, v in ext.items()}
-    i = ContinuousMap(
-        klat, fr_lat, full_basis(fr_lat), {x: inv[x] for x in range(fr_lat.n)}
-    )
+    inv = {v: m for m, v in enumerate(g.ext)}
+    i = ContinuousMap(klat, fr_lat, full_basis(fr_lat), inv)
     report = validate_map(i)
     if report:
         raise InvariantViolation(f"inverse of an isomorphism not continuous: {report[0]}")

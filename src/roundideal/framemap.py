@@ -1,11 +1,13 @@
 """Continuous maps between finite frames.
 
 A map from L to M is stored contravariantly: an assignment from a basis of
-the target M into L.  The whole-frame inverse-image homomorphism is always
-the derived join extension, which keeps map equality decidable pointwise.
-
-Continuity reports are derived once per map value, in the source lattice's
-memo (``PcdLattice.once``).
+the target M into L.  The whole-frame inverse-image homomorphism, on a
+finite frame a vector, is built with the map: ``ext[a]`` is the join of the
+assignment over the basis elements below a (None where an invalid lattice
+has no join).  Every derivation reads that vector; ``extend`` is its
+index-checked public read.  Continuity reports and extension-class
+searches are derived once per map value, in the source lattice's memo
+(``PcdLattice.once``).
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import InvariantViolation, MalformedInput, PreconditionError
-from .lattice import Basis, _bits, _index, _lowest, full_basis, well_inside
+from .lattice import Basis, _bits, _index, _lowest, _mask, full_basis, well_inside
 from .relation import check_strong_inclusion
 
 
 class ContinuousMap:
     """A map L -> M given by its inverse assignment on a basis of M.
 
-    Immutable: ``assignment`` is a read-only view, so the extension values
-    cached on the object stay sound.
+    Immutable: ``assignment`` is a read-only view and ``ext`` a tuple.
     """
 
     def __init__(self, source, target, basis, assignment):
@@ -41,8 +42,11 @@ class ContinuousMap:
         self.target = target
         self.basis = basis
         self.assignment = MappingProxyType(assignment)
-        self._basis_mask = sum(1 << b for b in assignment)
-        self._ext = {}  # extension values, never part of equality or repr
+        basis_mask = _mask(assignment)
+        self.ext = tuple(
+            source.join_all(assignment[b] for b in _bits(basis_mask & down))
+            for down in target._down
+        )
 
     @classmethod
     def identity(cls, lat):
@@ -51,6 +55,9 @@ class ContinuousMap:
 
     def __call__(self, a):
         """Inverse image of a target basis element."""
+        a = _index(a, self.target.n, "basis element")
+        if a not in self.assignment:
+            raise MalformedInput(f"{self.target.names[a]} is not a basis element of the map")
         return self.assignment[a]
 
     def __repr__(self):
@@ -67,10 +74,7 @@ class ContinuousMap:
         )
 
     def __hash__(self):
-        return hash(
-            (self.source, self.target, self.basis,
-             tuple(sorted(self.assignment.items())))
-        )
+        return hash((self.source, self.target, self.ext))
 
 
 @dataclass(frozen=True)
@@ -86,14 +90,7 @@ class MapClassTag:
 
 def extend(f, a):
     """Whole-frame inverse image: join over basis elements below ``a``."""
-    if a in f._ext:
-        return f._ext[a]
-    a = _index(a, f.target.n, "target element")
-    value = f.source.join_all(
-        f.assignment[b] for b in _bits(f._basis_mask & f.target._down[a])
-    )
-    f._ext[a] = value
-    return value
+    return f.ext[_index(a, f.target.n, "target element")]
 
 
 def validate_map(f):
@@ -106,7 +103,7 @@ def validate_map(f):
     The meets condition compares f(a) ^ f(b) with the join of f(c) over the
     basis elements c below both a and b.  In a valid target those are
     exactly the basis elements below a ^ b, so the right-hand side is
-    ``extend(f, a ^ b)``, which makes the whole check O(|B|^2).
+    ``f.ext[a ^ b]``, which makes the whole check O(|B|^2).
 
     The report is computed once per map value on the source lattice, keyed
     by the target lattice and the assignment; every call returns a fresh
@@ -117,7 +114,7 @@ def validate_map(f):
 
 
 def _continuity_report(f):
-    src, tgt = f.source, f.target
+    src, tgt, ext = f.source, f.target, f.ext
     src.require_valid()
     tgt.require_valid()
     report = []
@@ -127,19 +124,16 @@ def _continuity_report(f):
         report.append(
             f"covering: basis images join to {src.names[total]}, not the top"
         )
-    for a in basis:
-        for b in basis:
-            lhs = src.meet[f.assignment[a]][f.assignment[b]]
-            rhs = extend(f, tgt.meet[a][b])
-            if lhs != rhs:
-                report.append(
-                    f"meets: images of ({tgt.names[a]}, {tgt.names[b]}) "
-                    f"meet at {src.names[lhs]} but common refinements join to {src.names[rhs]}"
-                )
-                break
-        else:
-            continue
-        break
+    asg = f.assignment
+    meets = next(((a, b) for a in basis for b in basis
+                  if src.meet[asg[a]][asg[b]] != ext[tgt.meet[a][b]]), None)
+    if meets is not None:
+        a, b = meets
+        lhs, rhs = src.meet[asg[a]][asg[b]], ext[tgt.meet[a][b]]
+        report.append(
+            f"meets: images of ({tgt.names[a]}, {tgt.names[b]}) "
+            f"meet at {src.names[lhs]} but common refinements join to {src.names[rhs]}"
+        )
     mono = next(
         (
             (a, b)
@@ -155,15 +149,14 @@ def _continuity_report(f):
             f"cover refinement: assignment not monotone at ({tgt.names[a]}, {tgt.names[b]})"
         )
     else:
-        if extend(f, tgt.bottom) != src.bottom:
+        if ext[tgt.bottom] != src.bottom:
             report.append("cover refinement: image of the bottom is not the bottom")
         bad = next(
             (
                 (m, b)
                 for m in range(tgt.n)
                 for b in basis
-                if extend(f, tgt.join[m][b])
-                != src.join[extend(f, m)][extend(f, b)]
+                if ext[tgt.join[m][b]] != src.join[ext[m]][ext[b]]
             ),
             None,
         )
@@ -184,9 +177,7 @@ def require_valid_map(f):
 
 def maps_equal(f, g):
     """Pointwise equality of the derived extensions over the whole target."""
-    if f.source != g.source or f.target != g.target:
-        return False
-    return all(extend(f, a) == extend(g, a) for a in range(f.target.n))
+    return f.source == g.source and f.target == g.target and f.ext == g.ext
 
 
 def compose(f, g):
@@ -195,7 +186,7 @@ def compose(f, g):
         raise MalformedInput("middle lattices do not match")
     require_valid_map(f)
     require_valid_map(g)
-    assignment = {a: extend(g, f.assignment[a]) for a in f.basis.elements}
+    assignment = {a: g.ext[x] for a, x in f.assignment.items()}
     out = ContinuousMap(g.source, f.target, f.basis, assignment)
     report = validate_map(out)
     if report:
@@ -206,30 +197,24 @@ def compose(f, g):
 def is_dense(f):
     """The extension reflects the bottom."""
     require_valid_map(f)
-    src, tgt = f.source, f.target
-    return all(
-        extend(f, a) != src.bottom or a == tgt.bottom for a in range(tgt.n)
-    )
+    bottom = f.source.bottom
+    return all(x != bottom or a == f.target.bottom for a, x in enumerate(f.ext))
 
 
 def is_embedding(f):
     """The extension is onto the source."""
     require_valid_map(f)
-    image = {extend(f, a) for a in range(f.target.n)}
-    return image == set(range(f.source.n))
+    return set(f.ext) == set(range(f.source.n))
 
 
 def finer_than(si, f):
     """Search sandwich witnesses p <| p' for every well-inside pair of the target.
 
-    ``si`` is first checked to be a strong inclusion on its carrier.  Returns
-    a tag holding a witness per pair (searched lexicographically by element
-    index) or the first failing pair in index order.
-
-    The elements p with some p <| q below f(x) form the mask ``reach``, the
-    OR of the columns of the elements below f(x), built once per distinct
-    f(x); the witness for (y, x) is then the lowest p of ``reach`` above
-    f(y), and the lowest q below f(x) that p relates to.
+    ``si`` is first checked to be a strong inclusion on its carrier, on every
+    call.  Returns a tag holding a witness per pair (searched
+    lexicographically by element index) or the first failing pair in index
+    order.  The search runs once per (relation rows, relation carrier,
+    target, assignment) on the source lattice.
     """
     require_valid_map(f)
     report = check_strong_inclusion(si, Basis(f.source, si.carrier))
@@ -238,8 +223,19 @@ def finer_than(si, f):
         raise PreconditionError(
             f"not a strong inclusion: condition {bad.number} fails at {bad.witness}"
         )
-    src, rows, cols = f.source, si.rows, si.cols
-    ext = [extend(f, a) for a in range(f.target.n)]
+    key = ("finer", si.rows, si.carrier, f.target, frozenset(f.assignment.items()))
+    return MapClassTag(f, si, *f.source.once(key, lambda: _finer_than(si, f)))
+
+
+def _finer_than(si, f):
+    """The witness search of ``finer_than`` as (finer, witnesses, failing), uncached.
+
+    The elements p with some p <| q below f(x) form the mask ``reach``, the
+    OR of the columns of the elements below f(x), built once per distinct
+    f(x); the witness for (y, x) is then the lowest p of ``reach`` above
+    f(y), and the lowest q below f(x) that p relates to.
+    """
+    src, rows, cols, ext = f.source, si.rows, si.cols, f.ext
     reach = {}
     witnesses = []
     for y, x in well_inside(f.target):
@@ -250,7 +246,7 @@ def finer_than(si, f):
                 reach[fx] |= cols[q]
         above = src._up[ext[y]] & reach[fx]
         if not above:
-            return MapClassTag(f, si, False, tuple(witnesses), (y, x))
+            return False, tuple(witnesses), (y, x)
         p = _lowest(above)
         witnesses.append(((y, x), (p, _lowest(rows[p] & src._down[fx]))))
-    return MapClassTag(f, si, True, tuple(witnesses), None)
+    return True, tuple(witnesses), None

@@ -16,14 +16,14 @@ on all n^3 triples, one row of n at a time.
 Binary relations over a lattice (``Relation``) use the same encoding, one
 row mask per element.
 
-Each lattice keeps one memo of the theorem-backed derivations made on it:
-the well-inside relation, strong-inclusion reports, least strong inclusions,
-interpolative cores, round-ideal frames and their join maps, the continuity
-reports of maps out of it and the default-basis reconstructions of its
-compactifications.  Each is computed and checked in full once per distinct
-value (a key holding everything the result depends on and stores) and then
-shared, so equal relations, carriers and maps built as separate objects are
-checked once.
+Each lattice keeps one memo, the only store of derived results (besides
+the ``cols`` and ``pairs`` views of a ``Relation``): its axiom report and
+well-inside relation, strong-inclusion reports, least strong inclusions,
+interpolative cores, round-ideal frames and their join maps, and for maps
+out of it continuity reports, extension-class searches, compactification
+reports and default-basis reconstructions.  Each is computed and checked in
+full once per distinct value (a key holding everything the result depends
+on and stores) and then shared, so equal values built apart are checked once.
 Argument checks (foreign lattice, index range, carrier closure, stray pairs)
 run on every call before the lookup, and a derivation that raises stores
 nothing, so a repeated call raises what the first call raised.  The memo
@@ -143,7 +143,6 @@ class PcdLattice:
                     self._up[i] |= 1 << j
                     self._down[j] |= 1 << i
         self._analyze()
-        self._report = None
         self._memo = {}  # derivation key -> checked result; see once()
 
     # -- derived structure ------------------------------------------------
@@ -251,9 +250,11 @@ class PcdLattice:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        """Report of violated axioms; empty means valid.  Cached."""
-        if self._report is not None:
-            return list(self._report)
+        """Report of violated axioms; empty means valid.  Derived once, fresh list."""
+        return list(self.once(("validate",), self._axiom_report))
+
+    def _axiom_report(self):
+        """The violated axioms, as a tuple; uncached."""
         names, up, down = self.names, self._up, self._down
         report = []
         for i in range(self.n):
@@ -282,10 +283,9 @@ class PcdLattice:
             i, j = missing_join
             report.append(f"no least upper bound for ({names[i]}, {names[j]})")
         if not report:
-            report.extend(self._check_distributive())
-            report.extend(self._check_pseudocomplements())
-        self._report = tuple(report)
-        return report
+            report += self._check_distributive()
+            report += self._check_pseudocomplements()
+        return tuple(report)
 
     def _check_distributive(self):
         # x ^ (y v z) == (x ^ y) v (x ^ z) for every z at once: both sides
@@ -504,7 +504,9 @@ class Cover:
     parts: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", frozenset(_items(self.parts, "cover parts")))
+        # no lattice to bound the indices by: parts need only be integers >= 0
+        parts = (_index(x, float("inf"), "cover part") for x in _items(self.parts, "cover parts"))
+        object.__setattr__(self, "parts", frozenset(parts))
 
 
 def validate(l):
@@ -515,7 +517,7 @@ def validate(l):
 def pseudocomplement(l, y):
     """Largest element disjoint from y."""
     l.require_valid()
-    return l.pstar[y]
+    return l.pstar[_index(y, l.n, "element")]
 
 
 def well_inside(l):
@@ -547,7 +549,8 @@ def minimal_subcover(l, parts, target):
     returned, in sequence order.  The empty family is admitted: it covers
     the top of the degenerate one-element lattice.
     """
-    parts = list(parts)
+    parts = [_index(x, l.n, "cover part") for x in _items(parts, "cover parts")]
+    target = _index(target, l.n, "cover target")
     if l.join_all(parts) != target:
         raise NotACoverError(f"parts do not cover {l.names[target]}")
     for k in range(len(parts) + 1):

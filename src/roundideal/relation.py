@@ -50,6 +50,7 @@ from .lattice import (
     Relation,
     _bits,
     _checked_carrier,
+    _index,
     _joins_of_related,
     _lowest,
     _mask,
@@ -360,8 +361,7 @@ def build_scale(si, y, x, depth):
     lat.require_valid()
     if not 0 <= depth <= 16:
         raise MalformedInput("scale depth must be between 0 and 16")
-    if not (0 <= y < lat.n and 0 <= x < lat.n):
-        raise MalformedInput("scale endpoints must be element indices")
+    y, x = (_index(v, lat.n, "scale endpoints: element") for v in (y, x))
     names = lat.names
     wi = well_inside(lat)
     stray = _first_missing(si.rows, wi.rows)

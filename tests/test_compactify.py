@@ -141,6 +141,38 @@ class TestEnumerateRoundIdeals:
         }
         assert {ideal.members for ideal in fr.ideals} == principal
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_tables_match_set_semantics(self, seed):
+        # order is inclusion, meet intersection, join the carrier elements
+        # under the join of the union; joins and the order come from the
+        # reference tables
+        rng = random.Random(seed)
+        if rng.random() < 0.4:
+            l = boolean(rng.randint(0, 4))
+        else:
+            l = util.downset_instance(seed, rng.randint(0, 4))
+        p = util.random_carrier(l, rng)
+        si = util.random_strong_inclusion(l, p, rng)
+        fr = enumerate_round_ideals(p, si)
+        tables = oracles.reference_tables(*util.order_of(l))
+        meet, join = tables["meet"], tables["join"]
+        ideals = [ideal.members for ideal in fr.ideals]
+        assert ideals == sorted(ideals, key=sorted)
+        frame = fr.lattice
+        for i, a in enumerate(ideals):
+            for j, b in enumerate(ideals):
+                assert frame.leq(i, j) == (a <= b)
+                assert ideals[frame.meet[i][j]] == a & b
+                top = tables["bottom"]
+                for x in sorted(a | b):
+                    top = join[top][x]
+                assert ideals[frame.join[i][j]] == {x for x in p.elements if meet[x][top] == x}
+        assert set(fr.down_index) == p.elements
+        for a in p.elements:
+            assert ideals[fr.down(a)] == {x for x in p.elements if (x, a) in si.pairs}
+        assert fr.ideal_basis.elements == set(fr.down_index.values())
+
 
 class TestCheckCompactRegular:
     @given(st.integers(0, 3000))

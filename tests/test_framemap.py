@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import util
 from roundideal import framemap
 from roundideal.errors import MalformedInput
@@ -18,6 +19,7 @@ from roundideal.framemap import (
 )
 from roundideal.lattice import (
     Basis,
+    PcdLattice,
     boolean,
     chain,
     full_basis,
@@ -168,6 +170,41 @@ class TestExtend:
             for m2 in range(tgt.n):
                 assert extend(f, tgt.meet[m1][m2]) == src.meet[extend(f, m1)][extend(f, m2)]
                 assert extend(f, tgt.join[m1][m2]) == src.join[extend(f, m1)][extend(f, m2)]
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_vector_is_the_join_extension(self, seed):
+        # ext[a] joins the assignment over the basis elements below a, read
+        # off the reference tables; over invalid orders too, where a missing
+        # join makes the entry None
+        rng = random.Random(seed)
+
+        def order():
+            if rng.random() < 0.5:
+                return util.random_order(rng, rng.choice(util.ORDER_KINDS))
+            return util.order_of(util.downset_instance(rng.randrange(10**6), rng.randint(0, 3)))
+
+        src_names, src_leq = order()
+        src = PcdLattice(src_names, src_leq)
+        if rng.random() < 0.3:
+            # the identity on a sub-basis: continuous when the sub-basis generates
+            tgt_leq, tgt = src_leq, src
+            basis = [b for b in range(tgt.n) if rng.random() < 0.8]
+            assignment = {b: b for b in basis}
+        else:
+            tgt_names, tgt_leq = order()
+            tgt = PcdLattice(tgt_names, tgt_leq)
+            basis = [b for b in range(tgt.n) if src.n and rng.random() < 0.7]
+            assignment = {b: rng.randrange(src.n) for b in basis}
+        f = ContinuousMap(src, tgt, Basis(tgt, basis), assignment)
+        tables = oracles.reference_tables(src_names, src_leq)
+        for a in range(tgt.n):
+            value = tables["bottom"]
+            for b in sorted(assignment):
+                if tgt_leq[b][a]:
+                    value = None if value is None else tables["join"][value][assignment[b]]
+            assert f.ext[a] == value == extend(f, a)
+        assert len(f.ext) == tgt.n
 
 
 class TestCoverRefinementReformulation:

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
-from roundideal.compactify import RoundIdeal, interpolated_subcover, is_compatible
+from roundideal.compactify import (
+    RoundIdeal,
+    enumerate_round_ideals,
+    interpolated_subcover,
+    is_compatible,
+)
 from roundideal.errors import (
     MalformedInput,
     NoScaleError,
@@ -22,7 +27,9 @@ from roundideal.lattice import (
     downset_lattice,
     full_basis,
     is_regular,
+    minimal_subcover,
     pcd_closure,
+    pseudocomplement,
     well_inside,
 )
 from roundideal.relation import (
@@ -593,6 +600,25 @@ class TestRelationType:
             "basis-not-a-collection", "parts-not-a-collection", "seed-not-a-collection"])
     def test_malformed_containers_are_malformed_input(self, build):
         with pytest.raises(MalformedInput, match="collection|pair|mapping"):
+            build(boolean(2))
+
+    @pytest.mark.parametrize("build", [
+        lambda l: pseudocomplement(l, -1),
+        lambda l: pseudocomplement(l, 9),
+        lambda l: minimal_subcover(l, [-1], 3),
+        lambda l: minimal_subcover(l, [9], 3),
+        lambda l: build_scale(interpolative_core_on_basis(l, full_basis(l)), "a", 0, 1),
+        lambda l: ContinuousMap(l, l, Basis(l, {1, 2, 3}), {1: 1, 2: 2, 3: 3})(0),
+        lambda l: enumerate_round_ideals(
+            full_basis(l), interpolative_core_on_basis(l, full_basis(l))).down(99),
+        lambda l: enumerate_round_ideals(
+            pcd_closure(l, ()), interpolative_core_on_basis(l, pcd_closure(l, ()))).down(1),
+        lambda l: Cover(0, [[1]]),
+    ], ids=["star-negative", "star-too-large", "subcover-negative", "subcover-too-large",
+            "scale-endpoint-not-an-index", "call-outside-the-basis", "down-out-of-range",
+            "down-outside-the-carrier", "cover-part-unhashable"])
+    def test_unchecked_elements_are_malformed_input(self, build):
+        with pytest.raises(MalformedInput, match="integer|range|endpoints|basis|carrier"):
             build(boolean(2))
 
     def test_equality_is_matrix_equality(self):
