@@ -8,6 +8,7 @@ preconditions.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -231,7 +232,9 @@ def cmd_dot(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="roundideal",
         description="Finite pcd-lattices, strong inclusions and round-ideal "

@@ -514,7 +514,9 @@ def from_compactification(k, target_basis=None):
     """
     k.require_valid()
     if target_basis is None:
-        key = ("reconstruction", k.codomain, frozenset(k.map.assignment.items()))
+        # lattice equality ignores names, and the result holds the codomain
+        key = ("reconstruction", k.codomain, k.codomain.name,
+               frozenset(k.map.assignment.items()))
         return k.source.once(key, lambda: _reconstruct(k, full_basis(k.codomain)))
     return _reconstruct(k, target_basis)
 

@@ -10,8 +10,12 @@ In a transitive order the meet of i and j is the unique element whose down
 cone is the common down cone of i and j (the join likewise on up cones), so
 each table entry is one dictionary lookup; only an order that is not
 transitive falls back to scanning the common cone.  The order axioms are
-checked on the masks in O(n^2) word operations.  Distributivity is checked
-on all n^3 triples, one row of n at a time.
+checked on the masks in O(n^2) word operations.  Distributivity is decided
+by the join-prime test: a finite lattice is distributive iff each of its
+join-irreducible elements J is join-prime (Davey & Priestley, ch. 10), which
+costs O(n^2) table lookups to find J and O(n * |J|) to test it.  Only a
+lattice that fails is scanned over its n^3 triples, one row of n at a time,
+to name the first failing triple.
 
 Binary relations over a lattice (``Relation``) use the same encoding, one
 row mask per element.
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import index, itemgetter
 
-from .errors import MalformedInput, NotACoverError, PreconditionError
+from .errors import InvariantViolation, MalformedInput, NotACoverError, PreconditionError
 
 MAX_ELEMENTS = 64
 
@@ -288,6 +292,22 @@ class PcdLattice:
         return tuple(report)
 
     def _check_distributive(self):
+        # a finite lattice is distributive iff every join-irreducible j is
+        # join-prime (Birkhoff), i.e. the join of all elements not above j is
+        # itself not above j.  j is join-irreducible iff the join of the
+        # elements strictly below it is not j, a test that also rules out the
+        # bottom, whose empty join is itself.  O(n^2) lookups find the
+        # join-irreducibles and O(n * |J|) test them.
+        up, down, join_all = self._up, self._down, self.join_all
+        full = (1 << self.n) - 1
+        for j in range(self.n):
+            if join_all(_bits(down[j] & ~(1 << j))) == j:
+                continue
+            if up[j] >> join_all(_bits(full & ~up[j])) & 1:
+                return self._first_distributive_failure()
+        return []
+
+    def _first_distributive_failure(self):
         # x ^ (y v z) == (x ^ y) v (x ^ z) for every z at once: both sides
         # are row gathers, join[y] picked out of meet[x] and meet[x] picked
         # out of join[x ^ y]; the per-z loop only names the first failure
@@ -305,7 +325,10 @@ class PcdLattice:
                             "distributivity fails at "
                             f"({names[x]}, {names[y]}, {names[z]})"
                         ]
-        return []
+        raise InvariantViolation(
+            f"{self.name}: a join-irreducible element is not join-prime, "
+            "yet no triple fails distributivity"
+        )
 
     def _check_pseudocomplements(self):
         # pstar is the join of all elements disjoint from y, so maximality can

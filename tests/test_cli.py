@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import util
 from roundideal import io as rio
-from roundideal.cli import main
+from roundideal.cli import build_parser, main
 from roundideal.errors import RoundIdealError
 from roundideal.lattice import boolean, chain
 
@@ -198,6 +198,39 @@ class TestGenAndDot:
     def test_dot(self, square, capsys):
         assert main(["dot", str(square)]) == 0
         assert "digraph" in capsys.readouterr().out
+
+
+class TestParserBuiltOnce:
+    def test_cached_parser_answers_like_a_fresh_one(self, square, tmp_path, capsys):
+        map_path = collapse_map_doc(tmp_path, square)
+        main(["derive", str(square), "core"])
+        seed_path = tmp_path / "core.rel"
+        seed_path.write_text(capsys.readouterr().out)
+        # calls with and without each list or path option, alternating
+        argvs = [
+            ["si", str(square), "--basis", "{}", "{a}", "{a,b}"],
+            ["si", str(square)],
+            ["si", str(square), "--seed-rel", str(seed_path)],
+            ["si", str(square)],
+            ["compactify", str(square), "--maps", str(map_path)],
+            ["compactify", str(square)],
+            ["compactify", str(square), "--basis", "{}", "{a}", "{b}", "{a,b}"],
+            ["compactify", str(square)],
+        ] * 2
+
+        def outputs(fresh):
+            out = []
+            for argv in argvs:
+                if fresh:
+                    build_parser.cache_clear()
+                code = main(argv)
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        cached = outputs(fresh=False)
+        assert build_parser() is build_parser()
+        assert cached == outputs(fresh=True)
+        assert cached[:8] == cached[8:]
 
 
 # -- any generated document: exit 0, 1 or 2 and never a traceback ------------

@@ -323,3 +323,28 @@ class TestPcdClosureIsLeast:
         l = util.downset_instance(seed, rng.randint(0, 4))
         seeds = [x for x in range(l.n) if rng.random() < 0.25]
         assert pcd_closure(l, seeds).elements == oracles.brute_pcd_closure(l, seeds)
+
+
+class TestDistributivity:
+    """The join-prime test against the n^3 definition in ``oracles``."""
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_intersection_closed_families_match_reference(self, seed):
+        names, leq = util.intersection_closed_order(random.Random(seed))
+        assert PcdLattice(names, leq).validate() == oracles.reference_tables(names, leq)["report"]
+
+    @pytest.mark.parametrize("names, above, expected", [
+        # pentagon: 0 < a < 1, 0 < b < c < 1, listed out of order
+        ("c1a0b", {"0": "abc1", "a": "1", "b": "c1", "c": "1"},
+         ["distributivity fails at (c, a, b)"]),
+        # diamond: 0 < p, q, r < 1, listed out of order
+        ("qr10p", {"0": "pqr1", "p": "1", "q": "1", "r": "1"},
+         ["distributivity fails at (q, r, p)",
+          "pseudocomplement fails at q: y and y* do not meet at 0"]),
+    ])
+    def test_first_failure_named_on_relabelled_n5_and_m3(self, names, above, expected):
+        leq = [[a == b or b in above.get(a, "") for b in names] for a in names]
+        report = PcdLattice(list(names), leq).validate()
+        assert report == expected
+        assert report == oracles.reference_tables(list(names), leq)["report"]

@@ -284,3 +284,18 @@ class TestWarmEqualsCold:
         assert fr_narrow.si.carrier == narrow.carrier
         assert fr_wide.si.carrier == wide.carrier
         assert enumerate_round_ideals(p, Relation(l, si, range(l.n))) is fr_wide
+
+    def test_reconstruction_keeps_its_codomain_name(self):
+        # lattice equality ignores names, so equal maps into equal codomains
+        # named apart must not share a reconstruction that holds the codomain
+        l = boolean(2)
+
+        def identity_into(name):
+            t = boolean(2, name=name)
+            return Compactification(map=ContinuousMap(l, t, full_basis(t), {i: i for i in range(4)}))
+
+        kx, ky = identity_into("x"), identity_into("y")
+        rx, ry = from_compactification(kx), from_compactification(ky)
+        assert ry is not rx
+        assert (rx.iso.target.name, ry.iso.target.name) == ("x", "y")
+        assert from_compactification(identity_into("x")) is rx

@@ -158,3 +158,25 @@ def random_order(rng, kind):
             leq[i][j] = not leq[i][j]
         return relabel(names, leq, rng)
     raise ValueError(kind)
+
+
+def intersection_closed_order(rng, points=5, cap=24):
+    """Labels and inclusion order of a random intersection-closed family.
+
+    The family holds the full set of at most ``points`` points and random
+    subsets of it, closed under intersection and kept to at most ``cap``
+    members, listed in a shuffled order.  It is always a lattice (meet is
+    intersection); about a third of them are not distributive.
+    """
+    k = rng.randint(1, points)
+    family = {(1 << k) - 1}
+    for _ in range(rng.randint(1, 3 * k)):
+        s = rng.randrange(1 << k)
+        grown = family | {s & t for t in family}
+        if len(grown) > cap:
+            break
+        family = grown
+    members = sorted(family)
+    names = ["{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in members]
+    leq = [[a & ~b == 0 for b in members] for a in members]
+    return relabel(names, leq, rng)
