@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import MalformedInput, ValidationFailure
 from .framemap import ContinuousMap
-from .lattice import MAX_ELEMENTS, Basis, PcdLattice, downset_lattice, full_basis
+from .lattice import MAX_ELEMENTS, Basis, PcdLattice, _flags, downset_lattice, full_basis
 from .relation import Relation
 
 GENERATE_POSET_CAP = 8
@@ -105,6 +105,9 @@ def parse_lattice(text):
 def _reflexive_transitive_closure(k, pairs):
     """Order matrix of the least preorder on range(k) containing the pairs.
 
+    Each row is returned as 0/1 bytes (``lattice._flags``), which
+    ``PcdLattice`` packs back into masks with one C-level gather per row.
+
     Warshall's algorithm on row bitmasks: after step m, bit j of rows[i]
     says j is reachable from i through intermediate points among 0..m.
     """
@@ -116,7 +119,7 @@ def _reflexive_transitive_closure(k, pairs):
         for i in range(k):
             if rows[i] & bit:
                 rows[i] |= through
-    return [[bool(row >> j & 1) for j in range(k)] for row in rows]
+    return [_flags(row, k) for row in rows]
 
 
 def serialize_lattice(l):

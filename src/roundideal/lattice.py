@@ -10,27 +10,37 @@ In a transitive order the meet of i and j is the unique element whose down
 cone is the common down cone of i and j (the join likewise on up cones), so
 each table entry is one dictionary lookup; only an order that is not
 transitive falls back to scanning the common cone.  The order axioms are
-checked on the masks in O(n^2) word operations.  Distributivity is decided
-by the join-prime test: a finite lattice is distributive iff each of its
-join-irreducible elements J is join-prime (Davey & Priestley, ch. 10), which
-costs O(n^2) table lookups to find J and O(n * |J|) to test it.  Only a
-lattice that fails is scanned over its n^3 triples, one row of n at a time,
-to name the first failing triple.
+checked on the masks in O(n^2) word operations.
+
+The same holds for a whole family M in a valid lattice: the common up cone
+of M is the up cone of its join, so the join of M is one AND over the up
+cones of its members and one C-level search for the resulting cone
+(``_join_of``; ``_meet_of`` dually on down cones).  The members are
+gathered in C: ``_flags`` turns a mask into 0/1 bytes that
+``itertools.compress`` selects with, and ``functools.reduce`` folds the
+selected cones.  Distributivity is decided by the join-prime test: a finite
+lattice is distributive iff each of its join-irreducible elements J is
+join-prime (Davey & Priestley, ch. 10), one join through up cones per
+element to find J and one to test each member of J.  Only a lattice that
+fails is scanned over its n^3 triples, one row of n at a time, to name the
+first failing triple.
 
 Binary relations over a lattice (``Relation``) use the same encoding, one
 row mask per element.
 
 Each lattice keeps one memo, the only store of derived results (besides
 the ``cols`` and ``pairs`` views of a ``Relation``): its axiom report and
-well-inside relation, strong-inclusion reports, least strong inclusions,
-interpolative cores, round-ideal frames and their join maps, and for maps
-out of it continuity reports, extension-class searches, compactification
-reports and default-basis reconstructions.  Each is computed and checked in
+well-inside relation, sub-pcd closure tests of carriers, strong-inclusion
+reports, least strong inclusions, interpolative cores, round-ideal frames
+and their join maps, and for maps out of it continuity reports,
+extension-class searches, compactification reports and default-basis
+reconstructions.  Each is computed and checked in
 full once per distinct value (a key holding everything the result depends
 on and stores) and then shared, so equal values built apart are checked once.
-Argument checks (foreign lattice, index range, carrier closure, stray pairs)
-run on every call before the lookup, and a derivation that raises stores
-nothing, so a repeated call raises what the first call raised.  The memo
+Argument checks (argument types, foreign lattice, index range, carrier
+closure, stray pairs) run on every call before the lookup, and a derivation
+that raises stores nothing, so a repeated call raises what the first call
+raised.  The memo
 lives and dies with its lattice and takes no part in equality, hashing or
 ``repr``.
 
@@ -42,12 +52,15 @@ sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import index, itemgetter
+from functools import reduce
+from itertools import combinations, compress
+from operator import and_, index, itemgetter
 
 from .errors import InvariantViolation, MalformedInput, NotACoverError, PreconditionError
 
 MAX_ELEMENTS = 64
+
+_FLAG = bytes.maketrans(b"01", b"\0\1")
 
 
 def _bits(mask):
@@ -61,6 +74,17 @@ def _bits(mask):
 def _lowest(mask):
     """Index of the lowest set bit of a nonzero ``mask``."""
     return (mask & -mask).bit_length() - 1
+
+
+def _flags(mask, n):
+    """0/1 bytes, byte i set when bit i of ``mask`` is: a selector for ``compress``.
+
+    ``compress(values, _flags(mask, n))`` gathers ``values[i]`` for the set
+    bits i < n of ``mask`` in one C-level pass, so a fold over a mask's
+    members (``reduce`` with ``or_``/``and_``) runs without a Python loop.
+    """
+    # the digits of mask with a sentinel bit n above them, lowest first
+    return bin(mask | 1 << n)[:2:-1].encode().translate(_FLAG)
 
 
 def _mask(indices):
@@ -139,13 +163,9 @@ class PcdLattice:
         self.name = str(name)
         self._index = {label: i for i, label in enumerate(names)}
         # bit j of _up[i] says i <= j; _down is the transpose
-        self._up = [0] * n
-        self._down = [0] * n
-        for i, row in enumerate(leq):
-            for j, related in enumerate(row):
-                if related:
-                    self._up[i] |= 1 << j
-                    self._down[j] |= 1 << i
+        powers = [1 << j for j in range(n)]
+        self._up = [sum(compress(powers, row)) for row in leq]
+        self._down = [sum(compress(powers, col)) for col in zip(*leq)]
         self._analyze()
         self._memo = {}  # derivation key -> checked result; see once()
 
@@ -226,6 +246,23 @@ class PcdLattice:
             out = self.join[out][x]
         return out
 
+    def _meet_of(self, selected):
+        """Meet of the elements picked by the 0/1 bytes ``selected`` (``_flags``).
+
+        In a valid lattice the common down cone of a family is the down cone
+        of its meet, so the meet is one AND over the members' down cones and
+        one search for that cone; the empty meet is the top.  Valid lattices
+        only: there every element has a cone of its own.
+        """
+        full = (1 << self.n) - 1
+        return self._down.index(reduce(and_, compress(self._down, selected), full))
+
+    def _join_of(self, selected):
+        """Join of the elements picked by ``selected``: the dual of ``_meet_of``
+        on up cones; the empty join is the bottom.  Valid lattices only."""
+        full = (1 << self.n) - 1
+        return self._up.index(reduce(and_, compress(self._up, selected), full))
+
     def covers(self):
         """Cover pairs (i, j) with j directly above i, for Hasse output."""
         out = []
@@ -296,14 +333,15 @@ class PcdLattice:
         # join-prime (Birkhoff), i.e. the join of all elements not above j is
         # itself not above j.  j is join-irreducible iff the join of the
         # elements strictly below it is not j, a test that also rules out the
-        # bottom, whose empty join is itself.  O(n^2) lookups find the
-        # join-irreducibles and O(n * |J|) test them.
-        up, down, join_all = self._up, self._down, self.join_all
-        full = (1 << self.n) - 1
-        for j in range(self.n):
-            if join_all(_bits(down[j] & ~(1 << j))) == j:
+        # bottom, whose empty join is itself.  Every meet and join exists
+        # here, so each join is one AND over up cones (``_join_of``): n of
+        # them find the join-irreducibles J and |J| more test them.
+        n, up, down, join_of = self.n, self._up, self._down, self._join_of
+        full = (1 << n) - 1
+        for j in range(n):
+            if join_of(_flags(down[j] & ~(1 << j), n)) == j:
                 continue
-            if up[j] >> join_all(_bits(full & ~up[j])) & 1:
+            if up[j] >> join_of(_flags(full & ~up[j], n)) & 1:
                 return self._first_distributive_failure()
         return []
 
@@ -383,6 +421,12 @@ def _first_none(table):
     return None
 
 
+def _require_type(value, kind, what):
+    """MalformedInput naming ``what`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise MalformedInput(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 def _checked_carrier(lattice, carrier):
     """``carrier`` as a frozenset of element indices; None means all of them."""
     if carrier is None:
@@ -439,7 +483,10 @@ class Relation:
         return self._pairs
 
     def __contains__(self, pair):
-        a, b = pair
+        try:
+            a, b = map(index, pair)
+        except (TypeError, ValueError):
+            return False  # not a pair of integers
         return 0 <= a < len(self.rows) and b >= 0 and bool(self.rows[a] >> b & 1)
 
     def __iter__(self):
@@ -474,8 +521,15 @@ class Relation:
 
 
 def _joins_of_related(lat, targets, cols, pool):
-    """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``."""
-    return all(lat.join_all(_bits(cols[a] & pool)) == a for a in targets)
+    """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``.
+
+    Joins are taken through up cones on a valid lattice and by folding the
+    join table on any other (read from the memoized axiom report).
+    """
+    if lat.once(("validate",), lat._axiom_report):
+        return all(lat.join_all(_bits(cols[a] & pool)) == a for a in targets)
+    n = lat.n
+    return all(lat._join_of(_flags(cols[a] & pool, n)) == a for a in targets)
 
 
 @dataclass(frozen=True)
@@ -502,7 +556,14 @@ class Basis:
         return _joins_of_related(lat, range(lat.n), lat._down, _mask(self.elements))
 
     def is_sub_pcd(self):
-        """Contains the bounds and is closed under meet, join and star."""
+        """Contains the bounds and is closed under meet, join and star.
+
+        Decided once per carrier in the lattice's memo.
+        """
+        return self.lattice.once(("sub_pcd", self.elements), self._sub_pcd)
+
+    def _sub_pcd(self):
+        """``is_sub_pcd``, uncached."""
         lat = self.lattice
         els = self.elements
         if lat.bottom not in els or lat.top not in els:
@@ -558,6 +619,8 @@ def _well_inside(l):
 
 def is_regular(l, b):
     """Every basis element is the join of basis elements well-inside it."""
+    _require_type(l, PcdLattice, "lattice")
+    _require_type(b, Basis, "basis")
     l.require_valid()
     if b.lattice != l:
         raise MalformedInput("basis belongs to another lattice")

@@ -9,10 +9,24 @@ stores one row mask per element: bit b of ``rows[a]`` says (a, b) is
 related, and the column masks ``cols`` are derived once.  Every kernel here
 works on those masks.  z interpolates (x, y) exactly when bit z of
 ``rows[x] & cols[y]`` is set, so the interpolant test is one AND; the order
-sandwich of (a, b) ORs the up cone of b into the row of each element below
-a.  With at most 64 elements each mask is one machine word, and checking all
-seven conditions costs O(|R| * n) word operations for a relation of |R|
-pairs.
+sandwich gathers the up cones of a nonempty row's members into one mask and
+ORs it into the row of each carrier element below the row's element.
+
+Each strong-inclusion condition is decided by a test on whole rows or
+columns, each row one C-level gather and fold (``lattice._flags``):
+
+- (2) every row is up-closed and every column down-closed in the carrier K;
+- (3) a nonempty row equals ``up[m] & K`` for m the meet of its members,
+  (4) dually a nonempty column equals ``down[j] & K`` for j their join;
+  since K is closed under meet and join a pass is sound on any relation,
+  and a failure is decisive once (2) holds;
+- (5) the stars of a row's members lie in the column of the row's star;
+- (7) a row meets the column of each of its members.
+
+That is O(n) gathers of at most n masks each, whatever the number of pairs.
+Only a condition whose row test fails is scanned pair by pair, to name its
+first failing pair in index order; where the row test is exact and the scan
+finds nothing, ``InvariantViolation`` is raised.
 
 On a finite carrier P every strong inclusion <| is an order sandwich
 {(x, y) : x <= s <= y, s in S} of its self-related set S.  Interpolating
@@ -39,6 +53,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .errors import (
     InvariantViolation,
@@ -47,13 +64,17 @@ from .errors import (
     PreconditionError,
 )
 from .lattice import (
+    Basis,
+    PcdLattice,
     Relation,
     _bits,
     _checked_carrier,
+    _flags,
     _index,
     _joins_of_related,
     _lowest,
     _mask,
+    _require_type,
     pcd_closure,
     well_inside,
 )
@@ -110,9 +131,26 @@ class Scale:
 
 
 def _uninterpolated(rel):
-    """Pairs (x, y) of ``rel``, in index order, with no z such that x rel z rel y."""
+    """Pairs (x, y) of ``rel``, in index order, with no z such that x rel z rel y.
+
+    A row passes when it meets the column of each of its members: one AND
+    for a row of one member, one C-level gather for a longer row.  Only a row
+    that fails is scanned pair by pair.
+    """
     rows, cols = rel.rows, rel.cols
-    return ((x, y) for x, row in enumerate(rows) for y in _bits(row) if not row & cols[y])
+    n = len(rows)
+    for x, row in enumerate(rows):
+        if row & (row - 1):
+            if all(map(row.__and__, compress(cols, _flags(row, n)))):
+                continue
+        elif not row or row & cols[_lowest(row)]:
+            continue
+        gaps = [(x, y) for y in _bits(row) if not row & cols[y]]
+        if not gaps:
+            raise InvariantViolation(
+                f"{rel.lattice.name}: row {x} misses a column, yet every pair interpolates"
+            )
+        yield from gaps
 
 
 def _first_missing(rows, allowed):
@@ -136,6 +174,7 @@ def largest_interpolative(r):
     each round drops every pair whose row and column masks no longer meet,
     until a round drops nothing.
     """
+    _require_type(r, Relation, "relation")
     r.lattice.require_valid()
     while True:
         dropped = list(_uninterpolated(r))
@@ -161,6 +200,23 @@ def _result(number, name, failure):
     return ConditionResult(number, name, False, *failure)
 
 
+def _scanned(lat, number, holds, scan, exact=True):
+    """None when condition ``number`` ``holds`` by its row test; else the
+    first ``(witness, detail)`` failure that the pair ``scan`` names.
+
+    Where the row test is ``exact`` (equivalent to the condition), a scan
+    that finds nothing is an internal fault.
+    """
+    if holds:
+        return None
+    failure = next(scan, None)
+    if failure is None and exact:
+        raise InvariantViolation(
+            f"{lat.name}: condition {number} fails its row test, yet no pair fails"
+        )
+    return failure
+
+
 def check_strong_inclusion(si, on):
     """Evaluate the seven strong-inclusion conditions of ``si`` on ``on``.
 
@@ -169,6 +225,8 @@ def check_strong_inclusion(si, on):
     pair in index order is reported as the counterexample.  The report is
     derived once per (rows, carrier) on the lattice and shared.
     """
+    _require_type(si, Relation, "relation")
+    _require_type(on, Basis, "carrier")
     lat = si.lattice
     lat.require_valid()
     if on.lattice != lat:
@@ -185,12 +243,21 @@ def check_strong_inclusion(si, on):
 
 
 def _strong_inclusion_report(si, keep):
-    """The seven conditions of ``si`` on the carrier mask ``keep``, uncached."""
+    """The seven conditions of ``si`` on the carrier mask ``keep``, uncached.
+
+    Each of conditions 2 to 5 is first decided by a test on whole rows (or
+    columns) of masks, one C-level gather each; only a condition that fails
+    it is scanned pair by pair, to name the first failing pair in index
+    order.  Condition 7 does the same inside ``_uninterpolated``.
+    """
     lat = si.lattice
-    names = lat.names
+    names, n = lat.names, lat.n
     rows, cols = si.rows, si.cols
     meet, join, pstar = lat.meet, lat.join, lat.pstar
     up, down = lat._up, lat._down
+    # the nonempty rows and columns, each with its 0/1-byte view
+    live_rows = [(a, row, _flags(row, n)) for a, row in enumerate(rows) if row]
+    live_cols = [(col, _flags(col, n)) for col in cols if col]
 
     def sandwich():
         for a, row in enumerate(rows):
@@ -223,6 +290,27 @@ def _strong_inclusion_report(si, keep):
             if not rows[pstar[b]] >> pstar[a] & 1:
                 yield (pstar[b], pstar[a]), f"stars of ({names[a]}, {names[b]})"
 
+    # (2) holds iff every row is up-closed in the carrier and every column
+    # down-closed in it (rows shrink as their element grows)
+    sandwiched = not any(
+        reduce(or_, compress(up, f), 0) & keep & ~row for _, row, f in live_rows
+    ) and not any(
+        reduce(or_, compress(down, f), 0) & keep & ~col for col, f in live_cols
+    )
+    # (3) a row closed under meets is the carrier part of the up cone of its
+    # meet, and (4) dually for columns.  As the carrier is closed under meet
+    # and join, passing is sound on any relation; failing is decisive only
+    # when (2) holds, since otherwise the row need not be up-closed.
+    meet_of, join_of = lat._meet_of, lat._join_of
+    meets_close = all(row == up[meet_of(f)] & keep for _, row, f in live_rows)
+    joins_close = all(col == down[join_of(f)] & keep for col, f in live_cols)
+    # (5) the stars of a row's members lie in the column of its star
+    star_bits = [1 << s for s in pstar]
+    stars_reverse = not any(
+        reduce(or_, compress(star_bits, f), 0) & ~cols[pstar[a]]
+        for a, _, f in live_rows
+    )
+
     bounds = next(
         (q for q in ((lat.bottom, lat.bottom), (lat.top, lat.top)) if q not in si),
         None,
@@ -232,10 +320,12 @@ def _strong_inclusion_report(si, keep):
     return SiReport((
         _result(1, "bounds are self-related",
                 bounds and (bounds, "0<|0 or 1<|1 missing")),
-        _result(2, "order sandwich", next(sandwich(), None)),
-        _result(3, "meets on the right", next(meets(), None)),
-        _result(4, "joins on the left", next(joins(), None)),
-        _result(5, "star reversal", next(stars(), None)),
+        _result(2, "order sandwich", _scanned(lat, 2, sandwiched, sandwich())),
+        _result(3, "meets on the right",
+                _scanned(lat, 3, meets_close, meets(), exact=sandwiched)),
+        _result(4, "joins on the left",
+                _scanned(lat, 4, joins_close, joins(), exact=sandwiched)),
+        _result(5, "star reversal", _scanned(lat, 5, stars_reverse, stars())),
         _result(6, "contained in well-inside",
                 outside and (outside, "pair is not well-inside")),
         _result(7, "interpolation", gap and (gap, "no interpolant")),
@@ -251,6 +341,8 @@ def least_strong_inclusion(p, seed):
     derived).  It is derived once per (seed rows, carrier) on the lattice
     and shared.
     """
+    _require_type(p, Basis, "carrier")
+    _require_type(seed, Relation, "seed")
     lat = p.lattice
     lat.require_valid()
     if seed.lattice != lat:
@@ -295,6 +387,8 @@ def interpolative_core_on_basis(l, b):
     The sandwich of the elements of ``b`` well-inside themselves (see the
     module docstring).  Derived once per carrier on the lattice and shared.
     """
+    _require_type(l, PcdLattice, "lattice")
+    _require_type(b, Basis, "basis")
     if b.lattice != l:
         raise MalformedInput("basis belongs to another lattice")
     return l.once(("core", b.elements), lambda: _interpolative_core(l, b))
@@ -326,17 +420,20 @@ def ordered_sandwich(rel, carrier=None):
     cores; with the full carrier it computes the least extension of a strong
     inclusion to the whole lattice.
     """
+    _require_type(rel, Relation, "relation")
     lat = rel.lattice
     lat.require_valid()
     carrier = rel.carrier if carrier is None else _checked_carrier(lat, carrier)
     keep = _mask(carrier)
-    rows = [0] * lat.n
+    n, up, down = lat.n, lat._up, lat._down
+    rows = [0] * n
     for u, row in enumerate(rel.rows):
-        above = 0
-        for v in _bits(row):
-            above |= lat._up[v]
-        for x in _bits(lat._down[u] & keep):
-            rows[x] |= above & keep
+        if row:
+            # everything above an element u relates to, gathered in one pass,
+            # goes into the row of each carrier element below u
+            above = reduce(or_, compress(up, _flags(row, n)), 0) & keep
+            for x in _bits(down[u] & keep):
+                rows[x] |= above
     return Relation._from_rows(lat, rows, carrier)
 
 
@@ -357,6 +454,7 @@ def build_scale(si, y, x, depth):
     postcondition (every value well-inside every later one) compares each
     value with the distinct values before it, one mask test per position.
     """
+    _require_type(si, Relation, "relation")
     lat = si.lattice
     lat.require_valid()
     if not 0 <= depth <= 16:

@@ -1,9 +1,10 @@
 """The per-lattice memo: each derivation runs once per value, and sharing is invisible.
 
-Axiom reports, strong-inclusion reports, least strong inclusions,
-interpolative cores, round-ideal frames, continuity reports, extension-class
-searches, compactification reports and default-basis reconstructions are
-derived once per distinct key on their lattice (``PcdLattice.once``).  The counting tests wrap the uncached
+Axiom reports, sub-pcd closure tests, strong-inclusion reports, least
+strong inclusions, interpolative cores, round-ideal frames, continuity
+reports, extension-class searches, compactification reports and
+default-basis reconstructions are derived once per distinct key on their
+lattice (``PcdLattice.once``).  The counting tests wrap the uncached
 derivations and require one run per key; the differential tests require a
 lattice whose memo is warm to give the same reports, frames, verdicts and
 error messages as a freshly built equal lattice.
@@ -51,6 +52,7 @@ UNCACHED = {
                        lambda k, basis: (id(k.source), k.codomain,
                                          frozenset(k.map.assignment.items()), basis)),
     "validate": (PcdLattice, "_axiom_report", lambda l: (id(l),)),
+    "sub_pcd": (Basis, "_sub_pcd", lambda b: (id(b.lattice), b.elements)),
     "compactification": (compactify, "_check_compactification",
                          lambda k: (id(k.source), k.codomain,
                                     frozenset(k.map.assignment.items()), id(k.frame))),
@@ -104,9 +106,11 @@ class TestOncePerKey:
         before = {name: len(keys) for name, keys in runs.items()}
         assert pipeline(l, target).verdict is Ordering.ISO
         assert {name: len(keys) for name, keys in runs.items()} == before
-        # an equal target built afresh validates itself and hits everything else
+        # an equal target built afresh validates itself, decides the closure
+        # of its full basis and hits everything else
         assert pipeline(l).verdict is Ordering.ISO
         before["validate"] += 1
+        before["sub_pcd"] += 1
         assert {name: len(keys) for name, keys in runs.items()} == before
 
     def test_explicit_basis_rebuilds_the_reconstruction_not_its_checks(self, runs):
@@ -179,12 +183,13 @@ def queries(l, rng):
     """Seeded derivation requests on ``l``, as plain index data.
 
     Equal rows recur on several carriers, relations with equal rows carry
-    different carriers of their own, and every carrier gets the empty seed,
-    so that a key missing a part would hand one request another's result.
+    different carriers of their own, every carrier gets the empty seed, and
+    the last carrier is two random elements, seldom closed, so that a key
+    missing a part would hand one request another's result.
     """
     everything = frozenset(range(l.n))
     carriers = [everything, pcd_closure(l, rng.sample(range(l.n), min(2, l.n))).elements,
-                pcd_closure(l, ()).elements]
+                pcd_closure(l, ()).elements, frozenset(rng.sample(range(l.n), min(2, l.n)))]
     out = []
     for p in carriers:
         inside = sorted(p)

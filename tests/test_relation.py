@@ -166,13 +166,15 @@ class TestCheckStrongInclusion:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_report(self, seed):
         # every holds, witness and detail field equals the set-based report,
-        # on well-inside subsets, random pair sets, full relations and strong
-        # inclusions, over full bases and pcd-closure carriers
+        # on well-inside subsets, random pair sets, full relations, strong
+        # inclusions and strong inclusions with one or two pairs toggled (so
+        # that each row test fails now and then and its scan names the
+        # witness), over full bases and pcd-closure carriers
         rng = random.Random(seed)
-        l = util.downset_instance(seed, rng.randint(0, 4))
+        l = util.downset_instance(seed, rng.randint(0, 5))
         p = full_basis(l) if rng.random() < 0.5 else util.random_carrier(l, rng)
         members = sorted(p.elements)
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
         if kind == 0:
             pairs = [q for q in sorted(well_inside(l).pairs)
                      if q[0] in p.elements and q[1] in p.elements and rng.random() < 0.7]
@@ -181,8 +183,12 @@ class TestCheckStrongInclusion:
                      for _ in range(rng.randint(0, 2 * len(members)))]
         elif kind == 2:
             pairs = [(a, b) for a in members for b in members]
-        else:
+        elif kind == 3:
             pairs = util.random_strong_inclusion(l, p, rng).pairs
+        else:
+            pairs = set(util.random_strong_inclusion(l, p, rng).pairs)
+            for _ in range(rng.randint(1, 2)):
+                pairs ^= {(rng.choice(members), rng.choice(members))}
         report = check_strong_inclusion(Relation(l, pairs, p.elements), p)
         got = [(c.holds, c.witness, c.detail) for c in report.conditions]
         assert got == oracles.reference_si_report(l, p.elements, pairs)
@@ -621,6 +627,31 @@ class TestRelationType:
         with pytest.raises(MalformedInput, match="integer|range|endpoints|basis|carrier"):
             build(boolean(2))
 
+    @pytest.mark.parametrize("call", [
+        lambda l, b, r: check_strong_inclusion(r, 3),
+        lambda l, b, r: check_strong_inclusion(3, b),
+        lambda l, b, r: least_strong_inclusion(b, 5),
+        lambda l, b, r: least_strong_inclusion(5, r),
+        lambda l, b, r: interpolative_core_on_basis(l, 3),
+        lambda l, b, r: interpolative_core_on_basis(3, b),
+        lambda l, b, r: ordered_sandwich(3),
+        lambda l, b, r: build_scale(3, 0, 3, 1),
+        lambda l, b, r: enumerate_round_ideals(3, r),
+        lambda l, b, r: enumerate_round_ideals(b, 3),
+        lambda l, b, r: is_strongly_regular_basis(l, 3),
+        lambda l, b, r: largest_interpolative(3),
+        lambda l, b, r: is_regular(l, 3),
+        lambda l, b, r: is_regular(3, b),
+    ], ids=["si-carrier", "si-relation", "least-seed", "least-carrier", "core-basis",
+            "core-lattice", "sandwich-relation", "scale-relation", "ideals-carrier",
+            "ideals-relation", "strongly-regular-basis", "largest-relation",
+            "regular-basis", "regular-lattice"])
+    def test_wrong_typed_arguments_are_malformed_input(self, call):
+        l = boolean(2)
+        b = full_basis(l)
+        with pytest.raises(MalformedInput, match="must be a"):
+            call(l, b, interpolative_core_on_basis(l, b))
+
     def test_equality_is_matrix_equality(self):
         l = boolean(2)
         assert Relation(l, {(0, 1)}) == Relation(l, {(0, 1)}, carrier={0, 1, 2})
@@ -646,7 +677,8 @@ class TestRelationType:
     def test_membership_outside_the_lattice_is_false(self):
         l = boolean(2)
         r = Relation(l, {(0, 0), (0, 3), (3, 3)})
-        for pair in [(-1, 0), (0, -1), (-1, -1), (4, 0), (0, 4), (0, 10**6), (10**6, 0)]:
+        for pair in [(-1, 0), (0, -1), (-1, -1), (4, 0), (0, 4), (0, 10**6), (10**6, 0),
+                     ("x", 1), (0, "3"), (0.0, 3), (1,), (0, 3, 3), 5, None, "03"]:
             assert pair not in r
         assert (0, 3) in r and (3, 0) not in r
         # a raw row-mask test on a negative index would raise instead
