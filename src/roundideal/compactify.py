@@ -28,6 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import compress, repeat
+from operator import and_, or_
 from types import MappingProxyType
 
 from .errors import (
@@ -52,10 +55,13 @@ from .lattice import (
     PcdLattice,
     Relation,
     _bits,
+    _flags,
     _index,
+    _items,
     _joins_of_related,
     _lowest,
     _mask,
+    _require_type,
     full_basis,
     is_compact,
     is_regular,
@@ -81,10 +87,30 @@ class RoundIdeal:
     basis: Basis
     members: frozenset
 
+    def __post_init__(self):
+        _require_type(self.basis, Basis, "carrier")
+        n = self.basis.lattice.n
+        members = frozenset(
+            _index(x, n, "ideal member") for x in _items(self.members, "ideal members")
+        )
+        object.__setattr__(self, "members", members)
+
     def violations(self, si):
+        """Why the members are not a round ideal of (carrier, si); empty when they are.
+
+        Each condition is decided on whole rows in one C-level pass over the
+        members (``_flags`` selects their rows); only a failing condition is
+        scanned member by member, to name every witness.
+        Down-closure is one OR of the members' down cones.  Join-closure
+        follows from it when the members hold their own join: a down-closed
+        subset of a join-closed carrier holds every join of two members,
+        which lies below that join.  Roundness is one AND per member row.
+        """
+        _require_type(si, Relation, "relation")
         lat = self.basis.lattice
         if si.lattice != lat:
             raise MalformedInput("relation belongs to another lattice")
+        lat.require_valid()
         names = lat.names
         if not self.members <= self.basis.elements:
             return ["members leave the carrier"]
@@ -92,17 +118,22 @@ class RoundIdeal:
         if lat.bottom not in self.members:
             out.append("missing the bottom")
         keep, inside = _mask(self.basis.elements), _mask(self.members)
-        for b in _bits(inside):
-            gap = lat._down[b] & keep & ~inside
-            if gap:
-                out.append(f"not downward closed at {names[_lowest(gap)]}")
-        for a in _bits(inside):
-            ja = lat.join[a]
-            b = next((b for b in _bits(inside) if not inside >> ja[b] & 1), None)
-            if b is not None:
-                out.append(f"not join closed at ({names[a]}, {names[b]})")
-        flat = next((b for b in _bits(inside) if not si.rows[b] & inside), None)
-        if flat is not None:
+        picked = _flags(inside, lat.n)
+        down_closed = not reduce(or_, compress(lat._down, picked), 0) & keep & ~inside
+        if not down_closed:
+            for b in _bits(inside):
+                gap = lat._down[b] & keep & ~inside
+                if gap:
+                    out.append(f"not downward closed at {names[_lowest(gap)]}")
+        if not (down_closed and inside >> lat._join_of(picked) & 1
+                and self.basis.is_sub_pcd()):
+            for a in _bits(inside):
+                ja = lat.join[a]
+                b = next((b for b in _bits(inside) if not inside >> ja[b] & 1), None)
+                if b is not None:
+                    out.append(f"not join closed at ({names[a]}, {names[b]})")
+        if not all(map(and_, compress(si.rows, picked), repeat(inside))):
+            flat = next(b for b in _bits(inside) if not si.rows[b] & inside)
             out.append(f"not round at {names[flat]}")
         return out
 
@@ -136,6 +167,11 @@ class Compactification:
 
     map: ContinuousMap
     frame: RoundIdealFrame | None = None
+
+    def __post_init__(self):
+        _require_type(self.map, ContinuousMap, "compactification map")
+        if self.frame is not None:
+            _require_type(self.frame, RoundIdealFrame, "compactification frame")
 
     @property
     def source(self):
@@ -192,6 +228,7 @@ def _require_strong_inclusion(si, p):
 def strong_downset(p, si, a):
     """The round ideal of elements strongly included in ``a``."""
     _require_strong_inclusion(si, p)
+    a = _index(a, p.lattice.n, "element")
     if a not in p.elements:
         raise MalformedInput("element outside the carrier")
     ideal = RoundIdeal(p, frozenset(_bits(si.cols[a])))
@@ -284,6 +321,7 @@ class CompactRegularReport:
 
 def check_compact_regular(fr):
     """Compactness witness extraction plus regularity over the ideal basis."""
+    _require_type(fr, RoundIdealFrame, "frame")
     problems = []
     subcover = ()
     frame = fr.lattice
@@ -301,6 +339,9 @@ def check_compact_regular(fr):
 
 def is_compatible(l, p, si):
     """Every carrier element is the join of elements strongly included in it."""
+    _require_type(l, PcdLattice, "lattice")
+    _require_type(p, Basis, "carrier")
+    _require_type(si, Relation, "relation")
     l.require_valid()
     if p.lattice != l or si.lattice != l:
         raise MalformedInput("carrier and relation must belong to the lattice")
@@ -313,6 +354,8 @@ def join_map(l, fr):
     Built and checked once per frame, in the lattice's memo; later calls
     return the same map.
     """
+    _require_type(l, PcdLattice, "lattice")
+    _require_type(fr, RoundIdealFrame, "frame")
     if fr.p.lattice != l:
         raise MalformedInput("frame was not built over this lattice")
     return l.once(("join_map", fr), lambda: _join_map(l, fr))
@@ -337,9 +380,10 @@ def extension_map(fr, f, codomain_basis=None):
     be finer than the well-inside preimages of ``f``; the factorization and
     continuity of the result are asserted before returning.
     """
+    _require_type(fr, RoundIdealFrame, "frame")
+    require_valid_map(f)
     lsrc = f.source
     ltgt = f.target
-    require_valid_map(f)
     if fr.p.lattice != lsrc:
         raise MalformedInput("frame and map sources do not match")
     codomain_basis = _regular_codomain_basis(f, codomain_basis, "codomain")
@@ -380,6 +424,7 @@ def _regular_codomain_basis(f, basis, what):
     regular, generating pcd-sublattice; ``what`` names the codomain if not regular."""
     if basis is None:
         basis = full_basis(f.target)
+    _require_type(basis, Basis, f"{what} basis")
     if not basis.is_sub_pcd() or not basis.is_basis():
         raise PreconditionError("codomain basis must be a generating pcd-sublattice")
     if not is_regular(f.target, basis):
@@ -396,6 +441,17 @@ def _preimage_seed(f, basis):
     return images, pairs
 
 
+def _maps_and_bases(maps, target_bases):
+    """``maps`` as a tuple and a codomain basis (None: the whole codomain) for each."""
+    maps = _items(maps, "maps")
+    if not target_bases:
+        return maps, (None,) * len(maps)
+    target_bases = _items(target_bases, "codomain bases")
+    if len(target_bases) != len(maps):
+        raise MalformedInput("need one codomain basis per map")
+    return maps, target_bases
+
+
 def strong_inclusion_from_maps(l, s, maps, target_bases=None):
     """Carrier and least strong inclusion induced by a family of maps.
 
@@ -403,15 +459,17 @@ def strong_inclusion_from_maps(l, s, maps, target_bases=None):
     preimages; the strong inclusion is generated by the preimages of
     well-inside pairs of each codomain.
     """
+    _require_type(l, PcdLattice, "lattice")
     l.require_valid()
-    s_f = set(s)
+    s_f = {_index(x, l.n, "carrier seed") for x in _items(s, "carrier seed")}
+    maps, target_bases = _maps_and_bases(maps, target_bases)
     seed_pairs = set()
-    for i, f in enumerate(maps):
+    for f, tb in zip(maps, target_bases):
+        _require_type(f, ContinuousMap, "map")
         if f.source != l:
             raise MalformedInput("map source does not match the lattice")
         require_valid_map(f)
-        tb = _regular_codomain_basis(f, target_bases[i] if target_bases else None,
-                                     "map codomain")
+        tb = _regular_codomain_basis(f, tb, "map codomain")
         images, pairs = _preimage_seed(f, tb)
         s_f.update(images)
         seed_pairs.update(pairs)
@@ -427,17 +485,23 @@ def compactify_extending(l, b, maps, target_bases=None):
     well-inside on the enlarged carrier, which is checked compatible) and the
     unique extension of every supplied map.
     """
+    _require_type(l, PcdLattice, "lattice")
+    _require_type(b, Basis, "basis")
     l.require_valid()
     if not b.is_basis():
         raise PreconditionError("not a basis of the lattice")
     if not is_strongly_regular_basis(l, b):
         raise PreconditionError("basis is not strongly regular")
+    maps, target_bases = _maps_and_bases(maps, target_bases)
     enlarged = set(b.elements)
-    for i, f in enumerate(maps):
+    for f, tb in zip(maps, target_bases):
+        _require_type(f, ContinuousMap, "map")
         if f.source != l:
             raise MalformedInput("map source does not match the lattice")
         require_valid_map(f)
-        tb = target_bases[i] if target_bases else full_basis(f.target)
+        if tb is None:
+            tb = full_basis(f.target)
+        _require_type(tb, Basis, "codomain basis")
         if not tb.is_basis():
             raise PreconditionError("codomain basis does not generate the codomain")
         if not is_regular(f.target, full_basis(f.target)):
@@ -464,10 +528,12 @@ def explicit_strong_inclusion(p, f, codomain_basis=None):
     extension of ``f`` to preserve pseudocomplements; the result is checked
     equal to the inductively generated strong inclusion before returning.
     """
-    lsrc, ltgt, ext = f.source, f.target, f.ext
+    _require_type(p, Basis, "carrier")
     require_valid_map(f)
+    lsrc, ltgt, ext = f.source, f.target, f.ext
     if codomain_basis is None:
         codomain_basis = full_basis(ltgt)
+    _require_type(codomain_basis, Basis, "codomain basis")
     if not codomain_basis.is_sub_pcd() or not codomain_basis.is_basis():
         raise PreconditionError("codomain basis must be a generating pcd-sublattice")
     for a in range(ltgt.n):
@@ -512,6 +578,9 @@ def from_compactification(k, target_basis=None):
     lattice's memo by every compactification with an equal map; an explicit
     ``target_basis`` always builds afresh.
     """
+    _require_type(k, Compactification, "compactification")
+    if target_basis is not None:
+        _require_type(target_basis, Basis, "codomain basis")
     k.require_valid()
     if target_basis is None:
         # lattice equality ignores names, and the result holds the codomain
@@ -591,6 +660,8 @@ def compare(k1, k2):
     map is then built by extension through the round-ideal frame and checked
     pointwise.
     """
+    _require_type(k1, Compactification, "compactification")
+    _require_type(k2, Compactification, "compactification")
     if k1.source != k2.source:
         raise MalformedInput("compactifications have different sources")
     k1.require_valid()
@@ -628,10 +699,13 @@ def interpolated_subcover(l, p, b, parts):
     two family joins well-inside each other and the cover join.  Returns
     None when the minimal subcover shows b is the bottom.
     """
+    _require_type(l, PcdLattice, "lattice")
+    _require_type(p, Basis, "carrier")
     l.require_valid()
     if p.lattice != l:
         raise MalformedInput("carrier belongs to another lattice")
-    parts = sorted(set(parts))
+    b = _index(b, l.n, "element")
+    parts = sorted({_index(x, l.n, "cover part") for x in _items(parts, "cover parts")})
     if any(x not in p.elements for x in parts):
         raise PreconditionError("cover parts must lie in the carrier")
     wi = well_inside(l)

@@ -17,7 +17,18 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import InvariantViolation, MalformedInput, PreconditionError
-from .lattice import Basis, _bits, _index, _lowest, _mask, full_basis, well_inside
+from .lattice import (
+    Basis,
+    PcdLattice,
+    Relation,
+    _bits,
+    _index,
+    _lowest,
+    _mask,
+    _require_type,
+    full_basis,
+    well_inside,
+)
 from .relation import check_strong_inclusion
 
 
@@ -28,6 +39,9 @@ class ContinuousMap:
     """
 
     def __init__(self, source, target, basis, assignment):
+        _require_type(source, PcdLattice, "map source")
+        _require_type(target, PcdLattice, "map target")
+        _require_type(basis, Basis, "map basis")
         if basis.lattice != target:
             raise MalformedInput("basis must belong to the target lattice")
         if not isinstance(assignment, Mapping):
@@ -90,6 +104,7 @@ class MapClassTag:
 
 def extend(f, a):
     """Whole-frame inverse image: join over basis elements below ``a``."""
+    _require_type(f, ContinuousMap, "map")
     return f.ext[_index(a, f.target.n, "target element")]
 
 
@@ -109,6 +124,7 @@ def validate_map(f):
     by the target lattice and the assignment; every call returns a fresh
     list.
     """
+    _require_type(f, ContinuousMap, "map")
     key = ("continuity", f.target, frozenset(f.assignment.items()))
     return list(f.source.once(key, lambda: tuple(_continuity_report(f))))
 
@@ -177,11 +193,15 @@ def require_valid_map(f):
 
 def maps_equal(f, g):
     """Pointwise equality of the derived extensions over the whole target."""
+    _require_type(f, ContinuousMap, "map")
+    _require_type(g, ContinuousMap, "map")
     return f.source == g.source and f.target == g.target and f.ext == g.ext
 
 
 def compose(f, g):
     """Composite of f: M -> N after g: L -> M, as a map L -> N."""
+    _require_type(f, ContinuousMap, "map")
+    _require_type(g, ContinuousMap, "map")
     if g.target != f.source:
         raise MalformedInput("middle lattices do not match")
     require_valid_map(f)
@@ -216,6 +236,7 @@ def finer_than(si, f):
     order.  The search runs once per (relation rows, relation carrier,
     target, assignment) on the source lattice.
     """
+    _require_type(si, Relation, "relation")
     require_valid_map(f)
     report = check_strong_inclusion(si, Basis(f.source, si.carrier))
     if not report.ok:

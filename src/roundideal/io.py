@@ -21,15 +21,25 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from .compactify import RoundIdealFrame
 from .errors import MalformedInput, ValidationFailure
 from .framemap import ContinuousMap
-from .lattice import MAX_ELEMENTS, Basis, PcdLattice, _flags, downset_lattice, full_basis
+from .lattice import (
+    MAX_ELEMENTS,
+    Basis,
+    PcdLattice,
+    _flags,
+    _require_type,
+    downset_lattice,
+    full_basis,
+)
 from .relation import Relation
 
 GENERATE_POSET_CAP = 8
 
 
 def _lines(text):
+    _require_type(text, str, "document")
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -124,6 +134,7 @@ def _reflexive_transitive_closure(k, pairs):
 
 def serialize_lattice(l):
     """Canonical document: declaration order, Hasse pairs only."""
+    _require_type(l, PcdLattice, "lattice")
     out = [f"lattice {l.name} lattice", "elements " + " ".join(l.names)]
     for i, j in sorted(l.covers()):
         out.append(f"le {l.names[i]} {l.names[j]}")
@@ -132,6 +143,7 @@ def serialize_lattice(l):
 
 def parse_relation(text, lattice):
     """Read ``pair`` lines resolved against the given host lattice."""
+    _require_type(lattice, PcdLattice, "host lattice")
     pairs = set()
     for no, tokens in _lines(text):
         head = tokens[0]
@@ -153,6 +165,7 @@ def parse_relation(text, lattice):
 
 
 def serialize_relation(rel, name="relation"):
+    _require_type(rel, Relation, "relation")
     names = rel.lattice.names
     out = [f"relation {name}", f"host {rel.lattice.name}"]
     for a, b in rel:
@@ -162,7 +175,11 @@ def serialize_relation(rel, name="relation"):
 
 def parse_map(text, base_dir="."):
     """Read a map document; source and target lattices load from their paths."""
-    base = Path(base_dir)
+    try:
+        base = Path(base_dir)
+    except TypeError:
+        kind = type(base_dir).__name__
+        raise MalformedInput(f"base directory must be a path, not {kind}") from None
     source = target = None
     basis_labels = None
     lines = []
@@ -213,6 +230,7 @@ def parse_map(text, base_dir="."):
 
 
 def serialize_map(f, name="map", source_path="source.lat", target_path="target.lat"):
+    _require_type(f, ContinuousMap, "map")
     out = [
         f"map {name}",
         f"source {source_path}",
@@ -230,6 +248,8 @@ def generate(seed, size):
     Each pair i < j becomes comparable with probability one half; the result
     is transitively closed before the downsets are enumerated.
     """
+    _require_type(seed, int, "seed")
+    _require_type(size, int, "poset size")
     if not 0 <= size <= GENERATE_POSET_CAP:
         raise MalformedInput(f"poset size must be between 0 and {GENERATE_POSET_CAP}")
     rng = random.Random(seed)
@@ -245,9 +265,11 @@ def export_dot(obj):
     """Hasse diagram in DOT; frames get their basic ideals highlighted."""
     highlight = frozenset()
     lat = obj
-    if hasattr(obj, "ideal_basis"):
+    if isinstance(obj, RoundIdealFrame):
         lat = obj.lattice
         highlight = obj.ideal_basis.elements
+    else:
+        _require_type(obj, PcdLattice, "diagram source")
     safe = "".join(c if c.isalnum() else "_" for c in lat.name)
     out = [f"digraph {safe} {{", "  rankdir=BT;"]
     for i, label in enumerate(lat.names):

@@ -8,9 +8,19 @@ crashing on bad input.  All subsequent operations require a valid lattice.
 
 In a transitive order the meet of i and j is the unique element whose down
 cone is the common down cone of i and j (the join likewise on up cones), so
-each table entry is one dictionary lookup; only an order that is not
-transitive falls back to scanning the common cone.  The order axioms are
-checked on the masks in O(n^2) word operations.
+each table entry is one lookup in one dict from cones to their owners, for
+both triangles of the table; only an order that is not transitive falls
+back to scanning the common cone.  The order axioms are checked on the masks
+in O(n^2) word operations, each a pass over a whole row: row i is
+transitive when one C-level OR of the up cones its order row selects adds
+nothing to up(i), and only the first failing row is scanned to name the
+witness.  The pseudocomplement of y joins the positions of the bottom in
+meet row y, found by C-level list searches (``_positions``), and its check
+compares their number with the size of down(y*).  Cover pairs take one mask
+test per comparable pair.  Most round-ideal frames and sources have 4..16
+elements, so a kernel form must be no slower than a plain per-pair loop at
+that size as well as faster at 32..64; there is one form per kernel and no
+size threshold.
 
 The same holds for a whole family M in a valid lattice: the common up cone
 of M is the up cone of its join, so the join of M is one AND over the up
@@ -54,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, compress
-from operator import and_, index, itemgetter
+from operator import and_, index, itemgetter, or_
 
 from .errors import InvariantViolation, MalformedInput, NotACoverError, PreconditionError
 
@@ -126,20 +136,29 @@ def _bound_table(cone):
 
     The bound of i and j is the member k of ``common = cone[i] & cone[j]``
     with ``cone[k] == common``; None when there is no such k or more than one.
+    Since k lies in ``common`` exactly when it lies in its own cone, one dict
+    mapping each cone c to its owner, the k with ``cone[k] == c`` and k in c
+    (None when several share it), answers every entry, in both triangles of
+    the table, with one lookup.
     """
-    n = len(cone)
-    with_cone = {}
+    owner = {}
     for k, c in enumerate(cone):
-        with_cone[c] = with_cone.get(c, 0) | 1 << k
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        ci, row = cone[i], table[i]
-        for j in range(i, n):
-            common = ci & cone[j]
-            hit = with_cone.get(common, 0) & common
-            if hit and not hit & (hit - 1):
-                row[j] = table[j][i] = hit.bit_length() - 1
-    return table
+        if c >> k & 1:
+            owner[c] = None if c in owner else k
+    get = owner.get
+    return [[get(c & d) for d in cone] for c in cone]
+
+
+def _positions(row, value):
+    """Indices of ``value`` in the list ``row``, lowest first.
+
+    One C-level count and one C-level search per hit, so a row with few hits
+    costs few Python steps whatever its length.
+    """
+    i = -1
+    for _ in range(row.count(value)):
+        i = row.index(value, i + 1)
+        yield i
 
 
 class PcdLattice:
@@ -152,11 +171,15 @@ class PcdLattice:
     """
 
     def __init__(self, names, leq, name="lattice"):
-        names = tuple(str(x) for x in names)
+        names = tuple(str(x) for x in _items(names, "element labels"))
         n = len(names)
         if len(set(names)) != n:
             raise MalformedInput("duplicate element labels")
-        if len(leq) != n or any(len(row) != n for row in leq):
+        try:
+            square = len(leq) == n and all(len(row) == n for row in leq)
+        except TypeError:  # not a sized collection of sized rows
+            square = False
+        if not square:
             raise MalformedInput(f"order matrix must be {n} x {n}")
         self.n = n
         self.names = names
@@ -166,19 +189,17 @@ class PcdLattice:
         powers = [1 << j for j in range(n)]
         self._up = [sum(compress(powers, row)) for row in leq]
         self._down = [sum(compress(powers, col)) for col in zip(*leq)]
-        self._analyze()
+        self._analyze(leq)
         self._memo = {}  # derivation key -> checked result; see once()
 
     # -- derived structure ------------------------------------------------
 
-    def _analyze(self):
-        n = self.n
+    def _analyze(self, leq):
+        n, up, down = self.n, self._up, self._down
         full = (1 << n) - 1
-        bottoms = [i for i in range(n) if self._up[i] == full]
-        tops = [i for i in range(n) if self._down[i] == full]
-        self.bottom = bottoms[0] if len(bottoms) == 1 else None
-        self.top = tops[0] if len(tops) == 1 else None
-        self._intransitive = self._transitivity_witness()
+        self.bottom = up.index(full) if up.count(full) == 1 else None
+        self.top = down.index(full) if down.count(full) == 1 else None
+        self._intransitive = self._transitivity_witness(leq)
         if self._intransitive is None:
             self.meet = _bound_table(self._down)
             self.join = _bound_table(self._up)
@@ -189,14 +210,22 @@ class PcdLattice:
                          for i in range(n)]
         self.pstar = [self._pstar_of(y) for y in range(n)]
 
-    def _transitivity_witness(self):
-        """First (i, j, k) with i <= j <= k but not i <= k, or None."""
+    def _transitivity_witness(self, leq):
+        """First (i, j, k) with i <= j <= k but not i <= k, or None.
+
+        Row i is transitive when the up cones of the elements above i add
+        nothing to ``_up[i]``: one C-level OR over the cones that the order
+        row ``leq[i]`` selects.  Only the first failing row is scanned, to
+        name its first j and lowest k.
+        """
         up = self._up
-        for i in range(self.n):
-            for j in _bits(up[i]):
-                escaped = up[j] & ~up[i]
-                if escaped:
-                    return i, j, _lowest(escaped)
+        for i, row in enumerate(leq):
+            u = up[i]
+            if reduce(or_, compress(up, row), u) != u:
+                for j in _bits(u):
+                    escaped = up[j] & ~u
+                    if escaped:
+                        return i, j, _lowest(escaped)
         return None
 
     def _bound(self, i, j, cone):
@@ -217,11 +246,12 @@ class PcdLattice:
         return found
 
     def _pstar_of(self, y):
-        # the meet table is symmetric, so row y holds every meet c ^ y
+        # the meet table is symmetric, so row y holds every meet c ^ y; the
+        # elements disjoint from y are the positions of the bottom in it
         row = self.meet[y]
         if self.bottom is None or None in row:
             return None
-        return self.join_all(c for c, m in enumerate(row) if m == self.bottom)
+        return self.join_all(_positions(row, self.bottom))
 
     # -- basic queries ----------------------------------------------------
 
@@ -264,14 +294,17 @@ class PcdLattice:
         return self._up.index(reduce(and_, compress(self._up, selected), full))
 
     def covers(self):
-        """Cover pairs (i, j) with j directly above i, for Hasse output."""
+        """Cover pairs (i, j) with j directly above i, for Hasse output.
+
+        j covers i when it is strictly above i and no element strictly above
+        i is strictly below j: one mask test per comparable pair.
+        """
+        below = [d & ~(1 << k) for k, d in enumerate(self._down)]
         out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j or not self.leq(i, j):
-                    continue
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
+        for i, u in enumerate(self._up):
+            above = u & ~(1 << i)
+            for j in _bits(above):
+                if not above & below[j]:
                     out.append((i, j))
         return out
 
@@ -371,19 +404,17 @@ class PcdLattice:
     def _check_pseudocomplements(self):
         # pstar is the join of all elements disjoint from y, so maximality can
         # only fail through disjointness of that join itself; the meet table
-        # is symmetric, so row y holds every meet c ^ y
-        names, meet, bottom = self.names, self.meet, self.bottom
-        for y in range(self.n):
-            s = self.pstar[y]
-            if s is None or meet[y][s] != bottom:
+        # is symmetric, so row y holds every meet c ^ y.  This runs on
+        # lattices only, where meets are monotone: c <= y* gives
+        # c ^ y <= y* ^ y = 0, so the elements disjoint from y include
+        # down(y*) and equal it exactly when they are as many.
+        names, meet, bottom, down = self.names, self.meet, self.bottom, self._down
+        for y, s in enumerate(self.pstar):
+            row = meet[y]
+            if s is None or row[s] != bottom:
                 return [f"pseudocomplement fails at {names[y]}: y and y* do not meet at 0"]
-            disjoint = 0
-            for c, m in enumerate(meet[y]):
-                if m == bottom:
-                    disjoint |= 1 << c
-            mismatch = disjoint ^ self._down[s]
-            if mismatch:
-                c = _lowest(mismatch)
+            if row.count(bottom) != down[s].bit_count():
+                c = _lowest(_mask(_positions(row, bottom)) ^ down[s])
                 return [
                     f"pseudocomplement fails at {names[y]}: "
                     f"{names[c]} disjoint from y does not match c <= y*"
@@ -445,6 +476,7 @@ class Relation:
     """
 
     def __init__(self, lattice, pairs, carrier=None):
+        _require_type(lattice, PcdLattice, "relation lattice")
         carrier = _checked_carrier(lattice, carrier)
         n = lattice.n
         rows = [0] * n
@@ -544,6 +576,7 @@ class Basis:
     elements: frozenset
 
     def __post_init__(self):
+        _require_type(self.lattice, PcdLattice, "basis lattice")
         n = self.lattice.n
         elements = frozenset(
             _index(x, n, "basis index") for x in _items(self.elements, "basis elements")
@@ -577,6 +610,7 @@ class Basis:
 
 
 def full_basis(lat):
+    _require_type(lat, PcdLattice, "lattice")
     return Basis(lat, frozenset(range(lat.n)))
 
 
@@ -595,17 +629,20 @@ class Cover:
 
 def validate(l):
     """Module-level alias for the axiom report."""
+    _require_type(l, PcdLattice, "lattice")
     return l.validate()
 
 
 def pseudocomplement(l, y):
     """Largest element disjoint from y."""
+    _require_type(l, PcdLattice, "lattice")
     l.require_valid()
     return l.pstar[_index(y, l.n, "element")]
 
 
 def well_inside(l):
     """The relation of pairs (y, x) with top = x v y*; built once per lattice."""
+    _require_type(l, PcdLattice, "lattice")
     return l.once(("well_inside",), lambda: _well_inside(l))
 
 
@@ -635,6 +672,7 @@ def minimal_subcover(l, parts, target):
     returned, in sequence order.  The empty family is admitted: it covers
     the top of the degenerate one-element lattice.
     """
+    _require_type(l, PcdLattice, "lattice")
     parts = [_index(x, l.n, "cover part") for x in _items(parts, "cover parts")]
     target = _index(target, l.n, "cover target")
     if l.join_all(parts) != target:
@@ -648,6 +686,9 @@ def minimal_subcover(l, parts, target):
 
 def is_compact(l, b, c):
     """Finite subcover witness for a genuine basic cover of the top."""
+    _require_type(l, PcdLattice, "lattice")
+    _require_type(b, Basis, "basis")
+    _require_type(c, Cover, "cover")
     l.require_valid()
     if not c.parts <= b.elements:
         raise PreconditionError("cover parts must be basis elements")
@@ -668,6 +709,7 @@ def pcd_closure(l, seed):
     it is the least closed set.  Cost: O(r^2) table lookups for a closure of
     r elements.
     """
+    _require_type(l, PcdLattice, "lattice")
     l.require_valid()
     seed = sorted({_index(x, l.n, "seed index") for x in _items(seed, "seed")})
     meet, join, pstar = l.meet, l.join, l.pstar
@@ -698,9 +740,13 @@ def downset_lattice(point_labels, point_leq, name="downsets"):
     intersection and union.  Downsets are ordered by (size, bitmask) and
     labelled by their members.
     """
+    point_labels = [str(x) for x in _items(point_labels, "point labels")]
     k = len(point_labels)
+    rows = [_items(row, "point order row") for row in _items(point_leq, "point order")]
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise MalformedInput(f"point order must be {k} x {k}")
     below = [0] * k  # bit i of below[j] says point i <= point j
-    for i, row in enumerate(point_leq):
+    for i, row in enumerate(rows):
         for j, related in enumerate(row):
             if related:
                 below[j] |= 1 << i
@@ -720,6 +766,7 @@ def downset_lattice(point_labels, point_leq, name="downsets"):
 
 def chain(k, name=None):
     """Total order with k elements."""
+    _require_type(k, int, "chain length")
     if k < 1:
         raise MalformedInput("chain needs at least one element")
     names = [f"c{i}" for i in range(k)]
@@ -729,6 +776,7 @@ def chain(k, name=None):
 
 def boolean(k, name=None):
     """Boolean algebra of subsets of k atoms (downsets of an antichain)."""
+    _require_type(k, int, "atom count")
     if not 0 <= k <= 6:
         raise MalformedInput("boolean algebra size capped at 2^6")
     labels = [chr(ord("a") + i) for i in range(k)]

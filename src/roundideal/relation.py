@@ -457,6 +457,7 @@ def build_scale(si, y, x, depth):
     _require_type(si, Relation, "relation")
     lat = si.lattice
     lat.require_valid()
+    _require_type(depth, int, "scale depth")
     if not 0 <= depth <= 16:
         raise MalformedInput("scale depth must be between 0 and 16")
     y, x = (_index(v, lat.n, "scale endpoints: element") for v in (y, x))
@@ -496,6 +497,7 @@ def build_scale(si, y, x, depth):
 
 def really_inside_via_scales(l, b, depth=3):
     """Pairs of basis elements joined by a scale of the given depth."""
+    _require_type(depth, int, "scale depth")
     core = interpolative_core_on_basis(l, b)
     found = set()
     for y in sorted(b.elements):

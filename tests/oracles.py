@@ -217,13 +217,9 @@ def reference_tables(names, leq):
     if anti:
         i, j = anti[0]
         report.append(f"antisymmetry fails at ({names[i]}, {names[j]})")
-    trans = [
-        (i, j, k)
-        for i in el for j in el for k in el
-        if (i, j) in le and (j, k) in le and (i, k) not in le
-    ]
+    trans = reference_transitivity_witness(leq)
     if trans:
-        i, j, k = trans[0]
+        i, j, k = trans
         report.append(f"transitivity fails at ({names[i]}, {names[j]}, {names[k]})")
     if bottom is None:
         report.append("no bottom element")
@@ -264,6 +260,65 @@ def reference_tables(names, leq):
         "bottom": bottom, "top": top, "meet": meet, "join": join,
         "pstar": pstar, "report": report,
     }
+
+
+def reference_transitivity_witness(leq):
+    """First triple (i, j, k) in lexicographic order with i <= j <= k but not
+    i <= k, from the order as a set of pairs; None for a transitive order."""
+    el = range(len(leq))
+    le = {(i, j) for i in el for j in el if leq[i][j]}
+    return next(
+        (
+            (i, j, k)
+            for i in el for j in el for k in el
+            if (i, j) in le and (j, k) in le and (i, k) not in le
+        ),
+        None,
+    )
+
+
+def reference_covers(leq):
+    """Pairs (i, j), in lexicographic order, with i <= j, i != j and no third
+    element k with i <= k <= j, from the order as a set of pairs."""
+    el = range(len(leq))
+    le = {(i, j) for i in el for j in el if leq[i][j]}
+    return [
+        (i, j)
+        for i in el for j in el
+        if i != j and (i, j) in le
+        and not any((i, k) in le and (k, j) in le for k in el if k not in (i, j))
+    ]
+
+
+def reference_round_ideal_violations(lat, carrier, members, related):
+    """The violation list of ``RoundIdeal(carrier, members).violations(si)``
+    from its set definitions, with ``related`` the pairs of ``si``.
+
+    One line per member whose carrier down set leaves the members (naming the
+    least such element), one per member a with a partner b whose join leaves
+    them (naming the least b), and one for the least member related to no
+    member, in that order, after a missing bottom.
+    """
+    members = sorted(members)
+    inside = set(members)
+    if not inside <= set(carrier):
+        return ["members leave the carrier"]
+    out = []
+    if lat.bottom not in inside:
+        out.append("missing the bottom")
+    names = lat.names
+    for b in members:
+        gaps = [c for c in sorted(carrier) if lat.leq(c, b) and c not in inside]
+        if gaps:
+            out.append(f"not downward closed at {names[gaps[0]]}")
+    for a in members:
+        outside = [b for b in members if lat.join[a][b] not in inside]
+        if outside:
+            out.append(f"not join closed at ({names[a]}, {names[outside[0]]})")
+    flat = [b for b in members if not any((b, a) in related for a in members)]
+    if flat:
+        out.append(f"not round at {names[flat[0]]}")
+    return out
 
 
 def reference_parse(labels, pairs, mode):

@@ -9,6 +9,7 @@ from roundideal import compactify, framemap
 from roundideal.compactify import (
     Compactification,
     Ordering,
+    RoundIdeal,
     check_compact_regular,
     compare,
     strong_downset,
@@ -34,6 +35,7 @@ from roundideal.framemap import (
 )
 from roundideal.lattice import (
     Basis,
+    PcdLattice,
     boolean,
     chain,
     full_basis,
@@ -125,6 +127,39 @@ class TestEnumerateRoundIdeals:
         fr = enumerate_round_ideals(p, si)
         got = {ideal.members for ideal in fr.ideals}
         assert got == oracles.exhaustive_round_ideals(p, si)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_violations_match_set_definitions(self, seed):
+        # random member sets (principal, below an element, or arbitrary) on
+        # pcd-closed carriers and on arbitrary element sets
+        rng = random.Random(seed)
+        l = util.downset_instance(seed, rng.randint(0, 4))
+        p = util.random_carrier(l, rng)
+        si = util.random_strong_inclusion(l, p, rng)
+        carrier = p
+        if rng.random() < 0.3:
+            carrier = Basis(l, [x for x in range(l.n) if rng.random() < 0.6])
+        t = rng.randrange(l.n)
+        members = rng.choice([
+            [x for x in carrier.elements if l.leq(x, t)],
+            [x for x in range(l.n) if l.leq(x, t) and rng.random() < 0.5],
+            [x for x in carrier.elements if rng.random() < 0.5],
+        ])
+        got = RoundIdeal(carrier, frozenset(members)).violations(si)
+        assert got == oracles.reference_round_ideal_violations(
+            l, carrier.elements, members, si.pairs
+        )
+
+    def test_violations_need_a_valid_lattice(self):
+        # the pentagon is a lattice but not distributive
+        names = ["0", "a", "b", "c", "1"]
+        above = {0: {1, 2, 3, 4}, 1: {4}, 2: {3, 4}, 3: {4}}
+        l = PcdLattice(names, [[i == j or j in above.get(i, ()) for j in range(5)]
+                               for i in range(5)])
+        si = Relation(l, ())
+        with pytest.raises(PreconditionError, match="invalid lattice"):
+            RoundIdeal(full_basis(l), frozenset({0})).violations(si)
 
     @given(st.integers(0, 3000))
     @settings(max_examples=30, deadline=None)

@@ -315,6 +315,17 @@ class TestAgainstReference:
         assert lat.validate() == ref["report"]
 
 
+    @pytest.mark.parametrize("kind", util.ORDER_KINDS)
+    def test_covers_and_transitivity_witness_match_reference(self, kind):
+        for seed in range(150):
+            names, leq = util.random_order(random.Random(seed), kind)
+            # rows as truth values, and as the 0/1 bytes of a parsed document
+            for rows in (leq, [bytes(map(bool, row)) for row in leq]):
+                lat = PcdLattice(names, rows)
+                assert lat.covers() == oracles.reference_covers(leq)
+                assert lat._intransitive == oracles.reference_transitivity_witness(leq)
+
+
 class TestPcdClosureIsLeast:
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
