@@ -70,6 +70,7 @@ from .lattice import (
     well_inside,
 )
 from .relation import (
+    _labelled,
     check_strong_inclusion,
     interpolative_core_on_basis,
     is_strongly_regular_basis,
@@ -221,7 +222,7 @@ def _require_strong_inclusion(si, p):
         bad = report.failed()[0]
         raise PreconditionError(
             f"not a strong inclusion: condition {bad.number} ({bad.name}) "
-            f"fails at {bad.witness}"
+            f"fails at {_labelled(p.lattice, bad.witness)}"
         )
 
 
@@ -603,12 +604,14 @@ def _reconstruct(k, target_basis):
         raise InvariantViolation("reconstruction witness is not one-one")
     if set(images) != set(range(fr.lattice.n)):
         raise InvariantViolation("reconstruction witness is not onto")
-    for m1 in range(klat.n):
-        for m2 in range(klat.n):
-            if klat.leq(m1, m2) != fr.lattice.leq(images[m1], images[m2]):
-                raise InvariantViolation(
-                    "reconstruction witness does not preserve order both ways"
-                )
+    # a bijection preserves order both ways iff it maps each up cone onto
+    # the up cone of the image
+    bits = [1 << x for x in images]
+    for m, cone in enumerate(klat._up):
+        if reduce(or_, compress(bits, _flags(cone, klat.n)), 0) != fr.lattice._up[images[m]]:
+            raise InvariantViolation(
+                "reconstruction witness does not preserve order both ways"
+            )
     return Reconstruction(p=p, si=si, iso=g, frame=fr)
 
 

@@ -3,11 +3,12 @@
 A map from L to M is stored contravariantly: an assignment from a basis of
 the target M into L.  The whole-frame inverse-image homomorphism, on a
 finite frame a vector, is built with the map: ``ext[a]`` is the join of the
-assignment over the basis elements below a (None where an invalid lattice
-has no join).  Every derivation reads that vector; ``extend`` is its
-index-checked public read.  Continuity reports and extension-class
-searches are derived once per map value, in the source lattice's memo
-(``PcdLattice.once``).
+assignment over the basis elements below a, folded through the join table
+one step per basis bit of ``down(a)``, lowest first, exactly as ``join_all``
+folds (None once an invalid lattice has no join).  Every derivation reads
+that vector; ``extend`` is its index-checked public read.  Continuity
+reports and extension-class searches are derived once per map value, in
+the source lattice's memo (``PcdLattice.once``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .lattice import (
     full_basis,
     well_inside,
 )
-from .relation import check_strong_inclusion
+from .relation import _labelled, check_strong_inclusion
 
 
 class ContinuousMap:
@@ -56,11 +57,17 @@ class ContinuousMap:
         self.target = target
         self.basis = basis
         self.assignment = MappingProxyType(assignment)
-        basis_mask = _mask(assignment)
-        self.ext = tuple(
-            source.join_all(assignment[b] for b in _bits(basis_mask & down))
-            for down in target._down
-        )
+        join, basis_mask = source.join, _mask(assignment)
+        image = {1 << b: x for b, x in assignment.items()}
+        ext = []
+        for down in target._down:
+            value, rest = source.bottom, basis_mask & down
+            while rest and value is not None:
+                low = rest & -rest
+                value = join[value][image[low]]
+                rest ^= low
+            ext.append(value)
+        self.ext = tuple(ext)
 
     @classmethod
     def identity(cls, lat):
@@ -130,17 +137,21 @@ def validate_map(f):
 
 
 def _continuity_report(f):
-    src, tgt, ext = f.source, f.target, f.ext
+    """The violated continuity conditions of ``f``, uncached.
+
+    Over valid lattices ``ext[b]`` joins the images of the basis elements
+    below b, so the whole basis joins to ``ext[top]``, and the assignment is
+    monotone on the basis exactly when ``ext`` agrees with it there: one
+    pass over the basis, with the pairs scanned only to name the first
+    failure.  Meets and joins are scanned pair by pair in index order.
+    """
+    src, tgt, ext, asg = f.source, f.target, f.ext, f.assignment
     src.require_valid()
     tgt.require_valid()
     report = []
     basis = sorted(f.basis.elements)
-    total = src.join_all(f.assignment[b] for b in basis)
-    if total != src.top:
-        report.append(
-            f"covering: basis images join to {src.names[total]}, not the top"
-        )
-    asg = f.assignment
+    if ext[tgt.top] != src.top:
+        report.append(f"covering: basis images join to {src.names[ext[tgt.top]]}, not the top")
     meets = next(((a, b) for a in basis for b in basis
                   if src.meet[asg[a]][asg[b]] != ext[tgt.meet[a][b]]), None)
     if meets is not None:
@@ -150,38 +161,31 @@ def _continuity_report(f):
             f"meets: images of ({tgt.names[a]}, {tgt.names[b]}) "
             f"meet at {src.names[lhs]} but common refinements join to {src.names[rhs]}"
         )
-    mono = next(
+    for c in basis:
+        if ext[c] != asg[c]:
+            a, b = next((a, b) for a in basis for b in basis
+                        if tgt.leq(a, b) and not src.leq(asg[a], asg[b]))
+            report.append(
+                f"cover refinement: assignment not monotone at ({tgt.names[a]}, {tgt.names[b]})"
+            )
+            return report
+    if ext[tgt.bottom] != src.bottom:
+        report.append("cover refinement: image of the bottom is not the bottom")
+    bad = next(
         (
-            (a, b)
-            for a in basis
+            (m, b)
+            for m in range(tgt.n)
             for b in basis
-            if tgt.leq(a, b) and not src.leq(f.assignment[a], f.assignment[b])
+            if ext[tgt.join[m][b]] != src.join[ext[m]][ext[b]]
         ),
         None,
     )
-    if mono is not None:
-        a, b = mono
+    if bad is not None:
+        m, b = bad
         report.append(
-            f"cover refinement: assignment not monotone at ({tgt.names[a]}, {tgt.names[b]})"
+            f"cover refinement: extension misses the join of "
+            f"({tgt.names[m]}, {tgt.names[b]})"
         )
-    else:
-        if ext[tgt.bottom] != src.bottom:
-            report.append("cover refinement: image of the bottom is not the bottom")
-        bad = next(
-            (
-                (m, b)
-                for m in range(tgt.n)
-                for b in basis
-                if ext[tgt.join[m][b]] != src.join[ext[m]][ext[b]]
-            ),
-            None,
-        )
-        if bad is not None:
-            m, b = bad
-            report.append(
-                f"cover refinement: extension misses the join of "
-                f"({tgt.names[m]}, {tgt.names[b]})"
-            )
     return report
 
 
@@ -242,7 +246,8 @@ def finer_than(si, f):
     if not report.ok:
         bad = report.failed()[0]
         raise PreconditionError(
-            f"not a strong inclusion: condition {bad.number} fails at {bad.witness}"
+            f"not a strong inclusion: condition {bad.number} fails at "
+            f"{_labelled(f.source, bad.witness)}"
         )
     key = ("finer", si.rows, si.carrier, f.target, frozenset(f.assignment.items()))
     return MapClassTag(f, si, *f.source.once(key, lambda: _finer_than(si, f)))

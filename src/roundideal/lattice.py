@@ -39,14 +39,14 @@ Binary relations over a lattice (``Relation``) use the same encoding, one
 row mask per element.
 
 Each lattice keeps one memo, the only store of derived results (besides
-the ``cols`` and ``pairs`` views of a ``Relation``): its axiom report and
-well-inside relation, sub-pcd closure tests of carriers, strong-inclusion
-reports, least strong inclusions, interpolative cores, round-ideal frames
-and their join maps, and for maps out of it continuity reports,
-extension-class searches, compactification reports and default-basis
-reconstructions.  Each is computed and checked in
-full once per distinct value (a key holding everything the result depends
-on and stores) and then shared, so equal values built apart are checked once.
+the ``cols`` and ``pairs`` views of a ``Relation``): its axiom report, full
+basis and well-inside relation, the sub-pcd, generating and regularity tests
+of subsets, strong-inclusion reports, least strong inclusions, interpolative
+cores, round-ideal frames and their join maps, and for maps out of it
+continuity reports, extension-class searches, compactification reports and
+default-basis reconstructions.  Each is computed and checked in full once
+per distinct value (a key holding everything the result depends on and
+stores) and then shared, so equal values built apart are checked once.
 Argument checks (argument types, foreign lattice, index range, carrier
 closure, stray pairs) run on every call before the lookup, and a derivation
 that raises stores nothing, so a repeated call raises what the first call
@@ -584,7 +584,11 @@ class Basis:
         object.__setattr__(self, "elements", elements)
 
     def is_basis(self):
-        """Every lattice element is the join of the basis elements below it."""
+        """Every element is the join of the basis elements below it; memoised."""
+        return self.lattice.once(("basis", self.elements), self._generates)
+
+    def _generates(self):
+        """``is_basis``, uncached."""
         lat = self.lattice
         return _joins_of_related(lat, range(lat.n), lat._down, _mask(self.elements))
 
@@ -610,8 +614,9 @@ class Basis:
 
 
 def full_basis(lat):
+    """The basis of all elements; one shared ``Basis`` per lattice."""
     _require_type(lat, PcdLattice, "lattice")
-    return Basis(lat, frozenset(range(lat.n)))
+    return lat.once(("full_basis",), lambda: Basis(lat, frozenset(range(lat.n))))
 
 
 @dataclass(frozen=True)
@@ -655,12 +660,17 @@ def _well_inside(l):
 
 
 def is_regular(l, b):
-    """Every basis element is the join of basis elements well-inside it."""
+    """Every basis element is the join of basis elements well-inside it; memoised."""
     _require_type(l, PcdLattice, "lattice")
     _require_type(b, Basis, "basis")
     l.require_valid()
     if b.lattice != l:
         raise MalformedInput("basis belongs to another lattice")
+    return l.once(("regular", b.elements), lambda: _regular(l, b))
+
+
+def _regular(l, b):
+    """``is_regular``, uncached."""
     return _joins_of_related(l, b.elements, well_inside(l).cols, _mask(b.elements))
 
 

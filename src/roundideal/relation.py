@@ -130,6 +130,11 @@ class Scale:
         return {Fraction(k, d): v for k, v in enumerate(self.values)}
 
 
+def _labelled(lat, witness):
+    """A witness tuple of element indices, written with the element labels."""
+    return "(" + ", ".join(lat.names[x] for x in witness) + ")"
+
+
 def _uninterpolated(rel):
     """Pairs (x, y) of ``rel``, in index order, with no z such that x rel z rel y.
 
@@ -376,7 +381,8 @@ def _least_strong_inclusion(p, seed, keep):
     if not report.ok:
         bad = report.failed()[0]
         raise InvariantViolation(
-            f"closure is not a strong inclusion: condition {bad.number} fails at {bad.witness}"
+            f"closure is not a strong inclusion: condition {bad.number} fails at "
+            f"{_labelled(lat, bad.witness)}"
         )
     return result
 

@@ -469,3 +469,54 @@ def sandwich(lat, carrier, selves):
         (x, y) for x in members for y in members
         if any(le(x, s) and le(s, y) for s in selves)
     )
+
+
+def reference_continuity_report(f):
+    """The report of ``validate_map(f)`` by plain per-pair scans, for valid lattices.
+
+    Reads only the meet and join tables, ``leq`` and the assignment of ``f``:
+    the extension is re-derived as the join of the assignment over the basis
+    elements below each target element.  Each condition names its first
+    failing pair in index order, with the library's text; monotonicity
+    failing skips the bottom and join conditions.
+    """
+    src, tgt, asg = f.source, f.target, f.assignment
+    names, tnames = src.names, tgt.names
+    basis = sorted(asg)
+
+    def join_of(items):
+        out = src.bottom
+        for x in items:
+            out = src.join[out][x]
+        return out
+
+    ext = [join_of(asg[b] for b in basis if tgt.leq(b, a)) for a in range(tgt.n)]
+    report = []
+    total = join_of(asg[b] for b in basis)
+    if total != src.top:
+        report.append(f"covering: basis images join to {names[total]}, not the top")
+    meets = [(a, b) for a in basis for b in basis
+             if src.meet[asg[a]][asg[b]] != ext[tgt.meet[a][b]]]
+    if meets:
+        a, b = meets[0]
+        report.append(
+            f"meets: images of ({tnames[a]}, {tnames[b]}) meet at "
+            f"{names[src.meet[asg[a]][asg[b]]]} but common refinements join to "
+            f"{names[ext[tgt.meet[a][b]]]}"
+        )
+    mono = [(a, b) for a in basis for b in basis
+            if tgt.leq(a, b) and not src.leq(asg[a], asg[b])]
+    if mono:
+        a, b = mono[0]
+        report.append(f"cover refinement: assignment not monotone at ({tnames[a]}, {tnames[b]})")
+        return report
+    if ext[tgt.bottom] != src.bottom:
+        report.append("cover refinement: image of the bottom is not the bottom")
+    joins = [(m, b) for m in range(tgt.n) for b in basis
+             if ext[tgt.join[m][b]] != src.join[ext[m]][ext[b]]]
+    if joins:
+        m, b = joins[0]
+        report.append(
+            f"cover refinement: extension misses the join of ({tnames[m]}, {tnames[b]})"
+        )
+    return report

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import util
@@ -84,6 +84,61 @@ class TestValidateMap:
             ContinuousMap(l, t, full_basis(t), {"x": 0})
         with pytest.raises(MalformedInput, match="out of range"):
             ContinuousMap(l, t, full_basis(t), {0: 0, 1: l.n})
+
+
+def random_lattice(rng):
+    """A Boolean algebra, chain or generated lattice, its elements often shuffled
+    so that index order is not a linear extension."""
+    kind = rng.choice(["boolean", "chain", "generate"])
+    if kind == "boolean":
+        lat = boolean(rng.randint(0, 3))
+    elif kind == "chain":
+        lat = chain(rng.randint(1, 5))
+    else:
+        lat = util.downset_instance(rng.randrange(10**6), rng.randint(0, 4))
+    if rng.random() < 0.5:
+        return PcdLattice(*util.relabel(*util.order_of(lat), rng))
+    return lat
+
+
+def random_map(rng):
+    """A map between random valid lattices over a full or partial basis.
+
+    The assignment is uniform, or built up the order (each image joins the
+    images already drawn below it with a random element, so it is often
+    monotone), so that every condition fails on some draws.
+    """
+    src, tgt = random_lattice(rng), random_lattice(rng)
+    full = rng.random() < 0.5
+    basis = [b for b in range(tgt.n) if full or rng.random() < 0.6]
+    assignment = {}
+    for b in sorted(basis, key=lambda b: tgt._down[b].bit_count()):
+        if rng.random() < 0.5:
+            assignment[b] = rng.randrange(src.n)
+        else:
+            below = [assignment[c] for c in assignment if tgt.leq(c, b)]
+            assignment[b] = src.join_all(below + [rng.randrange(src.n)])
+    return ContinuousMap(src, tgt, Basis(tgt, basis), assignment)
+
+
+class TestReferenceReport:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_pair_scan(self, seed):
+        f = random_map(random.Random(seed))
+        assert validate_map(f) == oracles.reference_continuity_report(f)
+
+    def test_draws_fail_every_condition(self):
+        conditions = ("covering:", "meets:", "cover refinement: assignment not monotone",
+                      "cover refinement: image of the bottom",
+                      "cover refinement: extension misses")
+        seen = set()
+        for seed in range(300):
+            f = random_map(random.Random(seed))
+            report = validate_map(f)
+            assert report == oracles.reference_continuity_report(f)
+            seen.update(c for c in conditions for line in report if line.startswith(c))
+        assert seen == set(conditions)
 
 
 class TestValidateOnce:
@@ -172,6 +227,8 @@ class TestExtend:
                 assert extend(f, tgt.join[m1][m2]) == src.join[extend(f, m1)][extend(f, m2)]
 
     @given(st.integers(0, 10**6))
+    @example(298)  # orders whose joins do not associate: the fold order shows
+    @example(399)
     @settings(max_examples=60, deadline=None)
     def test_vector_is_the_join_extension(self, seed):
         # ext[a] joins the assignment over the basis elements below a, read

@@ -1,10 +1,11 @@
 """The per-lattice memo: each derivation runs once per value, and sharing is invisible.
 
-Axiom reports, sub-pcd closure tests, strong-inclusion reports, least
-strong inclusions, interpolative cores, round-ideal frames, continuity
-reports, extension-class searches, compactification reports and
-default-basis reconstructions are derived once per distinct key on their
-lattice (``PcdLattice.once``).  The counting tests wrap the uncached
+Axiom reports, full bases, sub-pcd closure, generating and regularity
+tests of subsets, strong-inclusion reports, least strong inclusions,
+interpolative cores, round-ideal frames, continuity reports,
+extension-class searches, compactification reports and default-basis
+reconstructions are derived once per distinct key on their lattice
+(``PcdLattice.once``).  The counting tests wrap the uncached
 derivations and require one run per key; the differential tests require a
 lattice whose memo is warm to give the same reports, frames, verdicts and
 error messages as a freshly built equal lattice.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import util
-from roundideal import compactify, framemap, relation
+from roundideal import compactify, framemap, lattice, relation
 from roundideal.compactify import (
     Compactification,
     compactify_extending,
@@ -27,7 +28,7 @@ from roundideal.compactify import (
 )
 from roundideal.errors import RoundIdealError
 from roundideal.framemap import ContinuousMap, validate_map
-from roundideal.lattice import Basis, PcdLattice, boolean, full_basis, pcd_closure
+from roundideal.lattice import Basis, PcdLattice, boolean, full_basis, is_regular, pcd_closure
 from roundideal.relation import (
     Relation,
     check_strong_inclusion,
@@ -53,6 +54,8 @@ UNCACHED = {
                                          frozenset(k.map.assignment.items()), basis)),
     "validate": (PcdLattice, "_axiom_report", lambda l: (id(l),)),
     "sub_pcd": (Basis, "_sub_pcd", lambda b: (id(b.lattice), b.elements)),
+    "basis": (Basis, "_generates", lambda b: (id(b.lattice), b.elements)),
+    "regular": (lattice, "_regular", lambda l, b: (id(l), b.elements)),
     "compactification": (compactify, "_check_compactification",
                          lambda k: (id(k.source), k.codomain,
                                     frozenset(k.map.assignment.items()), id(k.frame))),
@@ -106,11 +109,13 @@ class TestOncePerKey:
         before = {name: len(keys) for name, keys in runs.items()}
         assert pipeline(l, target).verdict is Ordering.ISO
         assert {name: len(keys) for name, keys in runs.items()} == before
-        # an equal target built afresh validates itself, decides the closure
-        # of its full basis and hits everything else
+        # an equal target built afresh validates itself, decides whether its
+        # full basis is closed, generating and regular, and hits everything else
         assert pipeline(l).verdict is Ordering.ISO
         before["validate"] += 1
         before["sub_pcd"] += 1
+        before["basis"] += 1
+        before["regular"] += 1
         assert {name: len(keys) for name, keys in runs.items()} == before
 
     def test_explicit_basis_rebuilds_the_reconstruction_not_its_checks(self, runs):
@@ -195,7 +200,7 @@ def queries(l, rng):
         inside = sorted(p)
         core = interpolative_core_on_basis(l, Basis(l, p))
         start = util.random_interpolative_seed(l, Basis(l, p), rng)
-        out += [("core", p), ("strongly regular", p),
+        out += [("core", p), ("strongly regular", p), ("generating", p), ("regular", p),
                 ("least", tuple(start), p), ("least", (), p)]
         loose = [(rng.choice(inside), rng.choice(inside)) for _ in range(rng.randint(0, 6))]
         stray = [(rng.randrange(l.n), rng.randrange(l.n)) for _ in range(2)]
@@ -232,6 +237,10 @@ def answer(lat, query):
         return core.rows, core.carrier
     if kind == "strongly regular":
         return is_strongly_regular_basis(lat, Basis(lat, args[0]))
+    if kind == "generating":
+        return Basis(lat, args[0]).is_basis()
+    if kind == "regular":
+        return is_regular(lat, Basis(lat, args[0]))
     if kind == "least":
         pairs, p = args
         si = least_strong_inclusion(Basis(lat, p), Relation(lat, pairs, p))

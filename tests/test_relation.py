@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
+from roundideal import relation
 from roundideal.compactify import (
     RoundIdeal,
     enumerate_round_ideals,
@@ -14,11 +15,12 @@ from roundideal.compactify import (
     is_compatible,
 )
 from roundideal.errors import (
+    InvariantViolation,
     MalformedInput,
     NoScaleError,
     PreconditionError,
 )
-from roundideal.framemap import ContinuousMap, extend, is_embedding
+from roundideal.framemap import ContinuousMap, extend, finer_than, is_embedding
 from roundideal.lattice import (
     Basis,
     Cover,
@@ -706,3 +708,32 @@ class TestRelationType:
         assert small.carrier != full.carrier
         assert small == full and hash(small) == hash(full)
         assert small != Relation(l, pairs | {(0, 0)})
+
+
+class TestWitnessLabels:
+    """Messages built from a strong-inclusion report name its witness by label."""
+
+    def test_round_ideal_enumeration(self):
+        l = boolean(2)
+        with pytest.raises(PreconditionError) as err:
+            enumerate_round_ideals(full_basis(l), Relation(l, [(1, 1)]))
+        assert str(err.value) == (
+            "not a strong inclusion: condition 1 (bounds are self-related) fails at ({}, {})"
+        )
+
+    def test_extension_class_search(self):
+        l = boolean(2)
+        with pytest.raises(PreconditionError) as err:
+            finer_than(Relation(l, [(0, 0), (3, 3), (1, 2)]), ContinuousMap.identity(l))
+        assert str(err.value) == "not a strong inclusion: condition 2 fails at ({}, {a})"
+
+    def test_least_strong_inclusion_postcondition(self, monkeypatch):
+        l = boolean(2)
+        p = full_basis(l)
+        bottom_only = Relation(l, [(l.bottom, l.bottom)])
+        monkeypatch.setattr(relation, "_sandwich_of", lambda *args: bottom_only)
+        with pytest.raises(InvariantViolation) as err:
+            least_strong_inclusion(p, Relation(l, []))
+        assert str(err.value) == (
+            "closure is not a strong inclusion: condition 1 fails at ({a,b}, {a,b})"
+        )
