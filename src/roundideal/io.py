@@ -6,36 +6,39 @@ Lattice documents::
     elements <label> <label> ...
     le <a> <b>                   # a <= b; closed reflexively/transitively
 
-In ``lattice`` mode the closure of the pairs must validate as a pcd-lattice
-of at most 64 elements; in ``poset-downsets`` mode the pairs describe a
-poset of at most 8 points whose downset lattice (at most 256 elements) is
-built (always valid).  Relation documents carry ``pair a b`` lines over a
-host lattice; map documents carry ``to b x`` lines (target basis element b,
-source element x) plus ``source``/``target`` paths resolved relative to the
-document.  Each header line (``lattice``; ``source``, ``target``, ``basis``)
-may appear once.  ``#`` starts a comment.
+The pairs are closed in one depth-first pass in postorder, repeated only
+when the search meets a back edge (a cycle or a pair ``le a a``).  In
+``lattice`` mode the closure must validate as a pcd-lattice of at most 64
+elements; in ``poset-downsets`` mode it must be a poset of at most 8 points,
+whose downset lattice (at most 256 elements, always valid) is built.  Both
+caps are checked before the pairs are closed.  Relation documents carry
+``pair a b`` lines over a host lattice; map documents carry ``to b x`` lines
+(target basis element b, source element x) plus ``source``/``target`` paths
+resolved relative to the document.  Each header line (``lattice``;
+``source``, ``target``, ``basis``) may appear once.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 from .compactify import RoundIdealFrame
 from .errors import MalformedInput, ValidationFailure
 from .framemap import ContinuousMap
 from .lattice import (
+    _FLAG,
+    GENERATE_POSET_CAP,
     MAX_ELEMENTS,
     Basis,
     PcdLattice,
-    _flags,
     _require_type,
     downset_lattice,
     full_basis,
 )
 from .relation import Relation
-
-GENERATE_POSET_CAP = 8
 
 
 def _lines(text):
@@ -115,21 +118,43 @@ def parse_lattice(text):
 def _reflexive_transitive_closure(k, pairs):
     """Order matrix of the least preorder on range(k) containing the pairs.
 
-    Each row is returned as 0/1 bytes (``lattice._flags``), which
-    ``PcdLattice`` packs back into masks with one C-level gather per row.
+    Each row is returned as 0/1 bytes (as ``lattice._flags`` makes them),
+    which ``PcdLattice`` packs back into masks with one C-level gather.
 
-    Warshall's algorithm on row bitmasks: after step m, bit j of rows[i]
-    says j is reachable from i through intermediate points among 0..m.
+    A depth-first search ORs the row masks of each point's successors into
+    its own as it leaves the point, so in postorder every successor's row is
+    final first and one pass closes an acyclic order: O(k + pairs) mask
+    operations, recursing at most k deep.  A point still on the search path
+    has the row ``pending`` (bit k, beyond every point), so a back edge
+    leaves that bit in a row; then the pass repeats in the same postorder
+    until nothing changes.
     """
-    rows = [1 << i for i in range(k)]
+    succ = [[] for _ in range(k)]
     for a, b in pairs:
-        rows[a] |= 1 << b
-    for m in range(k):
-        bit, through = 1 << m, rows[m]
-        for i in range(k):
-            if rows[i] & bit:
-                rows[i] |= through
-    return [_flags(row, k) for row in rows]
+        succ[a].append(b)
+    rows = [0] * k  # 0 until a point is reached
+    order = []
+    pending = 1 << k
+
+    def close(v):
+        rows[v] = pending
+        row = 1 << v
+        for w in succ[v]:
+            row |= rows[w] or close(w)
+        rows[v] = row
+        order.append(v)
+        return row
+
+    for v in range(k):
+        rows[v] or close(v)
+    changed = reduce(or_, rows, 0) >> k  # a back edge was met
+    while changed:
+        old = rows[:]
+        for v in order:
+            rows[v] = reduce(or_, map(rows.__getitem__, succ[v]), rows[v])
+        changed = rows != old
+    # the digits of each row below its bit k, lowest first
+    return [bin(row | pending)[:2:-1].encode().translate(_FLAG) for row in rows]
 
 
 def serialize_lattice(l):

@@ -24,16 +24,17 @@ size threshold.
 
 The same holds for a whole family M in a valid lattice: the common up cone
 of M is the up cone of its join, so the join of M is one AND over the up
-cones of its members and one C-level search for the resulting cone
+cones of its members and one lookup of the resulting cone's owner
 (``_join_of``; ``_meet_of`` dually on down cones).  The members are
 gathered in C: ``_flags`` turns a mask into 0/1 bytes that
 ``itertools.compress`` selects with, and ``functools.reduce`` folds the
 selected cones.  Distributivity is decided by the join-prime test: a finite
-lattice is distributive iff each of its join-irreducible elements J is
-join-prime (Davey & Priestley, ch. 10), one join through up cones per
-element to find J and one to test each member of J.  Only a lattice that
-fails is scanned over its n^3 triples, one row of n at a time, to name the
-first failing triple.
+lattice is distributive iff each join-irreducible element is join-prime
+(Davey & Priestley, ch. 10).  j is join-irreducible iff the elements
+strictly below it form a down cone, and join-prime iff the elements not
+above it do, so the test is two owner lookups per element.  Only a lattice
+that fails is scanned over its n^3 triples, one row of n at a time, to
+name the first failing triple.
 
 Binary relations over a lattice (``Relation``) use the same encoding, one
 row mask per element.
@@ -54,9 +55,10 @@ raised.  The memo
 lives and dies with its lattice and takes no part in equality, hashing or
 ``repr``.
 
-Sizes are desk scale (cap: ``MAX_ELEMENTS`` = 64 elements, enforced where
-lattice documents are read); every axiom check is run in full rather than
-sampled.
+Sizes are desk scale: no lattice has more than ``CONSTRUCTION_CAP`` = 256
+elements, the downsets of ``GENERATE_POSET_CAP`` = 8 points, and lattice
+documents at most ``MAX_ELEMENTS`` = 64; each cap is enforced before any
+table or enumeration is built.  Every axiom check runs in full, unsampled.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ from operator import and_, index, itemgetter, or_
 
 from .errors import InvariantViolation, MalformedInput, NotACoverError, PreconditionError
 
-MAX_ELEMENTS = 64
+MAX_ELEMENTS = 64  # elements of a lattice-mode document
+GENERATE_POSET_CAP = 8  # points of a poset whose downset lattice is built
+CONSTRUCTION_CAP = 1 << GENERATE_POSET_CAP  # elements of any lattice
 
 _FLAG = bytes.maketrans(b"01", b"\0\1")
 
@@ -131,22 +135,19 @@ def _items(value, what, pairs=False):
         raise MalformedInput(f"{what} must be {shape}") from None
 
 
-def _bound_table(cone):
-    """Meet (cone = down cones) or join (up cones) table of a transitive order.
+def _owners(cone):
+    """Dict from each cone c to its owner, the k with ``cone[k] == c`` and k in c.
 
-    The bound of i and j is the member k of ``common = cone[i] & cone[j]``
-    with ``cone[k] == common``; None when there is no such k or more than one.
-    Since k lies in ``common`` exactly when it lies in its own cone, one dict
-    mapping each cone c to its owner, the k with ``cone[k] == c`` and k in c
-    (None when several share it), answers every entry, in both triangles of
-    the table, with one lookup.
+    None when several share the cone.  In a transitive order the bound of i
+    and j (meet on down cones, join on up cones) is the owner of their common
+    cone, one lookup per table entry, as a member of it lies in its own cone.
+    In a valid lattice a mask is a key exactly when it is an element's cone.
     """
     owner = {}
     for k, c in enumerate(cone):
         if c >> k & 1:
             owner[c] = None if c in owner else k
-    get = owner.get
-    return [[get(c & d) for d in cone] for c in cone]
+    return owner
 
 
 def _positions(row, value):
@@ -173,6 +174,8 @@ class PcdLattice:
     def __init__(self, names, leq, name="lattice"):
         names = tuple(str(x) for x in _items(names, "element labels"))
         n = len(names)
+        if n > CONSTRUCTION_CAP:
+            raise MalformedInput(f"lattices are capped at {CONSTRUCTION_CAP} elements, got {n}")
         if len(set(names)) != n:
             raise MalformedInput("duplicate element labels")
         try:
@@ -200,9 +203,12 @@ class PcdLattice:
         self.bottom = up.index(full) if up.count(full) == 1 else None
         self.top = down.index(full) if down.count(full) == 1 else None
         self._intransitive = self._transitivity_witness(leq)
+        # kept for the family bounds and the distributivity test too
+        self._down_owner, self._up_owner = _owners(down), _owners(up)
         if self._intransitive is None:
-            self.meet = _bound_table(self._down)
-            self.join = _bound_table(self._up)
+            meet, join = self._down_owner.get, self._up_owner.get
+            self.meet = [[meet(c & d) for d in down] for c in down]
+            self.join = [[join(c & d) for d in up] for c in up]
         else:
             self.meet = [[self._bound(i, j, self._down) for j in range(n)]
                          for i in range(n)]
@@ -281,17 +287,17 @@ class PcdLattice:
 
         In a valid lattice the common down cone of a family is the down cone
         of its meet, so the meet is one AND over the members' down cones and
-        one search for that cone; the empty meet is the top.  Valid lattices
-        only: there every element has a cone of its own.
+        one lookup of that cone's owner; the empty meet is the top.  Valid
+        lattices only: there every element has a cone of its own.
         """
         full = (1 << self.n) - 1
-        return self._down.index(reduce(and_, compress(self._down, selected), full))
+        return self._down_owner[reduce(and_, compress(self._down, selected), full)]
 
     def _join_of(self, selected):
         """Join of the elements picked by ``selected``: the dual of ``_meet_of``
         on up cones; the empty join is the bottom.  Valid lattices only."""
         full = (1 << self.n) - 1
-        return self._up.index(reduce(and_, compress(self._up, selected), full))
+        return self._up_owner[reduce(and_, compress(self._up, selected), full)]
 
     def covers(self):
         """Cover pairs (i, j) with j directly above i, for Hasse output.
@@ -363,18 +369,15 @@ class PcdLattice:
 
     def _check_distributive(self):
         # a finite lattice is distributive iff every join-irreducible j is
-        # join-prime (Birkhoff), i.e. the join of all elements not above j is
-        # itself not above j.  j is join-irreducible iff the join of the
-        # elements strictly below it is not j, a test that also rules out the
-        # bottom, whose empty join is itself.  Every meet and join exists
-        # here, so each join is one AND over up cones (``_join_of``): n of
-        # them find the join-irreducibles J and |J| more test them.
-        n, up, down, join_of = self.n, self._up, self._down, self._join_of
-        full = (1 << n) - 1
-        for j in range(n):
-            if join_of(_flags(down[j] & ~(1 << j), n)) == j:
-                continue
-            if up[j] >> join_of(_flags(full & ~up[j], n)) & 1:
+        # join-prime (Davey & Priestley, ch. 10).  Both ask whether a down-set
+        # is the down cone of an element, one lookup each among the down
+        # cones: j is join-irreducible iff the elements strictly below it are
+        # the cone of one lower cover (the bottom's empty set is no cone), and
+        # join-prime iff the elements not above it are the cone of their join.
+        cones = self._down_owner
+        full = (1 << self.n) - 1
+        for j, (d, u) in enumerate(zip(self._down, self._up)):
+            if d ^ (1 << j) in cones and full ^ u not in cones:
                 return self._first_distributive_failure()
         return []
 
@@ -752,6 +755,8 @@ def downset_lattice(point_labels, point_leq, name="downsets"):
     """
     point_labels = [str(x) for x in _items(point_labels, "point labels")]
     k = len(point_labels)
+    if k > GENERATE_POSET_CAP:
+        raise MalformedInput(f"posets are capped at {GENERATE_POSET_CAP} points, got {k}")
     rows = [_items(row, "point order row") for row in _items(point_leq, "point order")]
     if len(rows) != k or any(len(row) != k for row in rows):
         raise MalformedInput(f"point order must be {k} x {k}")
@@ -777,8 +782,8 @@ def downset_lattice(point_labels, point_leq, name="downsets"):
 def chain(k, name=None):
     """Total order with k elements."""
     _require_type(k, int, "chain length")
-    if k < 1:
-        raise MalformedInput("chain needs at least one element")
+    if not 1 <= k <= CONSTRUCTION_CAP:  # before the k x k matrix is built
+        raise MalformedInput(f"chain length must be between 1 and {CONSTRUCTION_CAP}, got {k}")
     names = [f"c{i}" for i in range(k)]
     leq = [[i <= j for j in range(k)] for i in range(k)]
     return PcdLattice(names, leq, name=name or f"chain{k}")

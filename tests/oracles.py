@@ -277,6 +277,23 @@ def reference_transitivity_witness(leq):
     )
 
 
+def reference_closure(k, pairs):
+    """Reflexive-transitive closure of the pairs on range(k), as 0/1 rows:
+    row i has a 1 at j when a breadth-first search from i along the pairs
+    reaches j."""
+    succ = {i: set() for i in range(k)}
+    for a, b in pairs:
+        succ[a].add(b)
+    rows = []
+    for i in range(k):
+        seen, frontier = {i}, [i]
+        while frontier:
+            frontier = [w for v in frontier for w in succ[v] if w not in seen]
+            seen.update(frontier)
+        rows.append([int(j in seen) for j in range(k)])
+    return rows
+
+
 def reference_covers(leq):
     """Pairs (i, j), in lexicographic order, with i <= j, i != j and no third
     element k with i <= k <= j, from the order as a set of pairs."""

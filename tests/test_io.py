@@ -151,6 +151,36 @@ class TestParseAgainstReference:
         assert got == oracles.reference_parse(labels, pairs, mode)
 
 
+class TestClosureAgainstReference:
+    """``_reflexive_transitive_closure`` row for row against a breadth-first search."""
+
+    @staticmethod
+    def check(k, pairs):
+        rows = rio._reflexive_transitive_closure(k, pairs)
+        assert [list(row) for row in rows] == oracles.reference_closure(k, pairs)
+
+    def test_random_digraphs(self):
+        # pairs in any direction, so cycles are common; self-loops and
+        # repeated pairs too
+        for seed in range(300):
+            rng = random.Random(seed)
+            k = rng.randint(0, 64)
+            p = rng.choice([0.5, 2, 4]) / max(k, 1)
+            pairs = [(i, j) for i in range(k) for j in range(k) if rng.random() < p]
+            pairs += rng.sample(pairs, min(len(pairs), 3))
+            pairs += [(i, i) for i in range(k) if rng.random() < 0.05]
+            rng.shuffle(pairs)
+            self.check(k, pairs)
+
+    def test_chain_leaf_first_and_root_first(self):
+        steps = [(i, i + 1) for i in range(63)]
+        self.check(64, steps[::-1])
+        self.check(64, steps)
+
+    def test_cycle(self):
+        self.check(64, [(i, (i + 1) % 64) for i in range(64)])
+
+
 class TestRoundTrips:
     @given(st.integers(0, 2000), st.integers(0, 5))
     @settings(max_examples=30, deadline=None)

@@ -35,6 +35,24 @@ def pentagon():
     return PcdLattice(names, leq, name="N5")
 
 
+def family_order(rng):
+    """A random set family on at most 4 points holding the full set and at
+    least one other set, closed under intersection: labels and inclusion
+    order, in a shuffled order."""
+    k = rng.randint(1, 4)
+    full, p = (1 << k) - 1, rng.random()
+    family = {full, rng.randrange(full)} | {m for m in range(full) if rng.random() < p}
+    while True:
+        grown = family | {a & b for a in family for b in family}
+        if grown == family:
+            break
+        family = grown
+    members = sorted(family)
+    names = ["{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in members]
+    leq = [[a & ~b == 0 for b in members] for a in members]
+    return util.relabel(names, leq, rng)
+
+
 class TestValidate:
     def test_one_element_lattice_valid(self):
         assert validate(boolean(0)) == []
@@ -266,6 +284,32 @@ class TestGenerators:
         assert downset_lattice(["p"], [[True]]).n == 2
 
 
+class TestConstructionCap:
+    """No lattice has more than 256 elements, the downsets of 8 points."""
+
+    @staticmethod
+    def antichain(k):
+        return downset_lattice(list("abcdefghi"[:k]), [[i == j for j in range(k)] for i in range(k)])
+
+    def test_largest_lattices_build(self):
+        assert chain(256).n == 256
+        assert validate(self.antichain(8)) == []
+
+    def test_chain_outside_1_to_256_refused(self):
+        with pytest.raises(MalformedInput, match="between 1 and 256, got 257"):
+            chain(257)
+        with pytest.raises(MalformedInput, match="between 1 and 256, got 0"):
+            chain(0)
+
+    def test_order_matrix_of_257_refused(self):
+        with pytest.raises(MalformedInput, match="capped at 256 elements, got 257"):
+            PcdLattice([str(i) for i in range(257)], [[]])
+
+    def test_9_point_poset_refused(self):
+        with pytest.raises(MalformedInput, match="capped at 8 points, got 9"):
+            self.antichain(9)
+
+
 class TestBasis:
     def test_full_basis_is_basis(self):
         l = util.downset_instance(11, 4)
@@ -359,3 +403,23 @@ class TestDistributivity:
         report = PcdLattice(list(names), leq).validate()
         assert report == expected
         assert report == oracles.reference_tables(list(names), leq)["report"]
+
+    def test_small_families_and_products_match_reference(self):
+        # intersection-closed families on at most 4 points (2 to 16 sets,
+        # about one in six not distributive), and N5 x 2 and M3 x 2, whose
+        # first failing triples lie below the top, each in a shuffled order
+        rng = random.Random(12)
+        orders = [family_order(rng) for _ in range(600)]
+        for above in ({0: {1, 2, 3, 4}, 1: {4}, 2: {3, 4}, 3: {4}},
+                      {0: {1, 2, 3, 4}, 1: {4}, 2: {4}, 3: {4}}):
+            pairs = [(x, i) for x in range(5) for i in range(2)]
+            names = [f"{x}{i}" for x, i in pairs]
+            leq = [[(x == y or y in above.get(x, ())) and i <= j for y, j in pairs]
+                   for x, i in pairs]
+            orders += [util.relabel(names, leq, rng) for _ in range(20)]
+        failing = 0
+        for names, leq in orders:
+            report = PcdLattice(names, leq).validate()
+            assert report == oracles.reference_tables(names, leq)["report"]
+            failing += any(line.startswith("distributivity") for line in report)
+        assert failing >= 120
