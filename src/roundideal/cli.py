@@ -25,6 +25,7 @@ from .framemap import is_dense, is_embedding, validate_map
 from .lattice import (
     Basis,
     _bits,
+    _require,
     full_basis,
     is_regular,
     pcd_closure,
@@ -58,9 +59,7 @@ def _load_maps(paths, lat):
             type(f)(lat, f.target, f.basis, f.assignment)
         )
     for f in maps:
-        report = validate_map(f)
-        if report:
-            raise RoundIdealError(f"map is not continuous: {report[0]}")
+        _require(validate_map(f), RoundIdealError, "map is not continuous")
     return maps
 
 

@@ -55,12 +55,14 @@ from .lattice import (
     PcdLattice,
     Relation,
     _bits,
+    _explain,
     _flags,
     _index,
     _items,
     _joins_of_related,
     _lowest,
     _mask,
+    _require,
     _require_type,
     full_basis,
     is_compact,
@@ -77,8 +79,6 @@ from .relation import (
     least_strong_inclusion,
     ordered_sandwich,
 )
-
-ENUMERATION_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,8 @@ class RoundIdeal:
                 if b is not None:
                     out.append(f"not join closed at ({names[a]}, {names[b]})")
         if not all(map(and_, compress(si.rows, picked), repeat(inside))):
-            flat = next(b for b in _bits(inside) if not si.rows[b] & inside)
+            flat = _explain((b for b in _bits(inside) if not si.rows[b] & inside),
+                            f"{lat.name}: roundness")
             out.append(f"not round at {names[flat]}")
         return out
 
@@ -189,9 +190,7 @@ class Compactification:
         return list(self.source.once(key, lambda: tuple(_check_compactification(self))))
 
     def require_valid(self):
-        out = self.violations()
-        if out:
-            raise PreconditionError(f"not a compactification: {out[0]}")
+        _require(self.violations(), PreconditionError, "not a compactification")
 
 
 def _check_compactification(k):
@@ -233,9 +232,7 @@ def strong_downset(p, si, a):
     if a not in p.elements:
         raise MalformedInput("element outside the carrier")
     ideal = RoundIdeal(p, frozenset(_bits(si.cols[a])))
-    bad = ideal.violations(si)
-    if bad:
-        raise InvariantViolation(f"strong-downset ideal invalid: {bad[0]}")
+    _require(ideal.violations(si), InvariantViolation, "strong-downset ideal invalid")
     return ideal
 
 
@@ -250,10 +247,6 @@ def enumerate_round_ideals(p, si):
     ``p``) on the lattice.
     """
     _require_strong_inclusion(si, p)
-    if len(p.elements) > ENUMERATION_CAP:
-        raise MalformedInput(
-            f"round-ideal enumeration capped at {ENUMERATION_CAP} carrier elements"
-        )
     return p.lattice.once(("frame", si.rows, si.carrier, p.elements),
                           lambda: _round_ideal_frame(p, si))
 
@@ -266,15 +259,11 @@ def _round_ideal_frame(p, si):
     masks = sorted(tops, key=lambda m: tuple(_bits(m)))
     ideals = tuple(RoundIdeal(p, frozenset(_bits(m))) for m in masks)
     for ideal in ideals:
-        bad = ideal.violations(si)
-        if bad:
-            raise InvariantViolation(f"enumerated ideal invalid: {bad[0]}")
+        _require(ideal.violations(si), InvariantViolation, "enumerated ideal invalid")
     names = [f"dn({lat.names[tops[m]]})" for m in masks]
     leq = [[not a & ~b for b in masks] for a in masks]
     frame_lat = PcdLattice(names, leq, name=f"R({lat.name})")
-    report = frame_lat.validate()
-    if report:
-        raise InvariantViolation(f"round-ideal frame invalid: {report[0]}")
+    _require(frame_lat.validate(), InvariantViolation, "round-ideal frame invalid")
     index = {m: i for i, m in enumerate(masks)}
     down_index = {}
     for a in _bits(keep):
@@ -368,9 +357,7 @@ def _join_map(l, fr):
         for idx in fr.ideal_basis.elements
     }
     m = ContinuousMap(l, fr.lattice, fr.ideal_basis, assignment)
-    report = validate_map(m)
-    if report:
-        raise InvariantViolation(f"join map is not continuous: {report[0]}")
+    _require(validate_map(m), InvariantViolation, "join map is not continuous")
     return m
 
 
@@ -412,9 +399,7 @@ def extension_map(fr, f, codomain_basis=None):
             )
         assignment[a] = idx
     g = ContinuousMap(fr.lattice, ltgt, codomain_basis, assignment)
-    report = validate_map(g)
-    if report:
-        raise InvariantViolation(f"extension map is not continuous: {report[0]}")
+    _require(validate_map(g), InvariantViolation, "extension map is not continuous")
     if not maps_equal(compose(g, join_map(lsrc, fr)), f):
         raise InvariantViolation("extension does not factor the map through join_map")
     return g
@@ -527,7 +512,7 @@ def explicit_strong_inclusion(p, f, codomain_basis=None):
     The pair (x, y) is related when x sits under the preimage of some b and y
     sits over the preimage of some a with b well-inside a.  Requires the
     extension of ``f`` to preserve pseudocomplements; the result is checked
-    equal to the inductively generated strong inclusion before returning.
+    equal to ``least_strong_inclusion`` of the same seed before returning.
     """
     _require_type(p, Basis, "carrier")
     require_valid_map(f)
@@ -637,9 +622,7 @@ def _inverse_iso(g):
     fr_lat, klat = g.source, g.target
     inv = {v: m for m, v in enumerate(g.ext)}
     i = ContinuousMap(klat, fr_lat, full_basis(fr_lat), inv)
-    report = validate_map(i)
-    if report:
-        raise InvariantViolation(f"inverse of an isomorphism not continuous: {report[0]}")
+    _require(validate_map(i), InvariantViolation, "inverse of an isomorphism not continuous")
     return i
 
 

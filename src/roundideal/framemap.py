@@ -23,9 +23,11 @@ from .lattice import (
     PcdLattice,
     Relation,
     _bits,
+    _explain,
     _index,
     _lowest,
     _mask,
+    _require,
     _require_type,
     full_basis,
     well_inside,
@@ -163,8 +165,9 @@ def _continuity_report(f):
         )
     for c in basis:
         if ext[c] != asg[c]:
-            a, b = next((a, b) for a in basis for b in basis
-                        if tgt.leq(a, b) and not src.leq(asg[a], asg[b]))
+            a, b = _explain(((a, b) for a in basis for b in basis
+                             if tgt.leq(a, b) and not src.leq(asg[a], asg[b])),
+                            f"{f!r}: monotonicity on the basis")
             report.append(
                 f"cover refinement: assignment not monotone at ({tgt.names[a]}, {tgt.names[b]})"
             )
@@ -190,9 +193,7 @@ def _continuity_report(f):
 
 
 def require_valid_map(f):
-    report = validate_map(f)
-    if report:
-        raise PreconditionError(f"invalid continuous map: {report[0]}")
+    _require(validate_map(f), PreconditionError, "invalid continuous map")
 
 
 def maps_equal(f, g):
@@ -212,9 +213,7 @@ def compose(f, g):
     require_valid_map(g)
     assignment = {a: g.ext[x] for a, x in f.assignment.items()}
     out = ContinuousMap(g.source, f.target, f.basis, assignment)
-    report = validate_map(out)
-    if report:
-        raise InvariantViolation(f"composite map is not continuous: {report[0]}")
+    _require(validate_map(out), InvariantViolation, "composite map is not continuous")
     return out
 
 

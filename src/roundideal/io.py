@@ -8,7 +8,7 @@ Lattice documents::
 
 The pairs are closed in one depth-first pass in postorder, repeated only
 when the search meets a back edge (a cycle or a pair ``le a a``).  In
-``lattice`` mode the closure must validate as a pcd-lattice of at most 64
+``lattice`` mode the closure must validate as a pcd-lattice of at most 256
 elements; in ``poset-downsets`` mode it must be a poset of at most 8 points,
 whose downset lattice (at most 256 elements, always valid) is built.  Both
 caps are checked before the pairs are closed.  Relation documents carry
@@ -30,8 +30,8 @@ from .errors import MalformedInput, ValidationFailure
 from .framemap import ContinuousMap
 from .lattice import (
     _FLAG,
+    CONSTRUCTION_CAP,
     GENERATE_POSET_CAP,
-    MAX_ELEMENTS,
     Basis,
     PcdLattice,
     _require_type,
@@ -88,9 +88,9 @@ def parse_lattice(text):
     if labels is None:
         raise MalformedInput("missing 'elements' line")
     k = len(labels)
-    if mode == "lattice" and k > MAX_ELEMENTS:
+    if mode == "lattice" and k > CONSTRUCTION_CAP:
         raise MalformedInput(
-            f"lattice mode is capped at {MAX_ELEMENTS} elements, got {k}"
+            f"lattice mode is capped at {CONSTRUCTION_CAP} elements, got {k}"
         )
     if mode == "poset-downsets" and k > GENERATE_POSET_CAP:
         raise MalformedInput(

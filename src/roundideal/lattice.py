@@ -14,10 +14,13 @@ back to scanning the common cone.  The order axioms are checked on the masks
 in O(n^2) word operations, each a pass over a whole row: row i is
 transitive when one C-level OR of the up cones its order row selects adds
 nothing to up(i), and only the first failing row is scanned to name the
-witness.  The pseudocomplement of y joins the positions of the bottom in
-meet row y, found by C-level list searches (``_positions``), and its check
-compares their number with the size of down(y*).  Cover pairs take one mask
-test per comparable pair.  Most round-ideal frames and sources have 4..16
+witness.  Every whole-row check in the package names its failure so,
+through ``_explain``: the scan starts only after the row test has failed,
+and an exact test whose scan finds nothing is an internal fault.  The
+pseudocomplement of y joins the positions of the bottom in meet row y,
+found by C-level list searches (``_positions``), and its check compares
+their number with the size of down(y*).  Cover pairs take one mask test
+per comparable pair.  Most round-ideal frames and sources have 4..16
 elements, so a kernel form must be no slower than a plain per-pair loop at
 that size as well as faster at 32..64; there is one form per kernel and no
 size threshold.
@@ -55,10 +58,11 @@ raised.  The memo
 lives and dies with its lattice and takes no part in equality, hashing or
 ``repr``.
 
-Sizes are desk scale: no lattice has more than ``CONSTRUCTION_CAP`` = 256
-elements, the downsets of ``GENERATE_POSET_CAP`` = 8 points, and lattice
-documents at most ``MAX_ELEMENTS`` = 64; each cap is enforced before any
-table or enumeration is built.  Every axiom check runs in full, unsampled.
+Sizes are desk scale: no lattice, document or frame has more than
+``CONSTRUCTION_CAP`` = 256 elements, and downset lattices are built over at
+most ``GENERATE_POSET_CAP`` = 8 points, whose 2^8 downsets meet that cap;
+both caps are enforced before any table or enumeration is built.  Every
+axiom check runs in full, unsampled.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ from operator import and_, index, itemgetter, or_
 
 from .errors import InvariantViolation, MalformedInput, NotACoverError, PreconditionError
 
-MAX_ELEMENTS = 64  # elements of a lattice-mode document
 GENERATE_POSET_CAP = 8  # points of a poset whose downset lattice is built
 CONSTRUCTION_CAP = 1 << GENERATE_POSET_CAP  # elements of any lattice
 
@@ -133,6 +136,25 @@ def _items(value, what, pairs=False):
     except (TypeError, ValueError):
         shape = "a collection of pairs" if pairs else "a collection"
         raise MalformedInput(f"{what} must be {shape}") from None
+
+
+def _explain(scan, what, exact=True):
+    """First witness of ``scan``, started only once the row test of ``what`` failed.
+
+    An ``exact`` row test is equivalent to its condition, so an empty scan is
+    an internal fault (InvariantViolation).  A row test that is only sound
+    may fail while the condition holds; then the result is None.
+    """
+    witness = next(scan, None)
+    if witness is None and exact:
+        raise InvariantViolation(f"{what} fails its row test, yet the scan finds no witness")
+    return witness
+
+
+def _require(report, error, what):
+    """Raise ``error`` with ``what`` and the first entry of ``report``, if any."""
+    if report:
+        raise error(f"{what}: {report[0]}")
 
 
 def _owners(cone):
@@ -228,10 +250,10 @@ class PcdLattice:
         for i, row in enumerate(leq):
             u = up[i]
             if reduce(or_, compress(up, row), u) != u:
-                for j in _bits(u):
-                    escaped = up[j] & ~u
-                    if escaped:
-                        return i, j, _lowest(escaped)
+                return _explain(
+                    ((i, j, _lowest(up[j] & ~u)) for j in _bits(u) if up[j] & ~u),
+                    f"{self.name}: transitivity at {self.names[i]}",
+                )
         return None
 
     def _bound(self, i, j, cone):
@@ -378,13 +400,13 @@ class PcdLattice:
         full = (1 << self.n) - 1
         for j, (d, u) in enumerate(zip(self._down, self._up)):
             if d ^ (1 << j) in cones and full ^ u not in cones:
-                return self._first_distributive_failure()
+                return [_explain(self._distributive_failures(), f"{self.name}: distributivity")]
         return []
 
-    def _first_distributive_failure(self):
+    def _distributive_failures(self):
         # x ^ (y v z) == (x ^ y) v (x ^ z) for every z at once: both sides
         # are row gathers, join[y] picked out of meet[x] and meet[x] picked
-        # out of join[x ^ y]; the per-z loop only names the first failure
+        # out of join[x ^ y]; the per-z loop names each failure in order
         n, meet, join, names = self.n, self.meet, self.join, self.names
         through_join = [itemgetter(*row) for row in join]
         for x in range(n):
@@ -395,14 +417,7 @@ class PcdLattice:
                     continue
                 for z in range(n):
                     if mx[join[y][z]] != join[mx[y]][mx[z]]:
-                        return [
-                            "distributivity fails at "
-                            f"({names[x]}, {names[y]}, {names[z]})"
-                        ]
-        raise InvariantViolation(
-            f"{self.name}: a join-irreducible element is not join-prime, "
-            "yet no triple fails distributivity"
-        )
+                        yield f"distributivity fails at ({names[x]}, {names[y]}, {names[z]})"
 
     def _check_pseudocomplements(self):
         # pstar is the join of all elements disjoint from y, so maximality can
@@ -429,9 +444,8 @@ class PcdLattice:
         return not self.validate()
 
     def require_valid(self):
-        report = self.validate()
-        if report:
-            raise PreconditionError(f"invalid lattice: {report[0]}")
+        _require(self.once(("validate",), self._axiom_report), PreconditionError,
+                 "invalid lattice")
 
     # -- equality ----------------------------------------------------------
 
@@ -558,11 +572,8 @@ class Relation:
 def _joins_of_related(lat, targets, cols, pool):
     """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``.
 
-    Joins are taken through up cones on a valid lattice and by folding the
-    join table on any other (read from the memoized axiom report).
+    Joins are taken through up cones (``_join_of``), so ``lat`` must be valid.
     """
-    if lat.once(("validate",), lat._axiom_report):
-        return all(lat.join_all(_bits(cols[a] & pool)) == a for a in targets)
     n = lat.n
     return all(lat._join_of(_flags(cols[a] & pool, n)) == a for a in targets)
 
@@ -587,12 +598,16 @@ class Basis:
         object.__setattr__(self, "elements", elements)
 
     def is_basis(self):
-        """Every element is the join of the basis elements below it; memoised."""
+        """Every element is the join of the basis elements below it; memoised.
+
+        Valid lattices only: PreconditionError on any other.
+        """
         return self.lattice.once(("basis", self.elements), self._generates)
 
     def _generates(self):
         """``is_basis``, uncached."""
         lat = self.lattice
+        lat.require_valid()
         return _joins_of_related(lat, range(lat.n), lat._down, _mask(self.elements))
 
     def is_sub_pcd(self):
@@ -792,8 +807,8 @@ def chain(k, name=None):
 def boolean(k, name=None):
     """Boolean algebra of subsets of k atoms (downsets of an antichain)."""
     _require_type(k, int, "atom count")
-    if not 0 <= k <= 6:
-        raise MalformedInput("boolean algebra size capped at 2^6")
+    if not 0 <= k <= GENERATE_POSET_CAP:
+        raise MalformedInput(f"atom count must be between 0 and {GENERATE_POSET_CAP}, got {k}")
     labels = [chr(ord("a") + i) for i in range(k)]
     eye = [[i == j for j in range(k)] for i in range(k)]
     lat = downset_lattice(labels, eye, name=name or f"bool{k}")

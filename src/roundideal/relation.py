@@ -1,8 +1,8 @@
 """Kernels on binary relations over a pcd-lattice.
 
 Hosts the interpolative core of a relation (of well-inside in particular),
-the seven strong-inclusion conditions, inductively generated least strong
-inclusions, strong-regularity predicates, and dyadic scales.
+the seven strong-inclusion conditions, least strong inclusions in closed
+form, strong-regularity predicates, and dyadic scales.
 
 A ``Relation`` (defined in ``lattice``, next to the lattices it lives on)
 stores one row mask per element: bit b of ``rows[a]`` says (a, b) is
@@ -25,8 +25,8 @@ columns, each row one C-level gather and fold (``lattice._flags``):
 
 That is O(n) gathers of at most n masks each, whatever the number of pairs.
 Only a condition whose row test fails is scanned pair by pair, to name its
-first failing pair in index order; where the row test is exact and the scan
-finds nothing, ``InvariantViolation`` is raised.
+first failing pair in index order (``lattice._explain``); where the row test
+is exact and the scan finds nothing, ``InvariantViolation`` is raised.
 
 On a finite carrier P every strong inclusion <| is an order sandwich
 {(x, y) : x <= s <= y, s in S} of its self-related set S.  Interpolating
@@ -69,6 +69,7 @@ from .lattice import (
     Relation,
     _bits,
     _checked_carrier,
+    _explain,
     _flags,
     _index,
     _joins_of_related,
@@ -205,23 +206,6 @@ def _result(number, name, failure):
     return ConditionResult(number, name, False, *failure)
 
 
-def _scanned(lat, number, holds, scan, exact=True):
-    """None when condition ``number`` ``holds`` by its row test; else the
-    first ``(witness, detail)`` failure that the pair ``scan`` names.
-
-    Where the row test is ``exact`` (equivalent to the condition), a scan
-    that finds nothing is an internal fault.
-    """
-    if holds:
-        return None
-    failure = next(scan, None)
-    if failure is None and exact:
-        raise InvariantViolation(
-            f"{lat.name}: condition {number} fails its row test, yet no pair fails"
-        )
-    return failure
-
-
 def check_strong_inclusion(si, on):
     """Evaluate the seven strong-inclusion conditions of ``si`` on ``on``.
 
@@ -325,12 +309,14 @@ def _strong_inclusion_report(si, keep):
     return SiReport((
         _result(1, "bounds are self-related",
                 bounds and (bounds, "0<|0 or 1<|1 missing")),
-        _result(2, "order sandwich", _scanned(lat, 2, sandwiched, sandwich())),
-        _result(3, "meets on the right",
-                _scanned(lat, 3, meets_close, meets(), exact=sandwiched)),
-        _result(4, "joins on the left",
-                _scanned(lat, 4, joins_close, joins(), exact=sandwiched)),
-        _result(5, "star reversal", _scanned(lat, 5, stars_reverse, stars())),
+        _result(2, "order sandwich", None if sandwiched
+                else _explain(sandwich(), f"{lat.name}: condition 2")),
+        _result(3, "meets on the right", None if meets_close
+                else _explain(meets(), f"{lat.name}: condition 3", sandwiched)),
+        _result(4, "joins on the left", None if joins_close
+                else _explain(joins(), f"{lat.name}: condition 4", sandwiched)),
+        _result(5, "star reversal", None if stars_reverse
+                else _explain(stars(), f"{lat.name}: condition 5")),
         _result(6, "contained in well-inside",
                 outside and (outside, "pair is not well-inside")),
         _result(7, "interpolation", gap and (gap, "no interpolant")),

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import util
-from roundideal import io as rio
+from roundideal import cli, io as rio
 from roundideal.cli import build_parser, main
 from roundideal.errors import RoundIdealError
 from roundideal.lattice import boolean, chain
@@ -160,6 +161,39 @@ class TestExtend:
         map_path = tmp_path / "f.map"
         map_path.write_text(doc)
         assert main(["extend", str(square), str(map_path)]) == 2
+
+
+def _cli_documents(d):
+    """square.lat, one.lat and c3.lat, with maps into one.lat: ok.map from
+    square.lat, off.map from c3.lat and bad.map, which is not continuous."""
+    (d / "square.lat").write_text(rio.serialize_lattice(boolean(2)))
+    (d / "one.lat").write_text(rio.serialize_lattice(boolean(1)))
+    (d / "c3.lat").write_text(rio.serialize_lattice(chain(3)))
+    head = "source {}.lat\ntarget one.lat\n"
+    (d / "ok.map").write_text(head.format("square") + "to {} {}\nto {a} {a,b}\n")
+    (d / "off.map").write_text(head.format("c3") + "to {} c0\nto {a} c2\n")
+    (d / "bad.map").write_text(head.format("square") + "to {} {}\nto {a} {a}\n")
+
+
+@pytest.mark.parametrize("argv, call, message", [
+    (["compactify", "square.lat", "--maps", "off.map"],
+     lambda d, lat: cli._load_maps([d / "off.map"], lat),
+     "map .*off.map has a source different from the main lattice"),
+    (["compactify", "square.lat", "--maps", "bad.map"],
+     lambda d, lat: cli._load_maps([d / "bad.map"], lat),
+     "map is not continuous: covering: basis images join to {a}, not the top"),
+    (["extend", "square.lat", "ok.map", "--through", "bogus"],
+     lambda d, lat: cli._build_spec("bogus", lat, d),
+     "unknown compactification spec 'bogus'"),
+], ids=["map-source", "discontinuous-map", "unknown-spec"])
+def test_input_checks(tmp_path, capsys, argv, call, message):
+    _cli_documents(tmp_path)
+    with pytest.raises(RoundIdealError, match=message) as info:
+        call(tmp_path, rio.parse_lattice((tmp_path / "square.lat").read_text()))
+    assert type(info.value) is RoundIdealError
+    paths = [str(tmp_path / a) if a.endswith((".lat", ".map")) else a for a in argv]
+    assert main(paths) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
 
 class TestCompare:

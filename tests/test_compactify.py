@@ -38,6 +38,7 @@ from roundideal.lattice import (
     PcdLattice,
     boolean,
     chain,
+    downset_lattice,
     full_basis,
     pcd_closure,
     well_inside,
@@ -113,9 +114,12 @@ class TestEnumerateRoundIdeals:
         assert fr.lattice.n == 1
 
     def test_carrier_cap(self):
+        # the one element cap is the lattice's own: any carrier enumerates
         l = boolean(5)
-        with pytest.raises(MalformedInput):
-            enumerate_round_ideals(full_basis(l), order_si(l))
+        fr = enumerate_round_ideals(full_basis(l), order_si(l))
+        assert fr.lattice.n == 32
+        with pytest.raises(MalformedInput, match="between 0 and 8, got 9"):
+            boolean(9)
 
     @given(st.integers(0, 3000))
     @settings(max_examples=30, deadline=None)
@@ -637,3 +641,61 @@ class TestInterpolatedSubcover:
         assert (l.join_all(w.middle), total) in wi
         for q, m, u in zip(w.lower, w.middle, w.upper):
             assert (q, m) in wi and (m, u) in wi and u in parts
+
+
+def _frame(l):
+    return enumerate_round_ideals(full_basis(l), order_si(l))
+
+
+def _identity(l):
+    return ContinuousMap.identity(l)
+
+
+def _into_chain3(l, middle):
+    """The map from ``l`` into the non-regular chain c0 < c1 < c2 with c1 -> ``middle``."""
+    c = chain(3)
+    return ContinuousMap(l, c, full_basis(c), {0: l.bottom, 1: middle, 2: l.top})
+
+
+def _vee():
+    """Downsets of z <= x, z <= y: 0 < {z} < {x,z}, {y,z} < 1, not regular."""
+    return downset_lattice("zxy", [[1, 1, 1], [0, 1, 0], [0, 0, 1]], name="vee")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda l: strong_downset(pcd_closure(l, ()), trivial_si(l, pcd_closure(l, ())), 1),
+     MalformedInput, "element outside the carrier"),
+    (lambda l: join_map(boolean(1), _frame(l)),
+     MalformedInput, "frame was not built over this lattice"),
+    (lambda l: extension_map(_frame(l), _identity(boolean(1))),
+     MalformedInput, "frame and map sources do not match"),
+    (lambda l: extension_map(_frame(l), _identity(l), Basis(l, {l.top})),
+     PreconditionError, "codomain basis must be a generating pcd-sublattice"),
+    (lambda l: strong_inclusion_from_maps(l, (), [_identity(l)], [None, None]),
+     MalformedInput, "need one codomain basis per map"),
+    (lambda l: strong_inclusion_from_maps(l, (), [_identity(boolean(1))]),
+     MalformedInput, "map source does not match the lattice"),
+    (lambda l: compactify_extending(l, full_basis(l), [_identity(boolean(1))]),
+     MalformedInput, "map source does not match the lattice"),
+    (lambda l: compactify_extending(l, full_basis(l), [_identity(l)], [pcd_closure(l, ())]),
+     PreconditionError, "codomain basis does not generate the codomain"),
+    (lambda l: compactify_extending(l, full_basis(l), [_into_chain3(l, l.bottom)]),
+     PreconditionError, "map codomain is not regular"),
+    (lambda l: explicit_strong_inclusion(full_basis(l), _identity(l), Basis(l, {l.top})),
+     PreconditionError, "codomain basis must be a generating pcd-sublattice"),
+    (lambda l: explicit_strong_inclusion(full_basis(l), _into_chain3(l, l.top)),
+     PreconditionError, "codomain is not regular"),
+    (lambda l: explicit_strong_inclusion(pcd_closure(l, ()), _identity(l)),
+     PreconditionError, "carrier does not contain the basis preimages"),
+    (lambda l: interpolated_subcover(l, pcd_closure(l, ()), l.bottom, [1]),
+     PreconditionError, "cover parts must lie in the carrier"),
+    (lambda l: interpolated_subcover(_vee(), full_basis(_vee()), 1, [2, 3]),
+     PreconditionError, "carrier is not regular enough to refine the cover"),
+], ids=["strong-downset-outside", "join-map-foreign-frame", "extension-foreign-map",
+        "extension-codomain-basis", "bases-per-map", "maps-source", "extending-source",
+        "extending-codomain-basis", "extending-codomain-regular", "explicit-codomain-basis",
+        "explicit-codomain-regular", "explicit-carrier", "subcover-parts", "subcover-regular"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call(boolean(2))
+    assert type(info.value) is error

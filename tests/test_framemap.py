@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import util
 from roundideal import framemap
-from roundideal.errors import MalformedInput
+from roundideal.errors import InvariantViolation, MalformedInput, PreconditionError
 from roundideal.framemap import (
     ContinuousMap,
     compose,
@@ -77,6 +77,27 @@ class TestValidateMap:
         l = boolean(1)
         with pytest.raises(MalformedInput):
             ContinuousMap(l, l, full_basis(l), {0: 0})
+
+    def test_extension_out_of_step_with_a_monotone_assignment_is_a_fault(self):
+        # ext[{a}] tampered to the top: the exact monotonicity test fails,
+        # yet no pair of the identity assignment breaks monotonicity
+        l = boolean(2)
+        f = ContinuousMap.identity(l)
+        f.ext = (f.ext[0], l.top, *f.ext[2:])
+        with pytest.raises(InvariantViolation, match="monotonicity on the basis fails its row"):
+            validate_map(f)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda l: ContinuousMap(l, l, full_basis(boolean(1)), {0: 0, 1: 3}),
+         MalformedInput, "basis must belong to the target lattice"),
+        (lambda l: compose(ContinuousMap.identity(l),
+                           ContinuousMap(l, l, full_basis(l), {0: 0, 1: 1, 2: 1, 3: 3})),
+         PreconditionError, r"invalid continuous map: meets: images of \(\{a\}, \{b\}\)"),
+    ], ids=["foreign-basis", "compose-invalid-map"])
+    def test_input_checks(self, call, error, message):
+        with pytest.raises(error, match=message) as info:
+            call(boolean(2))
+        assert type(info.value) is error
 
     def test_non_integer_assignment_key_is_malformed(self):
         l, t = boolean(2), boolean(1)

@@ -82,14 +82,16 @@ class TestParseLattice:
         lat = rio.parse_lattice(rio.serialize_lattice(chain(64)))
         assert lat == chain(64)
 
-    def test_65_elements_rejected_before_closure(self, tmp_path, capsys):
-        doc = rio.serialize_lattice(chain(65))
-        with pytest.raises(MalformedInput, match="capped at 64"):
+    def test_257_elements_rejected_before_closure(self, tmp_path, capsys):
+        doc = rio.serialize_lattice(chain(256))
+        assert rio.parse_lattice(doc) == chain(256)
+        doc = doc.replace("\nle ", " c256\nle c255 c256\nle ", 1)
+        with pytest.raises(MalformedInput, match="capped at 256 elements, got 257"):
             rio.parse_lattice(doc)
-        path = tmp_path / "chain65.lat"
+        path = tmp_path / "chain257.lat"
         path.write_text(doc)
         assert main(["validate", str(path)]) == 2
-        assert "capped at 64" in capsys.readouterr().err
+        assert "capped at 256" in capsys.readouterr().err
 
 
 class TestPosetCap:
@@ -233,6 +235,42 @@ class TestRoundTrips:
         doc = "map f\nsource l.lat\ntarget l.lat\nto {} {}\n"
         with pytest.raises(MalformedInput, match="cover"):
             rio.parse_map(doc, base_dir=tmp_path)
+
+
+BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: rio.parse_lattice("lattice t lattice\nelements a a\n"),
+     "line 2: element labels must be unique"),
+    (lambda d: rio.parse_lattice("lattice t lattice\nelements a b\nle a\n"),
+     "line 3: expected 'le <a> <b>'"),
+    (lambda d: rio.parse_lattice("lattice t lattice\n"), "missing 'elements' line"),
+    (lambda d: rio.parse_relation("relation r\npair {}\n", boolean(1)),
+     "line 2: expected 'pair <a> <b>'"),
+    (lambda d: rio.parse_relation("pair {} {z}\n", boolean(1)), "unknown element label '{z}'"),
+    (lambda d: rio.parse_relation("let x\n", boolean(1)), "line 1: unknown directive 'let'"),
+    (lambda d: rio.parse_map("map f\nto {}\n", base_dir=d),
+     "line 2: expected 'to <b> <x>'"),
+    (lambda d: rio.parse_map("source a.lat b.lat\n", base_dir=d),
+     "line 1: expected 'source <path>'"),
+    (lambda d: rio.parse_map("map f\n", base_dir=3),
+     "base directory must be a path, not int"),
+    (lambda d: rio.parse_map("target missing.lat\n", base_dir=d),
+     "line 1: cannot read .*missing.lat"),
+    (lambda d: rio.parse_map("map f\nlet x\n", base_dir=d),
+     "line 2: unknown directive 'let'"),
+    (lambda d: rio.parse_map("source b.lat\ntarget b.lat\nto {} {}\nto {} {a}\n", base_dir=d),
+     "line 4: duplicate assignment for '{}'"),
+], ids=["duplicate-labels", "short-le", "no-elements", "short-pair", "unknown-label",
+        "unknown-relation-directive", "short-to", "long-source",
+        "base-dir-not-a-path", "unreadable-target", "unknown-map-directive",
+        "duplicate-assignment"])
+def test_input_checks(tmp_path, call, message):
+    (tmp_path / "b.lat").write_text(BOOL1_DOC)
+    with pytest.raises(MalformedInput, match=message) as info:
+        call(tmp_path)
+    assert type(info.value) is MalformedInput
 
 
 class TestGenerate:

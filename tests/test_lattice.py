@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
-from roundideal.errors import MalformedInput, NotACoverError, PreconditionError
+from roundideal import compactify, framemap, lattice, relation
+from roundideal.compactify import RoundIdeal
+from roundideal.errors import (
+    InvariantViolation,
+    MalformedInput,
+    NotACoverError,
+    PreconditionError,
+)
+from roundideal.framemap import ContinuousMap, validate_map
 from roundideal.lattice import (
     Basis,
     Cover,
@@ -21,6 +29,7 @@ from roundideal.lattice import (
     validate,
     well_inside,
 )
+from roundideal.relation import check_strong_inclusion, interpolative_core_on_basis
 
 
 def pentagon():
@@ -310,7 +319,44 @@ class TestConstructionCap:
             self.antichain(9)
 
 
+class TestExplain:
+    """The one decide-then-explain helper and the one report-raise path."""
+
+    def test_first_witness_of_the_scan(self):
+        assert lattice._explain(iter([(1, 2), (3, 4)]), "x") == (1, 2)
+
+    def test_exact_test_with_an_empty_scan_is_an_internal_fault(self):
+        with pytest.raises(InvariantViolation, match="^x fails its row test, yet the scan"):
+            lattice._explain(iter(()), "x")
+
+    def test_inexact_test_with_an_empty_scan_gives_none(self):
+        assert lattice._explain(iter(()), "x", exact=False) is None
+
+    def test_passing_row_tests_never_start_their_scans(self, monkeypatch):
+        def refuse(scan, what, exact=True):
+            raise AssertionError(f"{what} was scanned")
+
+        for module in (lattice, relation, framemap, compactify):
+            monkeypatch.setattr(module, "_explain", refuse)
+        l = boolean(3)  # fresh: built and validated under the patch
+        assert validate(l) == []
+        core = interpolative_core_on_basis(l, full_basis(l))
+        assert check_strong_inclusion(core, full_basis(l)).ok
+        assert validate_map(ContinuousMap.identity(l)) == []
+        assert RoundIdeal(full_basis(l), range(l.n)).violations(core) == []
+
+    def test_require_raises_the_first_entry(self):
+        lattice._require([], PreconditionError, "what")
+        with pytest.raises(PreconditionError, match="^what: first$"):
+            lattice._require(["first", "second"], PreconditionError, "what")
+
+
 class TestBasis:
+    def test_is_basis_requires_a_valid_lattice(self):
+        l = pentagon()
+        with pytest.raises(PreconditionError, match="invalid lattice: distributivity"):
+            Basis(l, range(l.n)).is_basis()
+
     def test_full_basis_is_basis(self):
         l = util.downset_instance(11, 4)
         assert full_basis(l).is_basis()

@@ -675,6 +675,8 @@ class TestRelationType:
             RoundIdeal(full_basis(big), frozenset({0, 1})).violations(si)
         with pytest.raises(MalformedInput):
             interpolated_subcover(small, full_basis(big), small.top, [small.top])
+        with pytest.raises(MalformedInput, match="^basis belongs to another lattice$"):
+            interpolative_core_on_basis(small, full_basis(big))
 
     def test_membership_outside_the_lattice_is_false(self):
         l = boolean(2)
