@@ -19,6 +19,12 @@ sorted members, and the frame checks run on masks: inclusion is the order,
 AND the meet, ``_down[join[s][t]] & P`` the join of the ideals with tops s
 and t; the ideal of elements strongly included in a is ``si.cols[a]``.
 
+Maps into a regular codomain are read on all of its elements.  The paper
+allows a codomain basis, but in a finite frame a generating basis that is
+closed under meet, join and pseudocomplement holds every join of its
+members, so it is the whole codomain.  A map's own basis may still be any
+generating set; the map is read through its extension ``ext``.
+
 Frames, join maps, reconstructions and compactification reports are derived
 once per value in the memo of their lattice (``PcdLattice.once``); argument
 checks run on every call.
@@ -72,8 +78,7 @@ from .lattice import (
     well_inside,
 )
 from .relation import (
-    _labelled,
-    check_strong_inclusion,
+    _require_strong_inclusion,
     interpolative_core_on_basis,
     is_strongly_regular_basis,
     least_strong_inclusion,
@@ -205,29 +210,14 @@ def _check_compactification(k):
     cod = k.codomain
     if not is_regular(cod, full_basis(cod)):
         out.append("codomain is not regular")
-    else:
-        try:
-            is_compact(cod, full_basis(cod), Cover(cod.top, frozenset(range(cod.n))))
-        except NotACoverError:  # pragma: no cover - tops always cover
-            out.append("codomain has no finite subcover of the top")
     if k.frame is not None and k.frame.lattice != cod:
         out.append("frame does not match the codomain")
     return out
 
 
-def _require_strong_inclusion(si, p):
-    report = check_strong_inclusion(si, p)
-    if not report.ok:
-        bad = report.failed()[0]
-        raise PreconditionError(
-            f"not a strong inclusion: condition {bad.number} ({bad.name}) "
-            f"fails at {_labelled(p.lattice, bad.witness)}"
-        )
-
-
 def strong_downset(p, si, a):
     """The round ideal of elements strongly included in ``a``."""
-    _require_strong_inclusion(si, p)
+    _require_strong_inclusion(si, p, PreconditionError, "not a strong inclusion")
     a = _index(a, p.lattice.n, "element")
     if a not in p.elements:
         raise MalformedInput("element outside the carrier")
@@ -246,7 +236,7 @@ def enumerate_round_ideals(p, si):
     ``p`` and ``si``, so it is shared per (rows of ``si``, carrier of ``si``,
     ``p``) on the lattice.
     """
-    _require_strong_inclusion(si, p)
+    _require_strong_inclusion(si, p, PreconditionError, "not a strong inclusion")
     return p.lattice.once(("frame", si.rows, si.carrier, p.elements),
                           lambda: _round_ideal_frame(p, si))
 
@@ -361,7 +351,7 @@ def _join_map(l, fr):
     return m
 
 
-def extension_map(fr, f, codomain_basis=None):
+def extension_map(fr, f):
     """The unique map out of the round-ideal frame with g after join_map equal to f.
 
     ``f`` must have a regular codomain and the frame's strong inclusion must
@@ -374,7 +364,7 @@ def extension_map(fr, f, codomain_basis=None):
     ltgt = f.target
     if fr.p.lattice != lsrc:
         raise MalformedInput("frame and map sources do not match")
-    codomain_basis = _regular_codomain_basis(f, codomain_basis, "codomain")
+    _require_regular_codomain(f, "codomain")
     tag = finer_than(fr.si, f)
     if not tag.finer:
         y, x = tag.failing
@@ -383,11 +373,11 @@ def extension_map(fr, f, codomain_basis=None):
             f"the well-inside pair ({ltgt.names[y]}, {ltgt.names[x]})"
         )
     inside = well_inside(ltgt).cols
-    basis, keep = _mask(codomain_basis.elements), _mask(fr.p.elements)
+    keep = _mask(fr.p.elements)
     assignment = {}
-    for a in sorted(codomain_basis.elements):
+    for a in range(ltgt.n):
         below = 0
-        for b in _bits(inside[a] & basis):
+        for b in _bits(inside[a]):
             below |= lsrc._down[f.ext[b]]
         below &= keep
         # a round ideal is the strong downset of its join, a carrier element
@@ -398,65 +388,50 @@ def extension_map(fr, f, codomain_basis=None):
                 f"extension image of {ltgt.names[a]} is not a round ideal"
             )
         assignment[a] = idx
-    g = ContinuousMap(fr.lattice, ltgt, codomain_basis, assignment)
+    g = ContinuousMap(fr.lattice, ltgt, full_basis(ltgt), assignment)
     _require(validate_map(g), InvariantViolation, "extension map is not continuous")
     if not maps_equal(compose(g, join_map(lsrc, fr)), f):
         raise InvariantViolation("extension does not factor the map through join_map")
     return g
 
 
-def _regular_codomain_basis(f, basis, what):
-    """``basis`` (all of the codomain of ``f`` when None), checked to be a
-    regular, generating pcd-sublattice; ``what`` names the codomain if not regular."""
-    if basis is None:
-        basis = full_basis(f.target)
-    _require_type(basis, Basis, f"{what} basis")
-    if not basis.is_sub_pcd() or not basis.is_basis():
-        raise PreconditionError("codomain basis must be a generating pcd-sublattice")
-    if not is_regular(f.target, basis):
+def _require_regular_codomain(f, what):
+    """Raise unless the codomain of ``f`` (``what``) is regular over all its elements."""
+    if not is_regular(f.target, full_basis(f.target)):
         raise PreconditionError(f"{what} is not regular")
-    return basis
 
 
-def _preimage_seed(f, basis):
-    """The preimages of the ``basis`` elements, and of its well-inside pairs."""
-    ext, keep = f.ext, _mask(basis.elements)
-    rows = well_inside(f.target).rows
-    images = {ext[b] for b in basis.elements}
-    pairs = {(ext[b], ext[a]) for b in basis.elements for a in _bits(rows[b] & keep)}
-    return images, pairs
+def _preimage_seed(f):
+    """The preimages of the codomain's elements, and of its well-inside pairs."""
+    ext = f.ext
+    return set(ext), {(ext[b], ext[a]) for b, a in well_inside(f.target)}
 
 
-def _maps_and_bases(maps, target_bases):
-    """``maps`` as a tuple and a codomain basis (None: the whole codomain) for each."""
+def _admitted_maps(l, maps):
+    """``maps`` as a tuple, each a valid map out of ``l`` with a regular codomain."""
     maps = _items(maps, "maps")
-    if not target_bases:
-        return maps, (None,) * len(maps)
-    target_bases = _items(target_bases, "codomain bases")
-    if len(target_bases) != len(maps):
-        raise MalformedInput("need one codomain basis per map")
-    return maps, target_bases
-
-
-def strong_inclusion_from_maps(l, s, maps, target_bases=None):
-    """Carrier and least strong inclusion induced by a family of maps.
-
-    The carrier is the pcd-closure of ``s`` together with all basis
-    preimages; the strong inclusion is generated by the preimages of
-    well-inside pairs of each codomain.
-    """
-    _require_type(l, PcdLattice, "lattice")
-    l.require_valid()
-    s_f = {_index(x, l.n, "carrier seed") for x in _items(s, "carrier seed")}
-    maps, target_bases = _maps_and_bases(maps, target_bases)
-    seed_pairs = set()
-    for f, tb in zip(maps, target_bases):
+    for f in maps:
         _require_type(f, ContinuousMap, "map")
         if f.source != l:
             raise MalformedInput("map source does not match the lattice")
         require_valid_map(f)
-        tb = _regular_codomain_basis(f, tb, "map codomain")
-        images, pairs = _preimage_seed(f, tb)
+        _require_regular_codomain(f, "map codomain")
+    return maps
+
+
+def strong_inclusion_from_maps(l, s, maps):
+    """Carrier and least strong inclusion induced by a family of maps.
+
+    The carrier is the pcd-closure of ``s`` together with the preimages of
+    every codomain element; the strong inclusion is generated by the
+    preimages of well-inside pairs of each codomain.
+    """
+    _require_type(l, PcdLattice, "lattice")
+    l.require_valid()
+    s_f = {_index(x, l.n, "carrier seed") for x in _items(s, "carrier seed")}
+    seed_pairs = set()
+    for f in _admitted_maps(l, maps):
+        images, pairs = _preimage_seed(f)
         s_f.update(images)
         seed_pairs.update(pairs)
     p = pcd_closure(l, s_f)
@@ -464,7 +439,7 @@ def strong_inclusion_from_maps(l, s, maps, target_bases=None):
     return p, least_strong_inclusion(p, seed)
 
 
-def compactify_extending(l, b, maps, target_bases=None):
+def compactify_extending(l, b, maps):
     """Compactify over the closure of a strongly regular basis plus map preimages.
 
     Returns the compactification (through the interpolative core of
@@ -478,22 +453,10 @@ def compactify_extending(l, b, maps, target_bases=None):
         raise PreconditionError("not a basis of the lattice")
     if not is_strongly_regular_basis(l, b):
         raise PreconditionError("basis is not strongly regular")
-    maps, target_bases = _maps_and_bases(maps, target_bases)
+    maps = _admitted_maps(l, maps)
     enlarged = set(b.elements)
-    for f, tb in zip(maps, target_bases):
-        _require_type(f, ContinuousMap, "map")
-        if f.source != l:
-            raise MalformedInput("map source does not match the lattice")
-        require_valid_map(f)
-        if tb is None:
-            tb = full_basis(f.target)
-        _require_type(tb, Basis, "codomain basis")
-        if not tb.is_basis():
-            raise PreconditionError("codomain basis does not generate the codomain")
-        if not is_regular(f.target, full_basis(f.target)):
-            raise PreconditionError("map codomain is not regular")
-        closed = pcd_closure(f.target, tb.elements)
-        enlarged.update(f.ext[x] for x in closed.elements)
+    for f in maps:
+        enlarged.update(f.ext)
     p = pcd_closure(l, enlarged)
     si = interpolative_core_on_basis(l, p)
     if not is_compatible(l, p, si):
@@ -506,7 +469,7 @@ def compactify_extending(l, b, maps, target_bases=None):
     return comp, extensions
 
 
-def explicit_strong_inclusion(p, f, codomain_basis=None):
+def explicit_strong_inclusion(p, f):
     """Sandwich description of the strong inclusion generated by one map.
 
     The pair (x, y) is related when x sits under the preimage of some b and y
@@ -517,19 +480,13 @@ def explicit_strong_inclusion(p, f, codomain_basis=None):
     _require_type(p, Basis, "carrier")
     require_valid_map(f)
     lsrc, ltgt, ext = f.source, f.target, f.ext
-    if codomain_basis is None:
-        codomain_basis = full_basis(ltgt)
-    _require_type(codomain_basis, Basis, "codomain basis")
-    if not codomain_basis.is_sub_pcd() or not codomain_basis.is_basis():
-        raise PreconditionError("codomain basis must be a generating pcd-sublattice")
     for a in range(ltgt.n):
         if ext[ltgt.pstar[a]] != lsrc.pstar[ext[a]]:
             raise PreconditionError(
                 f"extension does not preserve the pseudocomplement of {ltgt.names[a]}"
             )
-    if not is_regular(ltgt, codomain_basis):
-        raise PreconditionError("codomain is not regular")
-    images, pairs = _preimage_seed(f, codomain_basis)
+    _require_regular_codomain(f, "codomain")
+    images, pairs = _preimage_seed(f)
     if not images <= p.elements:
         raise PreconditionError("carrier does not contain the basis preimages")
     seed = Relation(lsrc, pairs, p.elements)
@@ -552,38 +509,32 @@ class Reconstruction:
     frame: RoundIdealFrame
 
 
-def from_compactification(k, target_basis=None):
+def from_compactification(k):
     """Recover a carrier, strong inclusion and frame isomorphic to the codomain.
 
-    The carrier is the pcd-closure of the basis preimages, the strong
-    inclusion is generated by preimages of well-inside pairs, and the
-    isomorphism witness is the extension of the compactification itself; it
-    is verified bijective and order-preserving in both directions.
-
-    With the default basis the result is shared through the source
-    lattice's memo by every compactification with an equal map; an explicit
-    ``target_basis`` always builds afresh.
+    The carrier is the pcd-closure of the preimages of the codomain's
+    elements, the strong inclusion is generated by preimages of well-inside
+    pairs, and the isomorphism witness is the extension of the
+    compactification itself; it is verified bijective and order-preserving in
+    both directions.  The result is shared through the source lattice's memo
+    by every compactification with an equal map.
     """
     _require_type(k, Compactification, "compactification")
-    if target_basis is not None:
-        _require_type(target_basis, Basis, "codomain basis")
     k.require_valid()
-    if target_basis is None:
-        # lattice equality ignores names, and the result holds the codomain
-        key = ("reconstruction", k.codomain, k.codomain.name,
-               frozenset(k.map.assignment.items()))
-        return k.source.once(key, lambda: _reconstruct(k, full_basis(k.codomain)))
-    return _reconstruct(k, target_basis)
+    # lattice equality ignores names, and the result holds the codomain
+    key = ("reconstruction", k.codomain, k.codomain.name,
+           frozenset(k.map.assignment.items()))
+    return k.source.once(key, lambda: _reconstruct(k))
 
 
-def _reconstruct(k, target_basis):
+def _reconstruct(k):
     l = k.source
     klat = k.codomain
-    p, si = strong_inclusion_from_maps(l, (), [k.map], [target_basis])
+    p, si = strong_inclusion_from_maps(l, (), [k.map])
     if not is_compatible(l, p, si):
         raise InvariantViolation("reconstructed strong inclusion is not compatible")
     fr = enumerate_round_ideals(p, si)
-    g = extension_map(fr, k.map, target_basis)
+    g = extension_map(fr, k.map)
     images = g.ext
     if len(set(images)) != klat.n:
         raise InvariantViolation("reconstruction witness is not one-one")

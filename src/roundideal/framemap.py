@@ -32,7 +32,7 @@ from .lattice import (
     full_basis,
     well_inside,
 )
-from .relation import _labelled, check_strong_inclusion
+from .relation import _require_strong_inclusion
 
 
 class ContinuousMap:
@@ -241,13 +241,8 @@ def finer_than(si, f):
     """
     _require_type(si, Relation, "relation")
     require_valid_map(f)
-    report = check_strong_inclusion(si, Basis(f.source, si.carrier))
-    if not report.ok:
-        bad = report.failed()[0]
-        raise PreconditionError(
-            f"not a strong inclusion: condition {bad.number} fails at "
-            f"{_labelled(f.source, bad.witness)}"
-        )
+    _require_strong_inclusion(si, Basis(f.source, si.carrier), PreconditionError,
+                              "not a strong inclusion")
     key = ("finer", si.rows, si.carrier, f.target, frozenset(f.assignment.items()))
     return MapClassTag(f, si, *f.source.once(key, lambda: _finer_than(si, f)))
 

@@ -131,11 +131,6 @@ class Scale:
         return {Fraction(k, d): v for k, v in enumerate(self.values)}
 
 
-def _labelled(lat, witness):
-    """A witness tuple of element indices, written with the element labels."""
-    return "(" + ", ".join(lat.names[x] for x in witness) + ")"
-
-
 def _uninterpolated(rel):
     """Pairs (x, y) of ``rel``, in index order, with no z such that x rel z rel y.
 
@@ -229,6 +224,15 @@ def check_strong_inclusion(si, on):
         raise PreconditionError(f"pair ({names[a]}, {names[b]}) leaves the carrier")
     return lat.once(("si_report", si.rows, on.elements),
                     lambda: _strong_inclusion_report(si, keep))
+
+
+def _require_strong_inclusion(si, p, error, what):
+    """Raise ``error`` naming the first failed condition of ``si`` on ``p``, by label."""
+    report = check_strong_inclusion(si, p)
+    if not report.ok:
+        bad = report.failed()[0]
+        labels = ", ".join(p.lattice.names[x] for x in bad.witness)
+        raise error(f"{what}: condition {bad.number} ({bad.name}) fails at ({labels})")
 
 
 def _strong_inclusion_report(si, keep):
@@ -363,13 +367,8 @@ def _least_strong_inclusion(p, seed, keep):
     lat = p.lattice
     selves = pcd_closure(lat, (a for a in _bits(keep) if seed.rows[a] >> a & 1))
     result = _sandwich_of(lat, selves.elements, p.elements)
-    report = check_strong_inclusion(result, p)
-    if not report.ok:
-        bad = report.failed()[0]
-        raise InvariantViolation(
-            f"closure is not a strong inclusion: condition {bad.number} fails at "
-            f"{_labelled(lat, bad.witness)}"
-        )
+    _require_strong_inclusion(result, p, InvariantViolation,
+                              "closure is not a strong inclusion")
     return result
 
 

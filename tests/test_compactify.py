@@ -555,9 +555,9 @@ class TestCheckedOnce:
         built = []
         real = compactify._reconstruct
 
-        def counting(k, target_basis):
-            built.append(target_basis)
-            return real(k, target_basis)
+        def counting(k):
+            built.append(k)
+            return real(k)
 
         monkeypatch.setattr(compactify, "_reconstruct", counting)
         l = boolean(2)
@@ -565,11 +565,6 @@ class TestCheckedOnce:
         first = from_compactification(k)
         assert from_compactification(k) is first
         assert len(built) == 1
-        explicit = from_compactification(k, full_basis(k.codomain))
-        assert len(built) == 2
-        assert explicit is not first
-        assert explicit.frame.lattice == first.frame.lattice
-        assert from_compactification(k) is first
 
     def test_join_map_built_once_per_frame(self):
         l = boolean(2)
@@ -669,20 +664,12 @@ def _vee():
      MalformedInput, "frame was not built over this lattice"),
     (lambda l: extension_map(_frame(l), _identity(boolean(1))),
      MalformedInput, "frame and map sources do not match"),
-    (lambda l: extension_map(_frame(l), _identity(l), Basis(l, {l.top})),
-     PreconditionError, "codomain basis must be a generating pcd-sublattice"),
-    (lambda l: strong_inclusion_from_maps(l, (), [_identity(l)], [None, None]),
-     MalformedInput, "need one codomain basis per map"),
     (lambda l: strong_inclusion_from_maps(l, (), [_identity(boolean(1))]),
      MalformedInput, "map source does not match the lattice"),
     (lambda l: compactify_extending(l, full_basis(l), [_identity(boolean(1))]),
      MalformedInput, "map source does not match the lattice"),
-    (lambda l: compactify_extending(l, full_basis(l), [_identity(l)], [pcd_closure(l, ())]),
-     PreconditionError, "codomain basis does not generate the codomain"),
     (lambda l: compactify_extending(l, full_basis(l), [_into_chain3(l, l.bottom)]),
      PreconditionError, "map codomain is not regular"),
-    (lambda l: explicit_strong_inclusion(full_basis(l), _identity(l), Basis(l, {l.top})),
-     PreconditionError, "codomain basis must be a generating pcd-sublattice"),
     (lambda l: explicit_strong_inclusion(full_basis(l), _into_chain3(l, l.top)),
      PreconditionError, "codomain is not regular"),
     (lambda l: explicit_strong_inclusion(pcd_closure(l, ()), _identity(l)),
@@ -692,10 +679,36 @@ def _vee():
     (lambda l: interpolated_subcover(_vee(), full_basis(_vee()), 1, [2, 3]),
      PreconditionError, "carrier is not regular enough to refine the cover"),
 ], ids=["strong-downset-outside", "join-map-foreign-frame", "extension-foreign-map",
-        "extension-codomain-basis", "bases-per-map", "maps-source", "extending-source",
-        "extending-codomain-basis", "extending-codomain-regular", "explicit-codomain-basis",
+        "maps-source", "extending-source", "extending-codomain-regular",
         "explicit-codomain-regular", "explicit-carrier", "subcover-parts", "subcover-regular"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message) as info:
         call(boolean(2))
     assert type(info.value) is error
+
+
+def test_map_declared_on_atoms_acts_as_on_every_element():
+    # a map's own basis may be a generating set that is not a pcd-sublattice
+    src, tgt = boolean(3), boolean(2)
+    full = util.atom_map(src, tgt, [0, 1, 1])
+    tgt_atoms = util.atoms(tgt)
+    on_atoms = ContinuousMap(src, tgt, Basis(tgt, tgt_atoms),
+                             {a: full.assignment[a] for a in tgt_atoms})
+    assert on_atoms.basis.is_basis() and not on_atoms.basis.is_sub_pcd()
+    k_full, (g_full,) = compactify_extending(src, full_basis(src), [full])
+    k_atoms, (g_atoms,) = compactify_extending(src, full_basis(src), [on_atoms])
+    assert maps_equal(g_atoms, g_full)
+    assert k_atoms.frame.lattice == k_full.frame.lattice
+    assert maps_equal(extension_map(k_full.frame, on_atoms), g_full)
+    r_full, r_atoms = from_compactification(k_full), from_compactification(k_atoms)
+    assert r_atoms.frame.lattice == r_full.frame.lattice
+    assert maps_equal(r_atoms.iso, r_full.iso)
+    assert compare(k_atoms, k_full).verdict is Ordering.ISO
+    # the same for a compactification whose own map is declared on atoms
+    src_atoms = util.atoms(src)
+    k_id = Compactification(map=ContinuousMap(src, src, Basis(src, src_atoms),
+                                              {a: a for a in src_atoms}))
+    k_full_id = identity_compactification(src)
+    r_id, r_full_id = from_compactification(k_id), from_compactification(k_full_id)
+    assert r_id.frame.lattice == r_full_id.frame.lattice
+    assert compare(k_id, k_full_id).verdict is Ordering.ISO

@@ -44,6 +44,20 @@ def pentagon():
     return PcdLattice(names, leq, name="N5")
 
 
+def posets(k):
+    """Every partial order on k labelled points, as a 0/1 matrix."""
+    off = [(i, j) for i in range(k) for j in range(k) if i != j]
+    for bits in range(1 << len(off)):
+        leq = [[int(i == j) for j in range(k)] for i in range(k)]
+        for t, (i, j) in enumerate(off):
+            leq[i][j] = bits >> t & 1
+        antisymmetric = not any(leq[i][j] and leq[j][i] for i, j in off)
+        transitive = all(leq[i][m] or not (leq[i][j] and leq[j][m])
+                         for i in range(k) for j in range(k) for m in range(k))
+        if antisymmetric and transitive:
+            yield leq
+
+
 def family_order(rng):
     """A random set family on at most 4 points holding the full set and at
     least one other set, closed under intersection: labels and inclusion
@@ -387,6 +401,22 @@ class TestBasis:
             assert carrier.is_sub_pcd()
             if carrier.is_basis():
                 assert carrier.elements == frozenset(range(l.n))
+
+    def test_no_proper_subset_is_a_generating_pcd_sublattice(self):
+        # every subset of every downset lattice of a poset on at most 3 points
+        # (at most 2^8 subsets each) and of chain(1..5)
+        by_size = [list(posets(k)) for k in range(4)]
+        assert [len(ps) for ps in by_size] == [1, 1, 3, 19]
+        lattices = [downset_lattice("abc"[:k], leq)
+                    for k, ps in enumerate(by_size) for leq in ps]
+        lattices += [chain(k) for k in range(1, 6)]
+        for l in lattices:
+            assert l.n <= 8
+            whole = full_basis(l)
+            assert whole.is_sub_pcd() and whole.is_basis()
+            for mask in range((1 << l.n) - 1):
+                b = Basis(l, frozenset(x for x in range(l.n) if mask >> x & 1))
+                assert not (b.is_sub_pcd() and b.is_basis()), (l.name, sorted(b.elements))
 
 
 class TestAgainstReference:

@@ -3,8 +3,8 @@
 Axiom reports, full bases, sub-pcd closure, generating and regularity
 tests of subsets, strong-inclusion reports, least strong inclusions,
 interpolative cores, round-ideal frames, continuity reports,
-extension-class searches, compactification reports and default-basis
-reconstructions are derived once per distinct key on their lattice
+extension-class searches, compactification reports and reconstructions
+are derived once per distinct key on their lattice
 (``PcdLattice.once``).  The counting tests wrap the uncached
 derivations and require one run per key; the differential tests require a
 lattice whose memo is warm to give the same reports, frames, verdicts and
@@ -50,8 +50,8 @@ UNCACHED = {
     "continuity": (framemap, "_continuity_report",
                    lambda f: (id(f.source), f.target, frozenset(f.assignment.items()))),
     "reconstruction": (compactify, "_reconstruct",
-                       lambda k, basis: (id(k.source), k.codomain,
-                                         frozenset(k.map.assignment.items()), basis)),
+                       lambda k: (id(k.source), k.codomain,
+                                  frozenset(k.map.assignment.items()))),
     "validate": (PcdLattice, "_axiom_report", lambda l: (id(l),)),
     "sub_pcd": (Basis, "_sub_pcd", lambda b: (id(b.lattice), b.elements)),
     "basis": (Basis, "_generates", lambda b: (id(b.lattice), b.elements)),
@@ -109,24 +109,11 @@ class TestOncePerKey:
         before = {name: len(keys) for name, keys in runs.items()}
         assert pipeline(l, target).verdict is Ordering.ISO
         assert {name: len(keys) for name, keys in runs.items()} == before
-        # an equal target built afresh validates itself, decides whether its
-        # full basis is closed, generating and regular, and hits everything else
+        # an equal target built afresh validates itself, decides whether it is
+        # regular, and hits everything else
         assert pipeline(l).verdict is Ordering.ISO
         before["validate"] += 1
-        before["sub_pcd"] += 1
-        before["basis"] += 1
         before["regular"] += 1
-        assert {name: len(keys) for name, keys in runs.items()} == before
-
-    def test_explicit_basis_rebuilds_the_reconstruction_not_its_checks(self, runs):
-        l = boolean(2)
-        k, _ = compactify_extending(l, full_basis(l), [])
-        first = from_compactification(k)
-        before = {name: len(keys) for name, keys in runs.items()}
-        explicit = from_compactification(k, full_basis(k.codomain))
-        assert explicit is not first
-        assert explicit.frame.lattice == first.frame.lattice
-        before["reconstruction"] += 1
         assert {name: len(keys) for name, keys in runs.items()} == before
 
     def test_errors_are_not_stored(self, runs):

@@ -727,7 +727,9 @@ class TestWitnessLabels:
         l = boolean(2)
         with pytest.raises(PreconditionError) as err:
             finer_than(Relation(l, [(0, 0), (3, 3), (1, 2)]), ContinuousMap.identity(l))
-        assert str(err.value) == "not a strong inclusion: condition 2 fails at ({}, {a})"
+        assert str(err.value) == (
+            "not a strong inclusion: condition 2 (order sandwich) fails at ({}, {a})"
+        )
 
     def test_least_strong_inclusion_postcondition(self, monkeypatch):
         l = boolean(2)
@@ -737,5 +739,6 @@ class TestWitnessLabels:
         with pytest.raises(InvariantViolation) as err:
             least_strong_inclusion(p, Relation(l, []))
         assert str(err.value) == (
-            "closure is not a strong inclusion: condition 1 fails at ({a,b}, {a,b})"
+            "closure is not a strong inclusion: condition 1 (bounds are self-related) "
+            "fails at ({a,b}, {a,b})"
         )
