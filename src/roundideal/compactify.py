@@ -25,9 +25,14 @@ closed under meet, join and pseudocomplement holds every join of its
 members, so it is the whole codomain.  A map's own basis may still be any
 generating set; the map is read through its extension ``ext``.
 
-Frames, join maps, reconstructions and compactification reports are derived
+Frames, join maps, extension maps, reconstructions, the inverse
+isomorphisms of reconstructions and compactification reports are derived
 once per value in the memo of their lattice (``PcdLattice.once``); argument
-checks run on every call.
+checks run on every call, before the lookup.  A factorisation is checked on
+the extension vectors: g after m equals f exactly when ``m.ext[g.ext[a]]``
+is ``f.ext[a]`` for every a, so no composite map is built to compare.  Maps
+built here from the library's own vectors skip the index checks that a
+caller's map gets (``ContinuousMap._built``), never the continuity check.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .framemap import (
     finer_than,
     is_dense,
     is_embedding,
-    maps_equal,
     require_valid_map,
     validate_map,
 )
@@ -61,6 +65,7 @@ from .lattice import (
     PcdLattice,
     Relation,
     _bits,
+    _checked_carrier,
     _explain,
     _flags,
     _index,
@@ -190,8 +195,7 @@ class Compactification:
 
     def violations(self):
         """Reasons this is not a compactification, derived once per value; fresh list."""
-        key = ("compactification", self.codomain,
-               frozenset(self.map.assignment.items()), self.frame)
+        key = ("compactification", self.map._key, self.frame)
         return list(self.source.once(key, lambda: tuple(_check_compactification(self))))
 
     def require_valid(self):
@@ -263,7 +267,7 @@ def _round_ideal_frame(p, si):
                 f"strong downset of {lat.names[a]} is not among the round ideals"
             )
         down_index[a] = idx
-    ideal_basis = Basis(frame_lat, frozenset(down_index.values()))
+    ideal_basis = Basis._derived(frame_lat, frozenset(down_index.values()))
     fr = RoundIdealFrame(p, si, ideals, frame_lat, ideal_basis, down_index)
     _assert_frame_structure(fr, masks, [tops[m] for m in masks])
     if not ideal_basis.is_basis():
@@ -346,7 +350,7 @@ def _join_map(l, fr):
         idx: l.join_all(sorted(fr.ideals[idx].members))
         for idx in fr.ideal_basis.elements
     }
-    m = ContinuousMap(l, fr.lattice, fr.ideal_basis, assignment)
+    m = ContinuousMap._built(l, fr.lattice, fr.ideal_basis, assignment)
     _require(validate_map(m), InvariantViolation, "join map is not continuous")
     return m
 
@@ -356,13 +360,15 @@ def extension_map(fr, f):
 
     ``f`` must have a regular codomain and the frame's strong inclusion must
     be finer than the well-inside preimages of ``f``; the factorization and
-    continuity of the result are asserted before returning.
+    continuity of the result are asserted when it is first derived.  The
+    extension is derived once per (frame, codomain name, map value) in the
+    source lattice's memo; the argument checks and the extension-class test
+    run on every call, before the lookup.
     """
     _require_type(fr, RoundIdealFrame, "frame")
     require_valid_map(f)
-    lsrc = f.source
     ltgt = f.target
-    if fr.p.lattice != lsrc:
+    if fr.p.lattice != f.source:
         raise MalformedInput("frame and map sources do not match")
     _require_regular_codomain(f, "codomain")
     tag = finer_than(fr.si, f)
@@ -372,13 +378,28 @@ def extension_map(fr, f):
             "map is outside the extension class: no sandwich witnesses for "
             f"the well-inside pair ({ltgt.names[y]}, {ltgt.names[x]})"
         )
+    # lattice equality ignores names, and the result holds the codomain
+    return f.source.once(("extension", fr, ltgt.name, f._key),
+                         lambda: _extension_map(fr, f))
+
+
+def _extension_map(fr, f):
+    """The checked extension of ``f`` through ``fr``, uncached.
+
+    The image of a is the round ideal of carrier elements below the preimage
+    of some b well-inside a.  It is gathered one bit of b at a time: at
+    n = 4..16 that loop beats a C-level ``compress`` gather with a
+    ``_join_of`` lookup by 1.3-2x.
+    """
+    lsrc, ltgt = f.source, f.target
     inside = well_inside(ltgt).cols
     keep = _mask(fr.p.elements)
+    down, ext = lsrc._down, f.ext
     assignment = {}
     for a in range(ltgt.n):
         below = 0
         for b in _bits(inside[a]):
-            below |= lsrc._down[f.ext[b]]
+            below |= down[ext[b]]
         below &= keep
         # a round ideal is the strong downset of its join, a carrier element
         top = lsrc.join_all(_bits(below))
@@ -388,9 +409,9 @@ def extension_map(fr, f):
                 f"extension image of {ltgt.names[a]} is not a round ideal"
             )
         assignment[a] = idx
-    g = ContinuousMap(fr.lattice, ltgt, full_basis(ltgt), assignment)
+    g = ContinuousMap._built(fr.lattice, ltgt, full_basis(ltgt), assignment)
     _require(validate_map(g), InvariantViolation, "extension map is not continuous")
-    if not maps_equal(compose(g, join_map(lsrc, fr)), f):
+    if tuple(map(join_map(lsrc, fr).ext.__getitem__, g.ext)) != f.ext:
         raise InvariantViolation("extension does not factor the map through join_map")
     return g
 
@@ -402,9 +423,17 @@ def _require_regular_codomain(f, what):
 
 
 def _preimage_seed(f):
-    """The preimages of the codomain's elements, and of its well-inside pairs."""
-    ext = f.ext
-    return set(ext), {(ext[b], ext[a]) for b, a in well_inside(f.target)}
+    """The preimages of the codomain's elements, and the seed rows of its well-inside pairs.
+
+    Row ``ext[b]`` holds ``ext[a]`` for each a with b well-inside a: one
+    C-level OR over the preimage bits that the row of b selects.
+    """
+    ext, n = f.ext, f.target.n
+    bits = [1 << x for x in ext]
+    rows = [0] * f.source.n
+    for b, row in enumerate(well_inside(f.target).rows):
+        rows[ext[b]] |= reduce(or_, compress(bits, _flags(row, n)), 0)
+    return set(ext), rows
 
 
 def _admitted_maps(l, maps):
@@ -429,14 +458,14 @@ def strong_inclusion_from_maps(l, s, maps):
     _require_type(l, PcdLattice, "lattice")
     l.require_valid()
     s_f = {_index(x, l.n, "carrier seed") for x in _items(s, "carrier seed")}
-    seed_pairs = set()
+    rows = [0] * l.n
     for f in _admitted_maps(l, maps):
-        images, pairs = _preimage_seed(f)
+        images, seed_rows = _preimage_seed(f)
         s_f.update(images)
-        seed_pairs.update(pairs)
+        rows = list(map(or_, rows, seed_rows))
     p = pcd_closure(l, s_f)
-    seed = Relation(l, seed_pairs, carrier=p.elements)
-    return p, least_strong_inclusion(p, seed)
+    # every seed pair joins two preimages, which the carrier holds
+    return p, least_strong_inclusion(p, Relation._from_rows(l, rows, p.elements))
 
 
 def compactify_extending(l, b, maps):
@@ -486,10 +515,10 @@ def explicit_strong_inclusion(p, f):
                 f"extension does not preserve the pseudocomplement of {ltgt.names[a]}"
             )
     _require_regular_codomain(f, "codomain")
-    images, pairs = _preimage_seed(f)
+    images, rows = _preimage_seed(f)
     if not images <= p.elements:
         raise PreconditionError("carrier does not contain the basis preimages")
-    seed = Relation(lsrc, pairs, p.elements)
+    seed = Relation._from_rows(lsrc, rows, _checked_carrier(lsrc, p.elements))
     rhs = ordered_sandwich(seed)
     lhs = least_strong_inclusion(p, seed)
     if lhs != rhs:
@@ -522,8 +551,7 @@ def from_compactification(k):
     _require_type(k, Compactification, "compactification")
     k.require_valid()
     # lattice equality ignores names, and the result holds the codomain
-    key = ("reconstruction", k.codomain, k.codomain.name,
-           frozenset(k.map.assignment.items()))
+    key = ("reconstruction", k.codomain.name, k.map._key)
     return k.source.once(key, lambda: _reconstruct(k))
 
 
@@ -569,10 +597,17 @@ class CompareResult:
 
 
 def _inverse_iso(g):
-    """Invert a frame isomorphism given as a continuous map."""
+    """The inverse of a reconstruction's frame isomorphism ``g``, derived once
+    per value in the memo of its source (the frame's lattice)."""
+    # lattice equality ignores names, and the result holds the codomain
+    return g.source.once(("inverse", g.target.name, g._key), lambda: _invert(g))
+
+
+def _invert(g):
+    """The checked inverse of the bijective frame map ``g``, uncached."""
     fr_lat, klat = g.source, g.target
     inv = {v: m for m, v in enumerate(g.ext)}
-    i = ContinuousMap(klat, fr_lat, full_basis(fr_lat), inv)
+    i = ContinuousMap._built(klat, fr_lat, full_basis(fr_lat), inv)
     _require(validate_map(i), InvariantViolation, "inverse of an isomorphism not continuous")
     return i
 
@@ -584,7 +619,7 @@ def _mediating(ka, kb, rb):
         return None
     h0 = extension_map(rb.frame, ka.map)
     h = compose(h0, _inverse_iso(rb.iso))
-    if not maps_equal(compose(h, kb.map), ka.map):
+    if tuple(map(kb.map.ext.__getitem__, h.ext)) != ka.map.ext:
         raise InvariantViolation("mediating map does not factor the compactification")
     return h
 

@@ -8,7 +8,9 @@ one step per basis bit of ``down(a)``, lowest first, exactly as ``join_all``
 folds (None once an invalid lattice has no join).  Every derivation reads
 that vector; ``extend`` is its index-checked public read.  Continuity
 reports and extension-class searches are derived once per map value, in
-the source lattice's memo (``PcdLattice.once``).
+the source lattice's memo (``PcdLattice.once``).  A map the library builds
+from its own vectors (``ContinuousMap._built``) skips the index checks of
+a caller's map; its continuity is still checked.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class ContinuousMap:
     """A map L -> M given by its inverse assignment on a basis of M.
 
     Immutable: ``assignment`` is a read-only view and ``ext`` a tuple.
+    ``_key``, the target and the assignment's items, is the map's value in
+    every memo key, built once per map.
     """
 
     def __init__(self, source, target, basis, assignment):
@@ -55,10 +59,22 @@ class ContinuousMap:
         }
         if set(assignment) != set(basis.elements):
             raise MalformedInput("assignment must cover exactly the target basis")
+        self._fill(source, target, basis, assignment)
+
+    @classmethod
+    def _built(cls, source, target, basis, assignment):
+        """The map of an assignment dict the library built from its own vectors:
+        in-range indices covering exactly ``basis``, a basis of ``target``."""
+        f = cls.__new__(cls)
+        f._fill(source, target, basis, assignment)
+        return f
+
+    def _fill(self, source, target, basis, assignment):
         self.source = source
         self.target = target
         self.basis = basis
         self.assignment = MappingProxyType(assignment)
+        self._key = (target, frozenset(assignment.items()))
         join, basis_mask = source.join, _mask(assignment)
         image = {1 << b: x for b, x in assignment.items()}
         ext = []
@@ -130,12 +146,12 @@ def validate_map(f):
     ``f.ext[a ^ b]``, which makes the whole check O(|B|^2).
 
     The report is computed once per map value on the source lattice, keyed
-    by the target lattice and the assignment; every call returns a fresh
-    list.
+    by the target lattice and the assignment (``f._key``); every call
+    returns a fresh list.
     """
     _require_type(f, ContinuousMap, "map")
-    key = ("continuity", f.target, frozenset(f.assignment.items()))
-    return list(f.source.once(key, lambda: tuple(_continuity_report(f))))
+    return list(f.source.once(("continuity", f._key),
+                              lambda: tuple(_continuity_report(f))))
 
 
 def _continuity_report(f):
@@ -212,7 +228,7 @@ def compose(f, g):
     require_valid_map(f)
     require_valid_map(g)
     assignment = {a: g.ext[x] for a, x in f.assignment.items()}
-    out = ContinuousMap(g.source, f.target, f.basis, assignment)
+    out = ContinuousMap._built(g.source, f.target, f.basis, assignment)
     _require(validate_map(out), InvariantViolation, "composite map is not continuous")
     return out
 
@@ -241,9 +257,12 @@ def finer_than(si, f):
     """
     _require_type(si, Relation, "relation")
     require_valid_map(f)
-    _require_strong_inclusion(si, Basis(f.source, si.carrier), PreconditionError,
-                              "not a strong inclusion")
-    key = ("finer", si.rows, si.carrier, f.target, frozenset(f.assignment.items()))
+    # a relation's carrier is a checked index set of its own lattice; only
+    # on a foreign lattice does it need checking against the map's source
+    on = (Basis._derived(f.source, si.carrier) if si.lattice == f.source
+          else Basis(f.source, si.carrier))
+    _require_strong_inclusion(si, on, PreconditionError, "not a strong inclusion")
+    key = ("finer", si.rows, si.carrier, f._key)
     return MapClassTag(f, si, *f.source.once(key, lambda: _finer_than(si, f)))
 
 

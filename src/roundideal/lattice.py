@@ -46,17 +46,20 @@ Each lattice keeps one memo, the only store of derived results (besides
 the ``cols`` and ``pairs`` views of a ``Relation``): its axiom report, full
 basis and well-inside relation, the sub-pcd, generating and regularity tests
 of subsets, strong-inclusion reports, least strong inclusions, interpolative
-cores, round-ideal frames and their join maps, and for maps out of it
-continuity reports, extension-class searches, compactification reports and
-default-basis reconstructions.  Each is computed and checked in full once
-per distinct value (a key holding everything the result depends on and
-stores) and then shared, so equal values built apart are checked once.
+cores, round-ideal frames and their join maps, for maps out of it
+continuity reports, extension-class searches, extension maps,
+compactification reports and reconstructions, and for a frame's lattice the
+inverses of reconstruction isomorphisms.  Each is computed and checked in
+full once per distinct value (a key holding everything the result depends
+on and stores) and then shared, so equal values built apart are checked
+once.
 Argument checks (argument types, foreign lattice, index range, carrier
 closure, stray pairs) run on every call before the lookup, and a derivation
 that raises stores nothing, so a repeated call raises what the first call
 raised.  The memo
 lives and dies with its lattice and takes no part in equality, hashing or
-``repr``.
+``repr``; every map's memo key holds its target, so a lattice hashes its
+order once, when it is built.
 
 Sizes are desk scale: no lattice, document or frame has more than
 ``CONSTRUCTION_CAP`` = 256 elements, and downset lattices are built over at
@@ -216,6 +219,8 @@ class PcdLattice:
         self._down = [sum(compress(powers, col)) for col in zip(*leq)]
         self._analyze(leq)
         self._memo = {}  # derivation key -> checked result; see once()
+        # every memo key of a map holds its target
+        self._hash = hash((names, tuple(self._up)))
 
     # -- derived structure ------------------------------------------------
 
@@ -455,7 +460,7 @@ class PcdLattice:
         return self.names == other.names and self._up == other._up
 
     def __hash__(self):
-        return hash((self.names, tuple(self._up)))
+        return self._hash
 
     def __repr__(self):
         return f"PcdLattice({self.name!r}, n={self.n})"
@@ -597,6 +602,14 @@ class Basis:
         )
         object.__setattr__(self, "elements", elements)
 
+    @classmethod
+    def _derived(cls, lattice, elements):
+        """The basis of a frozenset of in-range indices the library derived itself."""
+        basis = cls.__new__(cls)
+        object.__setattr__(basis, "lattice", lattice)
+        object.__setattr__(basis, "elements", elements)
+        return basis
+
     def is_basis(self):
         """Every element is the join of the basis elements below it; memoised.
 
@@ -634,7 +647,7 @@ class Basis:
 def full_basis(lat):
     """The basis of all elements; one shared ``Basis`` per lattice."""
     _require_type(lat, PcdLattice, "lattice")
-    return lat.once(("full_basis",), lambda: Basis(lat, frozenset(range(lat.n))))
+    return lat.once(("full_basis",), lambda: Basis._derived(lat, frozenset(range(lat.n))))
 
 
 @dataclass(frozen=True)
@@ -730,32 +743,27 @@ def pcd_closure(l, seed):
     """Least subset containing seed, the bounds, and closed under *, meet, join.
 
     A worklist closure: the members found so far are kept in a list (and a
-    bitmask), and each member in turn adds its star and its meets and joins
-    with every member found so far.  Of any two members, the one processed
-    later finds the other already listed, so the result is closed; it holds
-    only the bounds, the seed and what the operations derive from them, so
-    it is the least closed set.  Cost: O(r^2) table lookups for a closure of
-    r elements.
+    set), and each member in turn adds its star and its meets and joins
+    with every member found so far, gathered in C from its table rows
+    (``map`` over ``__getitem__``) less the members already found.  Of any
+    two members, the one processed later finds the other already listed, so
+    the result is closed; it holds only the bounds, the seed and what the
+    operations derive from them, so it is the least closed set.  Cost:
+    O(r^2) table lookups for a closure of r elements.
     """
     _require_type(l, PcdLattice, "lattice")
     l.require_valid()
     seed = sorted({_index(x, l.n, "seed index") for x in _items(seed, "seed")})
     meet, join, pstar = l.meet, l.join, l.pstar
-    members = []
-    found = 0
-
-    def add(candidates):
-        nonlocal found
-        for y in candidates:
-            if not found >> y & 1:
-                found |= 1 << y
-                members.append(y)
-
-    add([l.bottom, l.top, *seed])
+    members = list(dict.fromkeys([l.bottom, l.top, *seed]))
+    found = set(members)
     for x in members:  # grows while it is walked
-        mx, jx = meet[x], join[x]
-        add([pstar[x], *[mx[m] for m in members], *[jx[m] for m in members]])
-    return Basis(l, frozenset(members))
+        new = {pstar[x], *map(meet[x].__getitem__, members),
+               *map(join[x].__getitem__, members)}
+        new -= found
+        found |= new
+        members += new
+    return Basis._derived(l, frozenset(members))
 
 
 # -- constructors ----------------------------------------------------------

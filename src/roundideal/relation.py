@@ -92,9 +92,14 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class SiReport:
-    """Outcome of the seven strong-inclusion conditions, with counterexamples."""
+    """Outcome of the seven strong-inclusion conditions, with counterexamples.
+
+    ``names`` are the element labels of the lattice, by which every witness
+    is printed.
+    """
 
     conditions: tuple
+    names: tuple
 
     @property
     def ok(self):
@@ -106,10 +111,14 @@ class SiReport:
     def condition(self, number):
         return self.conditions[number - 1]
 
+    def _at(self, c):
+        """The witness of the failed condition ``c``, by label."""
+        return "(" + ", ".join(self.names[x] for x in c.witness) + ")"
+
     def __str__(self):
         lines = []
         for c in self.conditions:
-            status = "pass" if c.holds else f"FAIL at {c.witness}: {c.detail}"
+            status = "pass" if c.holds else f"FAIL at {self._at(c)}: {c.detail}"
             lines.append(f"condition {c.number} ({c.name}): {status}")
         return "\n".join(lines)
 
@@ -231,8 +240,7 @@ def _require_strong_inclusion(si, p, error, what):
     report = check_strong_inclusion(si, p)
     if not report.ok:
         bad = report.failed()[0]
-        labels = ", ".join(p.lattice.names[x] for x in bad.witness)
-        raise error(f"{what}: condition {bad.number} ({bad.name}) fails at ({labels})")
+        raise error(f"{what}: condition {bad.number} ({bad.name}) fails at {report._at(bad)}")
 
 
 def _strong_inclusion_report(si, keep):
@@ -324,7 +332,7 @@ def _strong_inclusion_report(si, keep):
         _result(6, "contained in well-inside",
                 outside and (outside, "pair is not well-inside")),
         _result(7, "interpolation", gap and (gap, "no interpolant")),
-    ))
+    ), names)
 
 
 def least_strong_inclusion(p, seed):

@@ -1,0 +1,225 @@
+"""Every postcondition of the map and compactification layers fires on a fault.
+
+Each test breaks one derived value (a cached vector, a frame field, a
+relation's column view) or one collaborator (through ``monkeypatch``) after
+the arguments have passed their checks, and requires the matching
+``InvariantViolation``: the check is wired to the result it guards, so a
+fault there cannot pass silently.
+"""
+
+import copy
+
+import pytest
+
+from roundideal import compactify
+from roundideal.compactify import (
+    Compactification,
+    RoundIdeal,
+    compactify_extending,
+    compare,
+    enumerate_round_ideals,
+    explicit_strong_inclusion,
+    extension_map,
+    from_compactification,
+    interpolated_subcover,
+    join_map,
+    strong_downset,
+)
+from roundideal.errors import InvariantViolation
+from roundideal.framemap import ContinuousMap, compose, finer_than, validate_map
+from roundideal.lattice import PcdLattice, boolean, full_basis, well_inside
+from roundideal.relation import Relation, least_strong_inclusion
+
+import util
+
+
+def order_si(lat):
+    # on a Boolean algebra the order is the largest strong inclusion
+    return least_strong_inclusion(full_basis(lat), Relation(lat, well_inside(lat).pairs))
+
+
+def trivial_si(lat, p):
+    return least_strong_inclusion(p, Relation(lat, (), p.elements))
+
+
+def frame_of(lat):
+    return enumerate_round_ideals(full_basis(lat), order_si(lat))
+
+
+def canonical(lat):
+    return compactify_extending(lat, full_basis(lat), [])[0]
+
+
+def atom_map(lat):
+    return util.atom_map(lat, boolean(2), [0, 1, 1])
+
+
+def tampered(f, ext):
+    """A copy of the map ``f`` whose extension vector is ``ext``."""
+    out = copy.copy(f)
+    out.ext = tuple(ext)
+    return out
+
+
+def raises(message):
+    return pytest.raises(InvariantViolation, match=message)
+
+
+class TestMaps:
+    def test_composite_of_a_tampered_map_is_not_continuous(self):
+        l = boolean(2)
+        g = ContinuousMap.identity(l)
+        validate_map(g)  # checked before its vector is broken
+        g.ext = (l.top, *g.ext[1:])
+        with raises("composite map is not continuous"):
+            compose(ContinuousMap.identity(l), g)
+
+    def test_join_map_over_misordered_ideals_is_not_continuous(self):
+        l = boolean(2)
+        fr = frame_of(l)
+        fr.ideals = fr.ideals[::-1]
+        with raises("join map is not continuous"):
+            join_map(l, fr)
+
+
+class TestFrames:
+    def test_strong_downset_from_a_broken_column(self):
+        l = boolean(2)
+        p, si = full_basis(l), order_si(l)
+        strong_downset(p, si, l.top)
+        si._cols = (0,) * l.n  # the view of the top's column misses the bottom
+        with raises("strong-downset ideal invalid"):
+            strong_downset(p, si, l.top)
+
+    def test_enumerated_ideal_that_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(RoundIdeal, "violations", lambda self, si: ["not round"])
+        with raises("enumerated ideal invalid: not round"):
+            frame_of(boolean(2))
+
+    def test_frame_lattice_that_fails_validation(self, monkeypatch):
+        real = PcdLattice.validate
+        monkeypatch.setattr(PcdLattice, "validate", lambda self: (
+            ["forced"] if self.name.startswith("R(") else real(self)))
+        with raises("round-ideal frame invalid: forced"):
+            frame_of(boolean(2))
+
+    def test_strong_downset_outside_the_ideals(self):
+        l = boolean(2)
+        si = order_si(l)
+        si._cols = tuple(col | 1 << l.top for col in si.cols)
+        with raises("strong downset of {} is not among the round ideals"):
+            enumerate_round_ideals(full_basis(l), si)
+
+    def test_basic_ideals_that_do_not_generate(self):
+        l = boolean(2)
+        si = order_si(l)
+        si._cols = (1 << l.bottom,) * l.n  # every strong downset the least ideal
+        with raises("basic downset ideals do not generate the frame"):
+            enumerate_round_ideals(full_basis(l), si)
+
+    def test_frame_meets_and_joins_against_the_ideals(self):
+        fr = frame_of(boolean(2))
+        masks = [sum(1 << x for x in ideal.members) for ideal in fr.ideals]
+        tops = [max(ideal.members) for ideal in fr.ideals]
+        compactify._assert_frame_structure(fr, masks, tops)
+        # the second ideal without the bottom; the least ideal with the top of the last
+        with raises("frame meet is not set intersection"):
+            compactify._assert_frame_structure(fr, [masks[0], masks[1] & ~masks[0], *masks[2:]],
+                                               tops)
+        with raises("frame join misses the covering formula"):
+            compactify._assert_frame_structure(fr, masks, [tops[-1], *tops[1:]])
+
+
+class TestExtensions:
+    def test_image_that_is_not_a_round_ideal(self):
+        l = boolean(3)
+        fr, f = frame_of(l), atom_map(l)
+        finer_than(fr.si, f)  # the extension class is decided on intact columns
+        fr.si._cols = (0,) * l.n
+        with raises("extension image of {} is not a round ideal"):
+            extension_map(fr, f)
+
+    def test_misindexed_ideals_give_a_discontinuous_extension(self):
+        l = boolean(3)
+        fr = frame_of(l)
+        last = fr.lattice.n - 1
+        fr.down_index = {a: last - i for a, i in fr.down_index.items()}
+        with raises("extension map is not continuous"):
+            extension_map(fr, atom_map(l))
+
+    def test_tampered_join_map_fails_the_factorisation(self):
+        l = boolean(3)
+        k = canonical(l)
+        k.map.ext = (k.map.ext[0], *k.map.ext[:-1])  # the join map of the frame
+        with raises("extension does not factor the map through join_map"):
+            extension_map(k.frame, atom_map(l))
+
+
+class TestCompactifications:
+    def test_core_that_is_not_compatible(self, monkeypatch):
+        monkeypatch.setattr(compactify, "interpolative_core_on_basis", trivial_si)
+        with raises("core strong inclusion is not compatible"):
+            canonical(boolean(2))
+
+    def test_sandwich_description_that_disagrees(self, monkeypatch):
+        l = boolean(3)
+        monkeypatch.setattr(compactify, "ordered_sandwich", lambda seed: order_si(l))
+        with raises("sandwich description disagrees"):
+            explicit_strong_inclusion(full_basis(l), atom_map(l))
+
+    def test_reconstructed_inclusion_that_is_not_compatible(self, monkeypatch):
+        l = boolean(2)
+        k = Compactification(map=ContinuousMap.identity(l))
+        monkeypatch.setattr(compactify, "strong_inclusion_from_maps",
+                            lambda l, s, maps: (full_basis(l), trivial_si(l, full_basis(l))))
+        with raises("reconstructed strong inclusion is not compatible"):
+            from_compactification(k)
+
+    @pytest.mark.parametrize("bend, message", [
+        (lambda ext: [0] * len(ext), "is not one-one"),
+        (lambda ext: [x + len(ext) for x in ext], "is not onto"),
+        (lambda ext: ext[::-1], "does not preserve order both ways"),
+    ], ids=["one-one", "onto", "order"])
+    def test_reconstruction_witness(self, monkeypatch, bend, message):
+        real = compactify.extension_map
+
+        def bent(fr, f):
+            g = real(fr, f)
+            return tampered(g, bend(g.ext))
+
+        monkeypatch.setattr(compactify, "extension_map", bent)
+        with raises(f"reconstruction witness {message}"):
+            from_compactification(Compactification(map=ContinuousMap.identity(boolean(2))))
+
+    def test_inverse_of_a_misordered_bijection(self):
+        rec = from_compactification(canonical(boolean(2)))
+        with raises("inverse of an isomorphism not continuous"):
+            compactify._inverse_iso(tampered(rec.iso, rec.iso.ext[::-1]))
+
+    def test_tampered_join_map_fails_the_mediating_factorisation(self):
+        l = boolean(3)
+        k = canonical(l)
+        # an equal map built apart, so that only one side is broken below
+        twin = Compactification(map=ContinuousMap(l, k.codomain, k.map.basis,
+                                                  k.map.assignment), frame=k.frame)
+        compare(twin, k)  # every derivation is warm and intact
+        k.map.ext = (k.map.ext[0], *k.map.ext[:-1])  # the join map of the frame
+        with raises("mediating map does not factor the compactification"):
+            compare(twin, k)
+
+
+class TestSubcovers:
+    def test_empty_refinement_of_a_non_bottom_element(self, monkeypatch):
+        l = boolean(2)
+        monkeypatch.setattr(compactify, "minimal_subcover", lambda l, parts, target: parts[:1])
+        a = util.atoms(l)[0]
+        with raises("empty refinement for a non-bottom element"):
+            interpolated_subcover(l, full_basis(l), a, [a])
+
+    def test_refinement_that_misses_the_element(self, monkeypatch):
+        l = boolean(2)
+        a, b = util.atoms(l)
+        monkeypatch.setattr(compactify, "minimal_subcover",
+                            lambda l, parts, target: [parts[0], l.bottom])
+        with raises("interpolated subcover fails its inequalities"):
+            interpolated_subcover(l, full_basis(l), a, [a, b])

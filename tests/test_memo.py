@@ -3,8 +3,9 @@
 Axiom reports, full bases, sub-pcd closure, generating and regularity
 tests of subsets, strong-inclusion reports, least strong inclusions,
 interpolative cores, round-ideal frames, continuity reports,
-extension-class searches, compactification reports and reconstructions
-are derived once per distinct key on their lattice
+extension-class searches, extension maps, compactification reports,
+reconstructions and their inverse isomorphisms are derived once per
+distinct key on their lattice
 (``PcdLattice.once``).  The counting tests wrap the uncached
 derivations and require one run per key; the differential tests require a
 lattice whose memo is warm to give the same reports, frames, verdicts and
@@ -23,6 +24,7 @@ from roundideal.compactify import (
     compactify_extending,
     compare,
     enumerate_round_ideals,
+    extension_map,
     from_compactification,
     Ordering,
 )
@@ -62,6 +64,12 @@ UNCACHED = {
     "finer": (framemap, "_finer_than",
               lambda si, f: (id(f.source), si.rows, si.carrier, f.target,
                              frozenset(f.assignment.items()))),
+    "extension": (compactify, "_extension_map",
+                  lambda fr, f: (id(fr), f.target, f.target.name,
+                                 frozenset(f.assignment.items()))),
+    "inverse": (compactify, "_invert",
+                lambda g: (id(g.source), g.target, g.target.name,
+                           frozenset(g.assignment.items()))),
 }
 
 
@@ -300,3 +308,17 @@ class TestWarmEqualsCold:
         assert ry is not rx
         assert (rx.iso.target.name, ry.iso.target.name) == ("x", "y")
         assert from_compactification(identity_into("x")) is rx
+
+    def test_extension_keeps_its_codomain_name(self):
+        # the extension holds the codomain of its map, so equal maps into
+        # equal codomains named apart must not share one
+        l = boolean(3)
+        fr = compactify_extending(l, full_basis(l), [])[0].frame
+
+        def extension_into(name):
+            return extension_map(fr, util.atom_map(l, boolean(2, name=name), [0, 1, 1]))
+
+        gx, gy = extension_into("x"), extension_into("y")
+        assert gy is not gx
+        assert (gx.target.name, gy.target.name) == ("x", "y")
+        assert extension_into("x") is gx

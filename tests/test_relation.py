@@ -742,3 +742,12 @@ class TestWitnessLabels:
             "closure is not a strong inclusion: condition 1 (bounds are self-related) "
             "fails at ({a,b}, {a,b})"
         )
+
+    def test_report_text(self):
+        l = boolean(2)
+        report = check_strong_inclusion(Relation(l, [(l.bottom, l.bottom)]), full_basis(l))
+        lines = str(report).splitlines()
+        assert lines[0] == (
+            "condition 1 (bounds are self-related): FAIL at ({a,b}, {a,b}): 0<|0 or 1<|1 missing"
+        )
+        assert lines[2] == "condition 3 (meets on the right): pass"
