@@ -219,7 +219,8 @@ def cmd_compare(args):
     path1, spec1 = _parse_compspec(args.spec1)
     path2, spec2 = _parse_compspec(args.spec2)
     lat = _load_lattice(path1)
-    lat2 = _load_lattice(path2)
+    # one parse when both specs name the same document
+    lat2 = lat if path2 == path1 else _load_lattice(path2)
     if lat != lat2:
         raise RoundIdealError("compared compactifications must share one lattice")
     k1, _, _ = _build_spec(spec1, lat, Path(path1).parent)

@@ -26,9 +26,10 @@ members, so it is the whole codomain.  A map's own basis may still be any
 generating set; the map is read through its extension ``ext``.
 
 Frames, join maps, extension maps, reconstructions, the inverse
-isomorphisms of reconstructions and compactification reports are derived
-once per value in the memo of their lattice (``PcdLattice.once``); argument
-checks run on every call, before the lookup.  A factorisation is checked on
+isomorphisms of reconstructions, compatibility tests and compactification
+reports are derived once per value in the memo of their lattice
+(``PcdLattice.once``); argument checks run on every call, before the
+lookup.  A factorisation is checked on
 the extension vectors: g after m equals f exactly when ``m.ext[g.ext[a]]``
 is ``f.ext[a]`` for every a, so no composite map is built to compare.  Maps
 built here from the library's own vectors skip the index checks that a
@@ -106,6 +107,14 @@ class RoundIdeal:
         )
         object.__setattr__(self, "members", members)
 
+    @classmethod
+    def _derived(cls, basis, members):
+        """The ideal of a frozenset of in-range indices the library derived itself."""
+        ideal = cls.__new__(cls)
+        object.__setattr__(ideal, "basis", basis)
+        object.__setattr__(ideal, "members", members)
+        return ideal
+
     def violations(self, si):
         """Why the members are not a round ideal of (carrier, si); empty when they are.
 
@@ -128,7 +137,7 @@ class RoundIdeal:
         out = []
         if lat.bottom not in self.members:
             out.append("missing the bottom")
-        keep, inside = _mask(self.basis.elements), _mask(self.members)
+        keep, inside = self.basis.mask, _mask(self.members)
         picked = _flags(inside, lat.n)
         down_closed = not reduce(or_, compress(lat._down, picked), 0) & keep & ~inside
         if not down_closed:
@@ -247,11 +256,10 @@ def enumerate_round_ideals(p, si):
 
 def _round_ideal_frame(p, si):
     """The checked frame of round ideals of (p, si), uncached."""
-    lat = p.lattice
-    keep = _mask(p.elements)
+    lat, keep = p.lattice, p.mask
     tops = {lat._down[t] & keep: t for t in _bits(keep) if si.rows[t] >> t & 1}
     masks = sorted(tops, key=lambda m: tuple(_bits(m)))
-    ideals = tuple(RoundIdeal(p, frozenset(_bits(m))) for m in masks)
+    ideals = tuple(RoundIdeal._derived(p, frozenset(_bits(m))) for m in masks)
     for ideal in ideals:
         _require(ideal.violations(si), InvariantViolation, "enumerated ideal invalid")
     names = [f"dn({lat.names[tops[m]]})" for m in masks]
@@ -281,8 +289,7 @@ def _assert_frame_structure(fr, masks, tops):
     Ideal i has member mask ``masks[i]`` and top ``tops[i]``.  Each ideal was
     checked join closed before this runs, so its top is the join of its members.
     """
-    lat, frame = fr.p.lattice, fr.lattice
-    keep = _mask(fr.p.elements)
+    lat, frame, keep = fr.p.lattice, fr.lattice, fr.p.mask
     down, join = lat._down, lat.join
     for i, (a, s) in enumerate(zip(masks, tops)):
         meet_i, join_i, join_s = frame.meet[i], frame.join[i], join[s]
@@ -322,14 +329,23 @@ def check_compact_regular(fr):
 
 
 def is_compatible(l, p, si):
-    """Every carrier element is the join of elements strongly included in it."""
+    """Every carrier element is the join of elements strongly included in it.
+
+    Decided once per (relation rows, carrier) on the lattice; the argument
+    checks run on every call, before the lookup.
+    """
     _require_type(l, PcdLattice, "lattice")
     _require_type(p, Basis, "carrier")
     _require_type(si, Relation, "relation")
     l.require_valid()
     if p.lattice != l or si.lattice != l:
         raise MalformedInput("carrier and relation must belong to the lattice")
-    return _joins_of_related(l, p.elements, si.cols, _mask(p.elements))
+    return l.once(("compatible", si.rows, p.elements), lambda: _compatible(p, si))
+
+
+def _compatible(p, si):
+    """``is_compatible``, uncached."""
+    return _joins_of_related(p.lattice, p.elements, si.cols, p.mask)
 
 
 def join_map(l, fr):
@@ -392,8 +408,7 @@ def _extension_map(fr, f):
     ``_join_of`` lookup by 1.3-2x.
     """
     lsrc, ltgt = f.source, f.target
-    inside = well_inside(ltgt).cols
-    keep = _mask(fr.p.elements)
+    inside, keep = well_inside(ltgt).cols, fr.p.mask
     down, ext = lsrc._down, f.ext
     assignment = {}
     for a in range(ltgt.n):
@@ -481,7 +496,9 @@ def compactify_extending(l, b, maps):
     if not b.is_basis():
         raise PreconditionError("not a basis of the lattice")
     if not is_strongly_regular_basis(l, b):
-        raise PreconditionError("basis is not strongly regular")
+        x, v = _uncomplemented(l)
+        raise PreconditionError(f"basis is not strongly regular: {x} is not complemented "
+                                f"({x} v {x}* is {v}, not the top)")
     maps = _admitted_maps(l, maps)
     enlarged = set(b.elements)
     for f in maps:
@@ -496,6 +513,20 @@ def compactify_extending(l, b, maps):
     comp.require_valid()
     extensions = [extension_map(fr, f) for f in maps]
     return comp, extensions
+
+
+def _uncomplemented(l):
+    """The lowest-index x with x v x* below the top, and that join, both by label.
+
+    Called once a basis has failed strong regularity.  On a Boolean lattice
+    every element is well-inside itself, so the core relates each basis
+    element to itself and every basis is strongly regular; a failing basis
+    therefore lies on a lattice with such an x, or the test is at fault.
+    """
+    names, join, top = l.names, l.join, l.top
+    x, v = _explain(((x, join[x][s]) for x, s in enumerate(l.pstar) if join[x][s] != top),
+                    f"{l.name}: strong regularity")
+    return names[x], names[v]
 
 
 def explicit_strong_inclusion(p, f):
@@ -684,7 +715,7 @@ def interpolated_subcover(l, p, b, parts):
     total = l.join_all(parts)
     if (b, total) not in wi:
         raise PreconditionError("element is not well-inside the join of the cover")
-    keep, cover = _mask(p.elements), _mask(parts)
+    keep, cover = p.mask, _mask(parts)
     # carrier elements well-inside some part, and those well-inside one of them
     mids = _mask(m for m in _bits(keep) if wi.rows[m] & cover)
     candidates = [q for q in _bits(keep) if wi.rows[q] & mids]

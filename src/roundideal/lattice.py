@@ -43,20 +43,22 @@ Binary relations over a lattice (``Relation``) use the same encoding, one
 row mask per element.
 
 Each lattice keeps one memo, the only store of derived results (besides
-the ``cols`` and ``pairs`` views of a ``Relation``): its axiom report, full
-basis and well-inside relation, the sub-pcd, generating and regularity tests
-of subsets, strong-inclusion reports, least strong inclusions, interpolative
-cores, round-ideal frames and their join maps, for maps out of it
-continuity reports, extension-class searches, extension maps,
-compactification reports and reconstructions, and for a frame's lattice the
-inverses of reconstruction isomorphisms.  Each is computed and checked in
-full once per distinct value (a key holding everything the result depends
-on and stores) and then shared, so equal values built apart are checked
-once.
+the ``cols`` and ``pairs`` views of a ``Relation`` and the ``mask`` of a
+``Basis``): its axiom report, full basis and well-inside relation, the
+pcd-closure of each seed set, the sub-pcd, generating, regularity and
+strong-regularity tests of subsets, compatibility tests, strong-inclusion
+reports, least strong inclusions, interpolative cores, round-ideal frames
+and their join maps, for maps out of it continuity reports,
+extension-class searches, extension maps, compactification reports and
+reconstructions, and for a frame's lattice the inverses of reconstruction
+isomorphisms.  Each is computed and checked in full once per distinct value
+(a key holding everything the result depends on and stores) and then
+shared, so equal values built apart are checked once.
 Argument checks (argument types, foreign lattice, index range, carrier
-closure, stray pairs) run on every call before the lookup, and a derivation
-that raises stores nothing, so a repeated call raises what the first call
-raised.  The memo
+closure) run on every call before the lookup.  A check that is a function
+of the key alone, such as a strong-inclusion report's stray pairs, runs
+inside the derivation, and a derivation that raises stores nothing, so a
+repeated call raises what the first call raised.  The memo
 lives and dies with its lattice and takes no part in equality, hashing or
 ``repr``; every map's memo key holds its target, so a lattice hashes its
 order once, when it is built.
@@ -70,7 +72,7 @@ axiom check runs in full, unsampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, compress
 from operator import and_, index, itemgetter, or_
@@ -588,11 +590,14 @@ class Basis:
     """A distinguished subset of a lattice.
 
     Also used for pcd-sublattice carriers that do not generate the whole
-    lattice; ``is_basis`` tells the two roles apart.
+    lattice; ``is_basis`` tells the two roles apart.  ``mask`` is the bitmask
+    of the elements, computed once; it takes no part in equality, hashing or
+    ``repr``.
     """
 
     lattice: PcdLattice
     elements: frozenset
+    mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_type(self.lattice, PcdLattice, "basis lattice")
@@ -601,6 +606,7 @@ class Basis:
             _index(x, n, "basis index") for x in _items(self.elements, "basis elements")
         )
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "mask", _mask(elements))
 
     @classmethod
     def _derived(cls, lattice, elements):
@@ -608,6 +614,7 @@ class Basis:
         basis = cls.__new__(cls)
         object.__setattr__(basis, "lattice", lattice)
         object.__setattr__(basis, "elements", elements)
+        object.__setattr__(basis, "mask", _mask(elements))
         return basis
 
     def is_basis(self):
@@ -621,7 +628,7 @@ class Basis:
         """``is_basis``, uncached."""
         lat = self.lattice
         lat.require_valid()
-        return _joins_of_related(lat, range(lat.n), lat._down, _mask(self.elements))
+        return _joins_of_related(lat, range(lat.n), lat._down, self.mask)
 
     def is_sub_pcd(self):
         """Contains the bounds and is closed under meet, join and star.
@@ -702,7 +709,7 @@ def is_regular(l, b):
 
 def _regular(l, b):
     """``is_regular``, uncached."""
-    return _joins_of_related(l, b.elements, well_inside(l).cols, _mask(b.elements))
+    return _joins_of_related(l, b.elements, well_inside(l).cols, b.mask)
 
 
 def minimal_subcover(l, parts, target):
@@ -749,13 +756,20 @@ def pcd_closure(l, seed):
     two members, the one processed later finds the other already listed, so
     the result is closed; it holds only the bounds, the seed and what the
     operations derive from them, so it is the least closed set.  Cost:
-    O(r^2) table lookups for a closure of r elements.
+    O(r^2) table lookups for a closure of r elements.  The closure is derived
+    once per seed set on the lattice and shared; the seed's indices are
+    checked on every call, before the lookup.
     """
     _require_type(l, PcdLattice, "lattice")
     l.require_valid()
-    seed = sorted({_index(x, l.n, "seed index") for x in _items(seed, "seed")})
+    seed = frozenset(_index(x, l.n, "seed index") for x in _items(seed, "seed"))
+    return l.once(("closure", seed), lambda: _pcd_closure(l, seed))
+
+
+def _pcd_closure(l, seed):
+    """``pcd_closure`` of a checked seed set, uncached."""
     meet, join, pstar = l.meet, l.join, l.pstar
-    members = list(dict.fromkeys([l.bottom, l.top, *seed]))
+    members = list(dict.fromkeys([l.bottom, l.top, *sorted(seed)]))
     found = set(members)
     for x in members:  # grows while it is walked
         new = {pstar[x], *map(meet[x].__getitem__, members),

@@ -42,11 +42,14 @@ checked against all seven conditions, and the core is asserted
 interpolative and inside well-inside.  ``largest_interpolative`` keeps its
 pruning loop, as it takes relations that need not lie inside the order.
 
-Strong-inclusion reports, least strong inclusions and interpolative cores
-are derived once per value in the memo their lattice keeps for as long as
-it lives (``PcdLattice.once``): a report per (relation rows, carrier), a
-least strong inclusion per (seed rows, carrier), a core per carrier.
-Argument checks run on every call, before the lookup.
+Strong-inclusion reports, least strong inclusions, interpolative cores and
+strong-regularity verdicts are derived once per value in the memo their
+lattice keeps for as long as it lives (``PcdLattice.once``): a report per
+(relation rows, carrier), a least strong inclusion per (seed rows,
+carrier), a core and a strong-regularity verdict per carrier.  Argument
+checks run on every call, before the lookup; a report's stray pairs depend
+on its key alone and are found inside its derivation, which stores nothing
+when it raises.
 """
 
 from __future__ import annotations
@@ -225,14 +228,16 @@ def check_strong_inclusion(si, on):
     if on.lattice != lat:
         raise MalformedInput("relation and carrier live on different lattices")
     _require_sub_pcd(on)
-    names, n = lat.names, lat.n
-    keep = _mask(on.elements)
-    stray = _first_missing(si.rows, _square(keep, n))
-    if stray is not None:
-        a, b = stray
-        raise PreconditionError(f"pair ({names[a]}, {names[b]}) leaves the carrier")
-    return lat.once(("si_report", si.rows, on.elements),
-                    lambda: _strong_inclusion_report(si, keep))
+
+    def derive():
+        # a stray pair is decided by the key alone, and raising stores nothing
+        stray = _first_missing(si.rows, _square(on.mask, lat.n))
+        if stray is not None:
+            a, b = stray
+            raise PreconditionError(f"pair ({lat.names[a]}, {lat.names[b]}) leaves the carrier")
+        return _strong_inclusion_report(si, on.mask)
+
+    return lat.once(("si_report", si.rows, on.elements), derive)
 
 
 def _require_strong_inclusion(si, p, error, what):
@@ -351,8 +356,7 @@ def least_strong_inclusion(p, seed):
     if seed.lattice != lat:
         raise MalformedInput("seed and carrier live on different lattices")
     _require_sub_pcd(p)
-    names, n = lat.names, lat.n
-    keep = _mask(p.elements)
+    names, n, keep = lat.names, lat.n, p.mask
     square = _square(keep, n)
     wi = well_inside(lat).rows
     bad = _first_missing(seed.rows, [s & w for s, w in zip(square, wi)])
@@ -407,9 +411,18 @@ def _interpolative_core(l, b):
 
 
 def is_strongly_regular_basis(l, b):
-    """Every basis element is the join of elements core-below it."""
+    """Every basis element is the join of elements core-below it.
+
+    Decided once per carrier on the lattice; the argument checks run on
+    every call, through the core's lookup.
+    """
     core = interpolative_core_on_basis(l, b)
-    return _joins_of_related(l, b.elements, core.cols, _mask(b.elements))
+    return l.once(("strongly_regular", b.elements), lambda: _strongly_regular(core, b))
+
+
+def _strongly_regular(core, b):
+    """``is_strongly_regular_basis`` given the core on ``b``, uncached."""
+    return _joins_of_related(core.lattice, b.elements, core.cols, b.mask)
 
 
 def ordered_sandwich(rel, carrier=None):

@@ -122,7 +122,10 @@ class TestCompactify:
 
     def test_chain_not_strongly_regular(self, three_chain, capsys):
         assert main(["compactify", str(three_chain)]) == 2
-        assert "strongly regular" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: basis is not strongly regular: "
+            "c1 is not complemented (c1 v c1* is c1, not the top)\n"
+        )
 
     def test_dot_output(self, square, tmp_path, capsys):
         out_path = tmp_path / "frame.dot"
@@ -210,6 +213,23 @@ class TestCompare:
 
     def test_different_lattices_exit_two(self, square, three_chain):
         assert main(["compare", str(square), str(three_chain)]) == 2
+
+    def test_one_parse_per_document(self, square, tmp_path, capsys, monkeypatch):
+        map_path = collapse_map_doc(tmp_path, square)
+        copy = tmp_path / "copy.lat"
+        copy.write_text(square.read_text())
+        parsed = []
+        real = rio.parse_lattice
+        monkeypatch.setattr(rio, "parse_lattice", lambda text: parsed.append(text) or real(text))
+        outputs = []
+        for other in (square, copy):
+            parsed.clear()
+            assert main(["compare", str(square), f"{other}:{map_path.name}"]) == 0
+            outputs.append(capsys.readouterr())
+            # the map document's source and target are parsed on their own
+            assert len(parsed) == (3 if other == square else 4)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out == "verdict: iso\n" and not outputs[0].err
 
 
 class TestGenAndDot:

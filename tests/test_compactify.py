@@ -397,6 +397,19 @@ class TestGammaCompactification:
         with pytest.raises(PreconditionError, match="strongly regular"):
             compactify_extending(c, full_basis(c), [])
 
+    @pytest.mark.parametrize("l, message", [
+        (chain(3), "c1 is not complemented (c1 v c1* is c1, not the top)"),
+        # a <= c, b: {a}* is {b}, and {a} v {b} is {a,b}
+        (downset_lattice("abc", [[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+         "{a} is not complemented ({a} v {a}* is {a,b}, not the top)"),
+    ])
+    def test_names_the_lowest_uncomplemented_element(self, l, message):
+        # the bottom is the empty join, so the other elements are a basis too
+        for b in (full_basis(l), Basis(l, range(1, l.n))):
+            with pytest.raises(PreconditionError) as caught:
+                compactify_extending(l, b, [])
+            assert str(caught.value) == "basis is not strongly regular: " + message
+
 
 class TestExplicitDescription:
     def test_identity_on_boolean_gives_order(self):

@@ -161,6 +161,12 @@ class TestCompactifications:
         with raises("core strong inclusion is not compatible"):
             canonical(boolean(2))
 
+    def test_basis_that_fails_strong_regularity_on_a_boolean_lattice(self, monkeypatch):
+        # every element is complemented, so no element can be named
+        monkeypatch.setattr(compactify, "is_strongly_regular_basis", lambda l, b: False)
+        with raises("bool2: strong regularity fails its row test"):
+            canonical(boolean(2))
+
     def test_sandwich_description_that_disagrees(self, monkeypatch):
         l = boolean(3)
         monkeypatch.setattr(compactify, "ordered_sandwich", lambda seed: order_si(l))

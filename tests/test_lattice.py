@@ -387,6 +387,23 @@ class TestBasis:
         with pytest.raises(MalformedInput, match="not an integer"):
             Basis(boolean(2), {"a"})
 
+    def test_mask_is_the_elements_mask(self):
+        l = util.downset_instance(5, 4)
+        bases = [Basis(l, [0, l.n - 1]), Basis(l, ()), Basis._derived(l, frozenset({1, 2})),
+                 full_basis(l), pcd_closure(l, ()), pcd_closure(l, [1])]
+        for b in bases:
+            assert b.mask == sum(1 << x for x in b.elements)
+
+    def test_mask_not_part_of_equality_hash_or_repr(self):
+        l = boolean(2)
+        built, derived = Basis(l, range(l.n)), Basis._derived(l, frozenset(range(l.n)))
+        assert built == derived == full_basis(l) == pcd_closure(l, range(l.n))
+        assert hash(built) == hash(derived) == hash((l, frozenset(range(l.n))))
+        assert repr(built) == f"Basis(lattice={l!r}, elements={frozenset(range(l.n))!r})"
+        # a mask that disagrees changes nothing the dataclass compares
+        object.__setattr__(derived, "mask", 0)
+        assert derived == built and hash(derived) == hash(built)
+
     @given(st.integers(0, 500))
     @settings(max_examples=20, deadline=None)
     def test_generating_pcd_sublattice_is_everything(self, seed):

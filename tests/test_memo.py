@@ -1,7 +1,8 @@
 """The per-lattice memo: each derivation runs once per value, and sharing is invisible.
 
-Axiom reports, full bases, sub-pcd closure, generating and regularity
-tests of subsets, strong-inclusion reports, least strong inclusions,
+Axiom reports, full bases, pcd-closures, sub-pcd closure, generating,
+regularity and strong-regularity tests of subsets, compatibility tests,
+strong-inclusion reports, least strong inclusions,
 interpolative cores, round-ideal frames, continuity reports,
 extension-class searches, extension maps, compactification reports,
 reconstructions and their inverse isomorphisms are derived once per
@@ -26,9 +27,10 @@ from roundideal.compactify import (
     enumerate_round_ideals,
     extension_map,
     from_compactification,
+    is_compatible,
     Ordering,
 )
-from roundideal.errors import RoundIdealError
+from roundideal.errors import PreconditionError, RoundIdealError
 from roundideal.framemap import ContinuousMap, validate_map
 from roundideal.lattice import Basis, PcdLattice, boolean, full_basis, is_regular, pcd_closure
 from roundideal.relation import (
@@ -70,6 +72,11 @@ UNCACHED = {
     "inverse": (compactify, "_invert",
                 lambda g: (id(g.source), g.target, g.target.name,
                            frozenset(g.assignment.items()))),
+    "closure": (lattice, "_pcd_closure", lambda l, seed: (id(l), seed)),
+    "compatible": (compactify, "_compatible",
+                   lambda p, si: (id(p.lattice), si.rows, p.elements)),
+    "strongly_regular": (relation, "_strongly_regular",
+                         lambda core, b: (id(b.lattice), b.elements)),
 }
 
 
@@ -132,6 +139,16 @@ class TestOncePerKey:
             with pytest.raises(RoundIdealError):
                 enumerate_round_ideals(p, not_si)
         assert len(runs["report"]) == 1 and not runs["frame"]
+        # a pair outside the carrier is found inside the report's derivation,
+        # which stores nothing, so it raises on every call
+        runs["report"].clear()
+        bounds = pcd_closure(l, ())
+        stray = Relation(l, [(l.bottom, l.bottom), (1, 1), (l.top, l.top)])
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as caught:
+                check_strong_inclusion(stray, bounds)
+            assert str(caught.value) == "pair ({a}, {a}) leaves the carrier"
+        assert not runs["report"]
         bad_seed = Relation(l, [(l.bottom, l.top)])
         for _ in range(2):
             with pytest.raises(RoundIdealError, match="interpolant"):
@@ -196,13 +213,14 @@ def queries(l, rng):
         core = interpolative_core_on_basis(l, Basis(l, p))
         start = util.random_interpolative_seed(l, Basis(l, p), rng)
         out += [("core", p), ("strongly regular", p), ("generating", p), ("regular", p),
-                ("least", tuple(start), p), ("least", (), p)]
+                ("least", tuple(start), p), ("least", (), p), ("closure", tuple(p))]
         loose = [(rng.choice(inside), rng.choice(inside)) for _ in range(rng.randint(0, 6))]
         stray = [(rng.randrange(l.n), rng.randrange(l.n)) for _ in range(2)]
         for pairs in (tuple(loose), tuple(stray), tuple(core)):
             for own in (p, everything):
                 for on in carriers:
-                    out += [("report", pairs, own, on), ("frame", pairs, own, on)]
+                    out += [("report", pairs, own, on), ("frame", pairs, own, on),
+                            ("compatible", pairs, own, on)]
         out.append(("foreign carrier", tuple(core), p))
     # equal assignments into unequal targets of one size
     for _ in range(2):
@@ -243,6 +261,11 @@ def answer(lat, query):
     if kind == "report":
         pairs, own, on = args
         return check_strong_inclusion(Relation(lat, pairs, own), Basis(lat, on))
+    if kind == "closure":
+        return pcd_closure(lat, args[0]).elements
+    if kind == "compatible":
+        pairs, own, on = args
+        return is_compatible(lat, Basis(lat, on), Relation(lat, pairs, own))
     if kind == "frame":
         pairs, own, on = args
         return frame_view(enumerate_round_ideals(Basis(lat, on), Relation(lat, pairs, own)))
