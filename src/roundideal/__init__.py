@@ -75,7 +75,6 @@ from .relation import (
     largest_interpolative,
     least_strong_inclusion,
     ordered_sandwich,
-    really_inside_via_scales,
 )
 
 __version__ = "0.1.0"

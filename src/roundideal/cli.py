@@ -167,7 +167,7 @@ def cmd_si(args):
     else:
         seed = Relation(lat, ())
     basis = _basis_from(lat, args.basis)
-    result = least_strong_inclusion(basis, seed.with_carrier(basis.elements))
+    result = least_strong_inclusion(basis, seed)
     print(rio.serialize_relation(result, name="strong-inclusion"), end="")
     report = check_strong_inclusion(result, basis)
     print(f"# conditions passing: {sum(c.holds for c in report.conditions)}/7")

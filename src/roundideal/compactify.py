@@ -26,14 +26,17 @@ members, so it is the whole codomain.  A map's own basis may still be any
 generating set; the map is read through its extension ``ext``.
 
 Frames, join maps, extension maps, reconstructions, the inverse
-isomorphisms of reconstructions, compatibility tests and compactification
-reports are derived once per value in the memo of their lattice
-(``PcdLattice.once``); argument checks run on every call, before the
-lookup.  A factorisation is checked on
-the extension vectors: g after m equals f exactly when ``m.ext[g.ext[a]]``
-is ``f.ext[a]`` for every a, so no composite map is built to compare.  Maps
-built here from the library's own vectors skip the index checks that a
-caller's map gets (``ContinuousMap._built``), never the continuity check.
+isomorphisms of reconstructions and compactification reports are derived
+once per value in the memo of their lattice (``PcdLattice.once``), and a
+compatibility test shares the lattice's entry for regularity and strong
+regularity (``lattice._is_compatible``); argument checks run on every call,
+before the lookup.  A frame holds its strong inclusion on its own carrier
+``p``, so every later check of ``fr.si`` is a check on ``p``.  A
+factorisation is checked on the extension vectors: g after m equals f
+exactly when ``m.ext[g.ext[a]]`` is ``f.ext[a]`` for every a, so no
+composite map is built to compare.  Maps built here from the library's own
+vectors skip the index checks that a caller's map gets
+(``ContinuousMap._built``), never the continuity check.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ from .lattice import (
     _explain,
     _flags,
     _index,
+    _is_compatible,
     _items,
-    _joins_of_related,
     _lowest,
     _mask,
     _require,
@@ -246,17 +249,18 @@ def enumerate_round_ideals(p, si):
     self-related elements; each produced ideal is re-validated, the frame is
     validated as a pcd-lattice, and meets/joins are checked against set
     intersection and the covering-family join formula.  The frame stores
-    ``p`` and ``si``, so it is shared per (rows of ``si``, carrier of ``si``,
-    ``p``) on the lattice.
+    ``p`` and ``si`` on the carrier ``p``, whatever carrier ``si`` was built
+    with, so it is shared per (rows of ``si``, ``p``) on the lattice.
     """
     _require_strong_inclusion(si, p, PreconditionError, "not a strong inclusion")
-    return p.lattice.once(("frame", si.rows, si.carrier, p.elements),
-                          lambda: _round_ideal_frame(p, si))
+    return p.lattice.once(("frame", si.rows, p.elements), lambda: _round_ideal_frame(p, si))
 
 
 def _round_ideal_frame(p, si):
-    """The checked frame of round ideals of (p, si), uncached."""
+    """The checked frame of round ideals of (p, si), uncached; it holds ``si`` on ``p``."""
     lat, keep = p.lattice, p.mask
+    if si.carrier != p.elements:  # the check on p found every pair inside p
+        si = Relation._from_rows(lat, si.rows, p.elements)
     tops = {lat._down[t] & keep: t for t in _bits(keep) if si.rows[t] >> t & 1}
     masks = sorted(tops, key=lambda m: tuple(_bits(m)))
     ideals = tuple(RoundIdeal._derived(p, frozenset(_bits(m))) for m in masks)
@@ -331,8 +335,9 @@ def check_compact_regular(fr):
 def is_compatible(l, p, si):
     """Every carrier element is the join of elements strongly included in it.
 
-    Decided once per (relation rows, carrier) on the lattice; the argument
-    checks run on every call, before the lookup.
+    Decided once per (relation rows, carrier) on the lattice, in the entry
+    that regularity and strong regularity share (``lattice._is_compatible``);
+    the argument checks run on every call, before the lookup.
     """
     _require_type(l, PcdLattice, "lattice")
     _require_type(p, Basis, "carrier")
@@ -340,12 +345,7 @@ def is_compatible(l, p, si):
     l.require_valid()
     if p.lattice != l or si.lattice != l:
         raise MalformedInput("carrier and relation must belong to the lattice")
-    return l.once(("compatible", si.rows, p.elements), lambda: _compatible(p, si))
-
-
-def _compatible(p, si):
-    """``is_compatible``, uncached."""
-    return _joins_of_related(p.lattice, p.elements, si.cols, p.mask)
+    return _is_compatible(p, si)
 
 
 def join_map(l, fr):

@@ -249,19 +249,20 @@ def is_embedding(f):
 def finer_than(si, f):
     """Search sandwich witnesses p <| p' for every well-inside pair of the target.
 
-    ``si`` is first checked to be a strong inclusion on its carrier, on every
-    call.  Returns a tag holding a witness per pair (searched
-    lexicographically by element index) or the first failing pair in index
-    order.  The search runs once per (relation rows, relation carrier,
-    target, assignment) on the source lattice.
+    ``si`` must live on the map's source (MalformedInput otherwise) and is
+    first checked to be a strong inclusion on its carrier, on every call.
+    Returns a tag holding a witness per pair (searched lexicographically by
+    element index) or the first failing pair in index order.  The search
+    runs once per (relation rows, relation carrier, target, assignment) on
+    the source lattice.
     """
     _require_type(si, Relation, "relation")
     require_valid_map(f)
-    # a relation's carrier is a checked index set of its own lattice; only
-    # on a foreign lattice does it need checking against the map's source
-    on = (Basis._derived(f.source, si.carrier) if si.lattice == f.source
-          else Basis(f.source, si.carrier))
-    _require_strong_inclusion(si, on, PreconditionError, "not a strong inclusion")
+    if si.lattice != f.source:
+        raise MalformedInput("relation and map source live on different lattices")
+    # a relation's carrier is a checked index set of its own lattice
+    _require_strong_inclusion(si, Basis._derived(f.source, si.carrier), PreconditionError,
+                              "not a strong inclusion")
     key = ("finer", si.rows, si.carrier, f._key)
     return MapClassTag(f, si, *f.source.once(key, lambda: _finer_than(si, f)))
 

@@ -45,8 +45,8 @@ row mask per element.
 Each lattice keeps one memo, the only store of derived results (besides
 the ``cols`` and ``pairs`` views of a ``Relation`` and the ``mask`` of a
 ``Basis``): its axiom report, full basis and well-inside relation, the
-pcd-closure of each seed set, the sub-pcd, generating, regularity and
-strong-regularity tests of subsets, compatibility tests, strong-inclusion
+pcd-closure of each seed set (and of each closure, which is its own), the
+generating test of subsets, compatibility tests, strong-inclusion
 reports, least strong inclusions, interpolative cores, round-ideal frames
 and their join maps, for maps out of it continuity reports,
 extension-class searches, extension maps, compactification reports and
@@ -54,6 +54,14 @@ reconstructions, and for a frame's lattice the inverses of reconstruction
 isomorphisms.  Each is computed and checked in full once per distinct value
 (a key holding everything the result depends on and stores) and then
 shared, so equal values built apart are checked once.
+
+Every carrier question is decided by one of two kernels.  A carrier is a
+closed sub-pcd exactly when it is its own ``pcd_closure``.  Regularity,
+strong regularity and compatibility ask whether each carrier element is the
+join of the carrier elements related to it, by well-inside, by the
+interpolative core and by a strong inclusion respectively; the three share
+one memo entry per (relation rows, carrier) (``_is_compatible``).
+
 Argument checks (argument types, foreign lattice, index range, carrier
 closure) run on every call before the lookup.  A check that is a function
 of the key alone, such as a strong-inclusion report's stray pairs, runs
@@ -457,6 +465,8 @@ class PcdLattice:
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PcdLattice):
             return NotImplemented
         return self.names == other.names and self._up == other._up
@@ -572,9 +582,6 @@ class Relation:
         rows = [row & keep if keep >> a & 1 else 0 for a, row in enumerate(self.rows)]
         return Relation._from_rows(self.lattice, rows, carrier)
 
-    def with_carrier(self, carrier):
-        return Relation(self.lattice, self, carrier)
-
 
 def _joins_of_related(lat, targets, cols, pool):
     """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``.
@@ -633,22 +640,12 @@ class Basis:
     def is_sub_pcd(self):
         """Contains the bounds and is closed under meet, join and star.
 
-        Decided once per carrier in the lattice's memo.
+        The carrier is closed exactly when it is its own ``pcd_closure``,
+        which is derived once per carrier in the lattice's memo.  Valid
+        lattices only: PreconditionError on any other.
         """
-        return self.lattice.once(("sub_pcd", self.elements), self._sub_pcd)
-
-    def _sub_pcd(self):
-        """``is_sub_pcd``, uncached."""
-        lat = self.lattice
-        els = self.elements
-        if lat.bottom not in els or lat.top not in els:
-            return False
-        # each closure test gathers one table row over the members, in C
-        return els.issuperset(map(lat.pstar.__getitem__, els)) and all(
-            els.issuperset(map(lat.meet[u].__getitem__, els))
-            and els.issuperset(map(lat.join[u].__getitem__, els))
-            for u in els
-        )
+        self.lattice.require_valid()
+        return _closure(self.lattice, self.elements).mask == self.mask
 
 
 def full_basis(lat):
@@ -704,12 +701,23 @@ def is_regular(l, b):
     l.require_valid()
     if b.lattice != l:
         raise MalformedInput("basis belongs to another lattice")
-    return l.once(("regular", b.elements), lambda: _regular(l, b))
+    return _is_compatible(b, well_inside(l))
 
 
-def _regular(l, b):
-    """``is_regular``, uncached."""
-    return _joins_of_related(l, b.elements, well_inside(l).cols, b.mask)
+def _is_compatible(p, rel):
+    """Whether each element of the carrier ``p`` is the join of the carrier
+    elements ``rel`` relates to it; decided once per (rows, carrier).
+
+    Regularity (``rel`` is well-inside), strong regularity (the interpolative
+    core) and compatibility (a strong inclusion) are this one question, so
+    they share one memo entry.  ``p`` and ``rel`` are checked by the caller.
+    """
+    return p.lattice.once(("compatible", rel.rows, p.elements), lambda: _compatible(p, rel))
+
+
+def _compatible(p, rel):
+    """``_is_compatible``, uncached."""
+    return _joins_of_related(p.lattice, p.elements, rel.cols, p.mask)
 
 
 def minimal_subcover(l, parts, target):
@@ -751,18 +759,23 @@ def pcd_closure(l, seed):
 
     A worklist closure: the members found so far are kept in a list (and a
     set), and each member in turn adds its star and its meets and joins
-    with every member found so far, gathered in C from its table rows
-    (``map`` over ``__getitem__``) less the members already found.  Of any
-    two members, the one processed later finds the other already listed, so
-    the result is closed; it holds only the bounds, the seed and what the
-    operations derive from them, so it is the least closed set.  Cost:
-    O(r^2) table lookups for a closure of r elements.  The closure is derived
-    once per seed set on the lattice and shared; the seed's indices are
-    checked on every call, before the lookup.
+    with itself and every member listed before it, gathered in C from its
+    table rows (``map`` over ``__getitem__``) less the members already
+    found.  Of any two members, the one processed later finds the other
+    already listed, so the result is closed; it holds only the bounds, the
+    seed and what the operations derive from them, so it is the least closed
+    set.  Cost: r^2 table lookups for a closure of r elements.  A carrier is
+    a closed sub-pcd exactly when it is its own closure (``Basis.is_sub_pcd``).
+    The closure is derived once per seed set on the lattice and shared; the
+    seed's indices are checked on every call, before the lookup.
     """
     _require_type(l, PcdLattice, "lattice")
     l.require_valid()
-    seed = frozenset(_index(x, l.n, "seed index") for x in _items(seed, "seed"))
+    return _closure(l, frozenset(_index(x, l.n, "seed index") for x in _items(seed, "seed")))
+
+
+def _closure(l, seed):
+    """``pcd_closure`` of a checked seed set on a valid lattice, derived once per seed."""
     return l.once(("closure", seed), lambda: _pcd_closure(l, seed))
 
 
@@ -771,13 +784,15 @@ def _pcd_closure(l, seed):
     meet, join, pstar = l.meet, l.join, l.pstar
     members = list(dict.fromkeys([l.bottom, l.top, *sorted(seed)]))
     found = set(members)
-    for x in members:  # grows while it is walked
-        new = {pstar[x], *map(meet[x].__getitem__, members),
-               *map(join[x].__getitem__, members)}
+    for i, x in enumerate(members, 1):  # grows while it is walked
+        head = members[:i]
+        new = {pstar[x], *map(meet[x].__getitem__, head), *map(join[x].__getitem__, head)}
         new -= found
         found |= new
         members += new
-    return Basis._derived(l, frozenset(members))
+    # a closed set is its own closure: every carrier closed here is a hit
+    closure = Basis._derived(l, frozenset(members))
+    return l.once(("closure", closure.elements), lambda: closure)
 
 
 # -- constructors ----------------------------------------------------------

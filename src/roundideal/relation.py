@@ -2,7 +2,7 @@
 
 Hosts the interpolative core of a relation (of well-inside in particular),
 the seven strong-inclusion conditions, least strong inclusions in closed
-form, strong-regularity predicates, and dyadic scales.
+form, strong regularity (compatibility of the core), and dyadic scales.
 
 A ``Relation`` (defined in ``lattice``, next to the lattices it lives on)
 stores one row mask per element: bit b of ``rows[a]`` says (a, b) is
@@ -42,14 +42,15 @@ checked against all seven conditions, and the core is asserted
 interpolative and inside well-inside.  ``largest_interpolative`` keeps its
 pruning loop, as it takes relations that need not lie inside the order.
 
-Strong-inclusion reports, least strong inclusions, interpolative cores and
-strong-regularity verdicts are derived once per value in the memo their
-lattice keeps for as long as it lives (``PcdLattice.once``): a report per
-(relation rows, carrier), a least strong inclusion per (seed rows,
-carrier), a core and a strong-regularity verdict per carrier.  Argument
-checks run on every call, before the lookup; a report's stray pairs depend
-on its key alone and are found inside its derivation, which stores nothing
-when it raises.
+Strong-inclusion reports, least strong inclusions and interpolative cores
+are derived once per value in the memo their lattice keeps for as long as
+it lives (``PcdLattice.once``): a report per (relation rows, carrier), a
+least strong inclusion per (seed rows, carrier), a core per carrier.  A
+strong-regularity verdict is the compatibility verdict of the core, which
+the lattice memoises per (core rows, carrier).  Argument checks run on
+every call, before the lookup; a report's stray pairs depend on its key
+alone and are found inside its derivation, which stores nothing when it
+raises.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .lattice import (
     _explain,
     _flags,
     _index,
-    _joins_of_related,
+    _is_compatible,
     _lowest,
     _mask,
     _require_type,
@@ -413,16 +414,11 @@ def _interpolative_core(l, b):
 def is_strongly_regular_basis(l, b):
     """Every basis element is the join of elements core-below it.
 
-    Decided once per carrier on the lattice; the argument checks run on
-    every call, through the core's lookup.
+    Compatibility of the core on ``b`` (``lattice._is_compatible``), decided
+    once per carrier; the argument checks run on every call, through the
+    core's lookup.
     """
-    core = interpolative_core_on_basis(l, b)
-    return l.once(("strongly_regular", b.elements), lambda: _strongly_regular(core, b))
-
-
-def _strongly_regular(core, b):
-    """``is_strongly_regular_basis`` given the core on ``b``, uncached."""
-    return _joins_of_related(core.lattice, b.elements, core.cols, b.mask)
+    return _is_compatible(b, interpolative_core_on_basis(l, b))
 
 
 def ordered_sandwich(rel, carrier=None):
@@ -505,18 +501,3 @@ def build_scale(si, y, x, depth):
             )
         earlier |= 1 << a
     return Scale(lat, depth, tuple(seq))
-
-
-def really_inside_via_scales(l, b, depth=3):
-    """Pairs of basis elements joined by a scale of the given depth."""
-    _require_type(depth, int, "scale depth")
-    core = interpolative_core_on_basis(l, b)
-    found = set()
-    for y in sorted(b.elements):
-        for x in sorted(b.elements):
-            try:
-                build_scale(core, y, x, depth)
-            except NoScaleError:
-                continue
-            found.add((y, x))
-    return Relation(l, found, b.elements)

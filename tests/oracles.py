@@ -2,10 +2,15 @@
 
 Everything here recomputes results by exhaustive enumeration or naive
 full-scan iteration, sharing no code path with the library implementations
-it checks.
+it checks.  The one exception is ``scale_pairs``, which reaches a relation
+through the library's dyadic scales, a route that shares no code with the
+order sandwich that builds interpolative cores.
 """
 
 from itertools import combinations
+
+from roundideal.errors import NoScaleError
+from roundideal.relation import build_scale
 
 
 def _compile_steps(defn):
@@ -537,3 +542,20 @@ def reference_continuity_report(f):
             f"cover refinement: extension misses the join of ({tnames[m]}, {tnames[b]})"
         )
     return report
+
+
+def scale_pairs(rel, depth):
+    """Pairs (y, x) of carrier elements joined by a scale of ``depth`` in ``rel``.
+
+    Each pair in index order is tried with ``build_scale``; equality with an
+    interpolative core checks the core against repeated interpolation.
+    """
+    found = set()
+    for y in sorted(rel.carrier):
+        for x in sorted(rel.carrier):
+            try:
+                build_scale(rel, y, x, depth)
+            except NoScaleError:
+                continue
+            found.add((y, x))
+    return found

@@ -54,11 +54,7 @@ from roundideal.lattice import (
     validate,
     well_inside,
 )
-from roundideal.relation import (
-    build_scale,
-    interpolative_core_on_basis,
-    really_inside_via_scales,
-)
+from roundideal.relation import build_scale, interpolative_core_on_basis
 
 L = boolean(2)
 B = full_basis(L)
@@ -110,7 +106,6 @@ ENTRY_POINTS = {
     "compare": (compare, [K, K]),
     "interpolated_subcover": (interpolated_subcover, [L, B, 0, [3]]),
     "build_scale": (build_scale, [SI, 0, 3, 1]),
-    "really_inside_via_scales": (really_inside_via_scales, [L, B, 1]),
     "parse_lattice": (rio.parse_lattice, ["lattice x lattice\nelements a\n"]),
     "serialize_lattice": (rio.serialize_lattice, [L]),
     "parse_relation": (rio.parse_relation, ["pair {} {a}\n", L]),

@@ -107,6 +107,13 @@ class TestSi:
         assert main(["si", str(three_chain), "--seed-rel", str(seed_path)]) == 2
         assert "not well-inside" in capsys.readouterr().err
 
+    def test_seed_outside_the_basis_named_by_label(self, square, tmp_path, capsys):
+        seed_path = tmp_path / "seed.rel"
+        seed_path.write_text("pair {a} {a}\n")
+        argv = ["si", str(square), "--seed-rel", str(seed_path), "--basis", "{}", "{a,b}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed pair ({a}, {a}) leaves the carrier\n"
+
 
 class TestCompactify:
     def test_boolean(self, square, capsys):

@@ -331,6 +331,19 @@ class TestExtensionMap:
                 broken = validate_map(alt)
                 assert broken or not maps_equal(compose(alt, m), f)
 
+    @pytest.mark.parametrize("own", [{0, 3}, {0, 1, 3}, {0, 1, 2, 3}],
+                             ids=["narrow", "wider", "whole-lattice"])
+    def test_relation_carrier_wider_than_the_frame_carrier(self, own):
+        # the frame holds its strong inclusion on p, so the extension checks
+        # it on p whatever carrier the relation was built with
+        l = boolean(2)
+        p = pcd_closure(l, ())
+        assert p.elements == {0, 3}
+        fr = enumerate_round_ideals(p, Relation(l, trivial_si(l, p), own))
+        assert fr.si.carrier == p.elements
+        assert fr is enumerate_round_ideals(p, trivial_si(l, p))
+        assert extension_map(fr, util.atom_map(l, boolean(1), [0, 0])).ext == (0, 1)
+
 
 class TestLhdFromMaps:
     def test_empty_family_gives_bounds_and_trivial(self):

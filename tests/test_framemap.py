@@ -29,6 +29,7 @@ from roundideal.lattice import (
 )
 from roundideal.relation import (
     Relation,
+    interpolative_core_on_basis,
     least_strong_inclusion,
 )
 
@@ -476,6 +477,14 @@ class TestFinerThan:
             rng, len(util.atoms(l)), len(util.atoms(l))))
         if finer_than(small, f).finer:
             assert finer_than(big, f).finer
+
+    @pytest.mark.parametrize("lat", [boolean(3), chain(4)], ids=["larger", "same-size"])
+    def test_relation_on_another_lattice_is_malformed(self, lat):
+        # one message whether or not the relation's carrier fits the source
+        core = interpolative_core_on_basis(lat, full_basis(lat))
+        with pytest.raises(MalformedInput) as caught:
+            finer_than(core, ContinuousMap.identity(boolean(2)))
+        assert str(caught.value) == "relation and map source live on different lattices"
 
 
 class TestDenseMapFacts:

@@ -371,6 +371,24 @@ class TestBasis:
         with pytest.raises(PreconditionError, match="invalid lattice: distributivity"):
             Basis(l, range(l.n)).is_basis()
 
+    def test_is_sub_pcd_requires_a_valid_lattice(self):
+        l = pentagon()
+        with pytest.raises(PreconditionError, match="invalid lattice: distributivity"):
+            Basis(l, range(l.n)).is_sub_pcd()
+
+    def test_is_sub_pcd_matches_the_definition(self):
+        # every subset of boolean(3), chain(4) and two downset lattices
+        for l in [boolean(3), chain(4), util.downset_instance(3, 3), util.downset_instance(8, 3)]:
+            assert l.n <= 10
+            meet, join, pstar = l.meet, l.join, l.pstar
+            for mask in range(1 << l.n):
+                els = {x for x in range(l.n) if mask >> x & 1}
+                closed = {l.bottom, l.top} <= els and all(
+                    pstar[a] in els and meet[a][b] in els and join[a][b] in els
+                    for a in els for b in els
+                )
+                assert Basis(l, els).is_sub_pcd() == closed, (l.name, sorted(els))
+
     def test_full_basis_is_basis(self):
         l = util.downset_instance(11, 4)
         assert full_basis(l).is_basis()

@@ -1,7 +1,8 @@
 """The per-lattice memo: each derivation runs once per value, and sharing is invisible.
 
-Axiom reports, full bases, pcd-closures, sub-pcd closure, generating,
-regularity and strong-regularity tests of subsets, compatibility tests,
+Axiom reports, full bases, pcd-closures (which also decide whether a
+subset is a closed sub-pcd), generating tests of subsets, compatibility
+tests (which also decide regularity and strong regularity),
 strong-inclusion reports, least strong inclusions,
 interpolative cores, round-ideal frames, continuity reports,
 extension-class searches, extension maps, compactification reports,
@@ -50,16 +51,14 @@ UNCACHED = {
     "core": (relation, "_interpolative_core",
              lambda l, b: (id(l), b.elements)),
     "frame": (compactify, "_round_ideal_frame",
-              lambda p, si: (id(p.lattice), si.rows, si.carrier, p.elements)),
+              lambda p, si: (id(p.lattice), si.rows, p.elements)),
     "continuity": (framemap, "_continuity_report",
                    lambda f: (id(f.source), f.target, frozenset(f.assignment.items()))),
     "reconstruction": (compactify, "_reconstruct",
                        lambda k: (id(k.source), k.codomain,
                                   frozenset(k.map.assignment.items()))),
     "validate": (PcdLattice, "_axiom_report", lambda l: (id(l),)),
-    "sub_pcd": (Basis, "_sub_pcd", lambda b: (id(b.lattice), b.elements)),
     "basis": (Basis, "_generates", lambda b: (id(b.lattice), b.elements)),
-    "regular": (lattice, "_regular", lambda l, b: (id(l), b.elements)),
     "compactification": (compactify, "_check_compactification",
                          lambda k: (id(k.source), k.codomain,
                                     frozenset(k.map.assignment.items()), id(k.frame))),
@@ -73,10 +72,8 @@ UNCACHED = {
                 lambda g: (id(g.source), g.target, g.target.name,
                            frozenset(g.assignment.items()))),
     "closure": (lattice, "_pcd_closure", lambda l, seed: (id(l), seed)),
-    "compatible": (compactify, "_compatible",
-                   lambda p, si: (id(p.lattice), si.rows, p.elements)),
-    "strongly_regular": (relation, "_strongly_regular",
-                         lambda core, b: (id(b.lattice), b.elements)),
+    "compatible": (lattice, "_compatible",
+                   lambda p, rel: (id(p.lattice), rel.rows, p.elements)),
 }
 
 
@@ -128,8 +125,17 @@ class TestOncePerKey:
         # regular, and hits everything else
         assert pipeline(l).verdict is Ordering.ISO
         before["validate"] += 1
-        before["regular"] += 1
+        before["compatible"] += 1
         assert {name: len(keys) for name, keys in runs.items()} == before
+
+    def test_a_closure_is_its_own_closure(self, runs):
+        # a closed carrier the library built is a memo hit, as a seed and as
+        # the carrier whose sub-pcd closure is asked
+        l = boolean(3)
+        p = pcd_closure(l, [1])
+        assert pcd_closure(l, p.elements) is p
+        assert Basis(l, p.elements).is_sub_pcd()
+        assert runs["closure"] == [(id(l), frozenset({1}))]
 
     def test_errors_are_not_stored(self, runs):
         l = boolean(2)
@@ -302,7 +308,9 @@ class TestWarmEqualsCold:
             warm = outcome(lambda: answer(l, query))
             assert warm == outcome(lambda: answer(twin(l), query)), query
 
-    def test_equal_rows_different_carriers_share_a_report_not_a_frame(self, runs):
+    def test_equal_rows_different_carriers_share_a_report_and_a_frame(self, runs):
+        # a frame holds its strong inclusion on its own carrier p, whatever
+        # carrier the relation was built with
         l = boolean(2)
         p = pcd_closure(l, ())
         si = least_strong_inclusion(p, Relation(l, (), p.elements))
@@ -310,12 +318,10 @@ class TestWarmEqualsCold:
         assert narrow == wide and narrow.carrier != wide.carrier
         assert check_strong_inclusion(narrow, p) is check_strong_inclusion(wide, p)
         assert len(runs["report"]) == 1
-        fr_narrow = enumerate_round_ideals(p, narrow)
-        fr_wide = enumerate_round_ideals(p, wide)
-        assert fr_narrow is not fr_wide
-        assert fr_narrow.si.carrier == narrow.carrier
-        assert fr_wide.si.carrier == wide.carrier
-        assert enumerate_round_ideals(p, Relation(l, si, range(l.n))) is fr_wide
+        fr = enumerate_round_ideals(p, wide)
+        assert enumerate_round_ideals(p, narrow) is fr
+        assert fr.si.carrier == p.elements
+        assert len(runs["frame"]) == 1
 
     def test_reconstruction_keeps_its_codomain_name(self):
         # lattice equality ignores names, so equal maps into equal codomains

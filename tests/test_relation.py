@@ -43,7 +43,6 @@ from roundideal.relation import (
     largest_interpolative,
     least_strong_inclusion,
     ordered_sandwich,
-    really_inside_via_scales,
 )
 
 
@@ -559,15 +558,17 @@ class TestScales:
 
 
 class TestReallyInsideViaScales:
+    """The pairs of the core joined by a dyadic scale are the whole core."""
+
     def test_one_element(self):
         l = boolean(0)
-        rel = really_inside_via_scales(l, full_basis(l), 2)
-        assert rel.pairs == {(0, 0)}
+        core = interpolative_core_on_basis(l, full_basis(l))
+        assert oracles.scale_pairs(core, 2) == {(0, 0)}
 
     def test_boolean_is_order(self):
         l = boolean(3)
-        rel = really_inside_via_scales(l, full_basis(l), 2)
-        assert rel.pairs == {
+        core = interpolative_core_on_basis(l, full_basis(l))
+        assert oracles.scale_pairs(core, 2) == {
             (y, x) for y in range(l.n) for x in range(l.n) if l.leq(y, x)
         }
 
@@ -576,9 +577,8 @@ class TestReallyInsideViaScales:
     def test_equals_core_at_any_depth(self, seed, depth):
         rng = random.Random(seed)
         l = util.downset_instance(seed, rng.randint(0, 4))
-        b = full_basis(l)
-        via = really_inside_via_scales(l, b, depth)
-        assert via == interpolative_core_on_basis(l, b)
+        core = interpolative_core_on_basis(l, full_basis(l))
+        assert oracles.scale_pairs(core, depth) == core.pairs
 
 
 class TestRelationType:
