@@ -25,6 +25,7 @@ from .framemap import is_dense, is_embedding, validate_map
 from .lattice import (
     Basis,
     _bits,
+    _pcd_closure,
     _require,
     full_basis,
     is_regular,
@@ -107,8 +108,10 @@ def _invariant_suite(lat):
     yield "star antitone", _star_antitone(lat), ""
     inside_order = all(lat.leq(y, x) for y, x in wi)
     yield "well-inside within order", inside_order, ""
-    closure = pcd_closure(lat, ())
-    again = pcd_closure(lat, closure.elements)
+    # one element that is not a bound, closed and then closed again uncached
+    seed = [x for x in range(n) if x not in (lat.bottom, lat.top)][:1]
+    closure = pcd_closure(lat, seed)
+    again = _pcd_closure(lat, closure.elements)
     yield "closure idempotent", again.elements == closure.elements, ""
     core = interpolative_core_on_basis(lat, full_basis(lat))
     yield "core sandwich-stable", ordered_sandwich(core) == core, ""

@@ -41,7 +41,7 @@ vectors skip the index checks that a caller's map gets
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from itertools import compress, repeat
@@ -69,7 +69,6 @@ from .lattice import (
     PcdLattice,
     Relation,
     _bits,
-    _checked_carrier,
     _explain,
     _flags,
     _index,
@@ -97,10 +96,15 @@ from .relation import (
 
 @dataclass(frozen=True)
 class RoundIdeal:
-    """A downward- and join-closed subset where every member sits below another."""
+    """A downward- and join-closed subset where every member sits below another.
+
+    ``mask`` is the bitmask of the members, computed once; it takes no part
+    in equality, hashing or ``repr``.
+    """
 
     basis: Basis
     members: frozenset
+    mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_type(self.basis, Basis, "carrier")
@@ -109,13 +113,15 @@ class RoundIdeal:
             _index(x, n, "ideal member") for x in _items(self.members, "ideal members")
         )
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mask", _mask(members))
 
     @classmethod
-    def _derived(cls, basis, members):
-        """The ideal of a frozenset of in-range indices the library derived itself."""
+    def _derived(cls, basis, mask):
+        """The ideal of an in-range member mask the library derived itself."""
         ideal = cls.__new__(cls)
         object.__setattr__(ideal, "basis", basis)
-        object.__setattr__(ideal, "members", members)
+        object.__setattr__(ideal, "members", frozenset(_bits(mask)))
+        object.__setattr__(ideal, "mask", mask)
         return ideal
 
     def violations(self, si):
@@ -140,7 +146,7 @@ class RoundIdeal:
         out = []
         if lat.bottom not in self.members:
             out.append("missing the bottom")
-        keep, inside = self.basis.mask, _mask(self.members)
+        keep, inside = self.basis.mask, self.mask
         picked = _flags(inside, lat.n)
         down_closed = not reduce(or_, compress(lat._down, picked), 0) & keep & ~inside
         if not down_closed:
@@ -237,7 +243,7 @@ def strong_downset(p, si, a):
     a = _index(a, p.lattice.n, "element")
     if a not in p.elements:
         raise MalformedInput("element outside the carrier")
-    ideal = RoundIdeal(p, frozenset(_bits(si.cols[a])))
+    ideal = RoundIdeal._derived(p, si.cols[a])
     _require(ideal.violations(si), InvariantViolation, "strong-downset ideal invalid")
     return ideal
 
@@ -263,7 +269,7 @@ def _round_ideal_frame(p, si):
         si = Relation._from_rows(lat, si.rows, p.elements)
     tops = {lat._down[t] & keep: t for t in _bits(keep) if si.rows[t] >> t & 1}
     masks = sorted(tops, key=lambda m: tuple(_bits(m)))
-    ideals = tuple(RoundIdeal._derived(p, frozenset(_bits(m))) for m in masks)
+    ideals = tuple(RoundIdeal._derived(p, m) for m in masks)
     for ideal in ideals:
         _require(ideal.violations(si), InvariantViolation, "enumerated ideal invalid")
     names = [f"dn({lat.names[tops[m]]})" for m in masks]
@@ -539,6 +545,8 @@ def explicit_strong_inclusion(p, f):
     """
     _require_type(p, Basis, "carrier")
     require_valid_map(f)
+    if p.lattice != f.source:
+        raise MalformedInput("carrier and map source live on different lattices")
     lsrc, ltgt, ext = f.source, f.target, f.ext
     for a in range(ltgt.n):
         if ext[ltgt.pstar[a]] != lsrc.pstar[ext[a]]:
@@ -549,7 +557,7 @@ def explicit_strong_inclusion(p, f):
     images, rows = _preimage_seed(f)
     if not images <= p.elements:
         raise PreconditionError("carrier does not contain the basis preimages")
-    seed = Relation._from_rows(lsrc, rows, _checked_carrier(lsrc, p.elements))
+    seed = Relation._from_rows(lsrc, rows, p.elements)
     rhs = ordered_sandwich(seed)
     lhs = least_strong_inclusion(p, seed)
     if lhs != rhs:

@@ -45,7 +45,8 @@ row mask per element.
 Each lattice keeps one memo, the only store of derived results (besides
 the ``cols`` and ``pairs`` views of a ``Relation`` and the ``mask`` of a
 ``Basis``): its axiom report, full basis and well-inside relation, the
-pcd-closure of each seed set (and of each closure, which is its own), the
+pcd-closure of each seed set (and of each closure, which is its own; the
+set of every element closes to the full basis with no derivation), the
 generating test of subsets, compatibility tests, strong-inclusion
 reports, least strong inclusions, interpolative cores, round-ideal frames
 and their join maps, for maps out of it continuity reports,
@@ -775,8 +776,20 @@ def pcd_closure(l, seed):
 
 
 def _closure(l, seed):
-    """``pcd_closure`` of a checked seed set on a valid lattice, derived once per seed."""
-    return l.once(("closure", seed), lambda: _pcd_closure(l, seed))
+    """``pcd_closure`` of a checked seed set on a valid lattice, derived once per seed.
+
+    A seed holding every element is closed as it stands: its closure is the
+    full basis, with no derivation.
+    """
+    if len(seed) == l.n:
+        return full_basis(l)
+
+    def derive():
+        closure = _pcd_closure(l, seed)
+        # a closed set is its own closure: every carrier closed here is a hit
+        return l.once(("closure", closure.elements), lambda: closure)
+
+    return l.once(("closure", seed), derive)
 
 
 def _pcd_closure(l, seed):
@@ -790,9 +803,7 @@ def _pcd_closure(l, seed):
         new -= found
         found |= new
         members += new
-    # a closed set is its own closure: every carrier closed here is a hit
-    closure = Basis._derived(l, frozenset(members))
-    return l.once(("closure", closure.elements), lambda: closure)
+    return Basis._derived(l, frozenset(members))
 
 
 # -- constructors ----------------------------------------------------------

@@ -28,6 +28,23 @@ Only a condition whose row test fails is scanned pair by pair, to name its
 first failing pair in index order (``lattice._explain``); where the row test
 is exact and the scan finds nothing, ``InvariantViolation`` is raised.
 
+The row tests of (3) and (4) already find, for each nonempty row a, the
+meet m_a of its members, and for each nonempty column b the join j_b.  When
+every row equals ``up[m_a] & K`` and every column ``down[j_b] & K``, three
+conditions follow without another gather:
+
+- (2) holds, as ``up[m] & K`` is up-closed in K and ``down[j] & K``
+  down-closed in it;
+- (5) holds at row a exactly when m_a* relates to a*: m_a is a member of
+  the row (K is closed under meets), every star of a member lies in K below
+  m_a*, and the column of a* is down-closed in K;
+- (7) holds at row a exactly when the row lies inside the row of m_a:
+  m_a is in the row, and an element common to row a and column b lies in
+  ``up[m_a]`` and ``down[j_b]``, so m_a lies in column b as well.
+
+Only a relation that fails the row test of (3) or (4) runs the gathers of
+(2) and (5) and the row tests of (7).
+
 On a finite carrier P every strong inclusion <| is an order sandwich
 {(x, y) : x <= s <= y, s in S} of its self-related set S.  Interpolating
 x <| y again and again must revisit some s; as <| lies inside well-inside
@@ -255,16 +272,20 @@ def _strong_inclusion_report(si, keep):
     Each of conditions 2 to 5 is first decided by a test on whole rows (or
     columns) of masks, one C-level gather each; only a condition that fails
     it is scanned pair by pair, to name the first failing pair in index
-    order.  Condition 7 does the same inside ``_uninterpolated``.
+    order.  Condition 7 does the same inside ``_uninterpolated``.  When the
+    row tests of (3) and (4) pass, (2) holds and (5) and (7) take one bit
+    test per row, on the meets those tests found (see the module docstring).
     """
     lat = si.lattice
     names, n = lat.names, lat.n
     rows, cols = si.rows, si.cols
     meet, join, pstar = lat.meet, lat.join, lat.pstar
     up, down = lat._up, lat._down
-    # the nonempty rows and columns, each with its 0/1-byte view
-    live_rows = [(a, row, _flags(row, n)) for a, row in enumerate(rows) if row]
-    live_cols = [(col, _flags(col, n)) for col in cols if col]
+    # the nonempty rows and columns, and their 0/1-byte views
+    live_rows = [(a, row) for a, row in enumerate(rows) if row]
+    live_cols = [col for col in cols if col]
+    row_flags = [_flags(row, n) for _, row in live_rows]
+    col_flags = [_flags(col, n) for col in live_cols]
 
     def sandwich():
         for a, row in enumerate(rows):
@@ -297,33 +318,47 @@ def _strong_inclusion_report(si, keep):
             if not rows[pstar[b]] >> pstar[a] & 1:
                 yield (pstar[b], pstar[a]), f"stars of ({names[a]}, {names[b]})"
 
-    # (2) holds iff every row is up-closed in the carrier and every column
-    # down-closed in it (rows shrink as their element grows)
-    sandwiched = not any(
-        reduce(or_, compress(up, f), 0) & keep & ~row for _, row, f in live_rows
-    ) and not any(
-        reduce(or_, compress(down, f), 0) & keep & ~col for col, f in live_cols
-    )
     # (3) a row closed under meets is the carrier part of the up cone of its
     # meet, and (4) dually for columns.  As the carrier is closed under meet
     # and join, passing is sound on any relation; failing is decisive only
     # when (2) holds, since otherwise the row need not be up-closed.
-    meet_of, join_of = lat._meet_of, lat._join_of
-    meets_close = all(row == up[meet_of(f)] & keep for _, row, f in live_rows)
-    joins_close = all(col == down[join_of(f)] & keep for col, f in live_cols)
-    # (5) the stars of a row's members lie in the column of its star
-    star_bits = [1 << s for s in pstar]
-    stars_reverse = not any(
-        reduce(or_, compress(star_bits, f), 0) & ~cols[pstar[a]]
-        for a, _, f in live_rows
+    lows = list(map(lat._meet_of, row_flags))
+    meets_close = all(row == up[m] & keep for (_, row), m in zip(live_rows, lows))
+    joins_close = all(
+        col == down[lat._join_of(f)] & keep for col, f in zip(live_cols, col_flags)
     )
+    if meets_close and joins_close:
+        # rows are up[m] & K and columns down[j] & K, so (2) holds, and the
+        # row's meet m is its least member: (5) and (7) are one bit test each
+        sandwiched = True
+        stars_reverse = all(
+            rows[pstar[m]] >> pstar[a] & 1 for (a, _), m in zip(live_rows, lows)
+        )
+        interpolated = not any(row & ~rows[m] for (_, row), m in zip(live_rows, lows))
+        gap = None if interpolated else _explain(_uninterpolated(si), f"{lat.name}: condition 7")
+    else:
+        # (2) every row is up-closed in the carrier and every column
+        # down-closed in it (rows shrink as their element grows)
+        sandwiched = not any(
+            reduce(or_, compress(up, f), 0) & keep & ~row
+            for (_, row), f in zip(live_rows, row_flags)
+        ) and not any(
+            reduce(or_, compress(down, f), 0) & keep & ~col
+            for col, f in zip(live_cols, col_flags)
+        )
+        # (5) the stars of a row's members lie in the column of its star
+        star_bits = [1 << s for s in pstar]
+        stars_reverse = not any(
+            reduce(or_, compress(star_bits, f), 0) & ~cols[pstar[a]]
+            for (a, _), f in zip(live_rows, row_flags)
+        )
+        gap = next(_uninterpolated(si), None)
 
     bounds = next(
         (q for q in ((lat.bottom, lat.bottom), (lat.top, lat.top)) if q not in si),
         None,
     )
     outside = _first_missing(rows, well_inside(lat).rows)
-    gap = next(_uninterpolated(si), None)
     return SiReport((
         _result(1, "bounds are self-related",
                 bounds and (bounds, "0<|0 or 1<|1 missing")),

@@ -11,7 +11,7 @@ import util
 from roundideal import cli, io as rio
 from roundideal.cli import build_parser, main
 from roundideal.errors import RoundIdealError
-from roundideal.lattice import boolean, chain
+from roundideal.lattice import boolean, chain, full_basis
 
 
 @pytest.fixture
@@ -68,6 +68,18 @@ class TestValidate:
 
     def test_check_all_on_chain(self, three_chain, capsys):
         assert main(["validate", str(three_chain), "--check-all"]) == 0
+
+    def test_closure_idempotent_rederives_a_proper_closure(self, tmp_path, capsys, monkeypatch):
+        # the line closes {a} of 2^3, four elements, and closes those again
+        # uncached; a re-derivation that disagrees turns the line into FAIL
+        path = tmp_path / "cube.lat"
+        path.write_text(rio.serialize_lattice(boolean(3)))
+        seeds = []
+        monkeypatch.setattr(cli, "_pcd_closure",
+                            lambda l, seed: seeds.append(seed) or full_basis(l))
+        assert main(["validate", str(path), "--check-all"]) == 1
+        assert "FAIL closure idempotent" in capsys.readouterr().out.splitlines()
+        assert [len(seed) for seed in seeds] == [4]
 
 
 class TestDerive:

@@ -455,6 +455,13 @@ class TestExplicitDescription:
         with pytest.raises(PreconditionError, match="pseudocomplement"):
             explicit_strong_inclusion(p, f)
 
+    @pytest.mark.parametrize("lat", [boolean(3), chain(4)], ids=["larger", "same-size"])
+    def test_carrier_on_another_lattice_is_malformed(self, lat):
+        # one message whether or not the carrier's indices fit the source
+        with pytest.raises(MalformedInput) as caught:
+            explicit_strong_inclusion(full_basis(lat), ContinuousMap.identity(boolean(2)))
+        assert str(caught.value) == "carrier and map source live on different lattices"
+
     @given(st.integers(0, 3000))
     @settings(max_examples=20, deadline=None)
     def test_matches_generated_inclusion_on_dense_embeddings(self, seed):

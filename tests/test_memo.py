@@ -109,6 +109,9 @@ class TestOncePerKey:
     def test_pipeline_derives_each_value_once(self, runs):
         l = boolean(3)
         assert pipeline(l).verdict is Ordering.ISO
+        # the pipeline closes only the full set, which is closed as it stands
+        for _ in range(2):
+            pcd_closure(l, [1])
         for name, keys in runs.items():
             assert keys, name
             assert len(set(keys)) == len(keys), f"{name} ran twice for one key"
@@ -136,6 +139,12 @@ class TestOncePerKey:
         assert pcd_closure(l, p.elements) is p
         assert Basis(l, p.elements).is_sub_pcd()
         assert runs["closure"] == [(id(l), frozenset({1}))]
+
+    def test_closing_every_element_derives_nothing(self, runs):
+        l = boolean(3)
+        assert pcd_closure(l, range(l.n)) is full_basis(l)
+        assert full_basis(l).is_sub_pcd()
+        assert not runs["closure"]
 
     def test_errors_are_not_stored(self, runs):
         l = boolean(2)

@@ -123,6 +123,12 @@ class TestLargestInterpolative:
         assert largest_interpolative(smaller).pairs <= got.pairs
 
 
+def report_fields(l, p, pairs):
+    """``(holds, witness, detail)`` of each condition of the report of ``pairs`` on ``p``."""
+    report = check_strong_inclusion(Relation(l, pairs, p.elements), p)
+    return [(c.holds, c.witness, c.detail) for c in report.conditions]
+
+
 class TestCheckStrongInclusion:
     def test_trivial_strong_inclusion_passes_everything(self):
         l = util.downset_instance(5, 4)
@@ -190,9 +196,52 @@ class TestCheckStrongInclusion:
             pairs = set(util.random_strong_inclusion(l, p, rng).pairs)
             for _ in range(rng.randint(1, 2)):
                 pairs ^= {(rng.choice(members), rng.choice(members))}
-        report = check_strong_inclusion(Relation(l, pairs, p.elements), p)
-        got = [(c.holds, c.witness, c.detail) for c in report.conditions]
-        assert got == oracles.reference_si_report(l, p.elements, pairs)
+        assert report_fields(l, p, pairs) == oracles.reference_si_report(l, p.elements, pairs)
+
+    def test_every_relation_on_a_3_chain_matches_reference(self):
+        l = chain(3)
+        p = full_basis(l)
+        square = sorted(itertools.product(range(l.n), repeat=2))
+        for mask in range(1 << len(square)):
+            pairs = {q for i, q in enumerate(square) if mask >> i & 1}
+            assert report_fields(l, p, pairs) == \
+                oracles.reference_si_report(l, p.elements, pairs), sorted(pairs)
+
+    def test_sandwiches_on_boolean_2_and_their_one_pair_toggles_match_reference(self):
+        # each sandwich passes the row tests of (3) and (4); a toggled pair
+        # makes one of them fail now and then, or breaks (5) or (7) behind them
+        l = boolean(2)
+        p = full_basis(l)
+        square = sorted(itertools.product(range(l.n), repeat=2))
+        for r in range(l.n + 1):
+            for selves in itertools.combinations(range(l.n), r):
+                base = oracles.sandwich(l, p.elements, selves)
+                for pairs in [base, *(base ^ {q} for q in square)]:
+                    assert report_fields(l, p, pairs) == \
+                        oracles.reference_si_report(l, p.elements, pairs), sorted(pairs)
+
+    @pytest.mark.parametrize("pairs, number, witness, detail", [
+        ({(0, 2), (1, 2)}, 5, (0, 0), "stars of (c1, c2)"),
+        ({(0, 2)}, 7, (0, 2), "no interpolant"),
+    ], ids=["star-reversal", "interpolation"])
+    def test_failure_behind_passing_row_tests_is_named(self, pairs, number, witness, detail):
+        # rows are up-cones and columns down-cones of the carrier here, so
+        # (2) to (4) hold and the failing condition is found past them
+        c = chain(3)
+        report = check_strong_inclusion(Relation(c, pairs), full_basis(c))
+        assert all(report.condition(k).holds for k in (2, 3, 4))
+        bad = report.condition(number)
+        assert (bad.holds, bad.witness, bad.detail) == (False, witness, detail)
+
+    def test_failed_row_test_of_meets_is_decided_by_its_scan(self):
+        # the row of c0 is not an up-cone, so (3)'s row test fails; as (2)
+        # fails too that is not decisive, and the scan finds every meet
+        c = chain(3)
+        report = check_strong_inclusion(Relation(c, {(0, 0)}), full_basis(c))
+        sandwich = report.condition(2)
+        assert (sandwich.holds, sandwich.witness, sandwich.detail) == \
+            (False, (0, 1), "derived from (c0, c0)")
+        assert report.condition(3).holds
 
 
 class TestLeastStrongInclusion:
