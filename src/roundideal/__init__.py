@@ -61,7 +61,6 @@ from .lattice import (
     minimal_subcover,
     pcd_closure,
     pseudocomplement,
-    validate,
     well_inside,
 )
 from .relation import (

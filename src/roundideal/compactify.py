@@ -25,18 +25,20 @@ closed under meet, join and pseudocomplement holds every join of its
 members, so it is the whole codomain.  A map's own basis may still be any
 generating set; the map is read through its extension ``ext``.
 
-Frames, join maps, extension maps, reconstructions, the inverse
-isomorphisms of reconstructions and compactification reports are derived
-once per value in the memo of their lattice (``PcdLattice.once``), and a
-compatibility test shares the lattice's entry for regularity and strong
-regularity (``lattice._is_compatible``); argument checks run on every call,
-before the lookup.  A frame holds its strong inclusion on its own carrier
+Frames, join maps, extension maps, reconstructions and compactification
+reports are derived once per value in the memo of their lattice
+(``PcdLattice.once``), and a compatibility test shares the lattice's entry
+for regularity and strong regularity (``lattice._is_compatible``); argument
+checks run on every call, before the lookup.  A frame holds its strong inclusion on its own carrier
 ``p``, so every later check of ``fr.si`` is a check on ``p``.  A
 factorisation is checked on the extension vectors: g after m equals f
 exactly when ``m.ext[g.ext[a]]`` is ``f.ext[a]`` for every a, so no
-composite map is built to compare.  Maps built here from the library's own
-vectors skip the index checks that a caller's map gets
-(``ContinuousMap._built``), never the continuity check.
+composite map is built to compare.  ``compare`` reads each mediating map
+off the reconstruction's vector: it inverts the isomorphism's ``ext`` as a
+dict and reads the extension's assignment through it, one map built and
+checked per witness.  Maps built here from the library's own vectors skip
+the index checks that a caller's map gets (``ContinuousMap._built``), never
+the continuity check.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .errors import (
 )
 from .framemap import (
     ContinuousMap,
-    compose,
     finer_than,
     is_dense,
     is_embedding,
@@ -635,29 +636,20 @@ class CompareResult:
     ge_witness: ContinuousMap | None = None
 
 
-def _inverse_iso(g):
-    """The inverse of a reconstruction's frame isomorphism ``g``, derived once
-    per value in the memo of its source (the frame's lattice)."""
-    # lattice equality ignores names, and the result holds the codomain
-    return g.source.once(("inverse", g.target.name, g._key), lambda: _invert(g))
-
-
-def _invert(g):
-    """The checked inverse of the bijective frame map ``g``, uncached."""
-    fr_lat, klat = g.source, g.target
-    inv = {v: m for m, v in enumerate(g.ext)}
-    i = ContinuousMap._built(klat, fr_lat, full_basis(fr_lat), inv)
-    _require(validate_map(i), InvariantViolation, "inverse of an isomorphism not continuous")
-    return i
-
-
 def _mediating(ka, kb, rb):
-    """Map h with ka = h after kb, or None when kb cannot factor ka."""
+    """Map h with ka = h after kb, or None when kb cannot factor ka.
+
+    h(a) is the m whose image ``rb.iso.ext[m]`` is h0(a), for h0 the extension
+    of ``ka`` through ``rb``'s frame: the vector of ``rb.iso`` is a bijection.
+    """
     tag = finer_than(rb.si, ka.map)
     if not tag.finer:
         return None
     h0 = extension_map(rb.frame, ka.map)
-    h = compose(h0, _inverse_iso(rb.iso))
+    inverse = {v: m for m, v in enumerate(rb.iso.ext)}
+    assignment = {a: inverse[x] for a, x in h0.assignment.items()}
+    h = ContinuousMap._built(kb.codomain, ka.codomain, h0.basis, assignment)
+    _require(validate_map(h), InvariantViolation, "mediating map is not continuous")
     if tuple(map(kb.map.ext.__getitem__, h.ext)) != ka.map.ext:
         raise InvariantViolation("mediating map does not factor the compactification")
     return h

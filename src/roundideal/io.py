@@ -12,7 +12,8 @@ when the search meets a back edge (a cycle or a pair ``le a a``).  In
 elements; in ``poset-downsets`` mode it must be a poset of at most 8 points,
 whose downset lattice (at most 256 elements, always valid) is built.  Both
 caps are checked before the pairs are closed.  Relation documents carry
-``pair a b`` lines over a host lattice; map documents carry ``to b x`` lines
+``pair a b`` lines over a host lattice, with optional ``relation <name>``
+and ``host <name>`` lines; map documents carry ``to b x`` lines
 (target basis element b, source element x) plus ``source``/``target`` paths
 resolved relative to the document.  Each header line (``lattice``;
 ``source``, ``target``, ``basis``) may appear once.  ``#`` starts a comment.
@@ -172,10 +173,10 @@ def parse_relation(text, lattice):
     pairs = set()
     for no, tokens in _lines(text):
         head = tokens[0]
-        if head == "relation":
-            continue
-        if head == "host":
-            if len(tokens) == 2 and tokens[1] != lattice.name:
+        if head in ("relation", "host"):
+            if len(tokens) != 2:
+                raise MalformedInput(f"line {no}: expected '{head} <name>'")
+            if head == "host" and tokens[1] != lattice.name:
                 raise MalformedInput(
                     f"line {no}: host {tokens[1]!r} does not match lattice "
                     f"{lattice.name!r}"

@@ -6,24 +6,25 @@ Bounds, meet and join tables and pseudocomplements are derived eagerly but
 defensively, so that ``validate`` can report every violated axiom instead of
 crashing on bad input.  All subsequent operations require a valid lattice.
 
-In a transitive order the meet of i and j is the unique element whose down
-cone is the common down cone of i and j (the join likewise on up cones), so
-each table entry is one lookup in one dict from cones to their owners, for
-both triangles of the table; only an order that is not transitive falls
-back to scanning the common cone.  The order axioms are checked on the masks
-in O(n^2) word operations, each a pass over a whole row: row i is
-transitive when one C-level OR of the up cones its order row selects adds
-nothing to up(i), and only the first failing row is scanned to name the
-witness.  Every whole-row check in the package names its failure so,
-through ``_explain``: the scan starts only after the row test has failed,
-and an exact test whose scan finds nothing is an internal fault.  The
-pseudocomplement of y joins the positions of the bottom in meet row y,
-found by C-level list searches (``_positions``), and its check compares
-their number with the size of down(y*).  Cover pairs take one mask test
-per comparable pair.  Most round-ideal frames and sources have 4..16
-elements, so a kernel form must be no slower than a plain per-pair loop at
-that size as well as faster at 32..64; there is one form per kernel and no
-size threshold.
+On every order the meet of i and j is the unique reflexive element whose
+down cone is the common down cone of i and j, and the join the unique one
+whose up cone is their common up cone, None when there is no such element
+or more than one; in a transitive order that is the greatest (least) member
+of the common cone.  So each table entry is one lookup in one dict from
+cones to their owners, for both triangles of the table.  The order axioms
+are checked on the masks in O(n^2) word operations, each a pass over a
+whole row: row i is transitive when one C-level OR of the up cones its
+order row selects adds nothing to up(i), and only the first failing row is
+scanned to name the witness.  Every whole-row check in the package names
+its failure so, through ``_explain``: the scan starts only after the row
+test has failed, and an exact test whose scan finds nothing is an internal
+fault.  The pseudocomplement of y joins the positions of the bottom in
+meet row y, found by C-level list searches (``_positions``), and its check
+compares their number with the size of down(y*).  Cover pairs take one
+mask test per comparable pair.  Most round-ideal frames and sources have
+4..16 elements, so a kernel form must be no slower than a plain per-pair
+loop at that size as well as faster at 32..64; there is one form per
+kernel and no size threshold.
 
 The same holds for a whole family M in a valid lattice: the common up cone
 of M is the up cone of its join, so the join of M is one AND over the up
@@ -49,10 +50,9 @@ pcd-closure of each seed set (and of each closure, which is its own; the
 set of every element closes to the full basis with no derivation), the
 generating test of subsets, compatibility tests, strong-inclusion
 reports, least strong inclusions, interpolative cores, round-ideal frames
-and their join maps, for maps out of it continuity reports,
+and their join maps, and for maps out of it continuity reports,
 extension-class searches, extension maps, compactification reports and
-reconstructions, and for a frame's lattice the inverses of reconstruction
-isomorphisms.  Each is computed and checked in full once per distinct value
+reconstructions.  Each is computed and checked in full once per distinct value
 (a key holding everything the result depends on and stores) and then
 shared, so equal values built apart are checked once.
 
@@ -174,10 +174,10 @@ def _require(report, error, what):
 def _owners(cone):
     """Dict from each cone c to its owner, the k with ``cone[k] == c`` and k in c.
 
-    None when several share the cone.  In a transitive order the bound of i
-    and j (meet on down cones, join on up cones) is the owner of their common
-    cone, one lookup per table entry, as a member of it lies in its own cone.
-    In a valid lattice a mask is a key exactly when it is an element's cone.
+    None when several share the cone.  The bound of i and j (meet on down
+    cones, join on up cones) is the owner of their common cone, one lookup
+    per table entry.  In a valid lattice a mask is a key exactly when it is
+    an element's cone.
     """
     owner = {}
     for k, c in enumerate(cone):
@@ -243,15 +243,9 @@ class PcdLattice:
         self._intransitive = self._transitivity_witness(leq)
         # kept for the family bounds and the distributivity test too
         self._down_owner, self._up_owner = _owners(down), _owners(up)
-        if self._intransitive is None:
-            meet, join = self._down_owner.get, self._up_owner.get
-            self.meet = [[meet(c & d) for d in down] for c in down]
-            self.join = [[join(c & d) for d in up] for c in up]
-        else:
-            self.meet = [[self._bound(i, j, self._down) for j in range(n)]
-                         for i in range(n)]
-            self.join = [[self._bound(i, j, self._up) for j in range(n)]
-                         for i in range(n)]
+        meet, join = self._down_owner.get, self._up_owner.get
+        self.meet = [[meet(c & d) for d in down] for c in down]
+        self.join = [[join(c & d) for d in up] for c in up]
         self.pstar = [self._pstar_of(y) for y in range(n)]
 
     def _transitivity_witness(self, leq):
@@ -271,23 +265,6 @@ class PcdLattice:
                     f"{self.name}: transitivity at {self.names[i]}",
                 )
         return None
-
-    def _bound(self, i, j, cone):
-        # glb when cone=_down, lub when cone=_up: the member of the common
-        # cone whose own cone covers all of it (any order, transitive or not)
-        common = cone[i] & cone[j]
-        found = None
-        k = 0
-        rest = common
-        while rest:
-            if rest & 1:
-                if common & ~cone[k] == 0:
-                    if found is not None:
-                        return None
-                    found = k
-            rest >>= 1
-            k += 1
-        return found
 
     def _pstar_of(self, y):
         # the meet table is symmetric, so row y holds every meet c ^ y; the
@@ -577,12 +554,6 @@ class Relation:
         inner = ", ".join(f"({names[a]},{names[b]})" for a, b in self)
         return f"Relation{{{inner}}}"
 
-    def restricted_to(self, carrier):
-        carrier = _checked_carrier(self.lattice, carrier)
-        keep = _mask(carrier)
-        rows = [row & keep if keep >> a & 1 else 0 for a, row in enumerate(self.rows)]
-        return Relation._from_rows(self.lattice, rows, carrier)
-
 
 def _joins_of_related(lat, targets, cols, pool):
     """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``.
@@ -663,15 +634,10 @@ class Cover:
     parts: frozenset
 
     def __post_init__(self):
-        # no lattice to bound the indices by: parts need only be integers >= 0
+        # no lattice to bound the indices by: they need only be integers >= 0
+        object.__setattr__(self, "target", _index(self.target, float("inf"), "cover target"))
         parts = (_index(x, float("inf"), "cover part") for x in _items(self.parts, "cover parts"))
         object.__setattr__(self, "parts", frozenset(parts))
-
-
-def validate(l):
-    """Module-level alias for the axiom report."""
-    _require_type(l, PcdLattice, "lattice")
-    return l.validate()
 
 
 def pseudocomplement(l, y):
@@ -747,6 +713,9 @@ def is_compact(l, b, c):
     _require_type(b, Basis, "basis")
     _require_type(c, Cover, "cover")
     l.require_valid()
+    target = _index(c.target, l.n, "cover target")
+    if target != l.top:
+        raise PreconditionError(f"cover target {l.names[target]} is not the top")
     if not c.parts <= b.elements:
         raise PreconditionError("cover parts must be basis elements")
     parts = sorted(c.parts)

@@ -152,10 +152,6 @@ class Scale:
     depth: int
     values: tuple
 
-    def at(self, k):
-        """Value at the dyadic rational k / 2**depth."""
-        return self.values[k]
-
     def as_fractions(self):
         d = 2 ** self.depth
         return {Fraction(k, d): v for k, v in enumerate(self.values)}

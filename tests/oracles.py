@@ -177,26 +177,32 @@ def reference_tables(names, leq):
     exactly one element qualifies, the pseudocomplement of y is the join of
     the elements whose meet with y is the bottom, and each report line names
     the first witness of its failed axiom in index order.
+
+    The meet of i and j is the reflexive k whose down set equals the common
+    lower set L of i and j (the join dually on up sets).  On a transitive
+    order this is the greatest member of L: such a k lies in its own down
+    set, so in L, and holds all of L below it; conversely a member k of L
+    with all of L below it is reflexive, and every c <= k lies in L by
+    transitivity through k, so its down set is L.  The two rules pick the
+    same candidates, hence the same unique one.
     """
     n = len(names)
     el = range(n)
     le = {(i, j) for i in el for j in el if leq[i][j]}
+    down = [{c for c in el if (c, k) in le} for k in el]
+    up = [{c for c in el if (k, c) in le} for k in el]
 
     def unique(candidates):
         return candidates[0] if len(candidates) == 1 else None
 
-    def glb(i, j):
-        lower = [c for c in el if (c, i) in le and (c, j) in le]
-        return unique([k for k in lower if all((c, k) in le for c in lower)])
+    def owner(cones, i, j):
+        return unique([k for k in el if (k, k) in le and cones[k] == cones[i] & cones[j]])
 
-    def lub(i, j):
-        upper = [c for c in el if (i, c) in le and (j, c) in le]
-        return unique([k for k in upper if all((k, c) in le for c in upper)])
 
     bottom = unique([b for b in el if all((b, x) in le for x in el)])
     top = unique([t for t in el if all((x, t) in le for x in el)])
-    meet = [[glb(i, j) for j in el] for i in el]
-    join = [[lub(i, j) for j in el] for i in el]
+    meet = [[owner(down, i, j) for j in el] for i in el]
+    join = [[owner(up, i, j) for j in el] for i in el]
 
     def join_all(items):
         out = bottom

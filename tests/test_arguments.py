@@ -51,7 +51,6 @@ from roundideal.lattice import (
     minimal_subcover,
     pcd_closure,
     pseudocomplement,
-    validate,
     well_inside,
 )
 from roundideal.relation import build_scale, interpolative_core_on_basis
@@ -67,7 +66,6 @@ FRAME = K.frame
 
 # each entry point with arguments it accepts; the property swaps one of them
 ENTRY_POINTS = {
-    "validate": (validate, [L]),
     "well_inside": (well_inside, [L]),
     "pseudocomplement": (pseudocomplement, [L, 0]),
     "pcd_closure": (pcd_closure, [L, [1]]),

@@ -560,6 +560,38 @@ class TestCompare:
         assert r23.verdict in (Ordering.LE, Ordering.ISO)
         assert r13.verdict in (Ordering.LE, Ordering.ISO)
 
+    @pytest.mark.parametrize("atoms", range(4))
+    def test_witnesses_are_the_extensions_after_the_inverse_isomorphism(self, atoms):
+        # the reference inverts the reconstruction isomorphism as a map over
+        # the full basis of the frame and composes the extension with it
+        rng = random.Random(atoms)
+        l = boolean(atoms)
+        comps = [compactify_extending(l, full_basis(l), [])[0], identity_compactification(l)]
+        for j in (1, 2):
+            f = util.atom_map(l, boolean(j), util.random_phi(rng, atoms, j))
+            comps.append(compactify_extending(l, full_basis(l), [f])[0])
+
+        def reference(ka, kb):
+            rec = from_compactification(kb)
+            frame = rec.frame.lattice
+            inverse = ContinuousMap(kb.codomain, frame, full_basis(frame),
+                                    {v: m for m, v in enumerate(rec.iso.ext)})
+            try:
+                return compose(extension_map(rec.frame, ka.map), inverse)
+            except PreconditionError:  # kb's strong inclusion cannot factor ka
+                return None
+
+        for k1 in comps:
+            for k2 in comps:
+                result = compare(k1, k2)
+                for got, want in ((result.le_witness, reference(k1, k2)),
+                                  (result.ge_witness, reference(k2, k1))):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.ext == want.ext
+                        assert got.assignment == want.assignment
+                        assert got.basis == want.basis
+
     def test_source_mismatch(self):
         k1 = identity_compactification(boolean(1))
         k2 = identity_compactification(boolean(2))

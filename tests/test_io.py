@@ -250,6 +250,13 @@ BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
      "line 2: expected 'pair <a> <b>'"),
     (lambda d: rio.parse_relation("pair {} {z}\n", boolean(1)), "unknown element label '{z}'"),
     (lambda d: rio.parse_relation("let x\n", boolean(1)), "line 1: unknown directive 'let'"),
+    (lambda d: rio.parse_relation("host\n", boolean(1)), "line 1: expected 'host <name>'"),
+    (lambda d: rio.parse_relation("host bool1 x\n", boolean(1)),
+     "line 1: expected 'host <name>'"),
+    (lambda d: rio.parse_relation("relation\n", boolean(1)),
+     "line 1: expected 'relation <name>'"),
+    (lambda d: rio.parse_relation("relation a b\n", boolean(1)),
+     "line 1: expected 'relation <name>'"),
     (lambda d: rio.parse_map("map f\nto {}\n", base_dir=d),
      "line 2: expected 'to <b> <x>'"),
     (lambda d: rio.parse_map("source a.lat b.lat\n", base_dir=d),
@@ -263,7 +270,8 @@ BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
     (lambda d: rio.parse_map("source b.lat\ntarget b.lat\nto {} {}\nto {} {a}\n", base_dir=d),
      "line 4: duplicate assignment for '{}'"),
 ], ids=["duplicate-labels", "short-le", "no-elements", "short-pair", "unknown-label",
-        "unknown-relation-directive", "short-to", "long-source",
+        "unknown-relation-directive", "bare-host", "long-host", "bare-relation",
+        "long-relation", "short-to", "long-source",
         "base-dir-not-a-path", "unreadable-target", "unknown-map-directive",
         "duplicate-assignment"])
 def test_input_checks(tmp_path, call, message):

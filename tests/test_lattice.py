@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,6 @@ from roundideal.lattice import (
     is_regular,
     pcd_closure,
     pseudocomplement,
-    validate,
     well_inside,
 )
 from roundideal.relation import check_strong_inclusion, interpolative_core_on_basis
@@ -78,13 +78,13 @@ def family_order(rng):
 
 class TestValidate:
     def test_one_element_lattice_valid(self):
-        assert validate(boolean(0)) == []
+        assert boolean(0).validate() == []
 
     def test_boolean_square_valid(self):
-        assert validate(boolean(2)) == []
+        assert boolean(2).validate() == []
 
     def test_pentagon_fails_distributivity(self):
-        report = validate(pentagon())
+        report = pentagon().validate()
         assert any("distributivity" in line for line in report)
 
     def test_dimension_mismatch(self):
@@ -98,14 +98,30 @@ class TestValidate:
     def test_missing_bound_reported(self):
         # two incomparable points: no bottom, no top, no meets/joins
         leq = [[True, False], [False, True]]
-        report = validate(PcdLattice(["a", "b"], leq))
+        report = PcdLattice(["a", "b"], leq).validate()
         assert any("bottom" in line for line in report)
         assert any("top" in line for line in report)
 
     def test_broken_order_reported(self):
         leq = [[False, True], [True, True]]
-        report = validate(PcdLattice(["a", "b"], leq))
+        report = PcdLattice(["a", "b"], leq).validate()
         assert any("reflexivity" in line for line in report)
+
+    def test_intransitive_order_bounds_are_cone_owners(self):
+        # e0 <= e1 <= e2 but not e0 <= e2: the common up cone {e1} of e0 and
+        # e1 is no element's up cone, nor is the common down cone {e1} of e1
+        # and e2 any element's down cone, so neither has a bound
+        leq = [[True, True, False], [False, True, True], [False, False, True]]
+        l = PcdLattice(["e0", "e1", "e2"], leq)
+        assert l.validate() == [
+            "transitivity fails at (e0, e1, e2)",
+            "no bottom element",
+            "no top element",
+            "no greatest lower bound for (e0, e2)",
+            "no least upper bound for (e0, e1)",
+        ]
+        assert l.join[0][1] is None
+        assert l.meet[1][2] is None
 
     def test_operations_require_validity(self):
         bad = pentagon()
@@ -225,6 +241,20 @@ class TestIsCompact:
         got = is_compact(l, full_basis(l), Cover(l.top, frozenset()))
         assert got == []
 
+    def test_target_must_be_the_top(self):
+        l = boolean(2)
+        with pytest.raises(PreconditionError, match=re.escape("cover target {} is not the top")):
+            is_compact(l, full_basis(l), Cover(l.bottom, frozenset({l.top})))
+
+    def test_target_out_of_range(self):
+        l = boolean(2)
+        with pytest.raises(MalformedInput, match="cover target 4 out of range"):
+            is_compact(l, full_basis(l), Cover(4, frozenset({l.top})))
+
+    def test_target_must_be_an_integer(self):
+        with pytest.raises(MalformedInput, match="cover target 'x' is not an integer"):
+            Cover("x", frozenset({3}))
+
     def test_parts_must_be_basic(self):
         l = boolean(2)
         b = Basis(l, frozenset({l.bottom, l.top}))
@@ -283,7 +313,7 @@ class TestPcdClosure:
         sub = sorted(pcd_closure(l, seeds).elements)
         leq = [[l.leq(a, b) for b in sub] for a in sub]
         sublat = PcdLattice([l.names[a] for a in sub], leq, name="sub")
-        assert validate(sublat) == []
+        assert sublat.validate() == []
         # restricted operations stay inside and agree
         pos = {a: i for i, a in enumerate(sub)}
         for a in sub:
@@ -299,7 +329,7 @@ class TestGenerators:
     def test_downset_lattices_always_valid(self, seed):
         rng = random.Random(seed)
         l = util.downset_instance(seed, rng.randint(0, 5))
-        assert validate(l) == []
+        assert l.validate() == []
 
     def test_chain_and_boolean_shapes(self):
         assert chain(4).n == 4
@@ -316,7 +346,7 @@ class TestConstructionCap:
 
     def test_largest_lattices_build(self):
         assert chain(256).n == 256
-        assert validate(self.antichain(8)) == []
+        assert self.antichain(8).validate() == []
 
     def test_chain_outside_1_to_256_refused(self):
         with pytest.raises(MalformedInput, match="between 1 and 256, got 257"):
@@ -353,7 +383,7 @@ class TestExplain:
         for module in (lattice, relation, framemap, compactify):
             monkeypatch.setattr(module, "_explain", refuse)
         l = boolean(3)  # fresh: built and validated under the patch
-        assert validate(l) == []
+        assert l.validate() == []
         core = interpolative_core_on_basis(l, full_basis(l))
         assert check_strong_inclusion(core, full_basis(l)).ok
         assert validate_map(ContinuousMap.identity(l)) == []

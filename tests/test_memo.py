@@ -5,10 +5,10 @@ subset is a closed sub-pcd), generating tests of subsets, compatibility
 tests (which also decide regularity and strong regularity),
 strong-inclusion reports, least strong inclusions,
 interpolative cores, round-ideal frames, continuity reports,
-extension-class searches, extension maps, compactification reports,
-reconstructions and their inverse isomorphisms are derived once per
-distinct key on their lattice
-(``PcdLattice.once``).  The counting tests wrap the uncached
+extension-class searches, extension maps, compactification reports and
+reconstructions are derived once per distinct key on their lattice
+(``PcdLattice.once``); ``compare`` inverts the reconstruction's vector
+afresh, so it stores no inverse.  The counting tests wrap the uncached
 derivations and require one run per key; the differential tests require a
 lattice whose memo is warm to give the same reports, frames, verdicts and
 error messages as a freshly built equal lattice.
@@ -68,9 +68,6 @@ UNCACHED = {
     "extension": (compactify, "_extension_map",
                   lambda fr, f: (id(fr), f.target, f.target.name,
                                  frozenset(f.assignment.items()))),
-    "inverse": (compactify, "_invert",
-                lambda g: (id(g.source), g.target, g.target.name,
-                           frozenset(g.assignment.items()))),
     "closure": (lattice, "_pcd_closure", lambda l, seed: (id(l), seed)),
     "compatible": (lattice, "_compatible",
                    lambda p, rel: (id(p.lattice), rel.rows, p.elements)),

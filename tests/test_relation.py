@@ -708,11 +708,6 @@ class TestRelationType:
         assert Relation(l, {(0, 1)}) == Relation(l, {(0, 1)}, carrier={0, 1, 2})
         assert Relation(l, {(0, 1)}) != Relation(l, {(1, 0)})
 
-    def test_restriction(self):
-        l = boolean(2)
-        r = Relation(l, {(0, 1), (0, 2), (1, 3)})
-        assert r.restricted_to({0, 1}).pairs == {(0, 1)}
-
     def test_relation_or_basis_from_another_lattice_is_malformed(self):
         small, big = boolean(1), boolean(3)
         si = interpolative_core_on_basis(small, full_basis(small))
