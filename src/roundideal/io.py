@@ -16,7 +16,8 @@ caps are checked before the pairs are closed.  Relation documents carry
 and ``host <name>`` lines; map documents carry ``to b x`` lines
 (target basis element b, source element x) plus ``source``/``target`` paths
 resolved relative to the document.  Each header line (``lattice``;
-``source``, ``target``, ``basis``) may appear once.  ``#`` starts a comment.
+``relation``, ``host``; ``source``, ``target``, ``basis``) may appear once.
+``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -171,9 +172,13 @@ def parse_relation(text, lattice):
     """Read ``pair`` lines resolved against the given host lattice."""
     _require_type(lattice, PcdLattice, "host lattice")
     pairs = set()
+    seen = set()
     for no, tokens in _lines(text):
         head = tokens[0]
         if head in ("relation", "host"):
+            if head in seen:
+                raise MalformedInput(f"line {no}: duplicate '{head}' line")
+            seen.add(head)
             if len(tokens) != 2:
                 raise MalformedInput(f"line {no}: expected '{head} <name>'")
             if head == "host" and tokens[1] != lattice.name:

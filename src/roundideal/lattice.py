@@ -49,12 +49,12 @@ the ``cols`` and ``pairs`` views of a ``Relation`` and the ``mask`` of a
 pcd-closure of each seed set (and of each closure, which is its own; the
 set of every element closes to the full basis with no derivation), the
 generating test of subsets, compatibility tests, strong-inclusion
-reports, least strong inclusions, interpolative cores, round-ideal frames
-and their join maps, and for maps out of it continuity reports,
-extension-class searches, extension maps, compactification reports and
-reconstructions.  Each is computed and checked in full once per distinct value
-(a key holding everything the result depends on and stores) and then
-shared, so equal values built apart are checked once.
+reports, order sandwiches, least strong inclusions, interpolative cores,
+round-ideal frames and their join maps, and for maps out of it continuity
+reports, extension-class searches, extension maps, compactification
+reports and reconstructions.  Each is computed and checked in full once
+per distinct value (a key holding everything the result depends on and
+stores) and then shared, so equal values built apart are checked once.
 
 Every carrier question is decided by one of two kernels.  A carrier is a
 closed sub-pcd exactly when it is its own ``pcd_closure``.  Regularity,

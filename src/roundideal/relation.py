@@ -7,8 +7,9 @@ form, strong regularity (compatibility of the core), and dyadic scales.
 A ``Relation`` (defined in ``lattice``, next to the lattices it lives on)
 stores one row mask per element: bit b of ``rows[a]`` says (a, b) is
 related, and the column masks ``cols`` are derived once.  Every kernel here
-works on those masks.  z interpolates (x, y) exactly when bit z of
-``rows[x] & cols[y]`` is set, so the interpolant test is one AND; the order
+works on those masks.  y interpolates in row x exactly when it lies in
+the row of a member of row x, so a row's gaps are its bits outside the OR
+of its members' rows: one gather, with no column transpose.  The order
 sandwich gathers the up cones of a nonempty row's members into one mask and
 ORs it into the row of each carrier element below the row's element.
 
@@ -21,7 +22,7 @@ columns, each row one C-level gather and fold (``lattice._flags``):
   since K is closed under meet and join a pass is sound on any relation,
   and a failure is decisive once (2) holds;
 - (5) the stars of a row's members lie in the column of the row's star;
-- (7) a row meets the column of each of its members.
+- (7) a row lies inside the OR of its members' rows.
 
 That is O(n) gathers of at most n masks each, whatever the number of pairs.
 Only a condition whose row test fails is scanned pair by pair, to name its
@@ -39,11 +40,10 @@ conditions follow without another gather:
   the row (K is closed under meets), every star of a member lies in K below
   m_a*, and the column of a* is down-closed in K;
 - (7) holds at row a exactly when the row lies inside the row of m_a:
-  m_a is in the row, and an element common to row a and column b lies in
-  ``up[m_a]`` and ``down[j_b]``, so m_a lies in column b as well.
+  m_a is in the row, and by (2) the rows of members above m_a lie inside it.
 
 Only a relation that fails the row test of (3) or (4) runs the gathers of
-(2) and (5) and the row tests of (7).
+(2), (5) and (7).
 
 On a finite carrier P every strong inclusion <| is an order sandwich
 {(x, y) : x <= s <= y, s in S} of its self-related set S.  Interpolating
@@ -59,15 +59,16 @@ checked against all seven conditions, and the core is asserted
 interpolative and inside well-inside.  ``largest_interpolative`` keeps its
 pruning loop, as it takes relations that need not lie inside the order.
 
-Strong-inclusion reports, least strong inclusions and interpolative cores
-are derived once per value in the memo their lattice keeps for as long as
-it lives (``PcdLattice.once``): a report per (relation rows, carrier), a
-least strong inclusion per (seed rows, carrier), a core per carrier.  A
-strong-regularity verdict is the compatibility verdict of the core, which
-the lattice memoises per (core rows, carrier).  Argument checks run on
-every call, before the lookup; a report's stray pairs depend on its key
-alone and are found inside its derivation, which stores nothing when it
-raises.
+Reports, sandwiches, least strong inclusions and cores are derived once per
+value in the memo their lattice keeps (``PcdLattice.once``): a report per
+(relation rows, carrier), a sandwich per (self-related set, carrier), a
+least strong inclusion per (seed rows, carrier), a core per carrier.  The
+complemented elements of a closed carrier are closed, so there the core is
+its own least strong inclusion, one ``Relation``.  Strong regularity is
+the core's compatibility verdict, memoised per (core rows, carrier).
+Argument checks run on every call, before the lookup; a report's stray
+pairs depend on its key alone and are found inside its derivation, which
+stores nothing when it raises.
 """
 
 from __future__ import annotations
@@ -160,24 +161,19 @@ class Scale:
 def _uninterpolated(rel):
     """Pairs (x, y) of ``rel``, in index order, with no z such that x rel z rel y.
 
-    A row passes when it meets the column of each of its members: one AND
-    for a row of one member, one C-level gather for a longer row.  Only a row
-    that fails is scanned pair by pair.
+    A row's gaps are its bits outside the OR of its members' rows.
     """
-    rows, cols = rel.rows, rel.cols
+    rows = rel.rows
     n = len(rows)
     for x, row in enumerate(rows):
         if row & (row - 1):
-            if all(map(row.__and__, compress(cols, _flags(row, n)))):
-                continue
-        elif not row or row & cols[_lowest(row)]:
+            gaps = row & ~reduce(or_, compress(rows, _flags(row, n)))
+        elif row:
+            gaps = row & ~rows[_lowest(row)]
+        else:
             continue
-        gaps = [(x, y) for y in _bits(row) if not row & cols[y]]
-        if not gaps:
-            raise InvariantViolation(
-                f"{rel.lattice.name}: row {x} misses a column, yet every pair interpolates"
-            )
-        yield from gaps
+        for y in _bits(gaps):
+            yield x, y
 
 
 def _first_missing(rows, allowed):
@@ -268,7 +264,7 @@ def _strong_inclusion_report(si, keep):
     Each of conditions 2 to 5 is first decided by a test on whole rows (or
     columns) of masks, one C-level gather each; only a condition that fails
     it is scanned pair by pair, to name the first failing pair in index
-    order.  Condition 7 does the same inside ``_uninterpolated``.  When the
+    order; condition 7's row gathers yield the gaps themselves.  When the
     row tests of (3) and (4) pass, (2) holds and (5) and (7) take one bit
     test per row, on the meets those tests found (see the module docstring).
     """
@@ -410,7 +406,7 @@ def _least_strong_inclusion(p, seed, keep):
     """The sandwich of the closure of the seed's self-related elements, checked, uncached."""
     lat = p.lattice
     selves = pcd_closure(lat, (a for a in _bits(keep) if seed.rows[a] >> a & 1))
-    result = _sandwich_of(lat, selves.elements, p.elements)
+    result = _sandwich(lat, selves.elements, p.elements)
     _require_strong_inclusion(result, p, InvariantViolation,
                               "closure is not a strong inclusion")
     return result
@@ -432,7 +428,7 @@ def interpolative_core_on_basis(l, b):
 def _interpolative_core(l, b):
     """The core on the carrier ``b``, uncached; asserted interpolative and well-inside."""
     wi = well_inside(l).rows
-    core = _sandwich_of(l, [a for a in b.elements if wi[a] >> a & 1], b.elements)
+    core = _sandwich(l, frozenset(a for a in b.elements if wi[a] >> a & 1), b.elements)
     gap = next(_uninterpolated(core), None) or _first_missing(core.rows, wi)
     if gap is not None:
         a, c = gap
@@ -476,8 +472,13 @@ def ordered_sandwich(rel, carrier=None):
     return Relation._from_rows(lat, rows, carrier)
 
 
+def _sandwich(lat, selves, carrier):
+    """The order sandwich of the diagonal on the set ``selves``, on ``carrier``; memoised."""
+    return lat.once(("sandwich", selves, carrier), lambda: _sandwich_of(lat, selves, carrier))
+
+
 def _sandwich_of(lat, selves, carrier):
-    """The order sandwich of the diagonal on ``selves``, on ``carrier``."""
+    """``_sandwich``, uncached."""
     rows = [0] * lat.n
     for s in selves:
         rows[s] = 1 << s

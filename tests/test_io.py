@@ -269,11 +269,15 @@ BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
      "line 2: unknown directive 'let'"),
     (lambda d: rio.parse_map("source b.lat\ntarget b.lat\nto {} {}\nto {} {a}\n", base_dir=d),
      "line 4: duplicate assignment for '{}'"),
+    (lambda d: rio.parse_relation("relation r\nhost bool1\nrelation s\n", boolean(1)),
+     "line 3: duplicate 'relation' line"),
+    (lambda d: rio.parse_relation("host bool1\npair {} {}\nhost bool1\n", boolean(1)),
+     "line 3: duplicate 'host' line"),
 ], ids=["duplicate-labels", "short-le", "no-elements", "short-pair", "unknown-label",
         "unknown-relation-directive", "bare-host", "long-host", "bare-relation",
         "long-relation", "short-to", "long-source",
         "base-dir-not-a-path", "unreadable-target", "unknown-map-directive",
-        "duplicate-assignment"])
+        "duplicate-assignment", "duplicate-relation", "duplicate-host"])
 def test_input_checks(tmp_path, call, message):
     (tmp_path / "b.lat").write_text(BOOL1_DOC)
     with pytest.raises(MalformedInput, match=message) as info:

@@ -3,8 +3,9 @@
 Axiom reports, full bases, pcd-closures (which also decide whether a
 subset is a closed sub-pcd), generating tests of subsets, compatibility
 tests (which also decide regularity and strong regularity),
-strong-inclusion reports, least strong inclusions,
-interpolative cores, round-ideal frames, continuity reports,
+strong-inclusion reports, least strong inclusions, interpolative cores,
+order sandwiches (which a core shares with every least strong inclusion of
+its self-related set), round-ideal frames, continuity reports,
 extension-class searches, extension maps, compactification reports and
 reconstructions are derived once per distinct key on their lattice
 (``PcdLattice.once``); ``compare`` inverts the reconstruction's vector
@@ -33,7 +34,15 @@ from roundideal.compactify import (
 )
 from roundideal.errors import PreconditionError, RoundIdealError
 from roundideal.framemap import ContinuousMap, validate_map
-from roundideal.lattice import Basis, PcdLattice, boolean, full_basis, is_regular, pcd_closure
+from roundideal.lattice import (
+    Basis,
+    PcdLattice,
+    boolean,
+    chain,
+    full_basis,
+    is_regular,
+    pcd_closure,
+)
 from roundideal.relation import (
     Relation,
     check_strong_inclusion,
@@ -50,6 +59,8 @@ UNCACHED = {
               lambda p, seed, keep: (id(p.lattice), seed.rows, keep)),
     "core": (relation, "_interpolative_core",
              lambda l, b: (id(l), b.elements)),
+    "sandwich": (relation, "_sandwich_of",
+                 lambda lat, selves, carrier: (id(lat), selves, carrier)),
     "frame": (compactify, "_round_ideal_frame",
               lambda p, si: (id(p.lattice), si.rows, p.elements)),
     "continuity": (framemap, "_continuity_report",
@@ -142,6 +153,21 @@ class TestOncePerKey:
         assert pcd_closure(l, range(l.n)) is full_basis(l)
         assert full_basis(l).is_sub_pcd()
         assert not runs["closure"]
+
+    @pytest.mark.parametrize("l", [
+        boolean(3), chain(4), util.downset_instance(0, 3), util.downset_instance(2, 4),
+    ], ids=lambda l: f"{l.name}-{l.n}")
+    def test_a_core_on_a_closed_carrier_is_its_own_least_strong_inclusion(self, runs, l):
+        # the core is the sandwich of the carrier's complemented elements, a
+        # closed set, so the least strong inclusion of the core is one lookup
+        carriers = {pcd_closure(l, [a for a in range(l.n) if mask >> a & 1])
+                    for mask in range(1 << l.n)}
+        assert len(carriers) > 2
+        for p in carriers:
+            runs["sandwich"].clear()
+            core = interpolative_core_on_basis(l, p)
+            assert least_strong_inclusion(p, core) is core
+            assert len(runs["sandwich"]) == 1
 
     def test_errors_are_not_stored(self, runs):
         l = boolean(2)

@@ -24,6 +24,7 @@ from roundideal.framemap import ContinuousMap, extend, finer_than, is_embedding
 from roundideal.lattice import (
     Basis,
     Cover,
+    PcdLattice,
     boolean,
     chain,
     downset_lattice,
@@ -121,6 +122,48 @@ class TestLargestInterpolative:
         assert largest_interpolative(got) == got
         smaller = Relation(l, [q for q in sorted(r.pairs) if rng.random() < 0.6])
         assert largest_interpolative(smaller).pairs <= got.pairs
+
+
+def brute_gaps(r):
+    """Pairs (x, y) of ``r``, in index order, with no z such that x r z r y."""
+    n = len(r.rows)
+    return [(x, y) for x, y in sorted(r.pairs)
+            if not any((x, z) in r.pairs and (z, y) in r.pairs for z in range(n))]
+
+
+class TestRowInterpolation:
+    """Gaps come from rows alone: y interpolates in row x exactly when it lies
+    in the row of a member of row x.  Checked against a scan of every
+    (x, z, y), the report's condition 7 and the union-of-subsets oracle."""
+
+    def check(self, r):
+        gaps = list(relation._uninterpolated(r))
+        assert gaps == brute_gaps(r), sorted(r.pairs)
+        l = r.lattice
+        if not l.is_valid:
+            return
+        p = full_basis(l)
+        seventh = check_strong_inclusion(r, p).condition(7)
+        expected = oracles.reference_si_report(l, p.elements, r.pairs)[6]
+        assert (seventh.holds, seventh.witness, seventh.detail) == expected
+        assert seventh.holds == (not gaps)
+        if len(r) <= 14:
+            assert largest_interpolative(r).pairs == oracles.brute_largest_interpolative(r.pairs)
+
+    def test_every_relation_on_a_3_chain(self):
+        l = chain(3)
+        square = sorted(itertools.product(range(l.n), repeat=2))
+        for mask in range(1 << len(square)):
+            self.check(Relation(l, [q for i, q in enumerate(square) if mask >> i & 1]))
+
+    @pytest.mark.parametrize("kind", util.ORDER_KINDS)
+    def test_random_relations_on_every_order_kind(self, kind):
+        rng = random.Random(kind)
+        for _ in range(40):
+            l = PcdLattice(*util.random_order(rng, kind))
+            density = rng.random()
+            pairs = [(a, b) for a in range(l.n) for b in range(l.n) if rng.random() < density]
+            self.check(Relation(l, pairs))
 
 
 def report_fields(l, p, pairs):
