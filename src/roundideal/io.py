@@ -15,8 +15,9 @@ caps are checked before the pairs are closed.  Relation documents carry
 ``pair a b`` lines over a host lattice, with optional ``relation <name>``
 and ``host <name>`` lines; map documents carry ``to b x`` lines
 (target basis element b, source element x) plus ``source``/``target`` paths
-resolved relative to the document.  Each header line (``lattice``;
-``relation``, ``host``; ``source``, ``target``, ``basis``) may appear once.
+resolved relative to the document, and an optional ``map <name>`` line.
+Each header line (``lattice``; ``relation``, ``host``; ``map``, ``source``,
+``target``, ``basis``) may appear once.
 ``#`` starts a comment.
 """
 
@@ -168,6 +169,17 @@ def serialize_lattice(l):
     return "\n".join(out) + "\n"
 
 
+def _header(no, tokens, seen, argument=None):
+    """Admit header line ``no`` once per document (``seen`` holds the heads
+    met so far), with exactly one ``argument`` when one is named."""
+    head = tokens[0]
+    if head in seen:
+        raise MalformedInput(f"line {no}: duplicate '{head}' line")
+    seen.add(head)
+    if argument and len(tokens) != 2:
+        raise MalformedInput(f"line {no}: expected '{head} <{argument}>'")
+
+
 def parse_relation(text, lattice):
     """Read ``pair`` lines resolved against the given host lattice."""
     _require_type(lattice, PcdLattice, "host lattice")
@@ -176,11 +188,7 @@ def parse_relation(text, lattice):
     for no, tokens in _lines(text):
         head = tokens[0]
         if head in ("relation", "host"):
-            if head in seen:
-                raise MalformedInput(f"line {no}: duplicate '{head}' line")
-            seen.add(head)
-            if len(tokens) != 2:
-                raise MalformedInput(f"line {no}: expected '{head} <name>'")
+            _header(no, tokens, seen, "name")
             if head == "host" and tokens[1] != lattice.name:
                 raise MalformedInput(
                     f"line {no}: host {tokens[1]!r} does not match lattice "
@@ -218,14 +226,9 @@ def parse_map(text, base_dir="."):
     for no, tokens in _lines(text):
         head = tokens[0]
         if head == "map":
-            continue
-        if head in ("source", "target", "basis"):
-            if head in seen:
-                raise MalformedInput(f"line {no}: duplicate '{head}' line")
-            seen.add(head)
-        if head in ("source", "target"):
-            if len(tokens) != 2:
-                raise MalformedInput(f"line {no}: expected '{head} <path>'")
+            _header(no, tokens, seen, "name")
+        elif head in ("source", "target"):
+            _header(no, tokens, seen, "path")
             path = base / tokens[1]
             try:
                 lat = parse_lattice(path.read_text())
@@ -236,6 +239,7 @@ def parse_map(text, base_dir="."):
             else:
                 target = lat
         elif head == "basis":
+            _header(no, tokens, seen)
             basis_labels = tokens[1:]
         elif head == "to":
             if len(tokens) != 3:

@@ -51,10 +51,11 @@ set of every element closes to the full basis with no derivation), the
 generating test of subsets, compatibility tests, strong-inclusion
 reports, order sandwiches, least strong inclusions, interpolative cores,
 round-ideal frames and their join maps, and for maps out of it continuity
-reports, extension-class searches, extension maps, compactification
-reports and reconstructions.  Each is computed and checked in full once
-per distinct value (a key holding everything the result depends on and
-stores) and then shared, so equal values built apart are checked once.
+reports, extension-class verdicts and sandwich witnesses, extension maps,
+compactification reports and reconstructions.  Each is computed and
+checked in full once per distinct value (a key holding everything the
+result depends on and stores) and then shared, so equal values built
+apart are checked once.
 
 Every carrier question is decided by one of two kernels.  A carrier is a
 closed sub-pcd exactly when it is its own ``pcd_closure``.  Regularity,
@@ -389,10 +390,10 @@ class PcdLattice:
         # cones: j is join-irreducible iff the elements strictly below it are
         # the cone of one lower cover (the bottom's empty set is no cone), and
         # join-prime iff the elements not above it are the cone of their join.
-        cones = self._down_owner
+        cones, up = self._down_owner, self._up
         full = (1 << self.n) - 1
-        for j, (d, u) in enumerate(zip(self._down, self._up)):
-            if d ^ (1 << j) in cones and full ^ u not in cones:
+        for j in _join_irreducibles(self):
+            if full ^ up[j] not in cones:
                 return [_explain(self._distributive_failures(), f"{self.name}: distributivity")]
         return []
 
@@ -454,6 +455,12 @@ class PcdLattice:
 
     def __repr__(self):
         return f"PcdLattice({self.name!r}, n={self.n})"
+
+
+def _join_irreducibles(l):
+    """The join-irreducible elements of a lattice, in index order."""
+    cones = l._down_owner
+    return [j for j, d in enumerate(l._down) if d ^ 1 << j in cones]
 
 
 def _first_none(table):

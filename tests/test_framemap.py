@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import util
 from roundideal import framemap
+from roundideal.compactify import enumerate_round_ideals, join_map
 from roundideal.errors import InvariantViolation, MalformedInput, PreconditionError
 from roundideal.framemap import (
     ContinuousMap,
@@ -20,6 +22,7 @@ from roundideal.framemap import (
 from roundideal.lattice import (
     Basis,
     PcdLattice,
+    _join_irreducibles,
     boolean,
     chain,
     full_basis,
@@ -531,3 +534,115 @@ class TestDenseMapFacts:
             assert maps_equal(f, g)
         else:
             assert not maps_equal(f, g)
+
+
+SMALL = [boolean(0), boolean(1), boolean(2), *(chain(k) for k in range(1, 5)),
+         *(util.downset_instance(seed, k) for seed, k in [(0, 2), (0, 3), (5, 3), (7, 3)])]
+
+
+def checked_report(f):
+    """``validate_map(f)``, required to equal the per-pair scans, and the
+    verdict on the join-irreducibles, where the basis holds them, to agree."""
+    report = validate_map(f)
+    assert report == list(framemap._continuity_failures(f))
+    gens = _join_irreducibles(f.target)
+    on_gens = f.basis.elements.issuperset(gens)
+    if on_gens:
+        assert framemap._continuous_on(f, gens) == (not report)
+    return report, on_gens
+
+
+def sandwich_reference(si, f):
+    """(finer, failing, witnesses) by definition: per well-inside pair (y, x)
+    of the target in index order, the least (p, q) in ``si`` with f(y) <= p
+    and q <= f(x)."""
+    src, ext, witnesses = f.source, f.ext, []
+    for y, x in sorted(well_inside(f.target).pairs):
+        found = [(p, q) for p, q in si.pairs if src.leq(ext[y], p) and src.leq(q, ext[x])]
+        if not found:
+            return False, (y, x), tuple(witnesses)
+        witnesses.append(((y, x), min(found)))
+    return True, None, tuple(witnesses)
+
+
+class TestVerdictsOnGenerators:
+    """Continuity decided on the join-irreducibles and the extension class on
+    one pair per target element, against the per-pair scans."""
+
+    def test_every_assignment_between_small_lattices(self):
+        assert all(l.is_valid for l in SMALL)
+        seen = {True: 0, False: 0}
+        for src, tgt in product(SMALL, SMALL):
+            if src.n ** tgt.n > 4096:
+                continue
+            basis = full_basis(tgt)
+            for images in product(range(src.n), repeat=tgt.n):
+                report, on_gens = checked_report(
+                    ContinuousMap(src, tgt, basis, dict(enumerate(images))))
+                assert on_gens
+                seen[not report] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_random_maps_on_random_bases(self):
+        seen = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            src, tgt = random_lattice(rng), random_lattice(rng)
+            gens = _join_irreducibles(tgt)
+            kind = rng.choice(["full", "gens and more", "missing one", "random"])
+            if kind == "full":
+                basis = set(range(tgt.n))
+            elif kind == "random":
+                basis = {b for b in range(tgt.n) if rng.random() < 0.6}
+            else:
+                basis = set(gens) | {b for b in range(tgt.n) if rng.random() < 0.4}
+                if kind == "missing one" and gens:
+                    basis.discard(rng.choice(gens))
+            assignment = {}
+            for b in sorted(basis, key=lambda b: tgt._down[b].bit_count()):
+                below = [assignment[c] for c in assignment if tgt.leq(c, b)]
+                extra = rng.randrange(src.n) if rng.random() < 0.3 else src.bottom
+                assignment[b] = src.join_all(below + [extra])
+            f = ContinuousMap(src, tgt, Basis(tgt, basis), assignment)
+            report, on_gens = checked_report(f)
+            assert report == oracles.reference_continuity_report(f)
+            seen.add((on_gens, not report, on_gens and len(basis) > len(gens)))
+        # both paths give both verdicts, and bases larger than J take the first
+        assert {(on, valid) for on, valid, _ in seen} == set(product([True, False], repeat=2))
+        assert (True, True, True) in seen and (True, False, True) in seen
+
+    def test_join_maps_into_frames_of_least_strong_inclusions(self):
+        finer = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            l = random_lattice(rng)
+            p = pcd_closure(l, rng.sample(range(l.n), rng.randint(0, min(l.n, 3))))
+            sis = [least_strong_inclusion(p, util.random_interpolative_seed(l, p, rng))
+                   for _ in range(3)]
+            for target_si in sis:
+                f = join_map(l, enumerate_round_ideals(p, target_si))
+                assert checked_report(f)[0] == []
+                for si in sis:
+                    tag = finer_than(si, f)
+                    assert (tag.finer, tag.failing, tag.witnesses) == sandwich_reference(si, f)
+                    finer.add(tag.finer)
+        assert finer == {True, False}
+
+    def test_a_continuity_verdict_the_scans_do_not_confirm_is_a_fault(self, monkeypatch):
+        monkeypatch.setattr(framemap, "_continuous_on", lambda f, gens: False)
+        with pytest.raises(InvariantViolation, match="continuity on the join-irreducibles"):
+            validate_map(ContinuousMap.identity(boolean(2)))
+
+    def test_an_extension_class_verdict_the_scan_does_not_confirm_is_a_fault(
+            self, monkeypatch):
+        l, t = boolean(2), boolean(2)
+        f = util.atom_map(l, t, [0, 1])
+        si = least_strong_inclusion(full_basis(l), Relation(l, well_inside(l).pairs))
+        assert validate_map(f) == [] and well_inside(t)
+        # the verdict reads the top as the widest element well inside each x;
+        # the scan, over the well-inside pairs, finds every witness
+        monkeypatch.setattr(t, "_down_owner", dict.fromkeys(t._down_owner, t.top))
+        with pytest.raises(InvariantViolation, match="extension class"):
+            finer_than(si, f)
+        monkeypatch.undo()
+        assert finer_than(si, f).finer  # the error stored nothing

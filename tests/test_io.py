@@ -221,7 +221,7 @@ class TestRoundTrips:
         with pytest.raises(MalformedInput, match="source"):
             rio.parse_map("map f\nto a b\n")
 
-    @pytest.mark.parametrize("line", ["source l.lat", "target l.lat", "basis {}"])
+    @pytest.mark.parametrize("line", ["source l.lat", "target l.lat", "basis {}", "map g"])
     def test_map_duplicate_lines_rejected(self, tmp_path, line):
         (tmp_path / "l.lat").write_text(rio.serialize_lattice(boolean(1)))
         doc = f"map f\nsource l.lat\ntarget l.lat\nbasis {{}} {{a}}\n{line}\n"
@@ -273,11 +273,19 @@ BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
      "line 3: duplicate 'relation' line"),
     (lambda d: rio.parse_relation("host bool1\npair {} {}\nhost bool1\n", boolean(1)),
      "line 3: duplicate 'host' line"),
+    (lambda d: rio.parse_map("map f\nmap g extra tokens\nsource b.lat\ntarget b.lat\n"
+                             "to {} {}\nto {a} {a}\n", base_dir=d),
+     "line 2: duplicate 'map' line"),
+    (lambda d: rio.parse_map("source b.lat\nmap f extra\ntarget b.lat\n"
+                             "to {} {}\nto {a} {a}\n", base_dir=d),
+     "line 2: expected 'map <name>'"),
+    (lambda d: rio.parse_map("map\n", base_dir=d), "line 1: expected 'map <name>'"),
 ], ids=["duplicate-labels", "short-le", "no-elements", "short-pair", "unknown-label",
         "unknown-relation-directive", "bare-host", "long-host", "bare-relation",
         "long-relation", "short-to", "long-source",
         "base-dir-not-a-path", "unreadable-target", "unknown-map-directive",
-        "duplicate-assignment", "duplicate-relation", "duplicate-host"])
+        "duplicate-assignment", "duplicate-relation", "duplicate-host",
+        "duplicate-map", "long-map", "bare-map"])
 def test_input_checks(tmp_path, call, message):
     (tmp_path / "b.lat").write_text(BOOL1_DOC)
     with pytest.raises(MalformedInput, match=message) as info:

@@ -6,13 +6,14 @@ tests (which also decide regularity and strong regularity),
 strong-inclusion reports, least strong inclusions, interpolative cores,
 order sandwiches (which a core shares with every least strong inclusion of
 its self-related set), round-ideal frames, continuity reports,
-extension-class searches, extension maps, compactification reports and
-reconstructions are derived once per distinct key on their lattice
-(``PcdLattice.once``); ``compare`` inverts the reconstruction's vector
-afresh, so it stores no inverse.  The counting tests wrap the uncached
-derivations and require one run per key; the differential tests require a
-lattice whose memo is warm to give the same reports, frames, verdicts and
-error messages as a freshly built equal lattice.
+extension-class verdicts, sandwich witnesses (on their first read),
+extension maps, compactification reports and reconstructions are derived
+once per distinct key on their lattice (``PcdLattice.once``); ``compare``
+inverts the reconstruction's vector afresh, so it stores no inverse.  The
+counting tests wrap the uncached derivations and require one run per key;
+the differential tests require a lattice whose memo is warm to give the
+same reports, frames, verdicts and error messages as a freshly built equal
+lattice.
 """
 
 import random
@@ -33,7 +34,7 @@ from roundideal.compactify import (
     Ordering,
 )
 from roundideal.errors import PreconditionError, RoundIdealError
-from roundideal.framemap import ContinuousMap, validate_map
+from roundideal.framemap import ContinuousMap, finer_than, validate_map
 from roundideal.lattice import (
     Basis,
     PcdLattice,
@@ -42,6 +43,7 @@ from roundideal.lattice import (
     full_basis,
     is_regular,
     pcd_closure,
+    well_inside,
 )
 from roundideal.relation import (
     Relation,
@@ -73,9 +75,12 @@ UNCACHED = {
     "compactification": (compactify, "_check_compactification",
                          lambda k: (id(k.source), k.codomain,
                                     frozenset(k.map.assignment.items()), id(k.frame))),
-    "finer": (framemap, "_finer_than",
+    "finer": (framemap, "_finer_verdict",
               lambda si, f: (id(f.source), si.rows, si.carrier, f.target,
                              frozenset(f.assignment.items()))),
+    "witnesses": (framemap, "_witness_search",
+                  lambda si, f: (id(f.source), si.rows, si.carrier, f.target,
+                                 frozenset(f.assignment.items()))),
     "extension": (compactify, "_extension_map",
                   lambda fr, f: (id(fr), f.target, f.target.name,
                                  frozenset(f.assignment.items()))),
@@ -117,6 +122,8 @@ class TestOncePerKey:
     def test_pipeline_derives_each_value_once(self, runs):
         l = boolean(3)
         assert pipeline(l).verdict is Ordering.ISO
+        # the pipeline reads extension-class verdicts, never their witnesses
+        assert runs["finer"] and not runs.pop("witnesses")
         # the pipeline closes only the full set, which is closed as it stands
         for _ in range(2):
             pcd_closure(l, [1])
@@ -138,6 +145,19 @@ class TestOncePerKey:
         before["validate"] += 1
         before["compatible"] += 1
         assert {name: len(keys) for name, keys in runs.items()} == before
+
+    def test_witnesses_are_derived_once_per_key_on_first_read(self, runs):
+        l = boolean(2)
+        p = full_basis(l)
+        f = util.atom_map(l, boolean(2), [0, 1])
+        narrow = least_strong_inclusion(p, Relation(l, (), p.elements))
+        wide = least_strong_inclusion(p, Relation(l, well_inside(l).pairs))
+        tags = [finer_than(si, f) for si in (narrow, wide, narrow, wide)]
+        assert len(runs["finer"]) == 2 and not runs["witnesses"]
+        first = [tag.witnesses for tag in tags[:2]]
+        assert [tag.witnesses for tag in tags[2:]] == first
+        assert finer_than(wide, util.atom_map(l, boolean(2), [0, 1])).witnesses is first[1]
+        assert len(runs["witnesses"]) == len(set(runs["witnesses"])) == 2
 
     def test_a_closure_is_its_own_closure(self, runs):
         # a closed carrier the library built is a memo hit, as a seed and as
