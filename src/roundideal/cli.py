@@ -21,7 +21,7 @@ from .compactify import (
     compactify_extending,
 )
 from .errors import RoundIdealError, ValidationFailure
-from .framemap import is_dense, is_embedding, validate_map
+from .framemap import _continuity, is_dense, is_embedding
 from .lattice import (
     Basis,
     _bits,
@@ -60,7 +60,7 @@ def _load_maps(paths, lat):
             type(f)(lat, f.target, f.basis, f.assignment)
         )
     for f in maps:
-        _require(validate_map(f), RoundIdealError, "map is not continuous")
+        _require(_continuity(f), RoundIdealError, "map is not continuous")
     return maps
 
 

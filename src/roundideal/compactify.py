@@ -43,7 +43,6 @@ the continuity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from itertools import compress, repeat
@@ -58,6 +57,7 @@ from .errors import (
 )
 from .framemap import (
     ContinuousMap,
+    _continuity,
     finer_than,
     is_dense,
     is_embedding,
@@ -69,6 +69,7 @@ from .lattice import (
     Cover,
     PcdLattice,
     Relation,
+    _Value,
     _bits,
     _explain,
     _flags,
@@ -95,34 +96,28 @@ from .relation import (
 )
 
 
-@dataclass(frozen=True)
-class RoundIdeal:
+class RoundIdeal(_Value):
     """A downward- and join-closed subset where every member sits below another.
 
     ``mask`` is the bitmask of the members, computed once; it takes no part
     in equality, hashing or ``repr``.
     """
 
-    basis: Basis
-    members: frozenset
-    mask: int = field(init=False, compare=False, repr=False)
+    _fields = ("basis", "members")
 
-    def __post_init__(self):
-        _require_type(self.basis, Basis, "carrier")
-        n = self.basis.lattice.n
+    def __init__(self, basis, members):
+        _require_type(basis, Basis, "carrier")
+        n = basis.lattice.n
         members = frozenset(
-            _index(x, n, "ideal member") for x in _items(self.members, "ideal members")
+            _index(x, n, "ideal member") for x in _items(members, "ideal members")
         )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "mask", _mask(members))
+        self.__dict__.update(basis=basis, members=members, mask=_mask(members))
 
     @classmethod
     def _derived(cls, basis, mask):
         """The ideal of an in-range member mask the library derived itself."""
         ideal = cls.__new__(cls)
-        object.__setattr__(ideal, "basis", basis)
-        object.__setattr__(ideal, "members", frozenset(_bits(mask)))
-        object.__setattr__(ideal, "mask", mask)
+        ideal.__dict__.update(basis=basis, members=frozenset(_bits(mask)), mask=mask)
         return ideal
 
     def violations(self, si):
@@ -192,17 +187,16 @@ class RoundIdealFrame:
         return self.down_index[a]
 
 
-@dataclass(frozen=True)
-class Compactification:
+class Compactification(_Value):
     """A dense embedding into a compact regular frame."""
 
-    map: ContinuousMap
-    frame: RoundIdealFrame | None = None
+    _fields = ("map", "frame")
 
-    def __post_init__(self):
-        _require_type(self.map, ContinuousMap, "compactification map")
-        if self.frame is not None:
-            _require_type(self.frame, RoundIdealFrame, "compactification frame")
+    def __init__(self, map, frame=None):
+        _require_type(map, ContinuousMap, "compactification map")
+        if frame is not None:
+            _require_type(frame, RoundIdealFrame, "compactification frame")
+        self.__dict__.update(map=map, frame=frame)
 
     @property
     def source(self):
@@ -311,11 +305,11 @@ def _assert_frame_structure(fr, masks, tops):
                 raise InvariantViolation("frame join misses the covering formula")
 
 
-@dataclass(frozen=True)
-class CompactRegularReport:
-    ok: bool
-    problems: tuple
-    subcover: tuple
+class CompactRegularReport(_Value):
+    _fields = ("ok", "problems", "subcover")
+
+    def __init__(self, ok, problems, subcover):
+        self.__dict__.update(ok=ok, problems=problems, subcover=subcover)
 
     def __bool__(self):
         return self.ok
@@ -374,7 +368,7 @@ def _join_map(l, fr):
         for idx in fr.ideal_basis.elements
     }
     m = ContinuousMap._built(l, fr.lattice, fr.ideal_basis, assignment)
-    _require(validate_map(m), InvariantViolation, "join map is not continuous")
+    _require(_continuity(m), InvariantViolation, "join map is not continuous")
     return m
 
 
@@ -432,7 +426,7 @@ def _extension_map(fr, f):
             )
         assignment[a] = idx
     g = ContinuousMap._built(fr.lattice, ltgt, full_basis(ltgt), assignment)
-    _require(validate_map(g), InvariantViolation, "extension map is not continuous")
+    _require(_continuity(g), InvariantViolation, "extension map is not continuous")
     if tuple(map(join_map(lsrc, fr).ext.__getitem__, g.ext)) != f.ext:
         raise InvariantViolation("extension does not factor the map through join_map")
     return g
@@ -568,14 +562,13 @@ def explicit_strong_inclusion(p, f):
     return rhs
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(_Value):
     """Round-ideal presentation of an existing compactification."""
 
-    p: Basis
-    si: Relation
-    iso: ContinuousMap
-    frame: RoundIdealFrame
+    _fields = ("p", "si", "iso", "frame")
+
+    def __init__(self, p, si, iso, frame):
+        self.__dict__.update(p=p, si=si, iso=iso, frame=frame)
 
 
 def from_compactification(k):
@@ -629,11 +622,11 @@ class Ordering(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    verdict: Ordering
-    le_witness: ContinuousMap | None = None
-    ge_witness: ContinuousMap | None = None
+class CompareResult(_Value):
+    _fields = ("verdict", "le_witness", "ge_witness")
+
+    def __init__(self, verdict, le_witness=None, ge_witness=None):
+        self.__dict__.update(verdict=verdict, le_witness=le_witness, ge_witness=ge_witness)
 
 
 def _mediating(ka, kb, rb):
@@ -649,7 +642,7 @@ def _mediating(ka, kb, rb):
     inverse = {v: m for m, v in enumerate(rb.iso.ext)}
     assignment = {a: inverse[x] for a, x in h0.assignment.items()}
     h = ContinuousMap._built(kb.codomain, ka.codomain, h0.basis, assignment)
-    _require(validate_map(h), InvariantViolation, "mediating map is not continuous")
+    _require(_continuity(h), InvariantViolation, "mediating map is not continuous")
     if tuple(map(kb.map.ext.__getitem__, h.ext)) != ka.map.ext:
         raise InvariantViolation("mediating map does not factor the compactification")
     return h
@@ -684,13 +677,13 @@ def compare(k1, k2):
     return CompareResult(verdict, le, ge)
 
 
-@dataclass(frozen=True)
-class CoverWitness:
+class CoverWitness(_Value):
     """Interpolating families squeezed between an element and a cover."""
 
-    lower: tuple
-    middle: tuple
-    upper: tuple
+    _fields = ("lower", "middle", "upper")
+
+    def __init__(self, lower, middle, upper):
+        self.__dict__.update(lower=lower, middle=middle, upper=upper)
 
 
 def interpolated_subcover(l, p, b, parts):

@@ -29,7 +29,6 @@ y_x; ``ext`` is monotone, so the pair (y_x, x) decides every pair (y, x).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import takewhile
 from operator import itemgetter
 from types import MappingProxyType
@@ -39,6 +38,7 @@ from .lattice import (
     Basis,
     PcdLattice,
     Relation,
+    _Value,
     _bits,
     _explain,
     _index,
@@ -132,14 +132,13 @@ class ContinuousMap:
         return hash((self.source, self.target, self.ext))
 
 
-@dataclass(frozen=True)
-class MapClassTag:
+class MapClassTag(_Value):
     """Whether a strong inclusion is finer than a map's well-inside preimages."""
 
-    map: ContinuousMap
-    si: object
-    finer: bool
-    failing: tuple | None = None
+    _fields = ("map", "si", "finer", "failing")
+
+    def __init__(self, map, si, finer, failing=None):
+        self.__dict__.update(map=map, si=si, finer=finer, failing=failing)
 
     @property
     def witnesses(self):
@@ -172,9 +171,13 @@ def validate_map(f):
     by the target lattice and the assignment (``f._key``); every call
     returns a fresh list.
     """
+    return list(_continuity(f))
+
+
+def _continuity(f):
+    """``validate_map``'s report as the memoised tuple itself, not a copy."""
     _require_type(f, ContinuousMap, "map")
-    return list(f.source.once(("continuity", f._key),
-                              lambda: tuple(_continuity_report(f))))
+    return f.source.once(("continuity", f._key), lambda: tuple(_continuity_report(f)))
 
 
 def _continuity_report(f):
@@ -263,7 +266,7 @@ def _continuity_failures(f):
 
 
 def require_valid_map(f):
-    _require(validate_map(f), PreconditionError, "invalid continuous map")
+    _require(_continuity(f), PreconditionError, "invalid continuous map")
 
 
 def maps_equal(f, g):
@@ -283,7 +286,7 @@ def compose(f, g):
     require_valid_map(g)
     assignment = {a: g.ext[x] for a, x in f.assignment.items()}
     out = ContinuousMap._built(g.source, f.target, f.basis, assignment)
-    _require(validate_map(out), InvariantViolation, "composite map is not continuous")
+    _require(_continuity(out), InvariantViolation, "composite map is not continuous")
     return out
 
 

@@ -16,8 +16,9 @@ caps are checked before the pairs are closed.  Relation documents carry
 and ``host <name>`` lines; map documents carry ``to b x`` lines
 (target basis element b, source element x) plus ``source``/``target`` paths
 resolved relative to the document, and an optional ``map <name>`` line.
-Each header line (``lattice``; ``relation``, ``host``; ``map``, ``source``,
-``target``, ``basis``) may appear once.
+Each header line (``lattice``, ``elements``; ``relation``, ``host``;
+``map``, ``source``, ``target``, ``basis``) may appear once, and all are
+admitted by one rule (``_header``).
 ``#`` starts a comment.
 """
 
@@ -58,19 +59,16 @@ def parse_lattice(text):
     mode = None
     labels = None
     pairs = []
+    seen = set()
     for no, tokens in _lines(text):
         head = tokens[0]
         if head == "lattice":
-            if len(tokens) != 3:
-                raise MalformedInput(f"line {no}: expected 'lattice <name> <mode>'")
-            if name is not None:
-                raise MalformedInput(f"line {no}: duplicate 'lattice' header")
+            _header(no, tokens, seen, "name", "mode")
             name, mode = tokens[1], tokens[2]
             if mode not in ("lattice", "poset-downsets"):
                 raise MalformedInput(f"line {no}: unknown mode {mode!r}")
         elif head == "elements":
-            if labels is not None:
-                raise MalformedInput(f"line {no}: duplicate elements line")
+            _header(no, tokens, seen)
             labels = tokens[1:]
             index = {label: i for i, label in enumerate(labels)}
             if len(index) != len(labels):
@@ -169,15 +167,16 @@ def serialize_lattice(l):
     return "\n".join(out) + "\n"
 
 
-def _header(no, tokens, seen, argument=None):
+def _header(no, tokens, seen, *arguments):
     """Admit header line ``no`` once per document (``seen`` holds the heads
-    met so far), with exactly one ``argument`` when one is named."""
+    met so far), with exactly the named ``arguments`` when any are named."""
     head = tokens[0]
     if head in seen:
         raise MalformedInput(f"line {no}: duplicate '{head}' line")
     seen.add(head)
-    if argument and len(tokens) != 2:
-        raise MalformedInput(f"line {no}: expected '{head} <{argument}>'")
+    if arguments and len(tokens) != 1 + len(arguments):
+        expected = " ".join(f"<{a}>" for a in arguments)
+        raise MalformedInput(f"line {no}: expected '{head} {expected}'")
 
 
 def parse_relation(text, lattice):

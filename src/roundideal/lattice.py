@@ -41,7 +41,9 @@ that fails is scanned over its n^3 triples, one row of n at a time, to
 name the first failing triple.
 
 Binary relations over a lattice (``Relation``) use the same encoding, one
-row mask per element.
+row mask per element.  The package's value types (``Basis``, ``Cover``,
+reports, round ideals, compactifications, results) derive from ``_Value``:
+immutable, with equality, hash and ``repr`` over their fields.
 
 Each lattice keeps one memo, the only store of derived results (besides
 the ``cols`` and ``pairs`` views of a ``Relation`` and the ``mask`` of a
@@ -82,10 +84,9 @@ axiom check runs in full, unsampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, compress
-from operator import and_, index, itemgetter, or_
+from operator import and_, attrgetter, index, itemgetter, or_
 
 from .errors import InvariantViolation, MalformedInput, NotACoverError, PreconditionError
 
@@ -571,8 +572,35 @@ def _joins_of_related(lat, targets, cols, pool):
     return all(lat._join_of(_flags(cols[a] & pool, n)) == a for a in targets)
 
 
-@dataclass(frozen=True)
-class Basis:
+class _Value:
+    """An immutable value: equality (within one class), hash and ``repr`` over
+    ``_fields``.  ``__init__`` stores the fields, and any attribute derived
+    from them such as a ``mask``, with ``self.__dict__.update``."""
+
+    def __init_subclass__(cls):
+        # the field tuple's getter; not a descriptor, so called as self._values(self)
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Basis(_Value):
     """A distinguished subset of a lattice.
 
     Also used for pcd-sublattice carriers that do not generate the whole
@@ -581,26 +609,20 @@ class Basis:
     ``repr``.
     """
 
-    lattice: PcdLattice
-    elements: frozenset
-    mask: int = field(init=False, compare=False, repr=False)
+    _fields = ("lattice", "elements")
 
-    def __post_init__(self):
-        _require_type(self.lattice, PcdLattice, "basis lattice")
-        n = self.lattice.n
+    def __init__(self, lattice, elements):
+        _require_type(lattice, PcdLattice, "basis lattice")
         elements = frozenset(
-            _index(x, n, "basis index") for x in _items(self.elements, "basis elements")
+            _index(x, lattice.n, "basis index") for x in _items(elements, "basis elements")
         )
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "mask", _mask(elements))
+        self.__dict__.update(lattice=lattice, elements=elements, mask=_mask(elements))
 
     @classmethod
     def _derived(cls, lattice, elements):
         """The basis of a frozenset of in-range indices the library derived itself."""
         basis = cls.__new__(cls)
-        object.__setattr__(basis, "lattice", lattice)
-        object.__setattr__(basis, "elements", elements)
-        object.__setattr__(basis, "mask", _mask(elements))
+        basis.__dict__.update(lattice=lattice, elements=elements, mask=_mask(elements))
         return basis
 
     def is_basis(self):
@@ -633,18 +655,16 @@ def full_basis(lat):
     return lat.once(("full_basis",), lambda: Basis._derived(lat, frozenset(range(lat.n))))
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(_Value):
     """A family of parts intended to cover a target element."""
 
-    target: int
-    parts: frozenset
+    _fields = ("target", "parts")
 
-    def __post_init__(self):
+    def __init__(self, target, parts):
         # no lattice to bound the indices by: they need only be integers >= 0
-        object.__setattr__(self, "target", _index(self.target, float("inf"), "cover target"))
-        parts = (_index(x, float("inf"), "cover part") for x in _items(self.parts, "cover parts"))
-        object.__setattr__(self, "parts", frozenset(parts))
+        target = _index(target, float("inf"), "cover target")
+        parts = (_index(x, float("inf"), "cover part") for x in _items(parts, "cover parts"))
+        self.__dict__.update(target=target, parts=frozenset(parts))
 
 
 def pseudocomplement(l, y):

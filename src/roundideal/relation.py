@@ -73,7 +73,6 @@ stores nothing when it raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -89,6 +88,7 @@ from .lattice import (
     Basis,
     PcdLattice,
     Relation,
+    _Value,
     _bits,
     _checked_carrier,
     _explain,
@@ -103,25 +103,24 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    number: int
-    name: str
-    holds: bool
-    witness: tuple | None = None
-    detail: str = ""
+class ConditionResult(_Value):
+    _fields = ("number", "name", "holds", "witness", "detail")
+
+    def __init__(self, number, name, holds, witness=None, detail=""):
+        self.__dict__.update(number=number, name=name, holds=holds, witness=witness, detail=detail)
 
 
-@dataclass(frozen=True)
-class SiReport:
+class SiReport(_Value):
     """Outcome of the seven strong-inclusion conditions, with counterexamples.
 
     ``names`` are the element labels of the lattice, by which every witness
     is printed.
     """
 
-    conditions: tuple
-    names: tuple
+    _fields = ("conditions", "names")
+
+    def __init__(self, conditions, names):
+        self.__dict__.update(conditions=conditions, names=names)
 
     @property
     def ok(self):
@@ -145,13 +144,13 @@ class SiReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(_Value):
     """A dyadic-indexed chain s(0)=start, s(1)=end with s(p) well-inside s(q) for p<q."""
 
-    lattice: object
-    depth: int
-    values: tuple
+    _fields = ("lattice", "depth", "values")
+
+    def __init__(self, lattice, depth, values):
+        self.__dict__.update(lattice=lattice, depth=depth, values=values)
 
     def as_fractions(self):
         d = 2 ** self.depth

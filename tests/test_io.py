@@ -246,6 +246,12 @@ BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
     (lambda d: rio.parse_lattice("lattice t lattice\nelements a b\nle a\n"),
      "line 3: expected 'le <a> <b>'"),
     (lambda d: rio.parse_lattice("lattice t lattice\n"), "missing 'elements' line"),
+    (lambda d: rio.parse_lattice("lattice t\nelements a\n"),
+     "line 1: expected 'lattice <name> <mode>'"),
+    (lambda d: rio.parse_lattice("lattice t lattice\nelements a\nlattice u lattice\n"),
+     "line 3: duplicate 'lattice' line"),
+    (lambda d: rio.parse_lattice("lattice t lattice\nelements a\nelements a\n"),
+     "line 3: duplicate 'elements' line"),
     (lambda d: rio.parse_relation("relation r\npair {}\n", boolean(1)),
      "line 2: expected 'pair <a> <b>'"),
     (lambda d: rio.parse_relation("pair {} {z}\n", boolean(1)), "unknown element label '{z}'"),
@@ -280,7 +286,8 @@ BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
                              "to {} {}\nto {a} {a}\n", base_dir=d),
      "line 2: expected 'map <name>'"),
     (lambda d: rio.parse_map("map\n", base_dir=d), "line 1: expected 'map <name>'"),
-], ids=["duplicate-labels", "short-le", "no-elements", "short-pair", "unknown-label",
+], ids=["duplicate-labels", "short-le", "no-elements", "short-lattice", "duplicate-lattice",
+        "duplicate-elements", "short-pair", "unknown-label",
         "unknown-relation-directive", "bare-host", "long-host", "bare-relation",
         "long-relation", "short-to", "long-source",
         "base-dir-not-a-path", "unreadable-target", "unknown-map-directive",

@@ -448,7 +448,7 @@ class TestBasis:
         assert built == derived == full_basis(l) == pcd_closure(l, range(l.n))
         assert hash(built) == hash(derived) == hash((l, frozenset(range(l.n))))
         assert repr(built) == f"Basis(lattice={l!r}, elements={frozenset(range(l.n))!r})"
-        # a mask that disagrees changes nothing the dataclass compares
+        # a mask that disagrees changes nothing the value compares
         object.__setattr__(derived, "mask", 0)
         assert derived == built and hash(derived) == hash(built)
 

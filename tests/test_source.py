@@ -1,6 +1,9 @@
 """Guards over the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import roundideal
@@ -21,3 +24,30 @@ def test_no_next_without_a_default():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # the value types derive from lattice._Value, which generates no code at
+    # import; dataclasses (and inspect through it) would cost every import
+    found = []
+    for path in sorted(Path(roundideal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # -S: no site module, so nothing but the package decides what is loaded
+    src = Path(roundideal.__file__).parent.parent
+    code = "import sys, roundideal.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout == "False\n"
