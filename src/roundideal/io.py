@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import compress
 from operator import or_
 from pathlib import Path
 
@@ -38,6 +39,9 @@ from .lattice import (
     GENERATE_POSET_CAP,
     Basis,
     PcdLattice,
+    _explain,
+    _flags,
+    _mask,
     _require_type,
     downset_lattice,
     full_basis,
@@ -158,9 +162,25 @@ def _reflexive_transitive_closure(k, pairs):
     return [bin(row | pending)[:2:-1].encode().translate(_FLAG) for row in rows]
 
 
+def _require_tokens(groups):
+    """MalformedInput naming the first token, of the (what, tokens) ``groups``,
+    that is empty or holds whitespace or ``#``: the tokens joined by spaces
+    must split back into themselves.  Only a refused document is scanned."""
+    tokens = [t for _, ts in groups for t in ts]
+    joined = " ".join(tokens)
+    if "#" in joined or joined.split() != tokens:
+        what, token = _explain(
+            ((what, t) for what, ts in groups for t in ts if "#" in t or t.split() != [t]),
+            "document tokens",
+        )
+        raise MalformedInput(f"{what} {token!r} cannot be written: empty, or holds "
+                             "whitespace or '#'")
+
+
 def serialize_lattice(l):
     """Canonical document: declaration order, Hasse pairs only."""
     _require_type(l, PcdLattice, "lattice")
+    _require_tokens([("lattice name", [l.name]), ("element label", l.names)])
     out = [f"lattice {l.name} lattice", "elements " + " ".join(l.names)]
     for i, j in sorted(l.covers()):
         out.append(f"le {l.names[i]} {l.names[j]}")
@@ -203,8 +223,13 @@ def parse_relation(text, lattice):
 
 
 def serialize_relation(rel, name="relation"):
+    """Document of the pairs; only labels in a pair must be writable."""
     _require_type(rel, Relation, "relation")
-    names = rel.lattice.names
+    names, rows, name = rel.lattice.names, rel.rows, str(name)
+    # in some pair: set in some row, or the element of a nonempty row
+    used = reduce(or_, rows, 0) | _mask(a for a, row in enumerate(rows) if row)
+    _require_tokens([("relation name", [name]), ("host name", [rel.lattice.name]),
+                     ("element label", list(compress(names, _flags(used, len(names)))))])
     out = [f"relation {name}", f"host {rel.lattice.name}"]
     for a, b in rel:
         out.append(f"pair {names[a]} {names[b]}")
@@ -265,14 +290,15 @@ def parse_map(text, base_dir="."):
 
 def serialize_map(f, name="map", source_path="source.lat", target_path="target.lat"):
     _require_type(f, ContinuousMap, "map")
-    out = [
-        f"map {name}",
-        f"source {source_path}",
-        f"target {target_path}",
-        "basis " + " ".join(f.target.names[b] for b in sorted(f.basis.elements)),
-    ]
-    for b in sorted(f.basis.elements):
-        out.append(f"to {f.target.names[b]} {f.source.names[f.assignment[b]]}")
+    name, source_path, target_path = str(name), str(source_path), str(target_path)
+    basis = sorted(f.basis.elements)
+    labels = [f.target.names[b] for b in basis]
+    images = [f.source.names[f.assignment[b]] for b in basis]
+    _require_tokens([("map name", [name]), ("path", [source_path, target_path]),
+                     ("element label", labels), ("element label", images)])
+    out = [f"map {name}", f"source {source_path}", f"target {target_path}",
+           "basis " + " ".join(labels)]
+    out += [f"to {b} {x}" for b, x in zip(labels, images)]
     return "\n".join(out) + "\n"
 
 
@@ -306,12 +332,14 @@ def export_dot(obj):
         _require_type(obj, PcdLattice, "diagram source")
     safe = "".join(c if c.isalnum() else "_" for c in lat.name)
     out = [f"digraph {safe} {{", "  rankdir=BT;"]
-    for i, label in enumerate(lat.names):
+    # quoted DOT strings escape their quotes, and so their backslashes too
+    names = [x.replace("\\", "\\\\").replace('"', '\\"') for x in lat.names]
+    for i, label in enumerate(names):
         attrs = ""
         if i in highlight:
             attrs = " [style=filled, fillcolor=lightblue]"
         out.append(f'  "{label}"{attrs};')
     for i, j in sorted(lat.covers()):
-        out.append(f'  "{lat.names[i]}" -> "{lat.names[j]}";')
+        out.append(f'  "{names[i]}" -> "{names[j]}";')
     out.append("}")
     return "\n".join(out) + "\n"

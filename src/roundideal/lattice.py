@@ -10,8 +10,9 @@ On every order the meet of i and j is the unique reflexive element whose
 down cone is the common down cone of i and j, and the join the unique one
 whose up cone is their common up cone, None when there is no such element
 or more than one; in a transitive order that is the greatest (least) member
-of the common cone.  So each table entry is one lookup in one dict from
-cones to their owners, for both triangles of the table.  The order axioms
+of the common cone.  So each table entry is one subscript of one dict from
+cones to their single owners; only a table missing a bound is rebuilt with
+None entries and scanned for it.  The order axioms
 are checked on the masks in O(n^2) word operations, each a pass over a
 whole row: row i is transitive when one C-level OR of the up cones its
 order row selects adds nothing to up(i), and only the first failing row is
@@ -20,11 +21,12 @@ its failure so, through ``_explain``: the scan starts only after the row
 test has failed, and an exact test whose scan finds nothing is an internal
 fault.  The pseudocomplement of y joins the positions of the bottom in
 meet row y, found by C-level list searches (``_positions``), and its check
-compares their number with the size of down(y*).  Cover pairs take one
-mask test per comparable pair.  Most round-ideal frames and sources have
-4..16 elements, so a kernel form must be no slower than a plain per-pair
-loop at that size as well as faster at 32..64; there is one form per
-kernel and no size threshold.
+compares their number with the size of down(y*).  A well-inside row is join
+row y* as bytes, read as binary digits that are 1 at the top.  Cover pairs
+take one mask test per comparable pair.  Most round-ideal frames and
+sources have 4..16 elements, so a kernel form must be no slower than a plain
+per-pair loop at that size as well as faster at 32..64; there is one form
+per kernel and no size threshold.
 
 The same holds for a whole family M in a valid lattice: the common up cone
 of M is the up cone of its join, so the join of M is one AND over the up
@@ -176,15 +178,19 @@ def _require(report, error, what):
 def _owners(cone):
     """Dict from each cone c to its owner, the k with ``cone[k] == c`` and k in c.
 
-    None when several share the cone.  The bound of i and j (meet on down
-    cones, join on up cones) is the owner of their common cone, one lookup
-    per table entry.  In a valid lattice a mask is a key exactly when it is
-    an element's cone.
+    A cone several elements share (failing antisymmetry) is no key.  The bound
+    of i and j (meet on down cones, join on up cones) is the owner of their
+    common cone.  In a valid lattice a mask is a key exactly when it is an
+    element's cone.
     """
-    owner = {}
+    owner, shared = {}, []
     for k, c in enumerate(cone):
         if c >> k & 1:
-            owner[c] = None if c in owner else k
+            if c in owner:
+                shared.append(c)
+            owner[c] = k
+    for c in shared:
+        owner.pop(c, None)
     return owner
 
 
@@ -206,7 +212,7 @@ class PcdLattice:
     Fields after construction: ``n``, ``names``, ``bottom``, ``top``,
     ``meet``/``join`` (n x n index tables), ``pstar`` (pseudocomplement
     vector).  Entries are None when the underlying order fails to produce
-    them; ``validate`` explains why.
+    them; ``validate`` explains why (``_meets``/``_joins``: none are).
     """
 
     def __init__(self, names, leq, name="lattice"):
@@ -245,9 +251,8 @@ class PcdLattice:
         self._intransitive = self._transitivity_witness(leq)
         # kept for the family bounds and the distributivity test too
         self._down_owner, self._up_owner = _owners(down), _owners(up)
-        meet, join = self._down_owner.get, self._up_owner.get
-        self.meet = [[meet(c & d) for d in down] for c in down]
-        self.join = [[join(c & d) for d in up] for c in up]
+        self.meet, self._meets = _bound_table(self._down_owner, down)
+        self.join, self._joins = _bound_table(self._up_owner, up)
         self.pstar = [self._pstar_of(y) for y in range(n)]
 
     def _transitivity_witness(self, leq):
@@ -272,7 +277,7 @@ class PcdLattice:
         # the meet table is symmetric, so row y holds every meet c ^ y; the
         # elements disjoint from y are the positions of the bottom in it
         row = self.meet[y]
-        if self.bottom is None or None in row:
+        if self.bottom is None or not self._meets and None in row:
             return None
         return self.join_all(_positions(row, self.bottom))
 
@@ -371,13 +376,11 @@ class PcdLattice:
             report.append("no bottom element")
         if self.top is None:
             report.append("no top element")
-        missing_meet = _first_none(self.meet)
-        if missing_meet:
-            i, j = missing_meet
+        if not self._meets:
+            i, j = _first_none(self.meet)
             report.append(f"no greatest lower bound for ({names[i]}, {names[j]})")
-        missing_join = _first_none(self.join)
-        if missing_join:
-            i, j = missing_join
+        if not self._joins:
+            i, j = _first_none(self.join)
             report.append(f"no least upper bound for ({names[i]}, {names[j]})")
         if not report:
             report += self._check_distributive()
@@ -464,12 +467,20 @@ def _join_irreducibles(l):
     return [j for j, d in enumerate(l._down) if d ^ 1 << j in cones]
 
 
+def _bound_table(owner, cone):
+    """The table of owners of common cones, and whether it is complete; only
+    a missing bound rebuilds it, with None entries."""
+    try:
+        return [[owner[c & d] for d in cone] for c in cone], True
+    except KeyError:
+        get = owner.get
+        return [[get(c & d) for d in cone] for c in cone], False
+
+
 def _first_none(table):
-    """First (i, j) in row-major order with ``table[i][j] is None``, or None."""
-    for i, row in enumerate(table):
-        if None in row:
-            return i, row.index(None)
-    return None
+    """First (i, j) in row-major order with ``table[i][j] is None``; one must be."""
+    return _explain(((i, row.index(None)) for i, row in enumerate(table) if None in row),
+                    "bound table completeness")
 
 
 def _require_type(value, kind, what):
@@ -682,9 +693,12 @@ def well_inside(l):
 
 def _well_inside(l):
     l.require_valid()
-    top, join = l.top, l.join
-    # the join table is symmetric, so row y* holds every x v y*
-    rows = [_mask(x for x, j in enumerate(join[s]) if j == top) for s in l.pstar]
+    # the join table is symmetric, so row y* holds every x v y*; as bytes
+    # (at most 256 elements) it translates to binary digits, 1 at the top
+    digits = bytearray(b"0" * 256)
+    digits[l.top] = ord("1")
+    join = l.join
+    rows = [int(bytes(join[s]).translate(digits)[::-1], 2) for s in l.pstar]
     return Relation._from_rows(l, rows, frozenset(range(l.n)))
 
 

@@ -1,4 +1,7 @@
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,7 @@ from roundideal import io as rio
 from roundideal.cli import main
 from roundideal.errors import MalformedInput, ValidationFailure
 from roundideal.framemap import validate_map
-from roundideal.lattice import boolean, chain, full_basis
+from roundideal.lattice import PcdLattice, boolean, chain, full_basis
 from roundideal.relation import least_strong_inclusion, Relation
 
 
@@ -235,6 +238,120 @@ class TestRoundTrips:
         doc = "map f\nsource l.lat\ntarget l.lat\nto {} {}\n"
         with pytest.raises(MalformedInput, match="cover"):
             rio.parse_map(doc, base_dir=tmp_path)
+
+
+def writable(token):
+    """Whether a reader reads ``token`` back as one token."""
+    return token != "" and "#" not in token and token.split() == [token]
+
+
+def relabelled(lat, labels, name):
+    return PcdLattice(labels, util.order_of(lat)[1], name=name)
+
+
+def spoil(drawn):
+    tokens, change = drawn
+    if change is not None:
+        i, token = change
+        tokens[i] = token
+    return tokens
+
+
+def tokens(k):
+    """k distinct tokens, all writable but perhaps one, which may hold anything."""
+    good = st.text(st.sampled_from('ab"\\{}\u00e9'), min_size=1, max_size=3)
+    anything = st.text(st.sampled_from('ab#" \t\u00a0\u2028'), max_size=3)
+    drawn = st.tuples(st.lists(good, min_size=k, max_size=k, unique=True),
+                      st.none() | st.tuples(st.integers(0, k - 1), anything))
+    return drawn.map(spoil).filter(lambda ts: len(set(ts)) == k)
+
+
+class TestWritableDocuments:
+    """Each writer emits what its reader reads back equal, or refuses the
+    document by naming its first unwritable label, name or path."""
+
+    def check(self, tokens, write):
+        """The document ``write()`` reads back, or the first unwritable token is named."""
+        bad = [(what, t) for what, t in tokens if not writable(t)]
+        if not bad:
+            return write()
+        what, token = bad[0]
+        with pytest.raises(MalformedInput, match=re.escape(f"{what} {token!r} cannot")):
+            write()
+        return None
+
+    @given(tokens(5))
+    @settings(max_examples=150, deadline=None)
+    def test_lattice(self, drawn):
+        name, labels = drawn[0], drawn[1:]
+        lat = relabelled(boolean(2), labels, name)
+        named = [("lattice name", name)] + [("element label", x) for x in labels]
+        doc = self.check(named, lambda: rio.serialize_lattice(lat))
+        if doc is not None:
+            assert rio.parse_lattice(doc) == lat
+
+    @given(tokens(5), st.integers(0, 15))
+    @settings(max_examples=150, deadline=None)
+    def test_relation(self, drawn, bits):
+        # the pairs of each element set in ``bits`` with the top: only their
+        # labels (and the top's) are written
+        name, labels = drawn[0], drawn[1:]
+        lat = relabelled(boolean(2), labels, "host")
+        rel = Relation(lat, [(a, 3) for a in range(4) if bits >> a & 1])
+        used = sorted({x for pair in rel for x in pair})
+        named = [("relation name", name)] + [("element label", labels[x]) for x in used]
+        doc = self.check(named, lambda: rio.serialize_relation(rel, name=name))
+        if doc is not None:
+            assert rio.parse_relation(doc, lat) == rel
+
+    @given(tokens(8))
+    @settings(max_examples=100, deadline=None)
+    def test_map(self, drawn):
+        name, path, src_labels, tgt_labels = drawn[0], drawn[1], drawn[2:6], drawn[6:]
+        src = relabelled(boolean(2), src_labels, "src")
+        tgt = relabelled(boolean(1), tgt_labels, "tgt")
+        f = util.atom_map(src, tgt, [0, 0])
+        named = [("map name", name), ("path", path), ("path", "tgt.lat")]
+        named += [("element label", tgt_labels[b]) for b in range(2)]
+        named += [("element label", src_labels[f.assignment[b]]) for b in range(2)]
+        doc = self.check(named, lambda: rio.serialize_map(
+            f, name=name, source_path=path, target_path="tgt.lat"))
+        if doc is not None and all(map(writable, drawn[2:])):  # both lattices written too
+            with tempfile.TemporaryDirectory() as d:
+                (Path(d) / path).write_text(rio.serialize_lattice(src))
+                (Path(d) / "tgt.lat").write_text(rio.serialize_lattice(tgt))
+                again = rio.parse_map(doc, base_dir=d)
+            assert (again.source, again.target) == (src, tgt)
+            assert again.assignment == f.assignment
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: rio.serialize_lattice(boolean(1, name="my lat")), "lattice name 'my lat'"),
+        (lambda: rio.serialize_lattice(relabelled(chain(2), ["a", ""], "c")),
+         "element label ''"),
+        (lambda: rio.serialize_relation(Relation(relabelled(chain(2), ["a b", "c"], "t"),
+                                                 [(0, 1)])), "element label 'a b'"),
+        (lambda: rio.serialize_relation(Relation(boolean(1), []), name="r#1"),
+         "relation name 'r#1'"),
+        (lambda: rio.serialize_map(util.atom_map(boolean(1), boolean(1), [0]),
+                                   target_path="my dir/t.lat"), "path 'my dir/t.lat'"),
+    ], ids=["lattice-name", "empty-label", "pair-label", "relation-name", "path"])
+    def test_refusal_names_its_token(self, call, message):
+        with pytest.raises(MalformedInput, match=re.escape(message) + " cannot be written"):
+            call()
+
+    def test_relation_checks_only_the_labels_it_writes(self):
+        lat = relabelled(chain(2), ["a b", "c"], "t")
+        assert rio.parse_relation(rio.serialize_relation(Relation(lat, [(1, 1)])), lat) == \
+            Relation(lat, [(1, 1)])
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        lat = relabelled(chain(3), ['a"b', "c\\", '\\"'], "q")
+        dot = rio.export_dot(lat)
+        # every quoted string ends where DOT ends it, and unescapes to its label
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        assert '"' not in re.sub(quoted, "", dot)
+        unescaped = [re.sub(r"\\(.)", r"\1", x) for x in re.findall(quoted, dot)]
+        assert unescaped == [*lat.names, 'a"b', "c\\", "c\\", '\\"']
 
 
 BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}

@@ -175,6 +175,21 @@ class TestWellInside:
         c = chain(3)
         assert (1, 1) not in well_inside(c)
 
+    @pytest.mark.parametrize("lat", [chain(256), boolean(8)], ids=["chain256", "boolean8"])
+    def test_rows_at_the_byte_edge_match_reference(self, lat):
+        # the top has index 255, the largest a byte row holds
+        assert lat.top == 255
+        assert well_inside(lat).pairs == oracles.reference_well_inside(lat, range(lat.n))
+
+    def test_every_small_downset_lattice_matches_reference(self):
+        count = 0
+        for k in range(5):
+            for leq in posets(k):
+                lat = downset_lattice("abcd"[:k], leq)
+                assert well_inside(lat).pairs == oracles.reference_well_inside(lat, range(lat.n))
+                count += 1
+        assert count == 1 + 1 + 3 + 19 + 219
+
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_strong_inclusion_shaped_properties(self, seed):
@@ -490,14 +505,7 @@ class TestAgainstReference:
     @given(st.sampled_from(util.ORDER_KINDS), st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
     def test_tables_and_report_match_reference(self, kind, seed):
-        names, leq = util.random_order(random.Random(seed), kind)
-        lat = PcdLattice(names, leq)
-        ref = oracles.reference_tables(names, leq)
-        assert (lat.bottom, lat.top) == (ref["bottom"], ref["top"])
-        assert lat.meet == ref["meet"]
-        assert lat.join == ref["join"]
-        assert lat.pstar == ref["pstar"]
-        assert lat.validate() == ref["report"]
+        assert_tables_match(*util.random_order(random.Random(seed), kind))
 
 
     @pytest.mark.parametrize("kind", util.ORDER_KINDS)
@@ -509,6 +517,83 @@ class TestAgainstReference:
                 lat = PcdLattice(names, rows)
                 assert lat.covers() == oracles.reference_covers(leq)
                 assert lat._intransitive == oracles.reference_transitivity_witness(leq)
+
+
+def every_order(n, reflexive=False):
+    """Every n x n truth matrix, or every reflexive one, with labels."""
+    cells = [(i, j) for i in range(n) for j in range(n) if not (reflexive and i == j)]
+    for bits in range(1 << len(cells)):
+        leq = [[reflexive and i == j for j in range(n)] for i in range(n)]
+        for t, (i, j) in enumerate(cells):
+            leq[i][j] = bool(bits >> t & 1)
+        yield [f"e{i}" for i in range(n)], leq
+
+
+def assert_tables_match(names, leq):
+    lat = PcdLattice(names, leq)
+    ref = oracles.reference_tables(names, leq)
+    assert (lat.bottom, lat.top) == (ref["bottom"], ref["top"])
+    assert (lat.meet, lat.join, lat.pstar) == (ref["meet"], ref["join"], ref["pstar"])
+    assert lat.validate() == ref["report"]
+    # a table is flagged complete exactly when it holds every bound
+    assert lat._meets == all(None not in row for row in ref["meet"])
+    assert lat._joins == all(None not in row for row in ref["join"])
+    return lat
+
+
+class TestBoundTables:
+    """Meet and join tables built by subscript, complete by construction."""
+
+    def test_every_small_order_matches_reference(self):
+        # every matrix on at most 3 elements and every reflexive one on 4
+        orders = [order for n in range(4) for order in every_order(n)]
+        orders += every_order(4, reflexive=True)
+        assert len(orders) == 1 + 2 + 16 + 512 + 4096
+        complete = sum(assert_tables_match(*order)._meets for order in orders)
+        assert 0 < complete < len(orders)
+
+    @pytest.mark.parametrize("above, meets, joins, missing", [
+        # a and b below i, with no bottom: only a meet is missing
+        ({"a": "i", "b": "i"}, False, True,
+         ["no bottom element", "no greatest lower bound for (a, b)"]),
+        # a and b above o, with no top: only a join is missing
+        ({"o": "ab"}, True, False, ["no top element", "no least upper bound for (a, b)"]),
+        # a and b share both cones, so neither is a key: no bound at all
+        ({"a": "b", "b": "a"}, False, False,
+         ["antisymmetry fails at (a, b)", "no bottom element", "no top element",
+          "no greatest lower bound for (a, a)", "no least upper bound for (a, a)"]),
+        # a <= b <= c but not a <= c: the common cones {b} are no element's
+        ({"a": "b", "b": "c"}, False, False,
+         ["transitivity fails at (a, b, c)", "no bottom element", "no top element",
+          "no greatest lower bound for (a, c)", "no least upper bound for (a, b)"]),
+    ], ids=["meet-only", "join-only", "shared-cone", "intransitive"])
+    def test_named_incomplete_tables(self, above, meets, joins, missing):
+        names = sorted(set(above).union(*above.values()))
+        leq = [[x == y or y in above.get(x, "") for y in names] for x in names]
+        lat = assert_tables_match(names, leq)
+        assert (lat._meets, lat._joins) == (meets, joins)
+        assert lat.validate() == missing
+
+    def test_owner_dict_missing_a_cone_still_reports_the_bound(self, monkeypatch):
+        # planted fault: the last element's cones lose their owner, so its
+        # meet with itself (the whole down cone) and its joins are missing
+        owners = lattice._owners
+
+        def drop_last(cone):
+            owner = owners(cone)
+            del owner[cone[-1]]
+            return owner
+
+        monkeypatch.setattr(lattice, "_owners", drop_last)
+        lat = chain(3)
+        assert not lat._meets and not lat._joins
+        assert lat.meet[2][2] is None
+        assert lat.validate() == ["no greatest lower bound for (c2, c2)",
+                                  "no least upper bound for (c0, c2)"]
+
+    def test_complete_table_flag_without_none_is_an_internal_fault(self):
+        with pytest.raises(InvariantViolation, match="^bound table completeness"):
+            lattice._first_none([[0, 1], [1, 1]])
 
 
 class TestPcdClosureIsLeast:
