@@ -57,6 +57,7 @@ from .errors import (
 )
 from .framemap import (
     ContinuousMap,
+    _basis_gap,
     _continuity,
     finer_than,
     is_dense,
@@ -220,6 +221,9 @@ def _check_compactification(k):
     out = validate_map(k.map)
     if out:
         return out
+    gap = _basis_gap(k.map)
+    if gap:
+        return [gap]
     if not is_dense(k.map):
         out.append("map is not dense")
     if not is_embedding(k.map):

@@ -267,6 +267,19 @@ def _continuity_failures(f):
 
 def require_valid_map(f):
     _require(_continuity(f), PreconditionError, "invalid continuous map")
+    gap = _basis_gap(f)
+    if gap:
+        raise PreconditionError(gap)
+
+
+def _basis_gap(f):
+    """None if the basis of ``f`` generates its valid target, else the line
+    naming the lowest join-irreducible it misses, by label."""
+    tgt, basis = f.target, f.basis.elements
+    if len(basis) == tgt.n or f.basis.is_basis():  # a basis of every element generates
+        return None
+    j = _explain((j for j in _join_irreducibles(tgt) if j not in basis), f"{f!r}: basis")
+    return f"map basis does not generate {tgt.name}: it misses {tgt.names[j]}"
 
 
 def maps_equal(f, g):

@@ -6,20 +6,23 @@ Lattice documents::
     elements <label> <label> ...
     le <a> <b>                   # a <= b; closed reflexively/transitively
 
+Relation documents have the headers ``relation <name>`` and ``host <name>``
+and ``pair <a> <b>`` lines; map documents have the headers ``map <name>``,
+``source <path>``, ``target <path>`` (paths relative to the document) and
+``basis <label> ...``, and ``to <b> <x>`` lines (target basis element b,
+source element x).  One grammar, read by ``_document``, covers all three:
+``#`` starts a comment, each header appears at most once with exactly its
+arguments (``elements`` and ``basis`` take any number), and every other
+line is ``<body> <x> <y>``.  Structural faults (an unknown directive, a
+repeated header, a wrong argument count) are reported first, for the first
+faulty line; only then does each parser give the lines their meaning.
+
 The pairs are closed in one depth-first pass in postorder, repeated only
 when the search meets a back edge (a cycle or a pair ``le a a``).  In
 ``lattice`` mode the closure must validate as a pcd-lattice of at most 256
 elements; in ``poset-downsets`` mode it must be a poset of at most 8 points,
 whose downset lattice (at most 256 elements, always valid) is built.  Both
-caps are checked before the pairs are closed.  Relation documents carry
-``pair a b`` lines over a host lattice, with optional ``relation <name>``
-and ``host <name>`` lines; map documents carry ``to b x`` lines
-(target basis element b, source element x) plus ``source``/``target`` paths
-resolved relative to the document, and an optional ``map <name>`` line.
-Each header line (``lattice``, ``elements``; ``relation``, ``host``;
-``map``, ``source``, ``target``, ``basis``) may appear once, and all are
-admitted by one rule (``_header``).
-``#`` starts a comment.
+caps are checked before the pairs are closed.
 """
 
 from __future__ import annotations
@@ -49,46 +52,58 @@ from .lattice import (
 from .relation import Relation
 
 
-def _lines(text):
+def _document(text, body, headers):
+    """Read ``text`` by the module's one grammar, in one pass.
+
+    ``body`` and ``headers`` are usages such as ``le <a> <b>``; a header
+    usage naming no argument takes any number.  Returns {head: (line number,
+    arguments)} and the body lines as (line number, x, y).
+    """
     _require_type(text, str, "document")
+    verb = body.split()[0]
+    usages = {usage.split()[0]: usage for usage in headers}
+    found, rows = {}, []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line.split()
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        head = tokens[0]
+        usage = usages.get(head)
+        if head == verb:
+            if len(tokens) != 3:
+                raise MalformedInput(f"line {no}: expected '{body}'")
+            rows.append((no, tokens[1], tokens[2]))
+        elif usage is None:
+            raise MalformedInput(f"line {no}: unknown directive {head!r}")
+        elif head in found:
+            raise MalformedInput(f"line {no}: duplicate '{head}' line")
+        elif " " in usage and len(tokens) != len(usage.split()):
+            raise MalformedInput(f"line {no}: expected '{usage}'")
+        else:
+            found[head] = no, tokens[1:]
+    return found, rows
 
 
 def parse_lattice(text):
     """Build a lattice from a document; raises on parse or axiom failures."""
-    name = None
-    mode = None
-    labels = None
-    pairs = []
-    seen = set()
-    for no, tokens in _lines(text):
-        head = tokens[0]
-        if head == "lattice":
-            _header(no, tokens, seen, "name", "mode")
-            name, mode = tokens[1], tokens[2]
-            if mode not in ("lattice", "poset-downsets"):
-                raise MalformedInput(f"line {no}: unknown mode {mode!r}")
-        elif head == "elements":
-            _header(no, tokens, seen)
-            labels = tokens[1:]
-            index = {label: i for i, label in enumerate(labels)}
-            if len(index) != len(labels):
-                raise MalformedInput(f"line {no}: element labels must be unique")
-        elif head == "le":
-            if len(tokens) != 3:
-                raise MalformedInput(f"line {no}: expected 'le <a> <b>'")
-            if labels is None:
-                raise MalformedInput(f"line {no}: 'le' before 'elements'")
-            for label in tokens[1:]:
-                if label not in index:
-                    raise MalformedInput(f"line {no}: undeclared label {label!r}")
-            pairs.append((index[tokens[1]], index[tokens[2]]))
-        else:
-            raise MalformedInput(f"line {no}: unknown directive {head!r}")
-    if name is None:
+    found, rows = _document(text, "le <a> <b>", ("lattice <name> <mode>", "elements"))
+    if "lattice" in found:
+        no, (name, mode) = found["lattice"]
+        if mode not in ("lattice", "poset-downsets"):
+            raise MalformedInput(f"line {no}: unknown mode {mode!r}")
+    at, labels = found.get("elements", (None, None))
+    index = {label: i for i, label in enumerate(labels or ())}
+    if labels is not None and len(index) != len(labels):
+        raise MalformedInput(f"line {at}: element labels must be unique")
+    if rows and (labels is None or rows[0][0] < at):
+        raise MalformedInput(f"line {rows[0][0]}: 'le' before 'elements'")
+    try:
+        pairs = [(index[a], index[b]) for _, a, b in rows]
+    except KeyError:
+        no, label = _explain(((no, x) for no, *pair in rows for x in pair if x not in index),
+                             "label lookup")
+        raise MalformedInput(f"line {no}: undeclared label {label!r}") from None
+    if "lattice" not in found:
         raise MalformedInput("missing 'lattice <name> <mode>' header")
     if labels is None:
         raise MalformedInput("missing 'elements' line")
@@ -187,39 +202,17 @@ def serialize_lattice(l):
     return "\n".join(out) + "\n"
 
 
-def _header(no, tokens, seen, *arguments):
-    """Admit header line ``no`` once per document (``seen`` holds the heads
-    met so far), with exactly the named ``arguments`` when any are named."""
-    head = tokens[0]
-    if head in seen:
-        raise MalformedInput(f"line {no}: duplicate '{head}' line")
-    seen.add(head)
-    if arguments and len(tokens) != 1 + len(arguments):
-        expected = " ".join(f"<{a}>" for a in arguments)
-        raise MalformedInput(f"line {no}: expected '{head} {expected}'")
-
-
 def parse_relation(text, lattice):
     """Read ``pair`` lines resolved against the given host lattice."""
     _require_type(lattice, PcdLattice, "host lattice")
-    pairs = set()
-    seen = set()
-    for no, tokens in _lines(text):
-        head = tokens[0]
-        if head in ("relation", "host"):
-            _header(no, tokens, seen, "name")
-            if head == "host" and tokens[1] != lattice.name:
-                raise MalformedInput(
-                    f"line {no}: host {tokens[1]!r} does not match lattice "
-                    f"{lattice.name!r}"
-                )
-        elif head == "pair":
-            if len(tokens) != 3:
-                raise MalformedInput(f"line {no}: expected 'pair <a> <b>'")
-            pairs.add((lattice.element(tokens[1]), lattice.element(tokens[2])))
-        else:
-            raise MalformedInput(f"line {no}: unknown directive {head!r}")
-    return Relation(lattice, pairs)
+    found, rows = _document(text, "pair <a> <b>", ("relation <name>", "host <name>"))
+    if "host" in found:
+        no, (host,) = found["host"]
+        if host != lattice.name:
+            raise MalformedInput(
+                f"line {no}: host {host!r} does not match lattice {lattice.name!r}"
+            )
+    return Relation(lattice, {(lattice.element(a), lattice.element(b)) for _, a, b in rows})
 
 
 def serialize_relation(rel, name="relation"):
@@ -243,42 +236,27 @@ def parse_map(text, base_dir="."):
     except TypeError:
         kind = type(base_dir).__name__
         raise MalformedInput(f"base directory must be a path, not {kind}") from None
-    source = target = None
-    basis_labels = None
-    lines = []
-    seen = set()
-    for no, tokens in _lines(text):
-        head = tokens[0]
-        if head == "map":
-            _header(no, tokens, seen, "name")
-        elif head in ("source", "target"):
-            _header(no, tokens, seen, "path")
-            path = base / tokens[1]
-            try:
-                lat = parse_lattice(path.read_text())
-            except OSError as exc:
-                raise MalformedInput(f"line {no}: cannot read {path}: {exc}") from None
-            if head == "source":
-                source = lat
-            else:
-                target = lat
-        elif head == "basis":
-            _header(no, tokens, seen)
-            basis_labels = tokens[1:]
-        elif head == "to":
-            if len(tokens) != 3:
-                raise MalformedInput(f"line {no}: expected 'to <b> <x>'")
-            lines.append((no, tokens[1], tokens[2]))
-        else:
-            raise MalformedInput(f"line {no}: unknown directive {head!r}")
+    found, rows = _document(text, "to <b> <x>",
+                            ("map <name>", "source <path>", "target <path>", "basis"))
+
+    def load(head):
+        no, (path,) = found[head]
+        path = base / path
+        try:
+            doc = path.read_text()
+        except OSError as exc:
+            raise MalformedInput(f"line {no}: cannot read {path}: {exc}") from None
+        return parse_lattice(doc)
+
+    source, target = (load(head) if head in found else None for head in ("source", "target"))
     if source is None or target is None:
         raise MalformedInput("map document needs 'source <path>' and 'target <path>'")
-    if basis_labels is None:
-        basis = full_basis(target)
+    if "basis" in found:
+        basis = Basis(target, frozenset(map(target.element, found["basis"][1])))
     else:
-        basis = Basis(target, frozenset(target.element(x) for x in basis_labels))
+        basis = full_basis(target)
     assignment = {}
-    for no, b_label, x_label in lines:
+    for no, b_label, x_label in rows:
         b = target.element(b_label)
         if b in assignment:
             raise MalformedInput(f"line {no}: duplicate assignment for {b_label!r}")
@@ -331,6 +309,8 @@ def export_dot(obj):
     else:
         _require_type(obj, PcdLattice, "diagram source")
     safe = "".join(c if c.isalnum() else "_" for c in lat.name)
+    if "0" <= safe[:1] <= "9":  # a DOT ID may not start with a digit
+        safe = "_" + safe
     out = [f"digraph {safe} {{", "  rankdir=BT;"]
     # quoted DOT strings escape their quotes, and so their backslashes too
     names = [x.replace("\\", "\\\\").replace('"', '\\"') for x in lat.names]

@@ -218,6 +218,22 @@ def test_input_checks(tmp_path, capsys, argv, call, message):
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["compactify", "anti4.lat", "--maps", "top.map"],
+    ["extend", "anti4.lat", "top.map"],
+    ["compare", "anti4.lat", "anti4.lat:top.map"],
+], ids=["compactify", "extend", "compare"])
+def test_non_generating_map_basis_exit_two(tmp_path, capsys, argv):
+    # the map's one basis element is the top of two.lat: continuous, but
+    # its basis misses both join-irreducibles
+    (tmp_path / "anti4.lat").write_text("lattice anti4 poset-downsets\nelements a b c d\n")
+    (tmp_path / "two.lat").write_text("lattice two poset-downsets\nelements p q\n")
+    (tmp_path / "top.map").write_text(
+        "source anti4.lat\ntarget two.lat\nbasis {p,q}\nto {p,q} {a,b,c,d}\n")
+    assert main([str(tmp_path / a) if a.endswith((".lat", ".map")) else a for a in argv]) == 2
+    assert capsys.readouterr().err == "error: map basis does not generate two: it misses {p}\n"
+
+
 class TestCompare:
     def test_same_spec_iso(self, square, capsys):
         assert main(["compare", str(square), str(square)]) == 0

@@ -28,6 +28,7 @@ from roundideal.framemap import (
     ContinuousMap,
     compose,
     extend,
+    finer_than,
     is_dense,
     is_embedding,
     maps_equal,
@@ -750,6 +751,52 @@ def test_input_checks(call, error, message):
     with pytest.raises(error, match=message) as info:
         call(boolean(2))
     assert type(info.value) is error
+
+
+def _top_only(l, keep=()):
+    """The map from ``l`` into boolean(2) on the basis {top} plus ``keep``,
+    sending each basis element to the top: every line of ``validate_map``
+    holds, but a basis without both atoms does not generate."""
+    t = boolean(2)
+    basis = {t.top, *keep}
+    return ContinuousMap(l, t, Basis(t, basis), dict.fromkeys(basis, l.top))
+
+
+class TestNonGeneratingMapBasis:
+    """A map whose basis misses a join-irreducible of its target is refused
+    as a caller's fault, naming the lowest one it misses."""
+
+    MESSAGE = "map basis does not generate bool2: it misses {a}"
+
+    @pytest.mark.parametrize("call", [
+        lambda l, f: compose(f, ContinuousMap.identity(l)),
+        lambda l, f: compose(ContinuousMap.identity(f.target), f),
+        lambda l, f: extension_map(_frame(l), f),
+        lambda l, f: compactify_extending(l, full_basis(l), [f]),
+        lambda l, f: strong_inclusion_from_maps(l, (), [f]),
+        lambda l, f: is_dense(f),
+        lambda l, f: finer_than(order_si(l), f),
+    ], ids=["compose-first", "compose-second", "extension-map", "compactify-extending",
+            "from-maps", "is-dense", "finer-than"])
+    def test_refused(self, call):
+        l = boolean(2)
+        f = _top_only(l)
+        assert validate_map(f) == []
+        with pytest.raises(PreconditionError) as info:
+            call(l, f)
+        assert type(info.value) is PreconditionError
+        assert str(info.value) == self.MESSAGE
+
+    def test_compactification_lists_the_gap(self):
+        assert Compactification(_top_only(boolean(2))).violations() == [self.MESSAGE]
+
+    def test_names_the_lowest_missing_join_irreducible(self):
+        l = boolean(2)
+        with pytest.raises(PreconditionError, match=r"^map basis does not generate bool2: "
+                                                   r"it misses \{b\}$"):
+            is_dense(_top_only(l, keep=[1]))
+        with pytest.raises(PreconditionError, match=r"it misses \{a\}$"):
+            is_dense(_top_only(l, keep=[2]))
 
 
 def test_map_declared_on_atoms_acts_as_on_every_element():

@@ -417,6 +417,85 @@ def test_input_checks(tmp_path, call, message):
     assert type(info.value) is MalformedInput
 
 
+# one valid document per format: its reader, body usage and header usages
+FORMATS = {
+    "lattice": (lambda text, d: rio.parse_lattice(text), "le <a> <b>",
+                "lattice t lattice\nelements a b\nle a b\n",
+                ["lattice <name> <mode>", "elements"]),
+    "relation": (lambda text, d: rio.parse_relation(text, boolean(1)), "pair <a> <b>",
+                 "relation r\nhost bool1\npair {} {a}\n",
+                 ["relation <name>", "host <name>"]),
+    "map": (lambda text, d: rio.parse_map(text, base_dir=d), "to <b> <x>",
+            "map f\nsource b.lat\ntarget b.lat\nbasis {} {a}\nto {} {}\nto {a} {a}\n",
+            ["map <name>", "source <path>", "target <path>", "basis"]),
+}
+
+
+def reader_cases():
+    """(format, document, message): each structural fault of the one grammar,
+    planted in a valid document and named by its line."""
+    for kind, (_, body, doc, headers) in FORMATS.items():
+        lines = doc.splitlines()
+        verb = body.split()[0]
+
+        def planted(i, line, drop=False):
+            return "\n".join(lines[:i] + [line] + lines[i + drop:]) + "\n"
+
+        yield kind, planted(1, "let x"), "line 2: unknown directive 'let'"
+        yield kind, planted(1, f"{verb} a"), f"line 2: expected '{body}'"
+        yield kind, planted(1, f"{verb} a b c"), f"line 2: expected '{body}'"
+        for i, usage in enumerate(headers):
+            head, *arguments = usage.split()
+            yield kind, doc + lines[i] + "\n", f"line {len(lines) + 1}: duplicate '{head}' line"
+            if arguments:
+                for wrong in (lines[i] + " extra", " ".join(lines[i].split()[:-1])):
+                    yield kind, planted(i, wrong, drop=True), f"line {i + 1}: expected '{usage}'"
+
+
+class TestOneReader:
+    """The lattice, relation and map documents share one grammar."""
+
+    @pytest.mark.parametrize("kind", FORMATS)
+    def test_valid_documents_read(self, tmp_path, kind):
+        (tmp_path / "b.lat").write_text(BOOL1_DOC)
+        read, _, doc, _ = FORMATS[kind]
+        read(doc, tmp_path)
+
+    @pytest.mark.parametrize("kind, doc, message", list(reader_cases()))
+    def test_structural_fault_names_its_line(self, tmp_path, kind, doc, message):
+        (tmp_path / "b.lat").write_text(BOOL1_DOC)
+        with pytest.raises(MalformedInput) as info:
+            FORMATS[kind][0](doc, tmp_path)
+        assert type(info.value) is MalformedInput
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda d: rio.parse_lattice("lattice t weird\nelements a\nfoo a\n"),
+         "line 3: unknown directive 'foo'"),
+        (lambda d: rio.parse_lattice("lattice t lattice\nelements a a\nle a zz\nle a\n"),
+         "line 4: expected 'le <a> <b>'"),
+        (lambda d: rio.parse_relation("host other\npair {} {z}\nhost other\n", boolean(1)),
+         "line 3: duplicate 'host' line"),
+        (lambda d: rio.parse_map("source missing.lat\nto {z} {}\ntarget b.lat extra\n",
+                                 base_dir=d),
+         "line 3: expected 'target <path>'"),
+    ], ids=["lattice", "lattice-body", "relation", "map"])
+    def test_structural_faults_come_first(self, tmp_path, call, message):
+        (tmp_path / "b.lat").write_text(BOOL1_DOC)
+        with pytest.raises(MalformedInput) as info:
+            call(tmp_path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc, line", [
+        ("source missing.lat\n", 1),
+        ("map f\nsource b.lat\ntarget missing.lat\nto {} {}\n", 3),
+    ])
+    def test_unreadable_path_named_before_a_missing_header(self, tmp_path, doc, line):
+        (tmp_path / "b.lat").write_text(BOOL1_DOC)
+        with pytest.raises(MalformedInput, match=f"^line {line}: cannot read .*missing.lat"):
+            rio.parse_map(doc, base_dir=tmp_path)
+
+
 class TestGenerate:
     def test_size_zero_is_degenerate(self):
         assert rio.generate(0, 0).n == 1
@@ -451,6 +530,12 @@ class TestDot:
 
     def test_deterministic(self):
         assert rio.export_dot(boolean(3)) == rio.export_dot(boolean(3))
+
+    @pytest.mark.parametrize("name, graph", [
+        ("2c", "_2c"), ("c2", "c2"), ("0", "_0"), ("-1", "_1"), ("٣a", "٣a"),
+    ])
+    def test_graph_id_does_not_start_with_a_digit(self, name, graph):
+        assert rio.export_dot(chain(2, name=name)).startswith(f"digraph {graph} {{\n")
 
     def test_frame_highlights_basic_ideals(self):
         from roundideal.compactify import compactify_extending
