@@ -44,13 +44,13 @@ from .relation import (
 
 
 def _load_lattice(path):
-    return rio.parse_lattice(Path(path).read_text())
+    return rio.parse_lattice(rio._read_document(path))
 
 
 def _load_maps(paths, lat):
     maps = []
     for path in paths:
-        f = rio.parse_map(Path(path).read_text(), base_dir=Path(path).parent)
+        f = rio.parse_map(rio._read_document(path), base_dir=Path(path).parent)
         if f.source != lat:
             raise RoundIdealError(
                 f"map {path} has a source different from the main lattice"
@@ -166,7 +166,7 @@ def cmd_derive(args):
 def cmd_si(args):
     lat = _load_lattice(args.lattice)
     if args.seed_rel:
-        seed = rio.parse_relation(Path(args.seed_rel).read_text(), lat)
+        seed = rio.parse_relation(rio._read_document(args.seed_rel), lat)
     else:
         seed = Relation(lat, ())
     basis = _basis_from(lat, args.basis)

@@ -271,9 +271,13 @@ def _round_ideal_frame(p, si):
     ideals = tuple(RoundIdeal._derived(p, m) for m in masks)
     for ideal in ideals:
         _require(ideal.violations(si), InvariantViolation, "enumerated ideal invalid")
-    names = [f"dn({lat.names[tops[m]]})" for m in masks]
-    leq = [[not a & ~b for b in masks] for a in masks]
-    frame_lat = PcdLattice(names, leq, name=f"R({lat.name})")
+    pos = {tops[m]: j for j, m in enumerate(masks)}  # each ideal's top -> its index
+    # ideal i lies in ideal j exactly when top i lies below top j, so the up
+    # cone of ideal i gathers the positions of the tops in L's up cone of top i
+    place = [1 << pos[t] if t in pos else 0 for t in range(lat.n)]
+    up = [reduce(or_, compress(place, _flags(lat._up[t], lat.n)), 0) for t in pos]
+    names = [f"dn({lat.names[t]})" for t in pos]
+    frame_lat = PcdLattice._from_cones(names, up, f"R({lat.name})")
     _require(frame_lat.validate(), InvariantViolation, "round-ideal frame invalid")
     index = {m: i for i, m in enumerate(masks)}
     down_index = {}
@@ -286,7 +290,7 @@ def _round_ideal_frame(p, si):
         down_index[a] = idx
     ideal_basis = Basis._derived(frame_lat, frozenset(down_index.values()))
     fr = RoundIdealFrame(p, si, ideals, frame_lat, ideal_basis, down_index)
-    _assert_frame_structure(fr, masks, [tops[m] for m in masks])
+    _assert_frame_structure(fr, masks, list(pos))
     if not ideal_basis.is_basis():
         raise InvariantViolation("basic downset ideals do not generate the frame")
     return fr

@@ -15,7 +15,10 @@ source element x).  One grammar, read by ``_document``, covers all three:
 arguments (``elements`` and ``basis`` take any number), and every other
 line is ``<body> <x> <y>``.  Structural faults (an unknown directive, a
 repeated header, a wrong argument count) are reported first, for the first
-faulty line; only then does each parser give the lines their meaning.
+faulty line; only then does each parser give the lines their meaning.  A
+label naming no element of its lattice is refused with its line
+(``_element``), and documents read from paths are decoded as UTF-8
+whatever the locale (``_read_document``).
 
 The pairs are closed in one depth-first pass in postorder, repeated only
 when the search meets a back edge (a cycle or a pair ``le a a``).  In
@@ -37,11 +40,11 @@ from .compactify import RoundIdealFrame
 from .errors import MalformedInput, ValidationFailure
 from .framemap import ContinuousMap
 from .lattice import (
-    _FLAG,
     CONSTRUCTION_CAP,
     GENERATE_POSET_CAP,
     Basis,
     PcdLattice,
+    _bits,
     _explain,
     _flags,
     _mask,
@@ -84,6 +87,18 @@ def _document(text, body, headers):
     return found, rows
 
 
+def _read_document(path):
+    """The text of the document at ``path``, read as UTF-8 whatever the locale.
+
+    MalformedInput naming the path when it is not UTF-8; an unreadable file
+    raises its OSError.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from None
+
+
 def parse_lattice(text):
     """Build a lattice from a document; raises on parse or axiom failures."""
     found, rows = _document(text, "le <a> <b>", ("lattice <name> <mode>", "elements"))
@@ -116,19 +131,17 @@ def parse_lattice(text):
         raise MalformedInput(
             f"poset-downsets mode is capped at {GENERATE_POSET_CAP} points, got {k}"
         )
-    leq = _reflexive_transitive_closure(k, pairs)
+    up = _reflexive_transitive_closure(k, pairs)
     if mode == "poset-downsets":
-        bad = next(
-            ((i, j) for i in range(k) for j in range(k)
-             if i != j and leq[i][j] and leq[j][i]),
-            None,
-        )
+        bad = next(((i, j) for i, u in enumerate(up)
+                    for j in _bits(u & ~(1 << i)) if up[j] >> i & 1), None)
         if bad:
             raise ValidationFailure(
                 [f"poset antisymmetry fails at ({labels[bad[0]]}, {labels[bad[1]]})"]
             )
-        return downset_lattice(labels, leq, name=name)
-    lat = PcdLattice(labels, leq, name=name)
+        points = [[u >> j & 1 for j in range(k)] for u in up]  # at most 8 x 8
+        return downset_lattice(labels, points, name=name)
+    lat = PcdLattice._from_cones(labels, up, name)
     report = lat.validate()
     if report:
         raise ValidationFailure(report)
@@ -136,10 +149,8 @@ def parse_lattice(text):
 
 
 def _reflexive_transitive_closure(k, pairs):
-    """Order matrix of the least preorder on range(k) containing the pairs.
-
-    Each row is returned as 0/1 bytes (as ``lattice._flags`` makes them),
-    which ``PcdLattice`` packs back into masks with one C-level gather.
+    """Up cones of the least preorder on range(k) containing the pairs: bit j
+    of row i says i <= j.
 
     A depth-first search ORs the row masks of each point's successors into
     its own as it leaves the point, so in postorder every successor's row is
@@ -173,8 +184,7 @@ def _reflexive_transitive_closure(k, pairs):
         for v in order:
             rows[v] = reduce(or_, map(rows.__getitem__, succ[v]), rows[v])
         changed = rows != old
-    # the digits of each row below its bit k, lowest first
-    return [bin(row | pending)[:2:-1].encode().translate(_FLAG) for row in rows]
+    return [row & ~pending for row in rows]
 
 
 def _require_tokens(groups):
@@ -212,7 +222,16 @@ def parse_relation(text, lattice):
             raise MalformedInput(
                 f"line {no}: host {host!r} does not match lattice {lattice.name!r}"
             )
-    return Relation(lattice, {(lattice.element(a), lattice.element(b)) for _, a, b in rows})
+    return Relation(lattice, {(_element(lattice, a, no), _element(lattice, b, no))
+                              for no, a, b in rows})
+
+
+def _element(lattice, label, no):
+    """The element of ``lattice`` labelled ``label``, read on line ``no``."""
+    try:
+        return lattice.element(label)
+    except MalformedInput as exc:
+        raise MalformedInput(f"line {no}: {exc}") from None
 
 
 def serialize_relation(rel, name="relation"):
@@ -243,24 +262,27 @@ def parse_map(text, base_dir="."):
         no, (path,) = found[head]
         path = base / path
         try:
-            doc = path.read_text()
+            doc = _read_document(path)
         except OSError as exc:
             raise MalformedInput(f"line {no}: cannot read {path}: {exc}") from None
+        except MalformedInput as exc:
+            raise MalformedInput(f"line {no}: {exc}") from None
         return parse_lattice(doc)
 
     source, target = (load(head) if head in found else None for head in ("source", "target"))
     if source is None or target is None:
         raise MalformedInput("map document needs 'source <path>' and 'target <path>'")
     if "basis" in found:
-        basis = Basis(target, frozenset(map(target.element, found["basis"][1])))
+        no, labels = found["basis"]
+        basis = Basis(target, frozenset(_element(target, x, no) for x in labels))
     else:
         basis = full_basis(target)
     assignment = {}
     for no, b_label, x_label in rows:
-        b = target.element(b_label)
+        b = _element(target, b_label, no)
         if b in assignment:
             raise MalformedInput(f"line {no}: duplicate assignment for {b_label!r}")
-        assignment[b] = source.element(x_label)
+        assignment[b] = _element(source, x_label, no)
     if set(assignment) != set(basis.elements):
         raise MalformedInput("assignment must cover exactly the declared target basis")
     return ContinuousMap(source, target, basis, assignment)
@@ -294,9 +316,10 @@ def generate(seed, size):
     pairs = [
         (i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.5
     ]
-    leq = _reflexive_transitive_closure(size, pairs)
+    up = _reflexive_transitive_closure(size, pairs)
     labels = [f"p{i}" for i in range(size)]
-    return downset_lattice(labels, leq, name=f"gen-s{seed}-k{size}")
+    points = [[u >> j & 1 for j in range(size)] for u in up]
+    return downset_lattice(labels, points, name=f"gen-s{seed}-k{size}")
 
 
 def export_dot(obj):

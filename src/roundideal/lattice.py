@@ -1,10 +1,15 @@
 """Finite pseudocomplemented distributive lattices.
 
-A lattice is given by element labels and an order matrix, held as integer
-bitmasks: bit j of ``_up[i]`` says i <= j and ``_down`` is the transpose.
-Bounds, meet and join tables and pseudocomplements are derived eagerly but
-defensively, so that ``validate`` can report every violated axiom instead of
-crashing on bad input.  All subsequent operations require a valid lattice.
+A lattice is held as the up cones of its elements, integer bitmasks: bit j
+of ``_up[i]`` says i <= j, and ``_down`` is the transpose, taken in one
+C-level pass over the masks' binary digits.  Every lattice is built from
+its labels and up cones (``PcdLattice._from_cones``): ``chain``,
+``downset_lattice``, round-ideal frames and parsed documents hand their
+masks over, and only the public constructor takes an order matrix, which
+it packs into masks once.  Bounds, meet and join tables and
+pseudocomplements are derived eagerly but defensively, so that
+``validate`` can report every violated axiom instead of crashing on bad
+input.  All subsequent operations require a valid lattice.
 
 On every order the meet of i and j is the unique reflexive element whose
 down cone is the common down cone of i and j, and the join the unique one
@@ -14,8 +19,8 @@ of the common cone.  So each table entry is one subscript of one dict from
 cones to their single owners; only a table missing a bound is rebuilt with
 None entries and scanned for it.  The order axioms
 are checked on the masks in O(n^2) word operations, each a pass over a
-whole row: row i is transitive when one C-level OR of the up cones its
-order row selects adds nothing to up(i), and only the first failing row is
+whole row: row i is transitive when one C-level OR of the up cones that
+up(i) selects adds nothing to it, and only the first failing row is
 scanned to name the witness.  Every whole-row check in the package names
 its failure so, through ``_explain``: the scan starts only after the row
 test has failed, and an exact test whose scan finds nothing is an internal
@@ -120,6 +125,17 @@ def _flags(mask, n):
     """
     # the digits of mask with a sentinel bit n above them, lowest first
     return bin(mask | 1 << n)[:2:-1].encode().translate(_FLAG)
+
+
+def _transpose(rows, n):
+    """The n column masks of the masks ``rows`` over range(n): bit i of column
+    j is bit j of row i.  ``rows`` is nonempty when n is not 0.
+
+    One C-level pass: with the rows' binary digits laid out last row first
+    and highest bit first, column j is every n-th digit from n - 1 - j.
+    """
+    digits = "".join([bin(row | 1 << n)[3:] for row in reversed(rows)])
+    return [int(digits[c::n], 2) for c in range(n - 1, -1, -1)]
 
 
 def _mask(indices):
@@ -228,45 +244,50 @@ class PcdLattice:
             square = False
         if not square:
             raise MalformedInput(f"order matrix must be {n} x {n}")
-        self.n = n
-        self.names = names
-        self.name = str(name)
-        self._index = {label: i for i, label in enumerate(names)}
-        # bit j of _up[i] says i <= j; _down is the transpose
         powers = [1 << j for j in range(n)]
-        self._up = [sum(compress(powers, row)) for row in leq]
-        self._down = [sum(compress(powers, col)) for col in zip(*leq)]
-        self._analyze(leq)
-        self._memo = {}  # derivation key -> checked result; see once()
-        # every memo key of a map holds its target
-        self._hash = hash((names, tuple(self._up)))
+        self._analyze(names, [sum(compress(powers, row)) for row in leq], name)
+
+    @classmethod
+    def _from_cones(cls, names, up, name):
+        """The lattice whose element ``i`` is labelled ``names[i]`` and has the up
+        cone ``up[i]`` (bit j says i <= j), for an order the library built: the
+        labels unique strings, ``up`` a list of as many masks, at most
+        ``CONSTRUCTION_CAP``, and no bit at or above their number."""
+        lat = cls.__new__(cls)
+        lat._analyze(names, up, name)
+        return lat
 
     # -- derived structure ------------------------------------------------
 
-    def _analyze(self, leq):
-        n, up, down = self.n, self._up, self._down
+    def _analyze(self, names, up, name):
+        self.names, self.name, self._up = tuple(names), str(name), up
+        self.n = n = len(up)
+        self._index = {label: i for i, label in enumerate(self.names)}
+        self._down = down = _transpose(up, n)
         full = (1 << n) - 1
         self.bottom = up.index(full) if up.count(full) == 1 else None
         self.top = down.index(full) if down.count(full) == 1 else None
-        self._intransitive = self._transitivity_witness(leq)
+        self._intransitive = self._transitivity_witness()
         # kept for the family bounds and the distributivity test too
         self._down_owner, self._up_owner = _owners(down), _owners(up)
         self.meet, self._meets = _bound_table(self._down_owner, down)
         self.join, self._joins = _bound_table(self._up_owner, up)
         self.pstar = [self._pstar_of(y) for y in range(n)]
+        self._memo = {}  # derivation key -> checked result; see once()
+        # every memo key of a map holds its target
+        self._hash = hash((self.names, tuple(up)))
 
-    def _transitivity_witness(self, leq):
+    def _transitivity_witness(self):
         """First (i, j, k) with i <= j <= k but not i <= k, or None.
 
         Row i is transitive when the up cones of the elements above i add
-        nothing to ``_up[i]``: one C-level OR over the cones that the order
-        row ``leq[i]`` selects.  Only the first failing row is scanned, to
+        nothing to ``_up[i]``: one C-level OR over the cones that ``_up[i]``
+        selects (``_flags``).  Only the first failing row is scanned, to
         name its first j and lowest k.
         """
-        up = self._up
-        for i, row in enumerate(leq):
-            u = up[i]
-            if reduce(or_, compress(up, row), u) != u:
+        up, n = self._up, self.n
+        for i, u in enumerate(up):
+            if reduce(or_, compress(up, _flags(u, n)), u) != u:
                 return _explain(
                     ((i, j, _lowest(up[j] & ~u)) for j in _bits(u) if up[j] & ~u),
                     f"{self.name}: transitivity at {self.names[i]}",
@@ -531,11 +552,7 @@ class Relation:
     def cols(self):
         """Column masks: bit a of ``cols[b]`` says (a, b) is related."""
         if self._cols is None:
-            cols = [0] * len(self.rows)
-            for a, row in enumerate(self.rows):
-                for b in _bits(row):
-                    cols[b] |= 1 << a
-            self._cols = tuple(cols)
+            self._cols = tuple(_transpose(self.rows, len(self.rows)))
         return self._cols
 
     @property
@@ -833,11 +850,9 @@ def downset_lattice(point_labels, point_leq, name="downsets"):
     rows = [_items(row, "point order row") for row in _items(point_leq, "point order")]
     if len(rows) != k or any(len(row) != k for row in rows):
         raise MalformedInput(f"point order must be {k} x {k}")
-    below = [0] * k  # bit i of below[j] says point i <= point j
-    for i, row in enumerate(rows):
-        for j, related in enumerate(row):
-            if related:
-                below[j] |= 1 << i
+    powers = [1 << j for j in range(k)]
+    # bit i of below[j] says point i <= point j
+    below = _transpose([sum(compress(powers, row)) for row in rows], k)
     down = [
         mask
         for mask in range(1 << k)
@@ -848,18 +863,22 @@ def downset_lattice(point_labels, point_leq, name="downsets"):
     for mask in down:
         inside = [point_labels[i] for i in range(k) if (mask >> i) & 1]
         names.append("{" + ",".join(inside) + "}")
-    leq = [[(a & ~b) == 0 for b in down] for a in down]
-    return PcdLattice(names, leq, name=name)
+    # bit d of holding[i] says downset d holds point i; the downsets above d
+    # hold each of its points
+    holding = _transpose(down, k)
+    full = (1 << len(down)) - 1
+    up = [reduce(and_, compress(holding, _flags(mask, k)), full) for mask in down]
+    return PcdLattice._from_cones(names, up, name)
 
 
 def chain(k, name=None):
     """Total order with k elements."""
     _require_type(k, int, "chain length")
-    if not 1 <= k <= CONSTRUCTION_CAP:  # before the k x k matrix is built
+    if not 1 <= k <= CONSTRUCTION_CAP:  # before any cone or table is built
         raise MalformedInput(f"chain length must be between 1 and {CONSTRUCTION_CAP}, got {k}")
-    names = [f"c{i}" for i in range(k)]
-    leq = [[i <= j for j in range(k)] for i in range(k)]
-    return PcdLattice(names, leq, name=name or f"chain{k}")
+    full = (1 << k) - 1
+    up = [full >> i << i for i in range(k)]
+    return PcdLattice._from_cones([f"c{i}" for i in range(k)], up, name or f"chain{k}")
 
 
 def boolean(k, name=None):

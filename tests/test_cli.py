@@ -218,6 +218,24 @@ def test_input_checks(tmp_path, capsys, argv, call, message):
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, path, line", [
+    (["validate", "bin.lat"], "bin.lat", ""),
+    (["si", "square.lat", "--seed-rel", "bin.rel"], "bin.rel", ""),
+    (["compactify", "square.lat", "--maps", "bin.map"], "bin.map", ""),
+    (["extend", "square.lat", "binsrc.map"], "bin.lat", "line 1: "),
+], ids=["lattice", "seed-relation", "map", "map-source"])
+def test_non_utf8_document_named_exit_two(tmp_path, capsys, argv, path, line):
+    _cli_documents(tmp_path)
+    for name in ("bin.lat", "bin.rel", "bin.map"):
+        (tmp_path / name).write_bytes(b"\377lattice x lattice\n")
+    (tmp_path / "binsrc.map").write_text("source bin.lat\ntarget one.lat\nto {} c0\n")
+    assert main([str(tmp_path / a) if a.endswith((".lat", ".rel", ".map")) else a
+                 for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {line}cannot read {tmp_path / path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["compactify", "anti4.lat", "--maps", "top.map"],
     ["extend", "anti4.lat", "top.map"],

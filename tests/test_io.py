@@ -162,7 +162,8 @@ class TestClosureAgainstReference:
     @staticmethod
     def check(k, pairs):
         rows = rio._reflexive_transitive_closure(k, pairs)
-        assert [list(row) for row in rows] == oracles.reference_closure(k, pairs)
+        assert [[row >> j & 1 for j in range(k)] for row in rows] == \
+            oracles.reference_closure(k, pairs)
 
     def test_random_digraphs(self):
         # pairs in any direction, so cycles are common; self-loops and
@@ -403,13 +404,20 @@ BOOL1_DOC = rio.serialize_lattice(boolean(1))  # elements {} {a}
                              "to {} {}\nto {a} {a}\n", base_dir=d),
      "line 2: expected 'map <name>'"),
     (lambda d: rio.parse_map("map\n", base_dir=d), "line 1: expected 'map <name>'"),
+    (lambda d: rio.parse_map("source b.lat\ntarget b.lat\nto {} {}\nto {a} {z}\n",
+                             base_dir=d), "^line 4: unknown element label '{z}'$"),
+    (lambda d: rio.parse_map("source b.lat\ntarget b.lat\nto {} {}\nto {z} {a}\n",
+                             base_dir=d), "^line 4: unknown element label '{z}'$"),
+    (lambda d: rio.parse_map("source b.lat\ntarget b.lat\nbasis {} {z}\n", base_dir=d),
+     "^line 3: unknown element label '{z}'$"),
 ], ids=["duplicate-labels", "short-le", "no-elements", "short-lattice", "duplicate-lattice",
         "duplicate-elements", "short-pair", "unknown-label",
         "unknown-relation-directive", "bare-host", "long-host", "bare-relation",
         "long-relation", "short-to", "long-source",
         "base-dir-not-a-path", "unreadable-target", "unknown-map-directive",
         "duplicate-assignment", "duplicate-relation", "duplicate-host",
-        "duplicate-map", "long-map", "bare-map"])
+        "duplicate-map", "long-map", "bare-map", "unknown-to-source", "unknown-to-target",
+        "unknown-basis"])
 def test_input_checks(tmp_path, call, message):
     (tmp_path / "b.lat").write_text(BOOL1_DOC)
     with pytest.raises(MalformedInput, match=message) as info:

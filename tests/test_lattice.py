@@ -6,13 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
-from roundideal import compactify, framemap, lattice, relation
-from roundideal.compactify import RoundIdeal
+from roundideal import compactify, framemap, io as rio, lattice, relation
+from roundideal.compactify import (
+    RoundIdeal,
+    compactify_extending,
+    enumerate_round_ideals,
+    from_compactification,
+)
 from roundideal.errors import (
     InvariantViolation,
     MalformedInput,
     NotACoverError,
     PreconditionError,
+    ValidationFailure,
 )
 from roundideal.framemap import ContinuousMap, validate_map
 from roundideal.lattice import (
@@ -29,7 +35,14 @@ from roundideal.lattice import (
     pseudocomplement,
     well_inside,
 )
-from roundideal.relation import check_strong_inclusion, interpolative_core_on_basis
+from roundideal.relation import (
+    Relation,
+    check_strong_inclusion,
+    interpolative_core_on_basis,
+    is_strongly_regular_basis,
+    least_strong_inclusion,
+)
+from test_io import FORMATS, N5_DOC, random_document
 
 
 def pentagon():
@@ -512,7 +525,7 @@ class TestAgainstReference:
     def test_covers_and_transitivity_witness_match_reference(self, kind):
         for seed in range(150):
             names, leq = util.random_order(random.Random(seed), kind)
-            # rows as truth values, and as the 0/1 bytes of a parsed document
+            # rows as truth values, and as 0/1 bytes
             for rows in (leq, [bytes(map(bool, row)) for row in leq]):
                 lat = PcdLattice(names, rows)
                 assert lat.covers() == oracles.reference_covers(leq)
@@ -649,3 +662,95 @@ class TestDistributivity:
             assert report == oracles.reference_tables(names, leq)["report"]
             failing += any(line.startswith("distributivity") for line in report)
         assert failing >= 120
+
+
+def assert_same_lattice(lat, leq):
+    """``lat`` is, field by field, what the public constructor builds from its
+    labels and the order matrix ``leq``."""
+    ref = PcdLattice(lat.names, leq, name=lat.name)
+    assert (lat.n, lat.names, lat.name) == (ref.n, ref.names, ref.name)
+    cells = [(i, j) for i, row in enumerate(leq) for j, x in enumerate(row) if x]
+    up, down = [0] * lat.n, [0] * lat.n
+    for i, j in cells:
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+    assert (lat._up, lat._down) == (ref._up, ref._down) == (up, down)
+    assert (lat.bottom, lat.top) == (ref.bottom, ref.top)
+    assert (lat.meet, lat._meets) == (ref.meet, ref._meets)
+    assert (lat.join, lat._joins) == (ref.join, ref._joins)
+    assert (lat.pstar, lat._intransitive) == (ref.pstar, ref._intransitive)
+    assert lat.validate() == ref.validate()
+    assert lat == ref and hash(lat) == hash(ref)
+
+
+def inclusion(sets):
+    """The order matrix of a list of sets under inclusion."""
+    return [[a <= b for b in sets] for a in sets]
+
+
+def downset_points(lat):
+    """The points of each downset, read off its label ``{p,q}``."""
+    return [frozenset(x[1:-1].split(",")) - {""} for x in lat.names]
+
+
+def document_order(doc):
+    """Labels and ``le`` pairs of a lattice-mode document, as indices."""
+    lines = [line.split() for line in doc.splitlines() if line.strip()]
+    labels = next(line[1:] for line in lines if line[0] == "elements")
+    index = {x: i for i, x in enumerate(labels)}
+    return labels, [(index[a], index[b]) for _, a, b in
+                    (line for line in lines if line[0] == "le")]
+
+
+class TestConeConstructor:
+    """Every producer hands ``PcdLattice._from_cones`` the up cones of the
+    order that the public constructor builds from its matrix."""
+
+    def test_chains(self):
+        for k in [*range(1, 65), 256]:
+            assert_same_lattice(chain(k), [[i <= j for j in range(k)] for i in range(k)])
+
+    def test_boolean_algebras(self):
+        for k in range(9):
+            lat = boolean(k)
+            assert_same_lattice(lat, inclusion(downset_points(lat)))
+
+    def test_generated_downset_lattices(self):
+        for seed in range(200):
+            for size in range(9):
+                lat = rio.generate(seed, size)
+                assert_same_lattice(lat, inclusion(downset_points(lat)))
+
+    def test_lattice_mode_documents(self):
+        # valid and invalid: cycles, missing bounds, failing axioms
+        orders = [document_order(doc) for doc in (
+            N5_DOC, FORMATS["lattice"][2],
+            "lattice square lattice\nelements 0 a b 1\nle 0 a\nle 0 b\nle a 1\nle b 1\n",
+            rio.serialize_lattice(chain(64)), rio.serialize_lattice(chain(256)))]
+        orders += [random_document(random.Random(seed), "lattice") for seed in range(300)]
+        for labels, pairs in orders:
+            k = len(labels)
+            leq = oracles.reference_closure(k, pairs)
+            built = PcdLattice._from_cones(labels, rio._reflexive_transitive_closure(k, pairs), "t")
+            assert_same_lattice(built, leq)
+            doc = "\n".join(["lattice t lattice", "elements " + " ".join(labels)] +
+                            [f"le {labels[a]} {labels[b]}" for a, b in pairs])
+            try:
+                parsed = rio.parse_lattice(doc)
+            except ValidationFailure as exc:
+                assert exc.report == built.validate() != []
+            else:
+                assert_same_lattice(parsed, leq)
+
+    def test_round_ideal_frames(self):
+        sources = [boolean(k) for k in range(1, 7)]
+        sources += [rio.generate(seed, size) for seed in range(40) for size in range(1, 6)]
+        for lat in sources:
+            b = full_basis(lat)
+            frames = [enumerate_round_ideals(b, least_strong_inclusion(b, Relation(lat, ()))),
+                      enumerate_round_ideals(b, interpolative_core_on_basis(lat, b))]
+            if is_strongly_regular_basis(lat, b):
+                comp, _ = compactify_extending(lat, b, [])
+                frames += [comp.frame, from_compactification(comp).frame]
+            for fr in frames:
+                assert_same_lattice(fr.lattice, inclusion([i.members for i in fr.ideals]))
