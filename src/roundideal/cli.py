@@ -129,12 +129,7 @@ def _invariant_suite(lat):
 
 
 def cmd_validate(args):
-    try:
-        lat = _load_lattice(args.lattice)
-    except ValidationFailure as exc:
-        for line in exc.report:
-            print(line)
-        return 1
+    lat = _load_lattice(args.lattice)
     print(f"valid pcd-lattice '{lat.name}' with {lat.n} elements")
     if args.check_all:
         failed = False
@@ -311,10 +306,7 @@ def main(argv=None):
         for line in exc.report:
             print(line)
         return 1
-    except RoundIdealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RoundIdealError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

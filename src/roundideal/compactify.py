@@ -8,6 +8,14 @@ factor suitable continuous maps through them, the reconstruction of a frame
 of round ideals from an arbitrary compactification, and the induced ordering
 between compactifications.
 
+On finite input that ordering collapses.  A finite regular frame is
+Boolean: each a is a finite join b1 v ... v bk of elements well-inside a,
+so a v a* = (a v b1*) ^ ... ^ (a v bk*) = 1.  A dense onto frame map out of
+a Boolean algebra is one-one: h(a) = h(c) gives h(a ^ c*) = h(c ^ c*) = 0,
+so a ^ c* = 0 by density, a <= c, and c <= a likewise.  So every
+compactification of a finite L is an isomorphism, any two compare ``iso``,
+and the basis of ``compactify_extending`` already closes to all of L.
+
 On a finite carrier P the round ideals are the sets down(s) & P for the
 self-related s (s <| s), so the frame is that set S ordered as in the
 lattice.  A round ideal I is finite and join closed, so it is down(t) & P
@@ -493,11 +501,14 @@ def strong_inclusion_from_maps(l, s, maps):
 
 
 def compactify_extending(l, b, maps):
-    """Compactify over the closure of a strongly regular basis plus map preimages.
+    """Compactify over L, the closure of any basis, and extend the given maps.
 
-    Returns the compactification (through the interpolative core of
-    well-inside on the enlarged carrier, which is checked compatible) and the
-    unique extension of every supplied map.
+    The paper closes a strongly regular basis ``b`` together with the maps'
+    preimages.  A closed carrier holds every finite join of ``b``, and in a
+    finite lattice those are all joins, so that closure is L whatever ``b``
+    and the maps are.  Returns the compactification (through the
+    interpolative core of well-inside on L, which is checked compatible)
+    and the unique extension of every supplied map.
     """
     _require_type(l, PcdLattice, "lattice")
     _require_type(b, Basis, "basis")
@@ -509,10 +520,7 @@ def compactify_extending(l, b, maps):
         raise PreconditionError(f"basis is not strongly regular: {x} is not complemented "
                                 f"({x} v {x}* is {v}, not the top)")
     maps = _admitted_maps(l, maps)
-    enlarged = set(b.elements)
-    for f in maps:
-        enlarged.update(f.ext)
-    p = pcd_closure(l, enlarged)
+    p = full_basis(l)
     si = interpolative_core_on_basis(l, p)
     if not is_compatible(l, p, si):
         raise InvariantViolation("core strong inclusion is not compatible")
@@ -621,6 +629,13 @@ def _reconstruct(k):
 
 
 class Ordering(Enum):
+    """The verdict of ``compare``.
+
+    Finite input reaches only ``ISO`` (see the module docstring); ``LE``,
+    ``GE`` and ``INCOMPARABLE`` stay part of the API, for the order of
+    compactifications in general.
+    """
+
     LE = "<="
     GE = ">="
     ISO = "iso"
@@ -638,14 +653,19 @@ class CompareResult(_Value):
 
 
 def _mediating(ka, kb, rb):
-    """Map h with ka = h after kb, or None when kb cannot factor ka.
+    """Map h with ka = h after kb.
+
+    On finite input the reconstruction ``rb`` of ``kb`` is finer than ``ka``
+    (both are isomorphisms, see the module docstring), so a verdict that it
+    is not is an ``InvariantViolation``, naming the failing well-inside pair.
 
     h(a) is the m whose image ``rb.iso.ext[m]`` is h0(a), for h0 the extension
     of ``ka`` through ``rb``'s frame: the vector of ``rb.iso`` is a bijection.
     """
     tag = finer_than(rb.si, ka.map)
     if not tag.finer:
-        return None
+        y, x = (ka.codomain.names[v] for v in tag.failing)
+        raise InvariantViolation(f"reconstruction is not finer than the map at ({y}, {x})")
     h0 = extension_map(rb.frame, ka.map)
     inverse = {v: m for m, v in enumerate(rb.iso.ext)}
     assignment = {a: inverse[x] for a, x in h0.assignment.items()}
@@ -657,32 +677,23 @@ def _mediating(ka, kb, rb):
 
 
 def compare(k1, k2):
-    """Order two compactifications of the same source.
+    """Order two compactifications of the same source; on finite input, ``iso``.
 
     ``k1 <= k2`` holds exactly when the strong inclusion reconstructed from
-    ``k2`` is finer than the well-inside preimages of ``k1``; the mediating
-    map is then built by extension through the round-ideal frame and checked
-    pointwise.
+    ``k2`` is finer than the well-inside preimages of ``k1``.  Every
+    compactification of a finite frame is an isomorphism (module docstring),
+    so both orders hold and the verdict is ``Ordering.ISO``; each mediating
+    map is built by extension through the round-ideal frame and checked
+    pointwise.  Both compactifications are checked valid by
+    ``from_compactification``.
     """
     _require_type(k1, Compactification, "compactification")
     _require_type(k2, Compactification, "compactification")
     if k1.source != k2.source:
         raise MalformedInput("compactifications have different sources")
-    k1.require_valid()
-    k2.require_valid()
     r1 = from_compactification(k1)
     r2 = from_compactification(k2)
-    le = _mediating(k1, k2, r2)
-    ge = _mediating(k2, k1, r1)
-    if le is not None and ge is not None:
-        verdict = Ordering.ISO
-    elif le is not None:
-        verdict = Ordering.LE
-    elif ge is not None:
-        verdict = Ordering.GE
-    else:
-        verdict = Ordering.INCOMPARABLE
-    return CompareResult(verdict, le, ge)
+    return CompareResult(Ordering.ISO, _mediating(k1, k2, r2), _mediating(k2, k1, r1))
 
 
 class CoverWitness(_Value):

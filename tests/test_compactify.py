@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -656,6 +657,32 @@ class TestCheckedOnce:
         assert k.violations() == ["map is not an embedding"]
 
 
+def _bottom_and_top(l):
+    a, b = util.atoms(l)
+    return ContinuousMap(l, l, full_basis(l), {l.bottom: l.bottom, a: l.bottom,
+                                               b: l.top, l.top: l.top})
+
+
+@pytest.mark.parametrize("build, lines", [
+    (lambda: Compactification(ContinuousMap(boolean(1), boolean(1), full_basis(boolean(1)),
+                                            {0: 1, 1: 0})),
+     ["meets: images of ({}, {a}) meet at {} but common refinements join to {a}",
+      "cover refinement: assignment not monotone at ({}, {a})"]),
+    (lambda: Compactification(_bottom_and_top(boolean(2))),
+     ["map is not dense", "map is not an embedding"]),
+    (lambda: Compactification(ContinuousMap(boolean(1), chain(3), full_basis(chain(3)),
+                                            {0: 0, 1: 1, 2: 1})),
+     ["codomain is not regular"]),
+    (lambda: Compactification(ContinuousMap.identity(boolean(2)),
+                              enumerate_round_ideals(full_basis(boolean(1)),
+                                                     order_si(boolean(1)))),
+     ["frame does not match the codomain"]),
+], ids=["not-continuous", "not-dense-nor-embedding", "codomain-not-regular",
+        "frame-of-another-codomain"])
+def test_violations_name_each_failure(build, lines):
+    assert build().violations() == lines
+
+
 class TestInterpolatedSubcover:
     def test_boolean_cover(self):
         l = boolean(3)
@@ -824,3 +851,41 @@ def test_map_declared_on_atoms_acts_as_on_every_element():
     r_id, r_full_id = from_compactification(k_id), from_compactification(k_full_id)
     assert r_id.frame.lattice == r_full_id.frame.lattice
     assert compare(k_id, k_full_id).verdict is Ordering.ISO
+
+
+def _bases(l):
+    """Every basis of a Boolean ``l``: the sets that hold all its atoms."""
+    atoms = set(util.atoms(l))
+    rest = [x for x in range(l.n) if x not in atoms]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            yield Basis(l, atoms.union(extra))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_every_compactification_of_a_finite_boolean_is_the_canonical_one(k):
+    """The closure of any basis and the maps' preimages is L, and ``compare``
+    answers ``iso`` against the canonical, a relabelled-codomain and an
+    atom-basis compactification, on every basis of ``boolean(k)`` with 0-2
+    seeded atom-maps."""
+    rng = random.Random(k)
+    l = boolean(k)
+    canonical, _ = compactify_extending(l, full_basis(l), [])
+    relabelled = util.relabelled_boolean(k, rng)
+    atoms = util.atoms(l)
+    others = [
+        canonical,
+        Compactification(map=util.iso_map(l, relabelled, rng.sample(range(k), k))),
+        Compactification(map=ContinuousMap(l, l, Basis(l, atoms), {a: a for a in atoms})),
+    ]
+    count = 0
+    for b in _bases(l):
+        maps = [util.atom_map(l, boolean(j), util.random_phi(rng, k, j))
+                for j in (rng.randint(1, 2) for _ in range(rng.randrange(3)))]
+        comp, _ = compactify_extending(l, b, maps)
+        preimages = {x for f in maps for x in f.ext}
+        assert comp.frame.p == pcd_closure(l, b.elements | preimages) == full_basis(l)
+        for other in others:
+            assert compare(comp, other).verdict is Ordering.ISO
+        count += 1
+    assert count == 2 ** (l.n - k)

@@ -1,17 +1,19 @@
-"""Every postcondition of the map and compactification layers fires on a fault.
+"""Every postcondition of the relation, map and compactification layers fires on a fault.
 
 Each test breaks one derived value (a cached vector, a frame field, a
 relation's column view) or one collaborator (through ``monkeypatch``) after
 the arguments have passed their checks, and requires the matching
 ``InvariantViolation``: the check is wired to the result it guards, so a
-fault there cannot pass silently.
+fault there cannot pass silently.  The last test does the same for the
+lattice's own derivation of pseudocomplements, whose check is a line of
+``validate()``.
 """
 
 import copy
 
 import pytest
 
-from roundideal import compactify
+from roundideal import compactify, relation
 from roundideal.compactify import (
     Compactification,
     RoundIdeal,
@@ -26,9 +28,20 @@ from roundideal.compactify import (
     strong_downset,
 )
 from roundideal.errors import InvariantViolation
-from roundideal.framemap import ContinuousMap, compose, finer_than, validate_map
+from roundideal.framemap import (
+    ContinuousMap,
+    MapClassTag,
+    compose,
+    finer_than,
+    validate_map,
+)
 from roundideal.lattice import PcdLattice, boolean, full_basis, well_inside
-from roundideal.relation import Relation, least_strong_inclusion
+from roundideal.relation import (
+    Relation,
+    build_scale,
+    interpolative_core_on_basis,
+    least_strong_inclusion,
+)
 
 import util
 
@@ -215,6 +228,16 @@ class TestCompactifications:
         with raises("mediating map does not factor the compactification"):
             compare(twin, k)
 
+    def test_reconstruction_that_is_not_finer(self, monkeypatch):
+        # every compactification of a finite frame is an isomorphism, so the
+        # reconstruction is always finer and a verdict that it is not is a fault
+        k = canonical(boolean(2))
+        compare(k, k)  # warm: the reconstructions and extensions are derived
+        monkeypatch.setattr(compactify, "finer_than", lambda si, f: MapClassTag(
+            f, si, False, (f.target.bottom, f.target.top)))
+        with raises(r"reconstruction is not finer than the map at \(dn\(\{\}\), dn\(\{a,b\}\)\)"):
+            compare(k, k)
+
 
 class TestSubcovers:
     def test_empty_refinement_of_a_non_bottom_element(self, monkeypatch):
@@ -231,3 +254,28 @@ class TestSubcovers:
                             lambda l, parts, target: [parts[0], l.bottom])
         with raises("interpolated subcover fails its inequalities"):
             interpolated_subcover(l, full_basis(l), a, [a, b])
+
+
+class TestRelations:
+    def test_core_that_is_not_interpolative(self, monkeypatch):
+        # the bottom related to the top alone, with nothing in between
+        monkeypatch.setattr(relation, "_sandwich", lambda lat, selves, carrier: (
+            Relation._from_rows(lat, [0b10, 0], carrier)))
+        l = boolean(1)
+        with raises(r"core pair \(\{\}, \{a\}\) is uninterpolated or not well-inside"):
+            interpolative_core_on_basis(l, full_basis(l))
+
+    def test_scale_value_that_is_not_well_inside(self):
+        l = boolean(1)
+        wi = well_inside(l)
+        wi._cols = (0,) * l.n  # the relation's rows stay intact
+        with raises(r"scale value \{\} at position 0 is not well-inside \{a\} at position 1"):
+            build_scale(wi, l.bottom, l.top, 1)
+
+
+def test_pseudocomplement_that_misses_a_disjoint_element():
+    # {a}* set to the bottom: {b} is disjoint from {a} but not below {a}*
+    l = boolean(2)
+    l.pstar[1] = l.bottom
+    assert l.validate() == ["pseudocomplement fails at {a}: {b} disjoint from y "
+                            "does not match c <= y*"]
