@@ -21,11 +21,15 @@ self-related s (s <| s), so the frame is that set S ordered as in the
 lattice.  A round ideal I is finite and join closed, so it is down(t) & P
 for t, the join of I, which I holds; roundness at t gives t <| y for some y
 in I, y <= t, and the sandwich condition gives t <| t.  Conversely down(s) &
-P is round for s in S, since x <= s <| s gives x <| s.  Each ideal is held
-as a member mask (bit x says x is a member), frames list their ideals by
-sorted members, and the frame checks run on masks: inclusion is the order,
-AND the meet, ``_down[join[s][t]] & P`` the join of the ideals with tops s
-and t; the ideal of elements strongly included in a is ``si.cols[a]``.
+P is round for s in S, since x <= s <| s gives x <| s.  S is closed in the
+lattice under 0, 1, meet, join and *, so the frame's tables and stars are
+the lattice's read off at the tops' positions, with no table derived.  Each
+ideal is held as a member mask (bit x says x is a member), frames list
+their ideals by sorted members, and the frame checks run on masks:
+inclusion is the order, AND the meet, ``_down[join[s][t]] & P`` the join of
+the ideals with tops s and t, each decided on the frame's irreducibles
+(``_assert_frame_structure``); the ideal of elements strongly included in a
+is ``si.cols[a]``.
 
 Maps into a regular codomain are read on all of its elements.  The paper
 allows a codomain basis, but in a finite frame a generating basis that is
@@ -52,7 +56,7 @@ the continuity check.
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import and_, or_
 from types import MappingProxyType
@@ -85,8 +89,11 @@ from .lattice import (
     _index,
     _is_compatible,
     _items,
+    _join_irreducibles,
     _lowest,
     _mask,
+    _meet_irreducibles,
+    _picker,
     _require,
     _require_type,
     full_basis,
@@ -105,11 +112,15 @@ from .relation import (
 )
 
 
+_MEMBER_FIRST = str.maketrans("01", "10")
+
+
 class RoundIdeal(_Value):
     """A downward- and join-closed subset where every member sits below another.
 
-    ``mask`` is the bitmask of the members, computed once; it takes no part
-    in equality, hashing or ``repr``.
+    ``mask`` is the bitmask of the members; it takes no part in equality,
+    hashing or ``repr``.  An ideal the library derived holds only its mask
+    until ``members`` is first read.
     """
 
     _fields = ("basis", "members")
@@ -126,8 +137,13 @@ class RoundIdeal(_Value):
     def _derived(cls, basis, mask):
         """The ideal of an in-range member mask the library derived itself."""
         ideal = cls.__new__(cls)
-        ideal.__dict__.update(basis=basis, members=frozenset(_bits(mask)), mask=mask)
+        ideal.__dict__.update(basis=basis, mask=mask)
         return ideal
+
+    @cached_property
+    def members(self):
+        """The member indices, a frozenset, read off ``mask`` once."""
+        return frozenset(_bits(self.mask))
 
     def violations(self, si):
         """Why the members are not a round ideal of (carrier, si); empty when they are.
@@ -146,12 +162,12 @@ class RoundIdeal(_Value):
             raise MalformedInput("relation belongs to another lattice")
         lat.require_valid()
         names = lat.names
-        if not self.members <= self.basis.elements:
+        keep, inside = self.basis.mask, self.mask
+        if inside & ~keep:
             return ["members leave the carrier"]
         out = []
-        if lat.bottom not in self.members:
+        if not inside >> lat.bottom & 1:
             out.append("missing the bottom")
-        keep, inside = self.basis.mask, self.mask
         picked = _flags(inside, lat.n)
         down_closed = not reduce(or_, compress(lat._down, picked), 0) & keep & ~inside
         if not down_closed:
@@ -270,22 +286,24 @@ def enumerate_round_ideals(p, si):
 
 
 def _round_ideal_frame(p, si):
-    """The checked frame of round ideals of (p, si), uncached; it holds ``si`` on ``p``."""
+    """The checked frame of round ideals of (p, si), uncached; it holds ``si`` on ``p``.
+
+    The frame is the set of tops, ordered as in the lattice and closed there
+    under the bounds, meet, join and pseudocomplement (module docstring), so
+    its order, tables and stars are the lattice's read off at the tops'
+    positions (``PcdLattice._sublattice``).
+    """
     lat, keep = p.lattice, p.mask
     if si.carrier != p.elements:  # the check on p found every pair inside p
         si = Relation._from_rows(lat, si.rows, p.elements)
-    tops = {lat._down[t] & keep: t for t in _bits(keep) if si.rows[t] >> t & 1}
-    masks = sorted(tops, key=lambda m: tuple(_bits(m)))
+    top_of = {lat._down[t] & keep: t for t in _bits(keep) if si.rows[t] >> t & 1}
+    masks = sorted(top_of, key=_by_members)
     ideals = tuple(RoundIdeal._derived(p, m) for m in masks)
     for ideal in ideals:
         _require(ideal.violations(si), InvariantViolation, "enumerated ideal invalid")
-    pos = {tops[m]: j for j, m in enumerate(masks)}  # each ideal's top -> its index
-    # ideal i lies in ideal j exactly when top i lies below top j, so the up
-    # cone of ideal i gathers the positions of the tops in L's up cone of top i
-    place = [1 << pos[t] if t in pos else 0 for t in range(lat.n)]
-    up = [reduce(or_, compress(place, _flags(lat._up[t], lat.n)), 0) for t in pos]
-    names = [f"dn({lat.names[t]})" for t in pos]
-    frame_lat = PcdLattice._from_cones(names, up, f"R({lat.name})")
+    tops = [top_of[m] for m in masks]  # ideal i's top
+    names = [f"dn({lat.names[t]})" for t in tops]
+    frame_lat = lat._sublattice(tops, names, f"R({lat.name})")
     _require(frame_lat.validate(), InvariantViolation, "round-ideal frame invalid")
     index = {m: i for i, m in enumerate(masks)}
     down_index = {}
@@ -298,27 +316,96 @@ def _round_ideal_frame(p, si):
         down_index[a] = idx
     ideal_basis = Basis._derived(frame_lat, frozenset(down_index.values()))
     fr = RoundIdealFrame(p, si, ideals, frame_lat, ideal_basis, down_index)
-    _assert_frame_structure(fr, masks, list(pos))
+    _assert_frame_structure(fr, masks, tops)
     if not ideal_basis.is_basis():
         raise InvariantViolation("basic downset ideals do not generate the frame")
     return fr
 
 
-def _assert_frame_structure(fr, masks, tops):
-    """Frame meets are intersections; joins hold all under some finite join from the union.
+def _by_members(mask):
+    """Sort key of member masks, in the order of their sorted member tuples:
+    the mask's binary digits, lowest first, with 1 and 0 swapped.
 
-    Ideal i has member mask ``masks[i]`` and top ``tops[i]``.  Each ideal was
-    checked join closed before this runs, so its top is the join of its members.
+    Two tuples agree up to the lowest member d that only one of them, A,
+    holds, and A holds d next.  If the other, B, has a member above d, B
+    holds a larger one next and B's key has the larger digit at d (a 0
+    swapped to 1); otherwise B's tuple ends, and B's key is a proper prefix
+    of A's.
+    """
+    return bin(mask)[:1:-1].translate(_MEMBER_FIRST)
+
+
+def _assert_frame_structure(fr, masks, tops):
+    """Frame meets are intersections, frame joins follow the covering formula,
+    and the frame's tables and stars are the source's read through the tops.
+
+    Ideal i has member mask m(i) = ``masks[i]`` and top t(i) = ``tops[i]``.
+    The frame was validated, so it is a finite distributive lattice, and its
+    carrier p is closed.  Both halves are decided on irreducibles:
+
+    - Meets.  In a finite distributive lattice every meet-irreducible u is
+      meet-prime: u >= x ^ y exactly when u >= x or u >= y.  So if, for
+      every x, m(x) is m(1) AND the m(u) over the meet-irreducibles u >= x,
+      then m(x ^ y) = m(x) & m(y) for every pair (the meet-irreducibles
+      above x ^ y are those above x and those above y); conversely, x is
+      the meet of 1 and those u, so the pairwise form gives this one.
+    - Joins.  Dually every join-irreducible j is join-prime, so if, for
+      every x, t(x) is t(0) joined in the source with t(j) over the
+      join-irreducibles j <= x, then t(x v y) = t(x) v t(y), and
+      conversely.  Together with m(x) = down(t(x)) & p, t(x) a member, that
+      is the covering formula m(x v y) = down(t(x) v t(y)) & p for every
+      pair, each ideal holding its top; conversely the formula at (x, x) is
+      the first condition, and as p holds t(x v y) and t(x) v t(y),
+      down(.) & p tells them apart.
+      The source join of a family is the element whose up cone is the AND
+      of the members' up cones.
+
+    Each half folds every irreducible into the elements of its cone
+    (``_fold``): a Boolean frame, as every finite regular one is, has
+    log2(n) of each kind, so that is n log2(n) steps.  A failing half is
+    scanned pair by pair, on the frame's cones, to name its first failing
+    pair (``_explain``; a join pair also fails when its first ideal misses
+    its top).  Last, each row of the meet and join tables and the star
+    vector, translated from positions to tops, must be the source's row at
+    that top gathered at the tops.  That closes the tops under meet, join
+    and star, and with the two halves it makes the tables the frame's own:
+    a planted table entry fails it.
     """
     lat, frame, keep = fr.p.lattice, fr.lattice, fr.p.mask
-    down, join = lat._down, lat.join
-    for i, (a, s) in enumerate(zip(masks, tops)):
-        meet_i, join_i, join_s = frame.meet[i], frame.join[i], join[s]
-        for j, (b, t) in enumerate(zip(masks, tops)):
-            if masks[meet_i[j]] != a & b:
-                raise InvariantViolation("frame meet is not set intersection")
-            if masks[join_i[j]] != down[join_s[t]] & keep:
-                raise InvariantViolation("frame join misses the covering formula")
+    up, down, names = frame._up, frame._down, frame.names
+    if _fold(masks, _meet_irreducibles(frame), down, masks[frame.top]) != masks:
+        cap = frame._down_owner
+        i, j = _explain(((i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
+                         if masks[cap[down[i] & down[j]]] != a & b),
+                        f"{frame.name}: meets on the meet-irreducibles")
+        raise InvariantViolation(f"frame meet is not set intersection at ({names[i]}, {names[j]})")
+    ldown, cones = lat._down, [lat._up[t] for t in tops]
+    if not (all(m == ldown[t] & keep and m >> t & 1 for m, t in zip(masks, tops))
+            and _fold(cones, _join_irreducibles(frame), up, cones[frame.bottom]) == cones):
+        cup, join = frame._up_owner, lat.join
+        i, j = _explain(((i, j) for i, s in enumerate(tops) for j, t in enumerate(tops)
+                         if masks[cup[up[i] & up[j]]] != ldown[join[s][t]] & keep
+                         or not masks[i] >> s & 1),
+                        f"{frame.name}: joins on the join-irreducibles")
+        raise InvariantViolation(
+            f"frame join misses the covering formula at ({names[i]}, {names[j]})"
+        )
+    to_tops = bytes(tops).ljust(256, b"\0")
+    rows = [*frame.meet, *frame.join, bytes(frame.pstar)]
+    sources = [*map(lat.meet.__getitem__, tops), *map(lat.join.__getitem__, tops), lat.pstar]
+    if [row.translate(to_tops) for row in rows] != list(map(bytes, map(_picker(tops), sources))):
+        raise InvariantViolation("frame tables are not the source's read through the tops")
+
+
+def _fold(values, irreducibles, cones, start):
+    """For each x, ``start`` ANDed with ``values[u]`` over the ``irreducibles`` u
+    whose cone ``cones[u]`` holds x."""
+    out = [start] * len(values)
+    for u in irreducibles:
+        value = values[u]
+        for x in _bits(cones[u]):
+            out[x] &= value
+    return out
 
 
 class CompactRegularReport(_Value):
@@ -379,10 +466,8 @@ def join_map(l, fr):
 
 
 def _join_map(l, fr):
-    assignment = {
-        idx: l.join_all(sorted(fr.ideals[idx].members))
-        for idx in fr.ideal_basis.elements
-    }
+    n, ideals = l.n, fr.ideals
+    assignment = {idx: l._join_of(_flags(ideals[idx].mask, n)) for idx in fr.ideal_basis.elements}
     m = ContinuousMap._built(l, fr.lattice, fr.ideal_basis, assignment)
     _require(_continuity(m), InvariantViolation, "join map is not continuous")
     return m
@@ -411,8 +496,14 @@ def extension_map(fr, f):
             "map is outside the extension class: no sandwich witnesses for "
             f"the well-inside pair ({ltgt.names[y]}, {ltgt.names[x]})"
         )
+    return _extension(fr, f)
+
+
+def _extension(fr, f):
+    """``extension_map`` of a valid map in the frame's extension class, once
+    per (frame, codomain name, map value) in the source lattice's memo."""
     # lattice equality ignores names, and the result holds the codomain
-    return f.source.once(("extension", fr, ltgt.name, f._key),
+    return f.source.once(("extension", fr, f.target.name, f._key),
                          lambda: _extension_map(fr, f))
 
 
@@ -661,12 +752,15 @@ def _mediating(ka, kb, rb):
 
     h(a) is the m whose image ``rb.iso.ext[m]`` is h0(a), for h0 the extension
     of ``ka`` through ``rb``'s frame: the vector of ``rb.iso`` is a bijection.
+    The class verdict above is the one ``extension_map`` would reach, and
+    ``ka`` is a checked compactification of ``rb``'s source, so h0 is looked
+    up without ``extension_map``'s checks.
     """
     tag = finer_than(rb.si, ka.map)
     if not tag.finer:
         y, x = (ka.codomain.names[v] for v in tag.failing)
         raise InvariantViolation(f"reconstruction is not finer than the map at ({y}, {x})")
-    h0 = extension_map(rb.frame, ka.map)
+    h0 = _extension(rb.frame, ka.map)
     inverse = {v: m for m, v in enumerate(rb.iso.ext)}
     assignment = {a: inverse[x] for a, x in h0.assignment.items()}
     h = ContinuousMap._built(kb.codomain, ka.codomain, h0.basis, assignment)

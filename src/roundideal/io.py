@@ -166,18 +166,8 @@ def _reflexive_transitive_closure(k, pairs):
     rows = [0] * k  # 0 until a point is reached
     order = []
     pending = 1 << k
-
-    def close(v):
-        rows[v] = pending
-        row = 1 << v
-        for w in succ[v]:
-            row |= rows[w] or close(w)
-        rows[v] = row
-        order.append(v)
-        return row
-
     for v in range(k):
-        rows[v] or close(v)
+        rows[v] or _close(v, succ, rows, order, pending)
     changed = reduce(or_, rows, 0) >> k  # a back edge was met
     while changed:
         old = rows[:]
@@ -185,6 +175,19 @@ def _reflexive_transitive_closure(k, pairs):
             rows[v] = reduce(or_, map(rows.__getitem__, succ[v]), rows[v])
         changed = rows != old
     return [row & ~pending for row in rows]
+
+
+def _close(v, succ, rows, order, pending):
+    """The depth-first visit of point v in ``_reflexive_transitive_closure``:
+    fills ``rows[v]``, appends v to ``order`` in postorder and returns the
+    row.  Its state is passed in, so the search makes no reference cycle."""
+    rows[v] = pending
+    row = 1 << v
+    for w in succ[v]:
+        row |= rows[w] or _close(w, succ, rows, order, pending)
+    rows[v] = row
+    order.append(v)
+    return row
 
 
 def _require_tokens(groups):

@@ -16,8 +16,14 @@ down cone is the common down cone of i and j, and the join the unique one
 whose up cone is their common up cone, None when there is no such element
 or more than one; in a transitive order that is the greatest (least) member
 of the common cone.  So each table entry is one subscript of one dict from
-cones to their single owners; only a table missing a bound is rebuilt with
-None entries and scanned for it.  The order axioms
+cones to their single owners.  A complete table, as every valid lattice
+has, holds ``bytes`` rows (at most 256 elements, so every index is a byte);
+only a table missing a bound is rebuilt with list rows of ints and None
+entries and scanned for it.  A sublattice closed under the bounds, meet,
+join and pseudocomplement, such as a round-ideal frame, derives no table:
+it reads its tables and pseudocomplements off its source's rows at its
+elements' positions, and its order off its meet table (``_sublattice``).
+The order axioms
 are checked on the masks in O(n^2) word operations, each a pass over a
 whole row: row i is transitive when one C-level OR of the up cones that
 up(i) selects adds nothing to it, and only the first failing row is
@@ -27,8 +33,8 @@ test has failed, and an exact test whose scan finds nothing is an internal
 fault.  The pseudocomplement of y joins the positions of the bottom in
 meet row y, found by C-level list searches (``_positions``), and its check
 compares their number with the size of down(y*).  A well-inside row is join
-row y* as bytes, read as binary digits that are 1 at the top.  Cover pairs
-take one mask test per comparable pair.  Most round-ideal frames and
+row y*, its bytes translated to binary digits that are 1 at the top.  Cover
+pairs take one mask test per comparable pair.  Most round-ideal frames and
 sources have 4..16 elements, so a kernel form must be no slower than a plain
 per-pair loop at that size as well as faster at 32..64; there is one form
 per kernel and no size threshold.
@@ -92,7 +98,7 @@ axiom check runs in full, unsampled.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from operator import and_, attrgetter, index, itemgetter, or_
 
 from .errors import InvariantViolation, MalformedInput, NotACoverError, PreconditionError
@@ -101,6 +107,7 @@ GENERATE_POSET_CAP = 8  # points of a poset whose downset lattice is built
 CONSTRUCTION_CAP = 1 << GENERATE_POSET_CAP  # elements of any lattice
 
 _FLAG = bytes.maketrans(b"01", b"\0\1")
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bits(mask):
@@ -211,7 +218,7 @@ def _owners(cone):
 
 
 def _positions(row, value):
-    """Indices of ``value`` in the list ``row``, lowest first.
+    """Indices of ``value`` in the table row ``row`` (list or bytes), lowest first.
 
     One C-level count and one C-level search per hit, so a row with few hits
     costs few Python steps whatever its length.
@@ -227,8 +234,11 @@ class PcdLattice:
 
     Fields after construction: ``n``, ``names``, ``bottom``, ``top``,
     ``meet``/``join`` (n x n index tables), ``pstar`` (pseudocomplement
-    vector).  Entries are None when the underlying order fails to produce
-    them; ``validate`` explains why (``_meets``/``_joins``: none are).
+    vector, a list).  A complete table, as every valid lattice has, is a
+    list of ``bytes`` rows, so ``meet[i][j]`` is an int.  A table the order
+    leaves incomplete has list rows, with None where a bound is missing, and
+    a pseudocomplement the order fails to produce is None; ``validate``
+    explains why (``_meets``/``_joins``: the table is complete).
     """
 
     def __init__(self, names, leq, name="lattice"):
@@ -245,7 +255,8 @@ class PcdLattice:
         if not square:
             raise MalformedInput(f"order matrix must be {n} x {n}")
         powers = [1 << j for j in range(n)]
-        self._analyze(names, [sum(compress(powers, row)) for row in leq], name)
+        # the matrix rows select each row's up cones as they are
+        self._analyze(names, [sum(compress(powers, row)) for row in leq], name, leq)
 
     @classmethod
     def _from_cones(cls, names, up, name):
@@ -257,9 +268,39 @@ class PcdLattice:
         lat._analyze(names, up, name)
         return lat
 
+    def _sublattice(self, elements, names, name):
+        """The lattice on ``elements``, a list of indices of this valid lattice
+        closed under its bounds, meet, join and pseudocomplement, ordered as
+        here: element i is ``elements[i]``, labelled ``names[i]``.
+
+        Its tables and pseudocomplements are this lattice's, read off at the
+        elements' positions: one C-level gather and one ``bytes.translate``
+        from indices here to positions there per row.  Its order is read off
+        its meet table: i <= j exactly when ``meet[i][j]`` is i, so meet row
+        i translated through a table that maps i alone to 1 is the 0/1
+        selector of i's up cone.  Closure is the caller's to check: a value
+        outside ``elements`` reads as position 0.
+        """
+        pick, pos = _picker(elements), bytearray(256)
+        for i, e in enumerate(elements):
+            pos[e] = i
+        meet = [bytes(pick(self.meet[e])).translate(pos) for e in elements]
+        join = [bytes(pick(self.join[e])).translate(pos) for e in elements]
+        pstar = list(bytes(pick(self.pstar)).translate(pos))
+        selectors = [row.translate(bytes(i) + b"\1" + bytes(255 - i))
+                     for i, row in enumerate(meet)]
+        up = [int(picked.translate(_DIGIT)[::-1], 2) for picked in selectors]
+        lat = PcdLattice.__new__(PcdLattice)
+        lat._analyze(names, up, name, selectors, (meet, join, pstar))
+        return lat
+
     # -- derived structure ------------------------------------------------
 
-    def _analyze(self, names, up, name):
+    def _analyze(self, names, up, name, selectors=None, tables=None):
+        """Every field from the labels and up cones.  ``selectors[i]`` picks the
+        up cones above i for the transitivity test (``_flags`` of ``up[i]``
+        by default); ``tables`` is a complete (meet, join, pstar) read off
+        elsewhere, derived here by default."""
         self.names, self.name, self._up = tuple(names), str(name), up
         self.n = n = len(up)
         self._index = {label: i for i, label in enumerate(self.names)}
@@ -267,27 +308,33 @@ class PcdLattice:
         full = (1 << n) - 1
         self.bottom = up.index(full) if up.count(full) == 1 else None
         self.top = down.index(full) if down.count(full) == 1 else None
-        self._intransitive = self._transitivity_witness()
+        if selectors is None:
+            selectors = map(_flags, up, repeat(n))
+        self._intransitive = self._transitivity_witness(selectors)
         # kept for the family bounds and the distributivity test too
         self._down_owner, self._up_owner = _owners(down), _owners(up)
-        self.meet, self._meets = _bound_table(self._down_owner, down)
-        self.join, self._joins = _bound_table(self._up_owner, up)
-        self.pstar = [self._pstar_of(y) for y in range(n)]
+        if tables is None:
+            self.meet, self._meets = _bound_table(self._down_owner, down)
+            self.join, self._joins = _bound_table(self._up_owner, up)
+            self.pstar = [self._pstar_of(y) for y in range(n)]
+        else:
+            (self.meet, self.join, self.pstar), self._meets, self._joins = tables, True, True
         self._memo = {}  # derivation key -> checked result; see once()
         # every memo key of a map holds its target
         self._hash = hash((self.names, tuple(up)))
 
-    def _transitivity_witness(self):
+    def _transitivity_witness(self, selectors):
         """First (i, j, k) with i <= j <= k but not i <= k, or None.
 
         Row i is transitive when the up cones of the elements above i add
-        nothing to ``_up[i]``: one C-level OR over the cones that ``_up[i]``
-        selects (``_flags``).  Only the first failing row is scanned, to
-        name its first j and lowest k.
+        nothing to ``_up[i]``: one C-level OR over the cones that
+        ``selectors[i]`` picks, the row of the order matrix or ``_flags`` of
+        ``_up[i]``.  Only the first failing row is scanned, to name its
+        first j and lowest k.
         """
-        up, n = self._up, self.n
-        for i, u in enumerate(up):
-            if reduce(or_, compress(up, _flags(u, n)), u) != u:
+        up = self._up
+        for i, (u, picked) in enumerate(zip(up, selectors)):
+            if reduce(or_, compress(up, picked), u) != u:
                 return _explain(
                     ((i, j, _lowest(up[j] & ~u)) for j in _bits(u) if up[j] & ~u),
                     f"{self.name}: transitivity at {self.names[i]}",
@@ -483,19 +530,39 @@ class PcdLattice:
 
 
 def _join_irreducibles(l):
-    """The join-irreducible elements of a lattice, in index order."""
+    """The join-irreducible elements of a lattice, in index order: those whose
+    strict down set is the down cone of one lower cover."""
     cones = l._down_owner
     return [j for j, d in enumerate(l._down) if d ^ 1 << j in cones]
 
 
+def _meet_irreducibles(l):
+    """The meet-irreducible elements of a lattice, in index order: the dual
+    of ``_join_irreducibles`` on up cones."""
+    cones = l._up_owner
+    return [m for m, u in enumerate(l._up) if u ^ 1 << m in cones]
+
+
 def _bound_table(owner, cone):
-    """The table of owners of common cones, and whether it is complete; only
-    a missing bound rebuilds it, with None entries."""
+    """The table of owners of common cones, and whether it is complete.
+
+    A complete table has ``bytes`` rows (an index is below 256), sliced from
+    one flat pass; only a missing bound rebuilds it, with list rows holding
+    None entries.
+    """
+    n = len(cone)
     try:
-        return [[owner[c & d] for d in cone] for c in cone], True
+        flat = bytes([owner[c & d] for c in cone for d in cone])
     except KeyError:
         get = owner.get
         return [[get(c & d) for d in cone] for c in cone], False
+    return [flat[i:i + n] for i in range(0, n * n, n or 1)], True
+
+
+def _picker(indices):
+    """A getter of the items at ``indices`` (at least one) as a tuple, in C."""
+    pick = itemgetter(*indices)
+    return pick if len(indices) > 1 else lambda row: (pick(row),)
 
 
 def _first_none(table):
@@ -710,12 +777,12 @@ def well_inside(l):
 
 def _well_inside(l):
     l.require_valid()
-    # the join table is symmetric, so row y* holds every x v y*; as bytes
-    # (at most 256 elements) it translates to binary digits, 1 at the top
+    # the join table is symmetric, so row y* holds every x v y*; its bytes
+    # translate to binary digits, 1 at the top
     digits = bytearray(b"0" * 256)
     digits[l.top] = ord("1")
     join = l.join
-    rows = [int(bytes(join[s]).translate(digits)[::-1], 2) for s in l.pstar]
+    rows = [int(join[s].translate(digits)[::-1], 2) for s in l.pstar]
     return Relation._from_rows(l, rows, frozenset(range(l.n)))
 
 

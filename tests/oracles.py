@@ -565,3 +565,31 @@ def scale_pairs(rel, depth):
                 continue
             found.add((y, x))
     return found
+
+
+def reference_frame_failure(frame_tables, source_tables, masks, tops, keep):
+    """The first failure of the round-ideal frame structure, by the pair scan.
+
+    ``frame_tables`` and ``source_tables`` are ``reference_tables`` of the
+    frame and of its source; ideal i has member mask ``masks[i]`` and top
+    ``tops[i]`` on the carrier mask ``keep``.  Returns ("meet", i, j) for the
+    first pair in index order whose frame meet is not the intersection of
+    the two ideals; else ("join", i, j) for the first pair whose frame join
+    is not the carrier part of the down set of the source join of their
+    tops, or whose ideal i does not hold its top; else None.
+    """
+    def members(mask):
+        return {x for x in range(len(source_tables["meet"])) if mask >> x & 1}
+
+    fmeet, fjoin = frame_tables["meet"], frame_tables["join"]
+    smeet, sjoin = source_tables["meet"], source_tables["join"]
+    pairs = [(i, j) for i in range(len(masks)) for j in range(len(masks))]
+    for i, j in pairs:
+        if masks[fmeet[i][j]] != masks[i] & masks[j]:
+            return "meet", i, j
+    for i, j in pairs:
+        top = sjoin[tops[i]][tops[j]]
+        below = sum(1 << x for x in range(len(smeet)) if smeet[x][top] == x)
+        if masks[fjoin[i][j]] != below & keep or tops[i] not in members(masks[i]):
+            return "join", i, j
+    return None

@@ -618,6 +618,24 @@ class TestCheckedOnce:
         # the list keeps every checked map alive, so ids cannot be reused
         assert len({id(f) for f in checked}) == len(checked)
 
+    def test_warm_compare_decides_each_extension_class_once(self, monkeypatch):
+        # each mediating map reuses its own verdict instead of going back
+        # through extension_map's checks
+        decided = []
+        real = compactify.finer_than
+
+        def counting(si, f):
+            decided.append(f)
+            return real(si, f)
+
+        monkeypatch.setattr(compactify, "finer_than", counting)
+        l = boolean(3)
+        k, _ = compactify_extending(l, full_basis(l), [util.atom_map(l, boolean(2), [0, 1, 1])])
+        compare(k, k)
+        decided.clear()
+        assert compare(k, k).verdict is Ordering.ISO
+        assert len(decided) == 2
+
     def test_reconstruction_memoised_for_default_basis(self, monkeypatch):
         built = []
         real = compactify._reconstruct

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import tempfile
@@ -95,6 +96,28 @@ class TestParseLattice:
         path.write_text(doc)
         assert main(["validate", str(path)]) == 2
         assert "capped at 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    "lattice anti poset-downsets\nelements a b c\nle a b\n",
+    "lattice ch lattice\nelements x y z\nle x y\nle y z\n",
+    "lattice loop poset-downsets\nelements a b\nle a b\nle b a\n",
+], ids=["poset", "lattice", "cyclic"])
+def test_parsing_leaves_no_cyclic_garbage(doc):
+    # the closure's search makes no reference cycle, so a parsed lattice
+    # (or the failure to parse one) is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            lat = rio.parse_lattice(doc)
+        except ValidationFailure:
+            pass
+        else:
+            del lat
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPosetCap:
