@@ -71,14 +71,13 @@ def _basis_from(lat, labels):
 
 
 def _build_spec(spec, lat, base_dir):
-    """Compactification spec: 'canonical' or 'canonical:<map>,<map>,...'."""
+    """The compactification a spec names: 'canonical' or 'canonical:<map>,<map>,...'."""
     head, _, rest = spec.partition(":")
     if head != "canonical":
         raise RoundIdealError(f"unknown compactification spec {spec!r}")
     paths = [base_dir / p for p in rest.split(",") if p] if rest else []
     maps = _load_maps(paths, lat)
-    comp, exts = compactify_extending(lat, full_basis(lat), maps)
-    return comp, maps, exts
+    return compactify_extending(lat, full_basis(lat), maps)[0]
 
 
 def _star_antitone(lat):
@@ -200,7 +199,7 @@ def cmd_compactify(args):
 def cmd_extend(args):
     lat = _load_lattice(args.lattice)
     (f,) = _load_maps([args.map], lat)
-    comp, _, _ = _build_spec(args.through, lat, Path(args.lattice).parent)
+    comp = _build_spec(args.through, lat, Path(args.lattice).parent)
     g = extension_map(comp.frame, f)
     print(f"# extension through {args.through}; assignment over the codomain basis")
     for a in sorted(g.basis.elements):
@@ -221,8 +220,8 @@ def cmd_compare(args):
     lat2 = lat if path2 == path1 else _load_lattice(path2)
     if lat != lat2:
         raise RoundIdealError("compared compactifications must share one lattice")
-    k1, _, _ = _build_spec(spec1, lat, Path(path1).parent)
-    k2, _, _ = _build_spec(spec2, lat, Path(path2).parent)
+    k1 = _build_spec(spec1, lat, Path(path1).parent)
+    k2 = _build_spec(spec2, lat, Path(path2).parent)
     result = compare(k1, k2)
     print(f"verdict: {result.verdict}")
     return 0

@@ -23,9 +23,11 @@ for t, the join of I, which I holds; roundness at t gives t <| y for some y
 in I, y <= t, and the sandwich condition gives t <| t.  Conversely down(s) &
 P is round for s in S, since x <= s <| s gives x <| s.  S is closed in the
 lattice under 0, 1, meet, join and *, so the frame's tables and stars are
-the lattice's read off at the tops' positions, with no table derived.  Each
-ideal is held as a member mask (bit x says x is a member), frames list
-their ideals by sorted members, and the frame checks run on masks:
+the lattice's read off at the tops' positions, with no table derived.  A
+frame keeps its tops, the join map's values; an extension sends a to the
+ideal whose top is ``f.ext[a]`` (``_extension_map``).  Each ideal is held
+as a member mask (bit x says x is a member), frames list their ideals by
+sorted members, and the frame checks run on masks:
 inclusion is the order, AND the meet, ``_down[join[s][t]] & P`` the join of
 the ideals with tops s and t, each decided on the frame's irreducibles
 (``_assert_frame_structure``); the ideal of elements strongly included in a
@@ -192,14 +194,16 @@ class RoundIdeal(_Value):
 class RoundIdealFrame:
     """The frame of all round ideals of (P, <|), ordered by inclusion.
 
-    Read-only (``down_index`` is a read-only view), since one frame is shared
-    by every caller that derives it from equal arguments.
+    ``tops[i]`` is the top of ideal i.  Read-only (``tops`` is a tuple,
+    ``down_index`` a read-only view), since one frame is shared by every
+    caller that derives it from equal arguments.
     """
 
-    def __init__(self, p, si, ideals, lattice, ideal_basis, down_index):
+    def __init__(self, p, si, ideals, tops, lattice, ideal_basis, down_index):
         self.p = p
         self.si = si
         self.ideals = ideals
+        self.tops = tops
         self.lattice = lattice
         self.ideal_basis = ideal_basis
         self.down_index = MappingProxyType(down_index)
@@ -301,7 +305,7 @@ def _round_ideal_frame(p, si):
     ideals = tuple(RoundIdeal._derived(p, m) for m in masks)
     for ideal in ideals:
         _require(ideal.violations(si), InvariantViolation, "enumerated ideal invalid")
-    tops = [top_of[m] for m in masks]  # ideal i's top
+    tops = tuple(top_of[m] for m in masks)  # ideal i's top
     names = [f"dn({lat.names[t]})" for t in tops]
     frame_lat = lat._sublattice(tops, names, f"R({lat.name})")
     _require(frame_lat.validate(), InvariantViolation, "round-ideal frame invalid")
@@ -315,7 +319,7 @@ def _round_ideal_frame(p, si):
             )
         down_index[a] = idx
     ideal_basis = Basis._derived(frame_lat, frozenset(down_index.values()))
-    fr = RoundIdealFrame(p, si, ideals, frame_lat, ideal_basis, down_index)
+    fr = RoundIdealFrame(p, si, ideals, tops, frame_lat, ideal_basis, down_index)
     _assert_frame_structure(fr, masks, tops)
     if not ideal_basis.is_basis():
         raise InvariantViolation("basic downset ideals do not generate the frame")
@@ -466,8 +470,8 @@ def join_map(l, fr):
 
 
 def _join_map(l, fr):
-    n, ideals = l.n, fr.ideals
-    assignment = {idx: l._join_of(_flags(ideals[idx].mask, n)) for idx in fr.ideal_basis.elements}
+    """The checked join map of ``fr``, uncached: each ideal holds its join, its top."""
+    assignment = {idx: fr.tops[idx] for idx in fr.ideal_basis.elements}
     m = ContinuousMap._built(l, fr.lattice, fr.ideal_basis, assignment)
     _require(_continuity(m), InvariantViolation, "join map is not continuous")
     return m
@@ -510,28 +514,24 @@ def _extension(fr, f):
 def _extension_map(fr, f):
     """The checked extension of ``f`` through ``fr``, uncached.
 
-    The image of a is the round ideal of carrier elements below the preimage
-    of some b well-inside a.  It is gathered one bit of b at a time: at
-    n = 4..16 that loop beats a C-level ``compress`` gather with a
-    ``_join_of`` lookup by 1.3-2x.
+    The paper sends a to the round ideal {x in P : x <= f(b) for some b << a}.
+    Every caller's codomain is regular, so Boolean (module docstring), and
+    there b << a exactly when b <= a; ``ext`` is monotone, so that set is
+    down(f(a)) & P.  It is a round ideal exactly when f(a) is a frame top,
+    that is when ``si.cols[f(a)]`` is down(f(a)) & P: a carrier element
+    that is not self-related misses itself, and the column of an element
+    outside P misses the bottom, which P holds.  Continuity and the
+    factorisation through ``join_map``, checked below, pin the map down.
     """
     lsrc, ltgt = f.source, f.target
-    inside, keep = well_inside(ltgt).cols, fr.p.mask
-    down, ext = lsrc._down, f.ext
+    down, cols, keep = lsrc._down, fr.si.cols, fr.p.mask
     assignment = {}
-    for a in range(ltgt.n):
-        below = 0
-        for b in _bits(inside[a]):
-            below |= down[ext[b]]
-        below &= keep
-        # a round ideal is the strong downset of its join, a carrier element
-        top = lsrc.join_all(_bits(below))
-        idx = fr.down_index.get(top)
-        if idx is None or fr.si.cols[top] != below:
+    for a, x in enumerate(f.ext):
+        if cols[x] != down[x] & keep:
             raise InvariantViolation(
                 f"extension image of {ltgt.names[a]} is not a round ideal"
             )
-        assignment[a] = idx
+        assignment[a] = fr.down_index[x]
     g = ContinuousMap._built(fr.lattice, ltgt, full_basis(ltgt), assignment)
     _require(_continuity(g), InvariantViolation, "extension map is not continuous")
     if tuple(map(join_map(lsrc, fr).ext.__getitem__, g.ext)) != f.ext:

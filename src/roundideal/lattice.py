@@ -821,6 +821,7 @@ def minimal_subcover(l, parts, target):
     the top of the degenerate one-element lattice.
     """
     _require_type(l, PcdLattice, "lattice")
+    l.require_valid()
     parts = [_index(x, l.n, "cover part") for x in _items(parts, "cover parts")]
     target = _index(target, l.n, "cover target")
     if l.join_all(parts) != target:
@@ -838,6 +839,8 @@ def is_compact(l, b, c):
     _require_type(b, Basis, "basis")
     _require_type(c, Cover, "cover")
     l.require_valid()
+    if b.lattice != l:
+        raise MalformedInput("basis belongs to another lattice")
     target = _index(c.target, l.n, "cover target")
     if target != l.top:
         raise PreconditionError(f"cover target {l.names[target]} is not the top")

@@ -593,3 +593,33 @@ def reference_frame_failure(frame_tables, source_tables, masks, tops, keep):
         if masks[fjoin[i][j]] != below & keep or tops[i] not in members(masks[i]):
             return "join", i, j
     return None
+
+
+def reference_extension(f, carrier):
+    """The paper's extension of ``f`` by its definition: for each target
+    element a, the set of carrier elements x with x <= f(b) for some b
+    well-inside a.
+
+    Reads only ``leq``, the meet and join tables and the assignment of
+    ``f``: f(b) is the join of the assignment over the basis elements below
+    b, b* the element meeting b at the bottom that lies above every other
+    such element, and b is well-inside a when a v b* is the top.
+    """
+    src, tgt, asg = f.source, f.target, f.assignment
+    els = range(tgt.n)
+
+    def join_of(items):
+        out = src.bottom
+        for x in items:
+            out = src.join[out][x]
+        return out
+
+    image = [join_of(asg[c] for c in asg if tgt.leq(c, b)) for b in els]
+    star = []
+    for b in els:
+        apart = [s for s in els if tgt.meet[s][b] == tgt.bottom]
+        star.append(next(s for s in apart if all(tgt.leq(d, s) for d in apart)))
+    return [frozenset(x for x in sorted(carrier)
+                      if any(tgt.join[a][star[b]] == tgt.top and src.leq(x, image[b])
+                             for b in els))
+            for a in els]

@@ -346,6 +346,26 @@ class TestExtensionMap:
         assert fr is enumerate_round_ideals(p, trivial_si(l, p))
         assert extension_map(fr, util.atom_map(l, boolean(1), [0, 0])).ext == (0, 1)
 
+    def test_every_atom_map_extends_as_the_paper_defines(self):
+        """Each a goes to the round ideal of carrier elements below f(b) for
+        some b well-inside a: every atom map boolean(k) -> boolean(j), k and
+        j at most 4, through the canonical frame and through the frame of
+        the map's own strong inclusion, often on a carrier smaller than L."""
+        maps = narrow = 0
+        for k, j in itertools.product(range(5), repeat=2):
+            l, tgt = boolean(k), boolean(j)
+            canonical = compactify_extending(l, full_basis(l), [])[0].frame
+            for phi in itertools.product(range(j), repeat=k):
+                f = util.atom_map(l, tgt, list(phi))
+                p, si = strong_inclusion_from_maps(l, (), [f])
+                for fr in (canonical, enumerate_round_ideals(p, si)):
+                    g = extension_map(fr, f)
+                    expected = oracles.reference_extension(f, fr.p.elements)
+                    assert [fr.ideals[i].members for i in g.ext] == expected
+                maps += 1
+                narrow += p.elements != frozenset(range(l.n))
+        assert (maps, narrow) == (499, 410)
+
 
 class TestLhdFromMaps:
     def test_empty_family_gives_bounds_and_trivial(self):

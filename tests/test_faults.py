@@ -90,7 +90,7 @@ class TestMaps:
     def test_join_map_over_misordered_ideals_is_not_continuous(self):
         l = boolean(2)
         fr = frame_of(l)
-        fr.ideals = fr.ideals[::-1]
+        fr.tops = fr.tops[::-1]  # the join map reads each ideal's top
         with raises("join map is not continuous"):
             join_map(l, fr)
 

@@ -101,6 +101,7 @@ def test_irreducible_verdict_is_the_pair_scans_under_every_fault(family):
             frame_tables = oracles.reference_tables(*util.order_of(fr.lattice))
             masks = [ideal.mask for ideal in fr.ideals]
             tops = [lat.join_all(sorted(ideal.members)) for ideal in fr.ideals]
+            assert fr.tops == tuple(tops)
             assert structure_failure(fr, masks, tops) is None
             planted = [([*masks[:i], m ^ 1 << b, *masks[i + 1:]], tops)
                        for i, m in enumerate(masks) for b in range(lat.n)]

@@ -31,6 +31,7 @@ from roundideal.lattice import (
     full_basis,
     is_compact,
     is_regular,
+    minimal_subcover,
     pcd_closure,
     pseudocomplement,
     well_inside,
@@ -297,6 +298,21 @@ class TestIsCompact:
         parts = {l.top} | {x for x in range(l.n) if rng.random() < 0.5}
         got = is_compact(l, full_basis(l), Cover(l.top, frozenset(parts)))
         oracles.assert_minimal_subcover(l, parts, l.top, got)
+
+    def test_basis_of_another_lattice(self):
+        with pytest.raises(MalformedInput, match="basis belongs to another lattice"):
+            is_compact(boolean(2), full_basis(boolean(3)), Cover(3, range(4)))
+
+
+class TestMinimalSubcover:
+    @pytest.mark.parametrize("build, parts, target, message", [
+        (pentagon, [1, 3], 4, "distributivity fails"),
+        (lambda: PcdLattice(["a", "b"], [[True, False], [False, True]]), [0, 1], 1,
+         "no bottom element"),
+    ], ids=["n5", "antichain"])
+    def test_invalid_lattice_refused(self, build, parts, target, message):
+        with pytest.raises(PreconditionError, match=f"invalid lattice: {message}"):
+            minimal_subcover(build(), parts, target)
 
 
 class TestPcdClosure:
