@@ -29,7 +29,7 @@ ideal whose top is ``f.ext[a]`` (``_extension_map``).  Each ideal is held
 as a member mask (bit x says x is a member), frames list their ideals by
 sorted members, and the frame checks run on masks:
 inclusion is the order, AND the meet, ``_down[join[s][t]] & P`` the join of
-the ideals with tops s and t, each decided on the frame's irreducibles
+the ideals with tops s and t, all decided on the tops
 (``_assert_frame_structure``); the ideal of elements strongly included in a
 is ``si.cols[a]``.
 
@@ -91,10 +91,8 @@ from .lattice import (
     _index,
     _is_compatible,
     _items,
-    _join_irreducibles,
     _lowest,
     _mask,
-    _meet_irreducibles,
     _picker,
     _require,
     _require_type,
@@ -344,72 +342,40 @@ def _assert_frame_structure(fr, masks, tops):
     and the frame's tables and stars are the source's read through the tops.
 
     Ideal i has member mask m(i) = ``masks[i]`` and top t(i) = ``tops[i]``.
-    The frame was validated, so it is a finite distributive lattice, and its
-    carrier p is closed.  Both halves are decided on irreducibles:
-
-    - Meets.  In a finite distributive lattice every meet-irreducible u is
-      meet-prime: u >= x ^ y exactly when u >= x or u >= y.  So if, for
-      every x, m(x) is m(1) AND the m(u) over the meet-irreducibles u >= x,
-      then m(x ^ y) = m(x) & m(y) for every pair (the meet-irreducibles
-      above x ^ y are those above x and those above y); conversely, x is
-      the meet of 1 and those u, so the pairwise form gives this one.
-    - Joins.  Dually every join-irreducible j is join-prime, so if, for
-      every x, t(x) is t(0) joined in the source with t(j) over the
-      join-irreducibles j <= x, then t(x v y) = t(x) v t(y), and
-      conversely.  Together with m(x) = down(t(x)) & p, t(x) a member, that
-      is the covering formula m(x v y) = down(t(x) v t(y)) & p for every
-      pair, each ideal holding its top; conversely the formula at (x, x) is
-      the first condition, and as p holds t(x v y) and t(x) v t(y),
-      down(.) & p tells them apart.
-      The source join of a family is the element whose up cone is the AND
-      of the members' up cones.
-
-    Each half folds every irreducible into the elements of its cone
-    (``_fold``): a Boolean frame, as every finite regular one is, has
-    log2(n) of each kind, so that is n log2(n) steps.  A failing half is
-    scanned pair by pair, on the frame's cones, to name its first failing
-    pair (``_explain``; a join pair also fails when its first ideal misses
-    its top).  Last, each row of the meet and join tables and the star
-    vector, translated from positions to tops, must be the source's row at
-    that top gathered at the tops.  That closes the tops under meet, join
-    and star, and with the two halves it makes the tables the frame's own:
-    a planted table entry fails it.
+    Two tests decide it: each m(i) is down(t(i)) & p and holds t(i), and
+    each row of the meet and join tables and the star vector, translated
+    from positions to tops, is the source's row at that top gathered at the
+    tops.  They imply the rest.  The masks are distinct dict keys, so the
+    tops are distinct, and the comparison gives t(x ^ y) = t(x) ^ t(y), and
+    the same for v and *.  So the frame order read off its meet table (x <=
+    y iff x ^ y = x) is the tops' order, and the tables are the frame's true
+    bounds.  Then m(x ^ y) = down(t(x) ^ t(y)) & p = m(x) & m(y), and m(x v
+    y) = down(t(x) v t(y)) & p, the covering formula.  A failure is named by
+    the first pair of the meet scan, else of the join scan (a join pair
+    also fails when its first ideal misses its top), else as a table fault.
     """
     lat, frame, keep = fr.p.lattice, fr.lattice, fr.p.mask
-    up, down, names = frame._up, frame._down, frame.names
-    if _fold(masks, _meet_irreducibles(frame), down, masks[frame.top]) != masks:
-        cap = frame._down_owner
-        i, j = _explain(((i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
-                         if masks[cap[down[i] & down[j]]] != a & b),
-                        f"{frame.name}: meets on the meet-irreducibles")
-        raise InvariantViolation(f"frame meet is not set intersection at ({names[i]}, {names[j]})")
-    ldown, cones = lat._down, [lat._up[t] for t in tops]
-    if not (all(m == ldown[t] & keep and m >> t & 1 for m, t in zip(masks, tops))
-            and _fold(cones, _join_irreducibles(frame), up, cones[frame.bottom]) == cones):
-        cup, join = frame._up_owner, lat.join
-        i, j = _explain(((i, j) for i, s in enumerate(tops) for j, t in enumerate(tops)
-                         if masks[cup[up[i] & up[j]]] != ldown[join[s][t]] & keep
-                         or not masks[i] >> s & 1),
-                        f"{frame.name}: joins on the join-irreducibles")
-        raise InvariantViolation(
-            f"frame join misses the covering formula at ({names[i]}, {names[j]})"
-        )
+    ldown = lat._down
     to_tops = bytes(tops).ljust(256, b"\0")
     rows = [*frame.meet, *frame.join, bytes(frame.pstar)]
     sources = [*map(lat.meet.__getitem__, tops), *map(lat.join.__getitem__, tops), lat.pstar]
-    if [row.translate(to_tops) for row in rows] != list(map(bytes, map(_picker(tops), sources))):
-        raise InvariantViolation("frame tables are not the source's read through the tops")
-
-
-def _fold(values, irreducibles, cones, start):
-    """For each x, ``start`` ANDed with ``values[u]`` over the ``irreducibles`` u
-    whose cone ``cones[u]`` holds x."""
-    out = [start] * len(values)
-    for u in irreducibles:
-        value = values[u]
-        for x in _bits(cones[u]):
-            out[x] &= value
-    return out
+    if (all(m == ldown[t] & keep and m >> t & 1 for m, t in zip(masks, tops))
+            and [row.translate(to_tops) for row in rows]
+            == list(map(bytes, map(_picker(tops), sources)))):
+        return
+    up, down, names = frame._up, frame._down, frame.names
+    cap, cup, join = frame._down_owner, frame._up_owner, lat.join
+    meets = ((i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
+             if masks[cap[down[i] & down[j]]] != a & b)
+    joins = ((i, j) for i, s in enumerate(tops) for j, t in enumerate(tops)
+             if masks[cup[up[i] & up[j]]] != ldown[join[s][t]] & keep
+             or not masks[i] >> s & 1)
+    for scan, what in ((meets, "meet is not set intersection"),
+                       (joins, "join misses the covering formula")):
+        pair = next(scan, None)
+        if pair is not None:
+            raise InvariantViolation(f"frame {what} at ({names[pair[0]]}, {names[pair[1]]})")
+    raise InvariantViolation("frame tables are not the source's read through the tops")
 
 
 class CompactRegularReport(_Value):

@@ -352,10 +352,11 @@ class PcdLattice:
     # -- basic queries ----------------------------------------------------
 
     def leq(self, i, j):
-        return bool(self._up[i] & (1 << j))
+        n = self.n
+        return bool(self._up[_index(i, n, "element")] >> _index(j, n, "element") & 1)
 
     def down_list(self, i):
-        return list(_bits(self._down[i]))
+        return list(_bits(self._down[_index(i, self.n, "element")]))
 
     def element(self, label):
         try:
@@ -534,13 +535,6 @@ def _join_irreducibles(l):
     strict down set is the down cone of one lower cover."""
     cones = l._down_owner
     return [j for j, d in enumerate(l._down) if d ^ 1 << j in cones]
-
-
-def _meet_irreducibles(l):
-    """The meet-irreducible elements of a lattice, in index order: the dual
-    of ``_join_irreducibles`` on up cones."""
-    cones = l._up_owner
-    return [m for m, u in enumerate(l._up) if u ^ 1 << m in cones]
 
 
 def _bound_table(owner, cone):

@@ -1,16 +1,16 @@
-"""Round-ideal frames read off their source, and their structure on irreducibles.
+"""Round-ideal frames read off their source, and their structure on the tops.
 
 A frame's order, tables and stars are its source's, read off at the tops'
 positions (``PcdLattice._sublattice``).  The differential test requires
 them to be what ``PcdLattice._from_cones`` derives from the same cones, on
 the frame of the interpolative core over the whole lattice and over every
 carrier that one element closes to, for ``boolean(0..6)`` and every
-distinct ``generate(0..199, 0..6)`` lattice.  ``_assert_frame_structure``
-decides meets and joins on irreducibles: under every single-entry fault in
-the ideals' masks and tops its verdict, and the pair it names, must be the
-pair scan's (``oracles.reference_frame_failure``), and every single-entry
-fault in a frame's meet or join table or star vector must fail one of the
-frame's postconditions.
+distinct ``generate(0..199, 0..6)`` lattice.  Under every single-entry
+fault in the ideals' masks and tops, the verdict of
+``_assert_frame_structure`` and the pair it names must be the pair scan's
+(``oracles.reference_frame_failure``); every duplicated ideal must fail it;
+and every single-entry fault in a frame's meet or join table or star vector
+must fail one of the frame's postconditions.
 """
 
 import pytest
@@ -113,6 +113,25 @@ def test_irreducible_verdict_is_the_pair_scans_under_every_fault(family):
                 assert structure_failure(fr, bad_masks, bad_tops) == expected
             faults += len(planted)
     assert faults > 1000
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_duplicated_ideal_fails(family):
+    # ideal i given ideal j's mask and top: the tops are no longer distinct,
+    # and some of these faults only the table comparison catches
+    faults, by_tables = 0, 0
+    for lat in FAMILIES[family](range(5)):
+        for fr in frames(lat):
+            masks, tops = [ideal.mask for ideal in fr.ideals], list(fr.tops)
+            for i in range(len(masks)):
+                for j in range(len(masks)):
+                    if i != j:
+                        failure = structure_failure(fr, [*masks[:i], masks[j], *masks[i + 1:]],
+                                                    [*tops[:i], tops[j], *tops[i + 1:]])
+                        assert failure is not None
+                        by_tables += failure.startswith("frame tables")
+                        faults += 1
+    assert faults > 400 and by_tables > 0
 
 
 def table_faults(frame):

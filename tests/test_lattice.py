@@ -143,6 +143,18 @@ class TestValidate:
             pseudocomplement(bad, 1)
 
 
+class TestBasicQueries:
+    @pytest.mark.parametrize("query, message", [
+        (lambda l: l.leq(0, -1), "element -1 out of range"),
+        (lambda l: l.leq(9, 0), "element 9 out of range"),
+        (lambda l: l.down_list(9), "element 9 out of range"),
+        (lambda l: l.leq(0, 9), "element 9 out of range"),
+    ], ids=["leq-negative", "leq-first", "down-list", "leq-second"])
+    def test_element_out_of_range(self, query, message):
+        with pytest.raises(MalformedInput, match=message):
+            query(boolean(2))
+
+
 class TestPseudocomplement:
     def test_bottom_goes_to_top(self):
         l = boolean(2)

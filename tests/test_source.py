@@ -51,3 +51,22 @@ def test_cli_import_leaves_dataclasses_unloaded():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout == "False\n"
+
+
+def test_no_module_imports_an_unused_name():
+    # __init__ re-exports what it imports; every other module uses each name
+    found = []
+    for path in sorted(Path(roundideal.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert found == []
