@@ -784,7 +784,7 @@ def interpolated_subcover(l, p, b, parts):
     if any(x not in p.elements for x in parts):
         raise PreconditionError("cover parts must lie in the carrier")
     wi = well_inside(l)
-    total = l.join_all(parts)
+    total = l._join_all(parts)
     if (b, total) not in wi:
         raise PreconditionError("element is not well-inside the join of the cover")
     keep, cover = p.mask, _mask(parts)
@@ -793,7 +793,7 @@ def interpolated_subcover(l, p, b, parts):
     candidates = [q for q in _bits(keep) if wi.rows[q] & mids]
     bstar = l.pstar[b]
     cover_parts = [bstar] + [q for q in candidates if q != bstar]
-    if l.join_all(cover_parts) != l.top:
+    if l._join_all(cover_parts) != l.top:
         raise PreconditionError(
             "carrier is not regular enough to refine the cover"
         )
@@ -809,8 +809,8 @@ def interpolated_subcover(l, p, b, parts):
         m = _lowest(wi.rows[q] & mids)
         middle.append(m)
         upper.append(_lowest(wi.rows[m] & cover))
-    vee = l.join_all(lower)
-    vee_m = l.join_all(middle)
+    vee = l._join_all(lower)
+    vee_m = l._join_all(middle)
     checks = (
         l.leq(b, vee)
         and (vee, vee_m) in wi

@@ -39,10 +39,10 @@ sources have 4..16 elements, so a kernel form must be no slower than a plain
 per-pair loop at that size as well as faster at 32..64; there is one form
 per kernel and no size threshold.
 
-The same holds for a whole family M in a valid lattice: the common up cone
-of M is the up cone of its join, so the join of M is one AND over the up
-cones of its members and one lookup of the resulting cone's owner
-(``_join_of``; ``_meet_of`` dually on down cones).  The members are
+The same holds for a family M in a valid lattice: the common up cone of M
+is the up cone of its join, so the join is one AND over the members' up
+cones and one owner lookup (``_join_of``); ``_cone_keys`` maps ``up[m] & K``
+and ``down[m] & K`` of a carrier K to m.  The members are
 gathered in C: ``_flags`` turns a mask into 0/1 bytes that
 ``itertools.compress`` selects with, and ``functools.reduce`` folds the
 selected cones.  Distributivity is decided by the join-prime test: a finite
@@ -347,7 +347,7 @@ class PcdLattice:
         row = self.meet[y]
         if self.bottom is None or not self._meets and None in row:
             return None
-        return self.join_all(_positions(row, self.bottom))
+        return self._join_all(_positions(row, self.bottom))
 
     # -- basic queries ----------------------------------------------------
 
@@ -365,7 +365,12 @@ class PcdLattice:
             raise MalformedInput(f"unknown element label {label!r}") from None
 
     def join_all(self, items):
-        """Join of a finite family; the empty join is the bottom."""
+        """Join of a finite family of elements; the empty join is the bottom."""
+        n = self.n
+        return self._join_all([_index(x, n, "element") for x in _items(items, "elements")])
+
+    def _join_all(self, items):
+        """``join_all`` of in-range indices, folded through the join table."""
         out = self.bottom
         for x in items:
             if out is None:
@@ -373,20 +378,14 @@ class PcdLattice:
             out = self.join[out][x]
         return out
 
-    def _meet_of(self, selected):
-        """Meet of the elements picked by the 0/1 bytes ``selected`` (``_flags``).
+    def _join_of(self, selected):
+        """Join of the elements picked by the 0/1 bytes ``selected`` (``_flags``).
 
-        In a valid lattice the common down cone of a family is the down cone
-        of its meet, so the meet is one AND over the members' down cones and
-        one lookup of that cone's owner; the empty meet is the top.  Valid
+        In a valid lattice the common up cone of a family is the up cone of
+        its join, so the join is one AND over the members' up cones and one
+        lookup of that cone's owner; the empty join is the bottom.  Valid
         lattices only: there every element has a cone of its own.
         """
-        full = (1 << self.n) - 1
-        return self._down_owner[reduce(and_, compress(self._down, selected), full)]
-
-    def _join_of(self, selected):
-        """Join of the elements picked by ``selected``: the dual of ``_meet_of``
-        on up cones; the empty join is the bottom.  Valid lattices only."""
         full = (1 << self.n) - 1
         return self._up_owner[reduce(and_, compress(self._up, selected), full)]
 
@@ -652,13 +651,33 @@ class Relation:
         return f"Relation{{{inner}}}"
 
 
+def _cone_keys(lat, keep):
+    """Dicts from each principal filter ``up[m] & K`` of the carrier mask K =
+    ``keep`` to m, and from each principal ideal ``down[j] & K`` to j.
+
+    Members of K have distinct cones in K (antisymmetry), so each key has
+    one value, its least (greatest) member.  On the whole lattice the dicts
+    are ``_up_owner`` and ``_down_owner``.
+    """
+    n = lat.n
+    if keep == (1 << n) - 1:
+        return lat._up_owner, lat._down_owner
+    picked = _flags(keep, n)
+    members = list(compress(range(n), picked))
+    return tuple(dict(zip(map(and_, compress(cones, picked), repeat(keep)), members))
+                 for cones in (lat._up, lat._down))
+
+
 def _joins_of_related(lat, targets, cols, pool):
     """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``.
 
-    Joins are taken through up cones (``_join_of``), so ``lat`` must be valid.
+    Those elements join to a at once when they are ``down[a] & pool`` with a
+    in the pool, the key of a among the pool's principal ideals; any other
+    set is folded through up cones (``_join_of``), so ``lat`` must be valid.
     """
-    n = lat.n
-    return all(lat._join_of(_flags(cols[a] & pool, n)) == a for a in targets)
+    n, down = lat.n, lat._down
+    return all(pool >> a & 1 and cols[a] & pool == down[a] & pool
+               or lat._join_of(_flags(cols[a] & pool, n)) == a for a in targets)
 
 
 class _Value:
@@ -818,11 +837,11 @@ def minimal_subcover(l, parts, target):
     l.require_valid()
     parts = [_index(x, l.n, "cover part") for x in _items(parts, "cover parts")]
     target = _index(target, l.n, "cover target")
-    if l.join_all(parts) != target:
+    if l._join_all(parts) != target:
         raise NotACoverError(f"parts do not cover {l.names[target]}")
     for k in range(len(parts) + 1):
         for combo in combinations(parts, k):
-            if l.join_all(combo) == target:
+            if l._join_all(combo) == target:
                 return list(combo)
     raise NotACoverError(f"parts do not cover {l.names[target]}")  # pragma: no cover
 
@@ -841,7 +860,7 @@ def is_compact(l, b, c):
     if not c.parts <= b.elements:
         raise PreconditionError("cover parts must be basis elements")
     parts = sorted(c.parts)
-    if l.join_all(parts) != l.top:
+    if l._join_all(parts) != l.top:
         raise NotACoverError("parts do not join to the top")
     return minimal_subcover(l, parts, l.top)
 

@@ -14,22 +14,23 @@ sandwich gathers the up cones of a nonempty row's members into one mask and
 ORs it into the row of each carrier element below the row's element.
 
 Each strong-inclusion condition is decided by a test on whole rows or
-columns, each row one C-level gather and fold (``lattice._flags``):
+columns:
 
 - (2) every row is up-closed and every column down-closed in the carrier K;
-- (3) a nonempty row equals ``up[m] & K`` for m the meet of its members,
-  (4) dually a nonempty column equals ``down[j] & K`` for j their join;
-  since K is closed under meet and join a pass is sound on any relation,
-  and a failure is decisive once (2) holds;
+- (3) a nonempty row is a key ``up[m] & K`` of ``lattice._cone_keys``,
+  (4) dually a nonempty column a key ``down[j] & K``; as K is closed under
+  meet, a row is some ``up[m] & K`` exactly when it is that of its meet,
+  and then m is the meet: a pass is sound on any relation, and a failure
+  is decisive once (2) holds;
 - (5) the stars of a row's members lie in the column of the row's star;
 - (7) a row lies inside the OR of its members' rows.
 
-That is O(n) gathers of at most n masks each, whatever the number of pairs.
+(2), (5) and (7) take one gather and fold per row (``lattice._flags``).
 Only a condition whose row test fails is scanned pair by pair, to name its
 first failing pair in index order (``lattice._explain``); where the row test
 is exact and the scan finds nothing, ``InvariantViolation`` is raised.
 
-The row tests of (3) and (4) already find, for each nonempty row a, the
+The lookups of (3) and (4) already find, for each nonempty row a, the
 meet m_a of its members, and for each nonempty column b the join j_b.  When
 every row equals ``up[m_a] & K`` and every column ``down[j_b] & K``, three
 conditions follow without another gather:
@@ -91,6 +92,7 @@ from .lattice import (
     _Value,
     _bits,
     _checked_carrier,
+    _cone_keys,
     _explain,
     _flags,
     _index,
@@ -261,22 +263,21 @@ def _strong_inclusion_report(si, keep):
     """The seven conditions of ``si`` on the carrier mask ``keep``, uncached.
 
     Each of conditions 2 to 5 is first decided by a test on whole rows (or
-    columns) of masks, one C-level gather each; only a condition that fails
-    it is scanned pair by pair, to name the first failing pair in index
-    order; condition 7's row gathers yield the gaps themselves.  When the
-    row tests of (3) and (4) pass, (2) holds and (5) and (7) take one bit
-    test per row, on the meets those tests found (see the module docstring).
+    columns) of masks, a dict lookup for (3) and (4) and one C-level gather
+    otherwise; only a condition that fails it is scanned pair by pair, to
+    name the first failing pair in index order; condition 7's row gathers
+    yield the gaps themselves.  When every lookup of (3) and (4) hits, (2)
+    holds and (5) and (7) take one bit test per row, on the meets found
+    (see the module docstring).
     """
     lat = si.lattice
     names, n = lat.names, lat.n
     rows, cols = si.rows, si.cols
     meet, join, pstar = lat.meet, lat.join, lat.pstar
     up, down = lat._up, lat._down
-    # the nonempty rows and columns, and their 0/1-byte views
+    # the nonempty rows and columns
     live_rows = [(a, row) for a, row in enumerate(rows) if row]
     live_cols = [col for col in cols if col]
-    row_flags = [_flags(row, n) for _, row in live_rows]
-    col_flags = [_flags(col, n) for col in live_cols]
 
     def sandwich():
         for a, row in enumerate(rows):
@@ -309,15 +310,15 @@ def _strong_inclusion_report(si, keep):
             if not rows[pstar[b]] >> pstar[a] & 1:
                 yield (pstar[b], pstar[a]), f"stars of ({names[a]}, {names[b]})"
 
-    # (3) a row closed under meets is the carrier part of the up cone of its
-    # meet, and (4) dually for columns.  As the carrier is closed under meet
-    # and join, passing is sound on any relation; failing is decisive only
-    # when (2) holds, since otherwise the row need not be up-closed.
-    lows = list(map(lat._meet_of, row_flags))
-    meets_close = all(row == up[m] & keep for (_, row), m in zip(live_rows, lows))
-    joins_close = all(
-        col == down[lat._join_of(f)] & keep for col, f in zip(live_cols, col_flags)
-    )
+    # (3) a row closed under meets is a principal filter of the carrier, the
+    # key of its meet, and (4) dually a column a principal ideal.  As the
+    # carrier is closed under meet and join, passing is sound on any
+    # relation; failing is decisive only when (2) holds, since otherwise the
+    # row need not be up-closed.
+    filters, ideals = _cone_keys(lat, keep)
+    lows = [filters.get(row) for _, row in live_rows]
+    meets_close = None not in lows
+    joins_close = all(col in ideals for col in live_cols)
     if meets_close and joins_close:
         # rows are up[m] & K and columns down[j] & K, so (2) holds, and the
         # row's meet m is its least member: (5) and (7) are one bit test each
@@ -328,6 +329,8 @@ def _strong_inclusion_report(si, keep):
         interpolated = not any(row & ~rows[m] for (_, row), m in zip(live_rows, lows))
         gap = None if interpolated else _explain(_uninterpolated(si), f"{lat.name}: condition 7")
     else:
+        row_flags = [_flags(row, n) for _, row in live_rows]
+        col_flags = [_flags(col, n) for col in live_cols]
         # (2) every row is up-closed in the carrier and every column
         # down-closed in it (rows shrink as their element grows)
         sandwiched = not any(
@@ -428,7 +431,10 @@ def _interpolative_core(l, b):
     """The core on the carrier ``b``, uncached; asserted interpolative and well-inside."""
     wi = well_inside(l).rows
     core = _sandwich(l, frozenset(a for a in b.elements if wi[a] >> a & 1), b.elements)
-    gap = next(_uninterpolated(core), None) or _first_missing(core.rows, wi)
+    # a row up[m] & K has no gap when m relates to all of it: m interpolates
+    filters, rows = _cone_keys(l, b.mask)[0], core.rows
+    settled = all(row in filters and not row & ~rows[filters[row]] for row in rows if row)
+    gap = (None if settled else next(_uninterpolated(core), None)) or _first_missing(rows, wi)
     if gap is not None:
         a, c = gap
         raise InvariantViolation(
@@ -463,9 +469,11 @@ def ordered_sandwich(rel, carrier=None):
     rows = [0] * n
     for u, row in enumerate(rel.rows):
         if row:
-            # everything above an element u relates to, gathered in one pass,
-            # goes into the row of each carrier element below u
-            above = reduce(or_, compress(up, _flags(row, n)), 0) & keep
+            # everything above an element u relates to, gathered in one pass
+            # (a single one's up cone read as it is), goes into the row of
+            # each carrier element below u
+            above = keep & (reduce(or_, compress(up, _flags(row, n))) if row & (row - 1)
+                            else up[_lowest(row)])
             for x in _bits(down[u] & keep):
                 rows[x] |= above
     return Relation._from_rows(lat, rows, carrier)

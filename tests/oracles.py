@@ -413,6 +413,33 @@ def brute_pcd_closure(lat, seed):
     return frozenset(least)
 
 
+def reference_join(leq, items):
+    """The join of ``items`` read off the order matrix ``leq``: the upper
+    bound of them below every other upper bound (the bottom for no items)."""
+    uppers = [u for u in range(len(leq)) if all(leq[x][u] for x in items)]
+    return next(u for u in uppers if all(leq[u][v] for v in uppers))
+
+
+def reference_joins_of_related(leq, targets, pool, related):
+    """Whether each target a is the join of the ``pool`` elements x with
+    ``related(x, a)``, every join read off the order matrix ``leq``."""
+    return all(reference_join(leq, [x for x in pool if related(x, a)]) == a for a in targets)
+
+
+def reference_well_inside_order(leq):
+    """Pairs (y, x) with x v y* the top, everything read off the order matrix
+    ``leq``: y* is the join of the elements whose only lower bound in common
+    with y is the bottom."""
+    els = range(len(leq))
+    bottom, top = reference_join(leq, []), reference_join(leq, els)
+    star = [reference_join(leq, [c for c in els
+                                 if not any(leq[d][c] and leq[d][y] and d != bottom
+                                            for d in els)])
+            for y in els]
+    return frozenset((y, x) for y in els for x in els
+                     if reference_join(leq, [x, star[y]]) == top)
+
+
 def reference_si_report(lat, carrier, pairs):
     """``(holds, witness, detail)`` of the seven strong-inclusion conditions.
 

@@ -72,6 +72,14 @@ def posets(k):
             yield leq
 
 
+def small_lattices():
+    """The downset lattices of every poset on at most 3 points, and chain(1..5)."""
+    by_size = [list(posets(k)) for k in range(4)]
+    assert [len(ps) for ps in by_size] == [1, 1, 3, 19]
+    lattices = [downset_lattice("abc"[:k], leq) for k, ps in enumerate(by_size) for leq in ps]
+    return lattices + [chain(k) for k in range(1, 6)]
+
+
 def family_order(rng):
     """A random set family on at most 4 points holding the full set and at
     least one other set, closed under intersection: labels and inclusion
@@ -149,7 +157,10 @@ class TestBasicQueries:
         (lambda l: l.leq(9, 0), "element 9 out of range"),
         (lambda l: l.down_list(9), "element 9 out of range"),
         (lambda l: l.leq(0, 9), "element 9 out of range"),
-    ], ids=["leq-negative", "leq-first", "down-list", "leq-second"])
+        (lambda l: l.join_all([-1]), "element -1 out of range"),
+        (lambda l: l.join_all([9]), "element 9 out of range"),
+    ], ids=["leq-negative", "leq-first", "down-list", "leq-second",
+            "join-all-negative", "join-all-high"])
     def test_element_out_of_range(self, query, message):
         with pytest.raises(MalformedInput, match=message):
             query(boolean(2))
@@ -524,20 +535,43 @@ class TestBasis:
                 assert carrier.elements == frozenset(range(l.n))
 
     def test_no_proper_subset_is_a_generating_pcd_sublattice(self):
-        # every subset of every downset lattice of a poset on at most 3 points
-        # (at most 2^8 subsets each) and of chain(1..5)
-        by_size = [list(posets(k)) for k in range(4)]
-        assert [len(ps) for ps in by_size] == [1, 1, 3, 19]
-        lattices = [downset_lattice("abc"[:k], leq)
-                    for k, ps in enumerate(by_size) for leq in ps]
-        lattices += [chain(k) for k in range(1, 6)]
-        for l in lattices:
+        # every subset of every small lattice (at most 2^8 subsets each)
+        for l in small_lattices():
             assert l.n <= 8
             whole = full_basis(l)
             assert whole.is_sub_pcd() and whole.is_basis()
             for mask in range((1 << l.n) - 1):
                 b = Basis(l, frozenset(x for x in range(l.n) if mask >> x & 1))
                 assert not (b.is_sub_pcd() and b.is_basis()), (l.name, sorted(b.elements))
+
+    def test_join_predicate_matches_reference(self):
+        # is_basis, is_regular and is_compatible against joins read off the
+        # order matrix, on every subset of every small lattice; a subset's
+        # members pass by their principal ideals, the rest are folded
+        for l in small_lattices():
+            leq = util.order_of(l)[1]
+            wi = oracles.reference_well_inside_order(leq)
+            rng = random.Random(l.n)
+            for mask in range(1 << l.n):
+                members = [x for x in range(l.n) if mask >> x & 1]
+                b = Basis(l, members)
+                assert b.is_basis() == oracles.reference_joins_of_related(
+                    leq, range(l.n), members, lambda x, a: leq[x][a]), (l.name, members)
+                assert is_regular(l, b) == oracles.reference_joins_of_related(
+                    leq, members, members, lambda x, a: (x, a) in wi), (l.name, members)
+                if not b.is_sub_pcd():
+                    continue
+                # the order, the strict order and seeded pair sets on the carrier
+                relations = [{(x, a) for x in members for a in members if leq[x][a]},
+                             {(x, a) for x in members for a in members if leq[x][a] and x != a}]
+                relations += [{(x, a) for x in members for a in members if rng.random() < 0.5}
+                              for _ in range(4)]
+                for pairs in relations:
+                    rel = Relation(l, pairs, members)
+                    assert compactify.is_compatible(l, b, rel) == \
+                        oracles.reference_joins_of_related(
+                            leq, members, members, lambda x, a: (x, a) in pairs
+                        ), (l.name, members, sorted(pairs))
 
 
 class TestAgainstReference:

@@ -252,16 +252,27 @@ class TestCheckStrongInclusion:
 
     def test_sandwiches_on_boolean_2_and_their_one_pair_toggles_match_reference(self):
         # each sandwich passes the row tests of (3) and (4); a toggled pair
-        # makes one of them fail now and then, or breaks (5) or (7) behind them
-        l = boolean(2)
-        p = full_basis(l)
-        square = sorted(itertools.product(range(l.n), repeat=2))
-        for r in range(l.n + 1):
-            for selves in itertools.combinations(range(l.n), r):
-                base = oracles.sandwich(l, p.elements, selves)
-                for pairs in [base, *(base ^ {q} for q in square)]:
-                    assert report_fields(l, p, pairs) == \
-                        oracles.reference_si_report(l, p.elements, pairs), sorted(pairs)
+        # makes one of them fail now and then, or breaks (5) or (7) behind
+        # them.  On every closed carrier of boolean(2) and every proper one
+        # of boolean(3); on a proper carrier the rows and columns are
+        # principal in the carrier but not in the lattice.
+        carriers = []
+        for l in (boolean(2), boolean(3)):
+            for mask in range(1 << l.n):
+                p = Basis(l, [x for x in range(l.n) if mask >> x & 1])
+                if p.is_sub_pcd() and (l.n == 4 or len(p.elements) < l.n):
+                    carriers.append(p)
+        assert [len(p.elements) for p in carriers] == [2, 4, 2, 4, 4, 4]
+        for p in carriers:
+            l, members = p.lattice, sorted(p.elements)
+            square = sorted(itertools.product(members, repeat=2))
+            for r in range(len(members) + 1):
+                for selves in itertools.combinations(members, r):
+                    base = oracles.sandwich(l, p.elements, selves)
+                    for pairs in [base, *(base ^ {q} for q in square)]:
+                        assert report_fields(l, p, pairs) == \
+                            oracles.reference_si_report(l, p.elements, pairs), \
+                            (l.name, members, sorted(pairs))
 
     @pytest.mark.parametrize("pairs, number, witness, detail", [
         ({(0, 2), (1, 2)}, 5, (0, 0), "stars of (c1, c2)"),
