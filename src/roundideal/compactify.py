@@ -31,7 +31,8 @@ sorted members, and the frame checks run on masks:
 inclusion is the order, AND the meet, ``_down[join[s][t]] & P`` the join of
 the ideals with tops s and t, all decided on the tops
 (``_assert_frame_structure``); the ideal of elements strongly included in a
-is ``si.cols[a]``.
+is ``si.cols[a]``, so the ideal of a top t is round exactly when it is
+``si.cols[t]`` (``_round_by_columns``).
 
 Maps into a regular codomain are read on all of its elements.  The paper
 allows a codomain basis, but in a finite frame a generating basis that is
@@ -43,24 +44,27 @@ Frames, join maps, extension maps, reconstructions and compactification
 reports are derived once per value in the memo of their lattice
 (``PcdLattice.once``), and a compatibility test shares the lattice's entry
 for regularity and strong regularity (``lattice._is_compatible``); argument
-checks run on every call, before the lookup.  A frame holds its strong inclusion on its own carrier
-``p``, so every later check of ``fr.si`` is a check on ``p``.  A
-factorisation is checked on the extension vectors: g after m equals f
-exactly when ``m.ext[g.ext[a]]`` is ``f.ext[a]`` for every a, so no
-composite map is built to compare.  ``compare`` reads each mediating map
-off the reconstruction's vector: it inverts the isomorphism's ``ext`` as a
-dict and reads the extension's assignment through it, one map built and
-checked per witness.  Maps built here from the library's own vectors skip
-the index checks that a caller's map gets (``ContinuousMap._built``), never
-the continuity check.
+checks run on every call of a public entry, before the lookup.  The
+library's own calls go to the kernels behind the entries (``_frame``,
+``_join``, ``_extension_in_class``, ``_from_maps``), which skip those
+checks, so a value is checked once, where it enters.  A frame holds its
+strong inclusion on its own carrier ``p``, so every later check of
+``fr.si`` is a check on ``p``.  A factorisation is checked on the extension
+vectors: g after m equals f exactly when ``m.ext[g.ext[a]]`` is
+``f.ext[a]`` for every a, so no composite map is built to compare.
+``compare`` reads each mediating map off the reconstruction's vector: it
+inverts the isomorphism's ``ext`` as a dict and reads the extension's
+assignment through it, one map built and checked per witness.  Maps built
+here from the library's own vectors skip the index checks that a caller's
+map gets (``ContinuousMap._built``), never the continuity check.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property, reduce
-from itertools import compress, repeat
-from operator import and_, or_
+from itertools import compress
+from operator import or_
 from types import MappingProxyType
 
 from .errors import (
@@ -73,7 +77,7 @@ from .framemap import (
     ContinuousMap,
     _basis_gap,
     _continuity,
-    finer_than,
+    _finer,
     is_dense,
     is_embedding,
     require_valid_map,
@@ -86,6 +90,7 @@ from .lattice import (
     Relation,
     _Value,
     _bits,
+    _closure,
     _explain,
     _flags,
     _index,
@@ -100,7 +105,6 @@ from .lattice import (
     is_compact,
     is_regular,
     minimal_subcover,
-    pcd_closure,
     well_inside,
 )
 from .relation import (
@@ -148,43 +152,32 @@ class RoundIdeal(_Value):
     def violations(self, si):
         """Why the members are not a round ideal of (carrier, si); empty when they are.
 
-        Each condition is decided on whole rows in one C-level pass over the
-        members (``_flags`` selects their rows); only a failing condition is
-        scanned member by member, to name every witness.
-        Down-closure is one OR of the members' down cones.  Join-closure
-        follows from it when the members hold their own join: a down-closed
-        subset of a join-closed carrier holds every join of two members,
-        which lies below that join.  Roundness is one AND per member row.
+        Plain scans over the members, naming every witness: the least carrier
+        element missing below each member, the least partner whose join with
+        a member leaves the members, and the least member related to no
+        member.  ``strong_downset`` checks its ideal here, and a round-ideal
+        frame runs it only to name an ideal that failed the frame's column
+        test (``_round_by_columns``).
         """
         _require_type(si, Relation, "relation")
         lat = self.basis.lattice
         if si.lattice != lat:
             raise MalformedInput("relation belongs to another lattice")
         lat.require_valid()
-        names = lat.names
+        names, down, join = lat.names, lat._down, lat.join
         keep, inside = self.basis.mask, self.mask
         if inside & ~keep:
             return ["members leave the carrier"]
-        out = []
-        if not inside >> lat.bottom & 1:
-            out.append("missing the bottom")
-        picked = _flags(inside, lat.n)
-        down_closed = not reduce(or_, compress(lat._down, picked), 0) & keep & ~inside
-        if not down_closed:
-            for b in _bits(inside):
-                gap = lat._down[b] & keep & ~inside
-                if gap:
-                    out.append(f"not downward closed at {names[_lowest(gap)]}")
-        if not (down_closed and inside >> lat._join_of(picked) & 1
-                and self.basis.is_sub_pcd()):
-            for a in _bits(inside):
-                ja = lat.join[a]
-                b = next((b for b in _bits(inside) if not inside >> ja[b] & 1), None)
-                if b is not None:
-                    out.append(f"not join closed at ({names[a]}, {names[b]})")
-        if not all(map(and_, compress(si.rows, picked), repeat(inside))):
-            flat = _explain((b for b in _bits(inside) if not si.rows[b] & inside),
-                            f"{lat.name}: roundness")
+        out = [] if inside >> lat.bottom & 1 else ["missing the bottom"]
+        members = list(_bits(inside))
+        out += [f"not downward closed at {names[_lowest(down[b] & keep & ~inside)]}"
+                for b in members if down[b] & keep & ~inside]
+        for a in members:
+            b = next((b for b in members if not inside >> join[a][b] & 1), None)
+            if b is not None:
+                out.append(f"not join closed at ({names[a]}, {names[b]})")
+        flat = next((b for b in members if not si.rows[b] & inside), None)
+        if flat is not None:
             out.append(f"not round at {names[flat]}")
         return out
 
@@ -254,8 +247,8 @@ def _check_compactification(k):
         out.append("map is not dense")
     if not is_embedding(k.map):
         out.append("map is not an embedding")
-    cod = k.codomain
-    if not is_regular(cod, full_basis(cod)):
+    cod = k.codomain  # valid: its continuity report validated it
+    if not _is_compatible(full_basis(cod), well_inside(cod)):
         out.append("codomain is not regular")
     if k.frame is not None and k.frame.lattice != cod:
         out.append("frame does not match the codomain")
@@ -277,13 +270,20 @@ def enumerate_round_ideals(p, si):
     """All round ideals of (p, si) with their inclusion-ordered frame.
 
     Round ideals of a finite carrier are the principal downsets of
-    self-related elements; each produced ideal is re-validated, the frame is
-    validated as a pcd-lattice, and meets/joins are checked against set
-    intersection and the covering-family join formula.  The frame stores
-    ``p`` and ``si`` on the carrier ``p``, whatever carrier ``si`` was built
-    with, so it is shared per (rows of ``si``, ``p``) on the lattice.
+    self-related elements; the ideals are checked round by one column test
+    (``_round_by_columns``), the frame is validated as a pcd-lattice, and
+    meets/joins are checked against set intersection and the covering-family
+    join formula.  The frame stores ``p`` and ``si`` on the carrier ``p``,
+    whatever carrier ``si`` was built with, so it is shared per (rows of
+    ``si``, ``p``) on the lattice.
     """
     _require_strong_inclusion(si, p, PreconditionError, "not a strong inclusion")
+    return _frame(p, si)
+
+
+def _frame(p, si):
+    """``enumerate_round_ideals`` of a strong inclusion already checked on
+    ``p``: the memo lookup of its frame."""
     return p.lattice.once(("frame", si.rows, p.elements), lambda: _round_ideal_frame(p, si))
 
 
@@ -293,35 +293,53 @@ def _round_ideal_frame(p, si):
     The frame is the set of tops, ordered as in the lattice and closed there
     under the bounds, meet, join and pseudocomplement (module docstring), so
     its order, tables and stars are the lattice's read off at the tops'
-    positions (``PcdLattice._sublattice``).
+    positions (``PcdLattice._sublattice``).  A disagreement of the column
+    test that no later check names still raises, at the end.
     """
     lat, keep = p.lattice, p.mask
     if si.carrier != p.elements:  # the check on p found every pair inside p
         si = Relation._from_rows(lat, si.rows, p.elements)
     top_of = {lat._down[t] & keep: t for t in _bits(keep) if si.rows[t] >> t & 1}
     masks = sorted(top_of, key=_by_members)
-    ideals = tuple(RoundIdeal._derived(p, m) for m in masks)
-    for ideal in ideals:
-        _require(ideal.violations(si), InvariantViolation, "enumerated ideal invalid")
     tops = tuple(top_of[m] for m in masks)  # ideal i's top
+    round_by_columns = _round_by_columns(p, si, masks, tops)
+    ideals = tuple(RoundIdeal._derived(p, m) for m in masks)
     names = [f"dn({lat.names[t]})" for t in tops]
     frame_lat = lat._sublattice(tops, names, f"R({lat.name})")
     _require(frame_lat.validate(), InvariantViolation, "round-ideal frame invalid")
     index = {m: i for i, m in enumerate(masks)}
-    down_index = {}
-    for a in _bits(keep):
-        idx = index.get(si.cols[a])
+    down_index = {a: index.get(si.cols[a]) for a in _bits(keep)}
+    for a, idx in down_index.items():
         if idx is None:
             raise InvariantViolation(
-                f"strong downset of {lat.names[a]} is not among the round ideals"
-            )
-        down_index[a] = idx
+                f"strong downset of {lat.names[a]} is not among the round ideals")
     ideal_basis = Basis._derived(frame_lat, frozenset(down_index.values()))
     fr = RoundIdealFrame(p, si, ideals, tops, frame_lat, ideal_basis, down_index)
     _assert_frame_structure(fr, masks, tops)
     if not ideal_basis.is_basis():
         raise InvariantViolation("basic downset ideals do not generate the frame")
+    if not round_by_columns:
+        raise InvariantViolation("round ideals are not the strong downsets of their tops")
     return fr
+
+
+def _round_by_columns(p, si, masks, tops):
+    """Whether each mask ``masks[i]`` is the column of its top ``tops[i]``
+    in ``si``, one comparison of two lists; a fault that
+    ``RoundIdeal.violations`` names raises, with its message.
+
+    For a strong inclusion on P and m = down(t) & P, the column of t is m
+    exactly when t <| t: x <| t gives x <= t, and x <= t <| t gives x <| t
+    (condition 2).  Then m is round (module docstring).  So a passing test
+    proves every ideal round; a failing one runs the per-ideal scans to name
+    the fault, and returns False when they find none.
+    """
+    if list(map(si.cols.__getitem__, tops)) == masks:
+        return True
+    for m in masks:
+        _require(RoundIdeal._derived(p, m).violations(si), InvariantViolation,
+                 "enumerated ideal invalid")
+    return False
 
 
 def _by_members(mask):
@@ -432,13 +450,18 @@ def join_map(l, fr):
     _require_type(fr, RoundIdealFrame, "frame")
     if fr.p.lattice != l:
         raise MalformedInput("frame was not built over this lattice")
-    return l.once(("join_map", fr), lambda: _join_map(l, fr))
+    return _join(fr)
 
 
-def _join_map(l, fr):
+def _join(fr):
+    """``join_map`` of a frame over its own source: the memo lookup."""
+    return fr.p.lattice.once(("join_map", fr), lambda: _join_map(fr))
+
+
+def _join_map(fr):
     """The checked join map of ``fr``, uncached: each ideal holds its join, its top."""
     assignment = {idx: fr.tops[idx] for idx in fr.ideal_basis.elements}
-    m = ContinuousMap._built(l, fr.lattice, fr.ideal_basis, assignment)
+    m = ContinuousMap._built(fr.p.lattice, fr.lattice, fr.ideal_basis, assignment)
     _require(_continuity(m), InvariantViolation, "join map is not continuous")
     return m
 
@@ -455,17 +478,22 @@ def extension_map(fr, f):
     """
     _require_type(fr, RoundIdealFrame, "frame")
     require_valid_map(f)
-    ltgt = f.target
     if fr.p.lattice != f.source:
         raise MalformedInput("frame and map sources do not match")
     _require_regular_codomain(f, "codomain")
-    tag = finer_than(fr.si, f)
+    _require_strong_inclusion(fr.si, fr.p, PreconditionError, "not a strong inclusion")
+    return _extension_in_class(fr, f)
+
+
+def _extension_in_class(fr, f):
+    """``extension_map`` of a valid map with a regular codomain through a
+    frame whose strong inclusion is checked: the class verdict, which
+    raises outside the class, and the extension's memo lookup."""
+    tag = _finer(fr.si, f)
     if not tag.finer:
-        y, x = tag.failing
-        raise PreconditionError(
-            "map is outside the extension class: no sandwich witnesses for "
-            f"the well-inside pair ({ltgt.names[y]}, {ltgt.names[x]})"
-        )
+        y, x = (f.target.names[v] for v in tag.failing)
+        raise PreconditionError("map is outside the extension class: no sandwich witnesses "
+                                f"for the well-inside pair ({y}, {x})")
     return _extension(fr, f)
 
 
@@ -500,14 +528,15 @@ def _extension_map(fr, f):
         assignment[a] = fr.down_index[x]
     g = ContinuousMap._built(fr.lattice, ltgt, full_basis(ltgt), assignment)
     _require(_continuity(g), InvariantViolation, "extension map is not continuous")
-    if tuple(map(join_map(lsrc, fr).ext.__getitem__, g.ext)) != f.ext:
+    if tuple(map(_join(fr).ext.__getitem__, g.ext)) != f.ext:
         raise InvariantViolation("extension does not factor the map through join_map")
     return g
 
 
 def _require_regular_codomain(f, what):
-    """Raise unless the codomain of ``f`` (``what``) is regular over all its elements."""
-    if not is_regular(f.target, full_basis(f.target)):
+    """Raise unless the codomain of ``f`` (``what``), a valid map, is regular
+    over all its elements: each element the join of those well inside it."""
+    if not _is_compatible(full_basis(f.target), well_inside(f.target)):
         raise PreconditionError(f"{what} is not regular")
 
 
@@ -547,12 +576,18 @@ def strong_inclusion_from_maps(l, s, maps):
     _require_type(l, PcdLattice, "lattice")
     l.require_valid()
     s_f = {_index(x, l.n, "carrier seed") for x in _items(s, "carrier seed")}
+    return _from_maps(l, s_f, _admitted_maps(l, maps))
+
+
+def _from_maps(l, s_f, maps):
+    """``strong_inclusion_from_maps`` of a set of checked seed indices and
+    admitted maps on a valid lattice, without the checks."""
     rows = [0] * l.n
-    for f in _admitted_maps(l, maps):
+    for f in maps:
         images, seed_rows = _preimage_seed(f)
-        s_f.update(images)
+        s_f |= images
         rows = list(map(or_, rows, seed_rows))
-    p = pcd_closure(l, s_f)
+    p = _closure(l, frozenset(s_f))
     # every seed pair joins two preimages, which the carrier holds
     return p, least_strong_inclusion(p, Relation._from_rows(l, rows, p.elements))
 
@@ -579,14 +614,12 @@ def compactify_extending(l, b, maps):
     maps = _admitted_maps(l, maps)
     p = full_basis(l)
     si = interpolative_core_on_basis(l, p)
-    if not is_compatible(l, p, si):
+    if not _is_compatible(p, si):
         raise InvariantViolation("core strong inclusion is not compatible")
-    fr = enumerate_round_ideals(p, si)
-    m = join_map(l, fr)
-    comp = Compactification(map=m, frame=fr)
+    fr = enumerate_round_ideals(p, si)  # the core's check as a strong inclusion
+    comp = Compactification(map=_join(fr), frame=fr)
     comp.require_valid()
-    extensions = [extension_map(fr, f) for f in maps]
-    return comp, extensions
+    return comp, [_extension_in_class(fr, f) for f in maps]
 
 
 def _uncomplemented(l):
@@ -662,13 +695,18 @@ def from_compactification(k):
 
 
 def _reconstruct(k):
-    l = k.source
-    klat = k.codomain
-    p, si = strong_inclusion_from_maps(l, (), [k.map])
-    if not is_compatible(l, p, si):
+    """``from_compactification`` of a checked compactification, uncached.
+
+    Its map is valid with a regular codomain, and its least strong inclusion
+    was checked on ``p`` when it was derived, so the kernels take them as
+    they stand.
+    """
+    l, klat = k.source, k.codomain
+    p, si = _from_maps(l, set(), [k.map])
+    if not _is_compatible(p, si):
         raise InvariantViolation("reconstructed strong inclusion is not compatible")
-    fr = enumerate_round_ideals(p, si)
-    g = extension_map(fr, k.map)
+    fr = _frame(p, si)
+    g = _extension_in_class(fr, k.map)
     images = g.ext
     if len(set(images)) != klat.n:
         raise InvariantViolation("reconstruction witness is not one-one")
@@ -718,11 +756,12 @@ def _mediating(ka, kb, rb):
 
     h(a) is the m whose image ``rb.iso.ext[m]`` is h0(a), for h0 the extension
     of ``ka`` through ``rb``'s frame: the vector of ``rb.iso`` is a bijection.
-    The class verdict above is the one ``extension_map`` would reach, and
-    ``ka`` is a checked compactification of ``rb``'s source, so h0 is looked
-    up without ``extension_map``'s checks.
+    The class verdict above is the one ``extension_map`` would reach, ``ka``
+    is a checked compactification of ``rb``'s source, and ``rb.si`` was
+    checked with its frame, so the verdict and h0 are looked up without
+    ``extension_map``'s checks.
     """
-    tag = finer_than(rb.si, ka.map)
+    tag = _finer(rb.si, ka.map)
     if not tag.finer:
         y, x = (ka.codomain.names[v] for v in tag.failing)
         raise InvariantViolation(f"reconstruction is not finer than the map at ({y}, {x})")
@@ -803,12 +842,8 @@ def interpolated_subcover(l, p, b, parts):
         if b != l.bottom:
             raise InvariantViolation("empty refinement for a non-bottom element")
         return None
-    middle = []
-    upper = []
-    for q in lower:
-        m = _lowest(wi.rows[q] & mids)
-        middle.append(m)
-        upper.append(_lowest(wi.rows[m] & cover))
+    middle = [_lowest(wi.rows[q] & mids) for q in lower]
+    upper = [_lowest(wi.rows[m] & cover) for m in middle]
     vee = l._join_all(lower)
     vee_m = l._join_all(middle)
     checks = (

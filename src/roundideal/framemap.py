@@ -334,6 +334,12 @@ def finer_than(si, f):
     # a relation's carrier is a checked index set of its own lattice
     _require_strong_inclusion(si, Basis._derived(f.source, si.carrier), PreconditionError,
                               "not a strong inclusion")
+    return _finer(si, f)
+
+
+def _finer(si, f):
+    """``finer_than`` of a checked strong inclusion and a valid map on its
+    source, without the checks: the memo lookup of the verdict."""
     key = ("finer", si.rows, si.carrier, f._key)
     return MapClassTag(f, si, *f.source.once(key, lambda: _finer_verdict(si, f)))
 

@@ -92,6 +92,7 @@ from .lattice import (
     _Value,
     _bits,
     _checked_carrier,
+    _closure,
     _cone_keys,
     _explain,
     _flags,
@@ -211,7 +212,8 @@ def largest_interpolative(r):
 
 
 def _require_sub_pcd(basis):
-    if not basis.is_sub_pcd():
+    """``Basis.is_sub_pcd`` as a requirement, on a lattice its caller validated."""
+    if _closure(basis.lattice, basis.elements).mask != basis.mask:
         raise PreconditionError(
             "carrier is not closed under meet, join and pseudocomplement"
         )

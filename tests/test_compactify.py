@@ -642,13 +642,13 @@ class TestCheckedOnce:
         # each mediating map reuses its own verdict instead of going back
         # through extension_map's checks
         decided = []
-        real = compactify.finer_than
+        real = compactify._finer
 
         def counting(si, f):
             decided.append(f)
             return real(si, f)
 
-        monkeypatch.setattr(compactify, "finer_than", counting)
+        monkeypatch.setattr(compactify, "_finer", counting)
         l = boolean(3)
         k, _ = compactify_extending(l, full_basis(l), [util.atom_map(l, boolean(2), [0, 1, 1])])
         compare(k, k)

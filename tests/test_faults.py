@@ -1,12 +1,12 @@
 """Every postcondition of the relation, map and compactification layers fires on a fault.
 
 Each test breaks one derived value (a cached vector, a frame field, a
-relation's column view) or one collaborator (through ``monkeypatch``) after
-the arguments have passed their checks, and requires the matching
-``InvariantViolation``: the check is wired to the result it guards, so a
-fault there cannot pass silently.  The last test does the same for the
-lattice's own derivation of pseudocomplements, whose check is a line of
-``validate()``.
+relation's column view), one collaborator (through ``monkeypatch``) or the
+data one kernel is handed, after the arguments have passed their checks,
+and requires the matching ``InvariantViolation``: the check is wired to
+the result it guards, so a fault there cannot pass silently.  The last
+test does the same for the lattice's own derivation of pseudocomplements,
+whose check is a line of ``validate()``.
 """
 
 import copy
@@ -16,7 +16,6 @@ import pytest
 from roundideal import compactify, relation
 from roundideal.compactify import (
     Compactification,
-    RoundIdeal,
     compactify_extending,
     compare,
     enumerate_round_ideals,
@@ -104,10 +103,14 @@ class TestFrames:
         with raises("strong-downset ideal invalid"):
             strong_downset(p, si, l.top)
 
-    def test_enumerated_ideal_that_fails_its_check(self, monkeypatch):
-        monkeypatch.setattr(RoundIdeal, "violations", lambda self, si: ["not round"])
+    def test_enumerated_ideal_that_fails_its_check(self):
+        # the ideal below an atom a, offered with top a under the trivial
+        # strong inclusion, which relates a to the top alone: a is not round
+        l = boolean(2)
+        p = full_basis(l)
+        a = util.atoms(l)[0]
         with raises("enumerated ideal invalid: not round"):
-            frame_of(boolean(2))
+            compactify._round_by_columns(p, trivial_si(l, p), [1 << l.bottom | 1 << a], [a])
 
     def test_frame_lattice_that_fails_validation(self, monkeypatch):
         real = PcdLattice.validate
@@ -189,7 +192,7 @@ class TestCompactifications:
     def test_reconstructed_inclusion_that_is_not_compatible(self, monkeypatch):
         l = boolean(2)
         k = Compactification(map=ContinuousMap.identity(l))
-        monkeypatch.setattr(compactify, "strong_inclusion_from_maps",
+        monkeypatch.setattr(compactify, "_from_maps",
                             lambda l, s, maps: (full_basis(l), trivial_si(l, full_basis(l))))
         with raises("reconstructed strong inclusion is not compatible"):
             from_compactification(k)
@@ -200,13 +203,13 @@ class TestCompactifications:
         (lambda ext: ext[::-1], "does not preserve order both ways"),
     ], ids=["one-one", "onto", "order"])
     def test_reconstruction_witness(self, monkeypatch, bend, message):
-        real = compactify.extension_map
+        real = compactify._extension
 
         def bent(fr, f):
             g = real(fr, f)
             return tampered(g, bend(g.ext))
 
-        monkeypatch.setattr(compactify, "extension_map", bent)
+        monkeypatch.setattr(compactify, "_extension", bent)
         with raises(f"reconstruction witness {message}"):
             from_compactification(Compactification(map=ContinuousMap.identity(boolean(2))))
 
@@ -233,7 +236,7 @@ class TestCompactifications:
         # reconstruction is always finer and a verdict that it is not is a fault
         k = canonical(boolean(2))
         compare(k, k)  # warm: the reconstructions and extensions are derived
-        monkeypatch.setattr(compactify, "finer_than", lambda si, f: MapClassTag(
+        monkeypatch.setattr(compactify, "_finer", lambda si, f: MapClassTag(
             f, si, False, (f.target.bottom, f.target.top)))
         with raises(r"reconstruction is not finer than the map at \(dn\(\{\}\), dn\(\{a,b\}\)\)"):
             compare(k, k)

@@ -11,6 +11,12 @@ fault in the ideals' masks and tops, the verdict of
 (``oracles.reference_frame_failure``); every duplicated ideal must fail it;
 and every single-entry fault in a frame's meet or join table or star vector
 must fail one of the frame's postconditions.
+
+The ideals are checked round by one column test (``_round_by_columns``).
+On the frames of the core and of least strong inclusions on sub-carriers,
+its verdict must be the per-ideal scans' (``RoundIdeal.violations``), and
+under planted faults in the masks and tops it must raise what the scans
+raise; a planted fault in a column must still fail the frame.
 """
 
 import pytest
@@ -18,10 +24,16 @@ import pytest
 import oracles
 import util
 from roundideal import io as rio
-from roundideal.compactify import _assert_frame_structure, enumerate_round_ideals
+from roundideal.compactify import (
+    RoundIdeal,
+    _assert_frame_structure,
+    _round_by_columns,
+    _round_ideal_frame,
+    enumerate_round_ideals,
+)
 from roundideal.errors import InvariantViolation
-from roundideal.lattice import PcdLattice, boolean, full_basis, pcd_closure
-from roundideal.relation import interpolative_core_on_basis
+from roundideal.lattice import PcdLattice, _require, boolean, full_basis, pcd_closure
+from roundideal.relation import Relation, interpolative_core_on_basis, least_strong_inclusion
 
 
 def distinct_lattices(seeds, sizes):
@@ -183,3 +195,104 @@ def test_every_single_table_fault_fails_a_postcondition(monkeypatch, build, carr
             frame_of(build())  # a fresh source, so that no frame is remembered
         caught += 1
     assert caught == 2 * intact.n ** 2 * (intact.n - 1) + intact.n * (intact.n - 1)
+
+
+def inclusions(lat):
+    """The core on the whole of ``lat``, and on each carrier that one element
+    closes to the least strong inclusions of the empty seed and of its core."""
+    whole = full_basis(lat)
+    yield whole, interpolative_core_on_basis(lat, whole)
+    for p in sorted({pcd_closure(lat, [x]) for x in range(lat.n)},
+                    key=lambda p: sorted(p.elements)):
+        yield p, least_strong_inclusion(p, Relation(lat, (), p.elements))
+        yield p, least_strong_inclusion(p, interpolative_core_on_basis(lat, p))
+
+
+def scans(p, si, masks):
+    """The per-ideal check that the column test stands for: the first
+    ideal's scans that name a fault raise."""
+    for m in masks:
+        _require(RoundIdeal._derived(p, m).violations(si), InvariantViolation,
+                 "enumerated ideal invalid")
+    return True
+
+
+def outcome(check, *args):
+    """What ``check(*args)`` returns, or the message of its InvariantViolation."""
+    try:
+        return check(*args)
+    except InvariantViolation as err:
+        return f"raised: {err}"
+
+
+def mask_faults(lat, si, keep, masks, tops):
+    """Planted ideals by kind, each as (masks, tops): every single bit flip, a
+    self-related top replaced by an element that is not, each mask without
+    the bottom, and each mask without a member that lies below another."""
+    down = lat._down
+    swap = lambda i, m, t: ([*masks[:i], m, *masks[i + 1:]], [*tops[:i], t, *tops[i + 1:]])
+    return {
+        "bit flip": [swap(i, m ^ 1 << b, t) for i, (m, t) in enumerate(zip(masks, tops))
+                     for b in range(lat.n)],
+        "top not self-related": [swap(i, down[u] & keep, u) for i in range(len(masks))
+                                 for u in range(lat.n)
+                                 if keep >> u & 1 and not si.rows[u] >> u & 1],
+        "missing the bottom": [swap(i, m & ~(1 << lat.bottom), t)
+                               for i, (m, t) in enumerate(zip(masks, tops))],
+        "not down-closed": [swap(i, m & ~(1 << x), t) for i, (m, t) in enumerate(zip(masks, tops))
+                            for x in range(lat.n) if x not in (lat.bottom, t) and m >> x & 1],
+    }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_column_test_is_the_per_ideal_scans(family):
+    frames_seen, named = 0, dict.fromkeys(["bit flip", "top not self-related",
+                                           "missing the bottom", "not down-closed"], 0)
+    for lat in FAMILIES[family](range(5)):
+        if not lat.is_valid:
+            continue
+        for p, si in inclusions(lat):
+            fr = enumerate_round_ideals(p, si)
+            masks, tops = [ideal.mask for ideal in fr.ideals], list(fr.tops)
+            assert _round_by_columns(p, fr.si, masks, tops) is scans(p, fr.si, masks) is True
+            frames_seen += 1
+            for kind, planted in mask_faults(lat, fr.si, p.mask, masks, tops).items():
+                for bad_masks, bad_tops in planted:
+                    expected = outcome(scans, p, fr.si, bad_masks)
+                    got = outcome(_round_by_columns, p, fr.si, bad_masks, bad_tops)
+                    # what the scans pass, the column test still refuses
+                    assert got == (False if expected is True else expected)
+                    named[kind] += expected is not True
+    assert frames_seen > 30 and all(named.values()), named
+
+
+def tampered(si, t, col):
+    """A copy of ``si`` whose column of ``t`` is ``col``; its rows stay intact."""
+    out = Relation._from_rows(si.lattice, si.rows, si.carrier)
+    out._cols = (*si.cols[:t], col, *si.cols[t + 1:])
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_tampered_column_fails_the_frame(family):
+    # the per-ideal scans read rows, so only the column test and the
+    # strong-downset lookup see a column; a column that is no ideal's mask
+    # is named as before, and any other still fails the frame
+    faults, named = 0, 0
+    for lat in FAMILIES[family](range(5)):
+        if not lat.is_valid:
+            continue
+        p = full_basis(lat)
+        fr = enumerate_round_ideals(p, interpolative_core_on_basis(lat, p))
+        masks = {ideal.mask for ideal in fr.ideals}
+        for t in fr.tops:
+            for x in range(lat.n):
+                col = fr.si.cols[t] ^ 1 << x
+                with pytest.raises(InvariantViolation) as err:
+                    _round_ideal_frame(p, tampered(fr.si, t, col))
+                if col not in masks:
+                    assert str(err.value) == (f"strong downset of {lat.names[t]} "
+                                              "is not among the round ideals")
+                    named += 1
+                faults += 1
+    assert faults > 300 and 0 < named < faults

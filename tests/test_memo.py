@@ -10,10 +10,11 @@ extension-class verdicts, sandwich witnesses (on their first read),
 extension maps, compactification reports and reconstructions are derived
 once per distinct key on their lattice (``PcdLattice.once``); ``compare``
 inverts the reconstruction's vector afresh, so it stores no inverse.  The
-counting tests wrap the uncached derivations and require one run per key;
-the differential tests require a lattice whose memo is warm to give the
-same reports, frames, verdicts and error messages as a freshly built equal
-lattice.
+counting tests wrap the uncached derivations and require one run per key,
+and one pins the memo lookups and validity checks of one compactify,
+reconstruct and compare operation; the differential tests require a
+lattice whose memo is warm to give the same reports, frames, verdicts and
+error messages as a freshly built equal lattice.
 """
 
 import random
@@ -116,6 +117,36 @@ def pipeline(l, target=None):
     k, _ = compactify_extending(l, full_basis(l), [f])
     canonical, _ = compactify_extending(l, full_basis(l), [])
     return compare(k, canonical)
+
+
+class TestLookupsPerOperation:
+    # each value is checked where it enters; the library's own calls reach
+    # its derivations through their lookups, with no entry checks repeated
+    ONCE, REQUIRE_VALID = 111, 26
+
+    def test_compactify_reconstruct_compare_on_two_maps(self, monkeypatch):
+        l = boolean(4)
+        maps = [util.atom_map(l, boolean(2), [0, 0, 1, 1]),
+                util.atom_map(l, boolean(1), [0, 0, 0, 0])]
+        counts = {"once": 0, "require_valid": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(PcdLattice, name, counting(name, getattr(PcdLattice, name)))
+        k, _ = compactify_extending(l, full_basis(l), maps)
+        from_compactification(k)
+        canonical, _ = compactify_extending(l, full_basis(l), [])
+        assert compare(canonical, k).verdict is Ordering.ISO
+        assert counts == {"once": self.ONCE, "require_valid": self.REQUIRE_VALID}
+        # at most 60% of the 191.6 and 73.4 per operation of the benchmark's
+        # compactify-maps workload before the routing
+        assert self.ONCE <= 0.6 * 191.6 and self.REQUIRE_VALID <= 0.6 * 73.4
 
 
 class TestOncePerKey:
