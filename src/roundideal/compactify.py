@@ -316,7 +316,7 @@ def _round_ideal_frame(p, si):
     ideal_basis = Basis._derived(frame_lat, frozenset(down_index.values()))
     fr = RoundIdealFrame(p, si, ideals, tops, frame_lat, ideal_basis, down_index)
     _assert_frame_structure(fr, masks, tops)
-    if not ideal_basis.is_basis():
+    if frame_lat._irreducibles & ~ideal_basis.mask:
         raise InvariantViolation("basic downset ideals do not generate the frame")
     if not round_by_columns:
         raise InvariantViolation("round ideals are not the strong downsets of their tops")
@@ -605,7 +605,9 @@ def compactify_extending(l, b, maps):
     _require_type(l, PcdLattice, "lattice")
     _require_type(b, Basis, "basis")
     l.require_valid()
-    if not b.is_basis():
+    if b.lattice != l:
+        raise MalformedInput("basis belongs to another lattice")
+    if l._irreducibles & ~b.mask:  # b generates l exactly when it holds them
         raise PreconditionError("not a basis of the lattice")
     if not is_strongly_regular_basis(l, b):
         x, v = _uncomplemented(l)

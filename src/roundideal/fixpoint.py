@@ -17,47 +17,60 @@ universe position is applied only when presenting results.
 from __future__ import annotations
 
 from .errors import MalformedInput
+from .lattice import _items, _require_type
 
 
 class Universe:
     """A finite ordered collection of distinct, hashable tokens."""
 
     def __init__(self, items):
-        self.items = tuple(items)
+        self.items = _items(items, "universe")
         self.index = {}
         for pos, token in enumerate(self.items):
-            if token in self.index:
+            if token in self:
                 raise MalformedInput(f"duplicate token {token!r} in universe")
-            self.index[token] = pos
+            try:
+                self.index[token] = pos
+            except TypeError:
+                raise MalformedInput(f"token {token!r} is not hashable") from None
 
     def __len__(self):
         return len(self.items)
 
     def __contains__(self, token):
-        return token in self.index
+        try:
+            return token in self.index
+        except TypeError:  # unhashable, so in no universe
+            return False
 
     def __iter__(self):
         return iter(self.items)
 
+    def _checked(self, tokens, what):
+        """The items of the collection ``tokens`` as a tuple; MalformedInput
+        naming ``what`` unless each is a token of this universe."""
+        tokens = _items(tokens, f"{what}s")
+        for token in tokens:
+            if token not in self:
+                raise MalformedInput(f"{what} {token!r} outside universe")
+        return tokens
+
     def sort(self, tokens):
         """Tokens in declaration order."""
-        return sorted(tokens, key=self.index.__getitem__)
+        return sorted(self._checked(tokens, "token"), key=self.index.__getitem__)
 
 
 class InductiveDefinition:
     """A deduplicated, membership-checked list of steps over a universe."""
 
     def __init__(self, universe, steps):
+        _require_type(universe, Universe, "universe")
         self.universe = universe
         canonical = set()
-        for conclusion, premises in steps:
+        for conclusion, premises in _items(steps, "steps", pairs=True):
             if conclusion not in universe:
                 raise MalformedInput(f"conclusion {conclusion!r} outside universe")
-            premises = frozenset(premises)
-            for token in premises:
-                if token not in universe:
-                    raise MalformedInput(f"premise {token!r} outside universe")
-            canonical.add((conclusion, premises))
+            canonical.add((conclusion, frozenset(universe._checked(premises, "premise"))))
         index = universe.index
         self.steps = tuple(
             sorted(
@@ -80,11 +93,8 @@ class InductiveDefinition:
 
 def consequences(defn, c):
     """One-step consequences of ``c``: conclusions whose premises all lie in c."""
-    c = frozenset(c)
-    for token in c:
-        if token not in defn.universe:
-            raise MalformedInput(f"token {token!r} outside universe")
-    return _consequences(defn, c)
+    _require_type(defn, InductiveDefinition, "definition")
+    return _consequences(defn, frozenset(defn.universe._checked(c, "token")))
 
 
 def _consequences(defn, c):
@@ -93,6 +103,7 @@ def _consequences(defn, c):
 
 def lfp(defn):
     """Least closed set: iterate ``A <- A | consequences(A)`` from the empty set."""
+    _require_type(defn, InductiveDefinition, "definition")
     current = frozenset()
     while True:
         nxt = current | _consequences(defn, current)
@@ -103,6 +114,7 @@ def lfp(defn):
 
 def gfp(defn):
     """Largest self-justifying set: iterate ``Y <- Y & consequences(Y)`` from the top."""
+    _require_type(defn, InductiveDefinition, "definition")
     current = frozenset(defn.universe.items)
     while True:
         nxt = current & _consequences(defn, current)

@@ -13,8 +13,11 @@ the library builds from its own vectors (``ContinuousMap._built``) skips
 the index checks of a caller's map; its continuity is still checked.
 
 Both verdicts are decided on generators; the per-pair scans run only to
-name a failure (``_explain``).  Continuity, when the target's
-join-irreducibles J lie in the basis: besides the covering, bottom and
+name a failure (``_explain``).  A basis misses part of the target's
+join-irreducibles J exactly when it does not generate the target
+(``lattice``), so ``_basis_gap`` names the lowest element of J it misses,
+and the continuity of such a map is decided by the scans alone.
+Continuity, when J lies in the basis: besides the covering, bottom and
 basis-agreement tests, ``ext[c v j] == ext[c] v ext[j]`` for every c and
 every j in J, and meets on J x J.  Each b is the join of the J-elements
 below it, so with ``ext[0] = 0`` induction over them gives every binary
@@ -42,7 +45,6 @@ from .lattice import (
     _bits,
     _explain,
     _index,
-    _join_irreducibles,
     _lowest,
     _mask,
     _require,
@@ -185,10 +187,10 @@ def _continuity_report(f):
     join-irreducibles when the basis holds them (module docstring)."""
     f.source.require_valid()
     f.target.require_valid()
-    gens = _join_irreducibles(f.target)
-    if not f.basis.elements.issuperset(gens):
+    gens = f.target._irreducibles
+    if gens & ~f.basis.mask:
         return list(_continuity_failures(f))
-    if _continuous_on(f, gens):
+    if _continuous_on(f, list(_bits(gens))):
         return []
     failures = _continuity_failures(f)
     return [_explain(failures, f"{f!r}: continuity on the join-irreducibles"), *failures]
@@ -275,11 +277,11 @@ def require_valid_map(f):
 def _basis_gap(f):
     """None if the basis of ``f`` generates its valid target, else the line
     naming the lowest join-irreducible it misses, by label."""
-    tgt, basis = f.target, f.basis.elements
-    if len(basis) == tgt.n or f.basis.is_basis():  # a basis of every element generates
+    tgt = f.target
+    missing = tgt._irreducibles & ~f.basis.mask
+    if not missing:
         return None
-    j = _explain((j for j in _join_irreducibles(tgt) if j not in basis), f"{f!r}: basis")
-    return f"map basis does not generate {tgt.name}: it misses {tgt.names[j]}"
+    return f"map basis does not generate {tgt.name}: it misses {tgt.names[_lowest(missing)]}"
 
 
 def maps_equal(f, g):

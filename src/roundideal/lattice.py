@@ -62,15 +62,14 @@ Each lattice keeps one memo, the only store of derived results (besides
 the ``cols`` and ``pairs`` views of a ``Relation`` and the ``mask`` of a
 ``Basis``): its axiom report, full basis and well-inside relation, the
 pcd-closure of each seed set (and of each closure, which is its own; the
-set of every element closes to the full basis with no derivation), the
-generating test of subsets, compatibility tests, strong-inclusion
-reports, order sandwiches, least strong inclusions, interpolative cores,
-round-ideal frames and their join maps, and for maps out of it continuity
-reports, extension-class verdicts and sandwich witnesses, extension maps,
-compactification reports and reconstructions.  Each is computed and
-checked in full once per distinct value (a key holding everything the
-result depends on and stores) and then shared, so equal values built
-apart are checked once.
+set of every element closes to the full basis with no derivation),
+compatibility tests, strong-inclusion reports, order sandwiches, least
+strong inclusions, interpolative cores, round-ideal frames and their join
+maps, and for maps out of it continuity reports, extension-class verdicts
+and sandwich witnesses, extension maps, compactification reports and
+reconstructions.  Each is computed and checked in full once per distinct
+value (a key holding everything the result depends on and stores) and
+then shared, so equal values built apart are checked once.
 
 Every carrier question is decided by one of two kernels.  A carrier is a
 closed sub-pcd exactly when it is its own ``pcd_closure``.  Regularity,
@@ -78,6 +77,16 @@ strong regularity and compatibility ask whether each carrier element is the
 join of the carrier elements related to it, by well-inside, by the
 interpolative core and by a strong inclusion respectively; the three share
 one memo entry per (relation rows, carrier) (``_is_compatible``).
+Generation needs neither: a subset B generates L (each element is the join
+of the members of B below it) exactly when B holds every join-irreducible
+element, so each lattice keeps the set J of them as one mask
+(``_irreducibles``) and a basis is tested by one AND.  If j in J is the
+join of the members of B below it, j is one of them, for otherwise they
+all lie below the one lower cover of j and so does their join.
+Conversely each element a is the join of the elements of J below it, by
+induction: a is the bottom (the empty join), in J, or the join of two
+elements strictly below it.  Once B holds J those lie in B, so the
+members of B below a join to a (Davey & Priestley, ch. 2).
 
 Argument checks (argument types, foreign lattice, index range, carrier
 closure) run on every call before the lookup.  A check that is a function
@@ -313,6 +322,9 @@ class PcdLattice:
         self._intransitive = self._transitivity_witness(selectors)
         # kept for the family bounds and the distributivity test too
         self._down_owner, self._up_owner = _owners(down), _owners(up)
+        # the join-irreducibles: each strict down set that is one element's cone
+        cones = self._down_owner
+        self._irreducibles = _mask(j for j, d in enumerate(down) if d ^ 1 << j in cones)
         if tables is None:
             self.meet, self._meets = _bound_table(self._down_owner, down)
             self.join, self._joins = _bound_table(self._up_owner, up)
@@ -361,7 +373,7 @@ class PcdLattice:
     def element(self, label):
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # unknown, or unhashable and so no label
             raise MalformedInput(f"unknown element label {label!r}") from None
 
     def join_all(self, items):
@@ -460,13 +472,13 @@ class PcdLattice:
         # join-prime (Davey & Priestley, ch. 10).  Both ask whether a down-set
         # is the down cone of an element, one lookup each among the down
         # cones: j is join-irreducible iff the elements strictly below it are
-        # the cone of one lower cover (the bottom's empty set is no cone), and
-        # join-prime iff the elements not above it are the cone of their join.
+        # the cone of one lower cover (the bottom's empty set is no cone; the
+        # lattice keeps them as ``_irreducibles``), and join-prime iff the
+        # elements not above it are the cone of their join.
         cones, up = self._down_owner, self._up
         full = (1 << self.n) - 1
-        for j in _join_irreducibles(self):
-            if full ^ up[j] not in cones:
-                return [_explain(self._distributive_failures(), f"{self.name}: distributivity")]
+        if any(full ^ up[j] not in cones for j in _bits(self._irreducibles)):
+            return [_explain(self._distributive_failures(), f"{self.name}: distributivity")]
         return []
 
     def _distributive_failures(self):
@@ -527,13 +539,6 @@ class PcdLattice:
 
     def __repr__(self):
         return f"PcdLattice({self.name!r}, n={self.n})"
-
-
-def _join_irreducibles(l):
-    """The join-irreducible elements of a lattice, in index order: those whose
-    strict down set is the down cone of one lower cover."""
-    cones = l._down_owner
-    return [j for j, d in enumerate(l._down) if d ^ 1 << j in cones]
 
 
 def _bound_table(owner, cone):
@@ -668,18 +673,6 @@ def _cone_keys(lat, keep):
                  for cones in (lat._up, lat._down))
 
 
-def _joins_of_related(lat, targets, cols, pool):
-    """Whether each target a is the join of the ``pool`` elements set in ``cols[a]``.
-
-    Those elements join to a at once when they are ``down[a] & pool`` with a
-    in the pool, the key of a among the pool's principal ideals; any other
-    set is folded through up cones (``_join_of``), so ``lat`` must be valid.
-    """
-    n, down = lat.n, lat._down
-    return all(pool >> a & 1 and cols[a] & pool == down[a] & pool
-               or lat._join_of(_flags(cols[a] & pool, n)) == a for a in targets)
-
-
 class _Value:
     """An immutable value: equality (within one class), hash and ``repr`` over
     ``_fields``.  ``__init__`` stores the fields, and any attribute derived
@@ -734,17 +727,14 @@ class Basis(_Value):
         return basis
 
     def is_basis(self):
-        """Every element is the join of the basis elements below it; memoised.
+        """Every element is the join of the basis elements below it: the
+        basis holds every join-irreducible element (module docstring).
 
         Valid lattices only: PreconditionError on any other.
         """
-        return self.lattice.once(("basis", self.elements), self._generates)
-
-    def _generates(self):
-        """``is_basis``, uncached."""
         lat = self.lattice
         lat.require_valid()
-        return _joins_of_related(lat, range(lat.n), lat._down, self.mask)
+        return not lat._irreducibles & ~self.mask
 
     def is_sub_pcd(self):
         """Contains the bounds and is closed under meet, join and star.
@@ -821,8 +811,16 @@ def _is_compatible(p, rel):
 
 
 def _compatible(p, rel):
-    """``_is_compatible``, uncached."""
-    return _joins_of_related(p.lattice, p.elements, rel.cols, p.mask)
+    """``_is_compatible``, uncached.
+
+    The related carrier elements join to a at once when they are
+    ``down[a] & P``, the key of a among the carrier's principal ideals; any
+    other set is folded through up cones (``_join_of``).
+    """
+    lat, pool, cols = p.lattice, p.mask, rel.cols
+    n, down = lat.n, lat._down
+    return all(cols[a] & pool == down[a] & pool
+               or lat._join_of(_flags(cols[a] & pool, n)) == a for a in p.elements)
 
 
 def minimal_subcover(l, parts, target):

@@ -68,8 +68,9 @@ complemented elements of a closed carrier are closed, so there the core is
 its own least strong inclusion, one ``Relation``.  Strong regularity is
 the core's compatibility verdict, memoised per (core rows, carrier).
 Argument checks run on every call, before the lookup; a report's stray
-pairs depend on its key alone and are found inside its derivation, which
-stores nothing when it raises.
+pairs and a least strong inclusion's seed checks (pairs outside
+well-inside or the carrier, uninterpolated pairs) depend on the key alone
+and run inside the derivation, which stores nothing when it raises.
 """
 
 from __future__ import annotations
@@ -133,7 +134,11 @@ class SiReport(_Value):
         return [c for c in self.conditions if not c.holds]
 
     def condition(self, number):
-        return self.conditions[number - 1]
+        """The result of condition ``number``, 1 to 7."""
+        k = _index(number, len(self.conditions) + 1, "condition number")
+        if not k:
+            raise MalformedInput("condition number 0 out of range")
+        return self.conditions[k - 1]
 
     def _at(self, c):
         """The witness of the failed condition ``c``, by label."""
@@ -388,8 +393,18 @@ def least_strong_inclusion(p, seed):
     if seed.lattice != lat:
         raise MalformedInput("seed and carrier live on different lattices")
     _require_sub_pcd(p)
-    names, n, keep = lat.names, lat.n, p.mask
-    square = _square(keep, n)
+    return lat.once(("least_si", seed.rows, p.elements),
+                    lambda: _least_strong_inclusion(p, seed, p.mask))
+
+
+def _least_strong_inclusion(p, seed, keep):
+    """The sandwich of the closure of the seed's self-related elements, checked, uncached.
+
+    The seed's checks depend on the key alone, so they run here, and a seed
+    that fails them stores nothing.
+    """
+    lat = p.lattice
+    names, square = lat.names, _square(keep, lat.n)
     wi = well_inside(lat).rows
     bad = _first_missing(seed.rows, [s & w for s, w in zip(square, wi)])
     if bad is not None:
@@ -402,13 +417,6 @@ def least_strong_inclusion(p, seed):
         raise PreconditionError(
             f"seed pair ({names[a]}, {names[b]}) has no interpolant in the seed"
         )
-    return lat.once(("least_si", seed.rows, p.elements),
-                    lambda: _least_strong_inclusion(p, seed, keep))
-
-
-def _least_strong_inclusion(p, seed, keep):
-    """The sandwich of the closure of the seed's self-related elements, checked, uncached."""
-    lat = p.lattice
     selves = pcd_closure(lat, (a for a in _bits(keep) if seed.rows[a] >> a & 1))
     result = _sandwich(lat, selves.elements, p.elements)
     _require_strong_inclusion(result, p, InvariantViolation,

@@ -420,10 +420,25 @@ def reference_join(leq, items):
     return next(u for u in uppers if all(leq[u][v] for v in uppers))
 
 
-def reference_joins_of_related(leq, targets, pool, related):
+def reference_join_irreducibles(leq):
+    """The join-irreducible elements of the lattice with order matrix ``leq``,
+    in index order: those that are not the bottom and not the join of the
+    elements strictly below them."""
+    els = range(len(leq))
+    bottom = reference_join(leq, [])
+    return [j for j in els if j != bottom
+            and reference_join(leq, [x for x in els if leq[x][j] and x != j]) != j]
+
+
+def reference_joins_of_related(leq, targets, pool, related, join=None):
     """Whether each target a is the join of the ``pool`` elements x with
-    ``related(x, a)``, every join read off the order matrix ``leq``."""
-    return all(reference_join(leq, [x for x in pool if related(x, a)]) == a for a in targets)
+    ``related(x, a)``, every join read off the order matrix ``leq``.
+
+    ``join`` maps a tuple of elements to their join; a caller asking about
+    many pools on one lattice may pass a cached ``reference_join``.
+    """
+    join = join or (lambda items: reference_join(leq, items))
+    return all(join(tuple(x for x in pool if related(x, a))) == a for a in targets)
 
 
 def reference_well_inside_order(leq):

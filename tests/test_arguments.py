@@ -27,6 +27,7 @@ from roundideal.compactify import (
     strong_inclusion_from_maps,
 )
 from roundideal.errors import MalformedInput, RoundIdealError
+from roundideal.fixpoint import InductiveDefinition, Universe, consequences, gfp, lfp
 from roundideal.framemap import (
     ContinuousMap,
     compose,
@@ -53,7 +54,7 @@ from roundideal.lattice import (
     pseudocomplement,
     well_inside,
 )
-from roundideal.relation import build_scale, interpolative_core_on_basis
+from roundideal.relation import build_scale, check_strong_inclusion, interpolative_core_on_basis
 
 L = boolean(2)
 B = full_basis(L)
@@ -63,6 +64,9 @@ F = util.atom_map(L, TWO, [0, 0])
 IDENTITY = ContinuousMap.identity(L)
 K, _ = compactify_extending(L, B, [])
 FRAME = K.frame
+REPORT = check_strong_inclusion(SI, B)
+U = Universe([1, 2])
+DEFN = InductiveDefinition(U, [(1, []), (2, [1])])
 
 # each entry point with arguments it accepts; the property swaps one of them
 ENTRY_POINTS = {
@@ -111,6 +115,13 @@ ENTRY_POINTS = {
     "serialize_map": (rio.serialize_map, [F]),
     "generate": (rio.generate, [1, 3]),
     "export_dot": (rio.export_dot, [L]),
+    "PcdLattice.element": (L.element, [L.names[1]]),
+    "SiReport.condition": (REPORT.condition, [1]),
+    "Universe": (Universe, [[1, 2]]),
+    "InductiveDefinition": (InductiveDefinition, [U, [(1, []), (2, [1])]]),
+    "consequences": (consequences, [DEFN, [1]]),
+    "lfp": (lfp, [DEFN]),
+    "gfp": (gfp, [DEFN]),
 }
 
 # small ints only: a large chain or scale would be slow rather than wrong

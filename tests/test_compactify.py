@@ -799,6 +799,10 @@ def _vee():
      MalformedInput, "map source does not match the lattice"),
     (lambda l: compactify_extending(l, full_basis(l), [_identity(boolean(1))]),
      MalformedInput, "map source does not match the lattice"),
+    (lambda l: compactify_extending(l, Basis(boolean(1), [0]), []),
+     MalformedInput, "^basis belongs to another lattice$"),
+    (lambda l: compactify_extending(l, full_basis(PcdLattice("ab", [[1, 0], [0, 1]])), []),
+     MalformedInput, "^basis belongs to another lattice$"),
     (lambda l: compactify_extending(l, full_basis(l), [_into_chain3(l, l.bottom)]),
      PreconditionError, "map codomain is not regular"),
     (lambda l: explicit_strong_inclusion(full_basis(l), _into_chain3(l, l.top)),
@@ -810,7 +814,8 @@ def _vee():
     (lambda l: interpolated_subcover(_vee(), full_basis(_vee()), 1, [2, 3]),
      PreconditionError, "carrier is not regular enough to refine the cover"),
 ], ids=["strong-downset-outside", "join-map-foreign-frame", "extension-foreign-map",
-        "maps-source", "extending-source", "extending-codomain-regular",
+        "maps-source", "extending-source", "extending-foreign-basis",
+        "extending-invalid-foreign-basis", "extending-codomain-regular",
         "explicit-codomain-regular", "explicit-carrier", "subcover-parts", "subcover-regular"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message) as info:

@@ -161,3 +161,35 @@ class TestUniverse:
     def test_sort_by_declaration_order(self):
         u = Universe(["z", "m", "a"])
         assert u.sort({"a", "z"}) == ["z", "a"]
+
+
+U = Universe([1, 2])
+DEFN = InductiveDefinition(U, [(1, []), (2, [1])])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Universe(None), "universe must be a collection"),
+    (lambda: Universe([[1]]), "token [1] is not hashable"),
+    (lambda: InductiveDefinition(None, []), "universe must be a Universe"),
+    (lambda: InductiveDefinition(U, [(1, None)]), "premises must be a collection"),
+    (lambda: InductiveDefinition(U, [([1], [])]), "conclusion [1] outside universe"),
+    (lambda: InductiveDefinition(U, [(1, [[2]])]), "premise [2] outside universe"),
+    (lambda: InductiveDefinition(U, ["x"]), "steps must be a collection of pairs"),
+    (lambda: consequences(None, []), "definition must be a InductiveDefinition"),
+    (lambda: consequences(DEFN, [[1]]), "token [1] outside universe"),
+    (lambda: consequences(DEFN, 5), "tokens must be a collection"),
+    (lambda: lfp(None), "definition must be a InductiveDefinition"),
+    (lambda: gfp(5), "definition must be a InductiveDefinition"),
+    (lambda: U.sort([3]), "token 3 outside universe"),
+])
+def test_malformed_arguments_are_refused(call, message):
+    with pytest.raises(MalformedInput) as caught:
+        call()
+    assert str(caught.value).startswith(message)
+
+
+def test_valid_arguments_behave_as_before():
+    assert consequences(DEFN, [1]) == {1, 2} and consequences(DEFN, []) == {1}
+    assert lfp(DEFN) == gfp(DEFN) == {1, 2}
+    assert U.sort([2, 1, 2]) == [1, 2, 2]
+    assert InductiveDefinition(U, {(2, (1,)), (1, ())}) == DEFN

@@ -22,7 +22,6 @@ from roundideal.framemap import (
 from roundideal.lattice import (
     Basis,
     PcdLattice,
-    _join_irreducibles,
     boolean,
     chain,
     full_basis,
@@ -540,12 +539,16 @@ SMALL = [boolean(0), boolean(1), boolean(2), *(chain(k) for k in range(1, 5)),
          *(util.downset_instance(seed, k) for seed, k in [(0, 2), (0, 3), (5, 3), (7, 3)])]
 
 
+def join_irreducibles(lat):
+    return oracles.reference_join_irreducibles(util.order_of(lat)[1])
+
+
 def checked_report(f):
     """``validate_map(f)``, required to equal the per-pair scans, and the
     verdict on the join-irreducibles, where the basis holds them, to agree."""
     report = validate_map(f)
     assert report == list(framemap._continuity_failures(f))
-    gens = _join_irreducibles(f.target)
+    gens = join_irreducibles(f.target)
     on_gens = f.basis.elements.issuperset(gens)
     if on_gens:
         assert framemap._continuous_on(f, gens) == (not report)
@@ -588,7 +591,7 @@ class TestVerdictsOnGenerators:
         for seed in range(400):
             rng = random.Random(seed)
             src, tgt = random_lattice(rng), random_lattice(rng)
-            gens = _join_irreducibles(tgt)
+            gens = join_irreducibles(tgt)
             kind = rng.choice(["full", "gens and more", "missing one", "random"])
             if kind == "full":
                 basis = set(range(tgt.n))

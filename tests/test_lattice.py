@@ -1,5 +1,7 @@
+import functools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +166,13 @@ class TestBasicQueries:
     def test_element_out_of_range(self, query, message):
         with pytest.raises(MalformedInput, match=message):
             query(boolean(2))
+
+    def test_element_by_label(self):
+        l = boolean(1)
+        assert [l.element(x) for x in l.names] == [0, 1]
+        for label in ("{b}", 0, None, {}, [], ["{a}"]):
+            with pytest.raises(MalformedInput, match="^unknown element label"):
+                l.element(label)
 
 
 class TestPseudocomplement:
@@ -460,6 +469,48 @@ class TestExplain:
         lattice._require([], PreconditionError, "what")
         with pytest.raises(PreconditionError, match="^what: first$"):
             lattice._require(["first", "second"], PreconditionError, "what")
+
+
+def generation_lattices():
+    """The distinct valid lattices on at most 16 elements among boolean(0..4),
+    chain(1..8) and the downset lattices of generate(0..199, 0..4)."""
+    out, seen = [], set()
+    for l in [*(boolean(k) for k in range(5)), *(chain(k) for k in range(1, 9)),
+              *(rio.generate(seed, k) for seed in range(200) for k in range(5))]:
+        key = (l.names, tuple(l._up))
+        if l.n <= 16 and l.is_valid and key not in seen:
+            seen.add(key)
+            out.append(l)
+    return out
+
+
+class TestGeneration:
+    """A subset generates exactly when it holds every join-irreducible."""
+
+    def test_join_irreducibles_match_reference(self):
+        lattices = generation_lattices()
+        assert max(l.n for l in lattices) == 16
+        for l in lattices:
+            j = oracles.reference_join_irreducibles(util.order_of(l)[1])
+            assert l._irreducibles == sum(1 << x for x in j), l.name
+
+    def test_is_basis_and_basis_gap_match_reference_on_every_subset(self):
+        for l in generation_lattices():
+            leq = util.order_of(l)[1]
+            irreducibles = oracles.reference_join_irreducibles(leq)
+            join = functools.cache(lambda items: oracles.reference_join(leq, items))
+            for mask in range(1 << l.n):
+                members = [x for x in range(l.n) if mask >> x & 1]
+                b = Basis(l, members)
+                generates = oracles.reference_joins_of_related(
+                    leq, range(l.n), members, lambda x, a: leq[x][a], join)
+                missing = [j for j in irreducibles if not mask >> j & 1]
+                assert b.is_basis() == generates == (not missing), (l.name, members)
+                # the gap reads a map's target and basis alone: no map is built
+                gap = framemap._basis_gap(SimpleNamespace(target=l, basis=b))
+                expected = (f"map basis does not generate {l.name}: "
+                            f"it misses {l.names[missing[0]]}") if missing else None
+                assert gap == expected, (l.name, members)
 
 
 class TestBasis:

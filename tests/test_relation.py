@@ -198,6 +198,14 @@ class TestCheckStrongInclusion:
         assert not rep.condition(7).holds
         assert rep.condition(7).witness is not None
 
+    def test_conditions_are_numbered_one_to_seven(self):
+        c = chain(3)
+        rep = check_strong_inclusion(Relation(c, well_inside(c).pairs), full_basis(c))
+        assert [rep.condition(k).number for k in range(1, 8)] == list(range(1, 8))
+        for number in (0, -1, 8, 9, "x", None, 1.0, "7"):
+            with pytest.raises(MalformedInput, match="^condition number"):
+                rep.condition(number)
+
     def test_full_relation_fails_containment(self):
         c = chain(3)
         everything = Relation(c, [(i, j) for i in range(3) for j in range(3)])
@@ -339,6 +347,32 @@ class TestLeastStrongInclusion:
         ).condition(7).witness
         with pytest.raises(PreconditionError, match="no interpolant"):
             least_strong_inclusion(full_basis(l), Relation(l, {bad_pair}))
+
+    def test_seed_is_checked_once_per_key(self, monkeypatch):
+        # the seed checks run inside the derivation: a warm call scans nothing,
+        # and a seed that fails them stores nothing, so it fails every call
+        calls = []
+
+        def counting(rel):
+            calls.append(rel.rows)
+            return real(rel)
+
+        real = relation._uninterpolated
+        monkeypatch.setattr(relation, "_uninterpolated", counting)
+        l = boolean(2)
+        p = full_basis(l)
+        seed = Relation(l, well_inside(l).pairs)
+        first = least_strong_inclusion(p, seed)
+        assert calls
+        calls.clear()
+        assert least_strong_inclusion(p, Relation(l, well_inside(l).pairs)) is first
+        assert not calls
+        bad = Relation(l, [(l.bottom, l.top)])
+        for _ in range(3):
+            with pytest.raises(PreconditionError) as caught:
+                least_strong_inclusion(p, bad)
+            assert str(caught.value) == "seed pair ({}, {a,b}) has no interpolant in the seed"
+        assert len(calls) == 3
 
     @given(st.integers(0, 3000))
     @settings(max_examples=40, deadline=None)
