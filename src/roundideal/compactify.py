@@ -55,8 +55,12 @@ vectors: g after m equals f exactly when ``m.ext[g.ext[a]]`` is
 ``compare`` reads each mediating map off the reconstruction's vector: it
 inverts the isomorphism's ``ext`` as a dict and reads the extension's
 assignment through it, one map built and checked per witness.  Maps built
-here from the library's own vectors skip the index checks that a caller's
-map gets (``ContinuousMap._built``), never the continuity check.
+here take the vectors the library already holds, the frame's tops and
+each full-basis assignment in index order, with no fold and none of the
+index checks a caller's map gets (``ContinuousMap._built``); the continuity
+check still runs, and a vector that passes it is the fold (``framemap``),
+while one that fails and is not the fold is reported, and its verdict
+stored, as the fold (``_require_continuous``).
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ from .framemap import (
     _basis_gap,
     _continuity,
     _finer,
-    is_dense,
-    is_embedding,
+    _is_dense,
+    _is_embedding,
     require_valid_map,
     validate_map,
 )
@@ -243,9 +247,9 @@ def _check_compactification(k):
     gap = _basis_gap(k.map)
     if gap:
         return [gap]
-    if not is_dense(k.map):
+    if not _is_dense(k.map):
         out.append("map is not dense")
-    if not is_embedding(k.map):
+    if not _is_embedding(k.map):
         out.append("map is not an embedding")
     cod = k.codomain  # valid: its continuity report validated it
     if not _is_compatible(full_basis(cod), well_inside(cod)):
@@ -461,9 +465,24 @@ def _join(fr):
 def _join_map(fr):
     """The checked join map of ``fr``, uncached: each ideal holds its join, its top."""
     assignment = {idx: fr.tops[idx] for idx in fr.ideal_basis.elements}
-    m = ContinuousMap._built(fr.p.lattice, fr.lattice, fr.ideal_basis, assignment)
-    _require(_continuity(m), InvariantViolation, "join map is not continuous")
+    m = ContinuousMap._built(fr.p.lattice, fr.lattice, fr.ideal_basis, assignment, fr.tops)
+    _require_continuous(m, "join map")
     return m
+
+
+def _require_continuous(m, what):
+    """Raise InvariantViolation, ``what`` is not continuous, unless ``m``, a
+    map built with a vector its caller held, is.  A passing vector is the
+    fold (``framemap``).  A failing one that is not gives up its place in
+    the memo, whose key ``(target, assignment)`` stands for the fold, to
+    the fold's verdict, and the fold's failures are named where it has any."""
+    failures = _continuity(m)
+    if failures:
+        fold = ContinuousMap._built(m.source, m.target, m.basis, m.assignment)
+        if fold.ext != m.ext:
+            del m.source._memo[("continuity", m._key)]
+            failures = _continuity(fold) or failures
+    _require(failures, InvariantViolation, f"{what} is not continuous")
 
 
 def extension_map(fr, f):
@@ -519,15 +538,14 @@ def _extension_map(fr, f):
     """
     lsrc, ltgt = f.source, f.target
     down, cols, keep = lsrc._down, fr.si.cols, fr.p.mask
-    assignment = {}
     for a, x in enumerate(f.ext):
         if cols[x] != down[x] & keep:
             raise InvariantViolation(
                 f"extension image of {ltgt.names[a]} is not a round ideal"
             )
-        assignment[a] = fr.down_index[x]
-    g = ContinuousMap._built(fr.lattice, ltgt, full_basis(ltgt), assignment)
-    _require(_continuity(g), InvariantViolation, "extension map is not continuous")
+    ext = tuple(map(fr.down_index.__getitem__, f.ext))
+    g = ContinuousMap._built(fr.lattice, ltgt, full_basis(ltgt), dict(enumerate(ext)), ext)
+    _require_continuous(g, "extension map")
     if tuple(map(_join(fr).ext.__getitem__, g.ext)) != f.ext:
         raise InvariantViolation("extension does not factor the map through join_map")
     return g
@@ -769,9 +787,9 @@ def _mediating(ka, kb, rb):
         raise InvariantViolation(f"reconstruction is not finer than the map at ({y}, {x})")
     h0 = _extension(rb.frame, ka.map)
     inverse = {v: m for m, v in enumerate(rb.iso.ext)}
-    assignment = {a: inverse[x] for a, x in h0.assignment.items()}
-    h = ContinuousMap._built(kb.codomain, ka.codomain, h0.basis, assignment)
-    _require(_continuity(h), InvariantViolation, "mediating map is not continuous")
+    ext = tuple(inverse[h0.assignment[a]] for a in range(h0.target.n))
+    h = ContinuousMap._built(kb.codomain, ka.codomain, h0.basis, dict(enumerate(ext)), ext)
+    _require_continuous(h, "mediating map")
     if tuple(map(kb.map.ext.__getitem__, h.ext)) != ka.map.ext:
         raise InvariantViolation("mediating map does not factor the compactification")
     return h

@@ -8,9 +8,27 @@ one step per basis bit of ``down(a)``, lowest first, exactly as ``join_all``
 folds (None once an invalid lattice has no join).  Every derivation reads
 that vector; ``extend`` is its index-checked public read.  Continuity
 reports, extension-class verdicts and sandwich witnesses are derived once
-per map value, in the source lattice's memo (``PcdLattice.once``).  A map
-the library builds from its own vectors (``ContinuousMap._built``) skips
-the index checks of a caller's map; its continuity is still checked.
+per map value, in the source lattice's memo (``PcdLattice.once``).
+
+The fold specifies every map's vector; the public constructor and
+``compose`` compute it.  A map the library builds from its own vectors
+(``ContinuousMap._built``) skips the index checks of a caller's map and
+takes the vector its caller already holds: the join map its frame's tops,
+an extension or mediating map, whose basis is the whole target, its
+assignment in index order.  Its continuity is still checked, and over
+valid lattices with the basis holding J (below) a vector passing
+``_continuous_on`` is the fold: it sends 0 to 0, agrees with the
+assignment on the basis and takes c v j to ``ext[c] v ext[j]`` for j in J,
+so by induction over the J-elements below a, ``ext[a]`` joins the
+assignment over them, and the fold over the basis elements b <= a adds
+only ``ext[b]``, that join over the J-elements below b.  A failing
+vector is scanned as it stands, as every map's is; a caller that took it
+compares it with the fold and, if it is not the fold, takes its verdict
+out of the memo (``compactify._require_continuous``).  So the verdict
+stored under ``("continuity", (target, assignment))`` is the fold's, and
+that key pins a taken vector: an extension's or mediating map's is its
+assignment, and the join map's tops are spelled out by the frame's labels
+``dn(t)``.
 
 Both verdicts are decided on generators; the per-pair scans run only to
 name a failure (``_explain``).  A basis misses part of the target's
@@ -80,29 +98,38 @@ class ContinuousMap:
         self._fill(source, target, basis, assignment)
 
     @classmethod
-    def _built(cls, source, target, basis, assignment):
+    def _built(cls, source, target, basis, assignment, ext=None):
         """The map of an assignment dict the library built from its own vectors:
-        in-range indices covering exactly ``basis``, a basis of ``target``."""
+        in-range indices covering exactly ``basis``, a basis of ``target``.
+
+        ``ext``, when given, is the extension vector the caller already
+        holds, taken as it stands.  It must be a function of the map's key
+        ``(target, assignment)``, which its continuity verdict is stored
+        under; the caller's continuity check then passes only when it is the
+        fold (module docstring), and the caller drops the failing verdict of
+        a vector that is not.  Without ``ext`` the assignment is folded.
+        """
         f = cls.__new__(cls)
-        f._fill(source, target, basis, assignment)
+        f._fill(source, target, basis, assignment, ext)
         return f
 
-    def _fill(self, source, target, basis, assignment):
+    def _fill(self, source, target, basis, assignment, ext=None):
         self.source = source
         self.target = target
         self.basis = basis
         self.assignment = MappingProxyType(assignment)
         self._key = (target, frozenset(assignment.items()))
-        join, basis_mask = source.join, _mask(assignment)
-        image = {1 << b: x for b, x in assignment.items()}
-        ext = []
-        for down in target._down:
-            value, rest = source.bottom, basis_mask & down
-            while rest and value is not None:
-                low = rest & -rest
-                value = join[value][image[low]]
-                rest ^= low
-            ext.append(value)
+        if ext is None:
+            join, basis_mask = source.join, _mask(assignment)
+            image = {1 << b: x for b, x in assignment.items()}
+            ext = []
+            for down in target._down:
+                value, rest = source.bottom, basis_mask & down
+                while rest and value is not None:
+                    low = rest & -rest
+                    value = join[value][image[low]]
+                    rest ^= low
+                ext.append(value)
         self.ext = tuple(ext)
 
     @classmethod
@@ -308,14 +335,25 @@ def compose(f, g):
 def is_dense(f):
     """The extension reflects the bottom."""
     require_valid_map(f)
-    bottom = f.source.bottom
-    return all(x != bottom or a == f.target.bottom for a, x in enumerate(f.ext))
+    return _is_dense(f)
+
+
+def _is_dense(f):
+    """``is_dense`` of a valid map, without the check: a valid map sends the
+    bottom to the bottom, so it is dense when nothing else goes there."""
+    return f.ext.count(f.source.bottom) == 1
 
 
 def is_embedding(f):
     """The extension is onto the source."""
     require_valid_map(f)
-    return set(f.ext) == set(range(f.source.n))
+    return _is_embedding(f)
+
+
+def _is_embedding(f):
+    """``is_embedding`` of a valid map, without the check: its values are
+    source indices, so it is onto when they are as many as the source's."""
+    return len(set(f.ext)) == f.source.n
 
 
 def finer_than(si, f):

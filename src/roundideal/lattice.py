@@ -30,10 +30,19 @@ up(i) selects adds nothing to it, and only the first failing row is
 scanned to name the witness.  Every whole-row check in the package names
 its failure so, through ``_explain``: the scan starts only after the row
 test has failed, and an exact test whose scan finds nothing is an internal
-fault.  The pseudocomplement of y joins the positions of the bottom in
-meet row y, found by C-level list searches (``_positions``), and its check
-compares their number with the size of down(y*).  A well-inside row is join
-row y*, its bytes translated to binary digits that are 1 at the top.  Cover
+fault.  The elements disjoint from y are the positions of the bottom in
+meet row y, one mask per row from one ``bytes.translate``
+(``_position_masks``).  On a transitive order with every meet, y* is the
+owner of that mask when it is a down cone, down(s): the fold of
+``join_all`` over it then agrees.  At each step the two elements lie below
+s, and the meet m of all their common upper bounds, which exists, owns
+their common up cone U (it is in U, below all of U, and a second owner
+would share m's down cone, leaving meet(m, m) missing); so the fold ends at
+the owner of up(s), which is s.  Anywhere else (in M3, or on any other
+order) y* folds the positions, found by C-level list searches
+(``_positions``), through the join table, and the check compares their
+number with the size of down(y*).  A well-inside row is join row y*, read
+off by the same translation with 1 at the top.  Cover
 pairs take one mask test per comparable pair.  Most round-ideal frames and
 sources have 4..16 elements, so a kernel form must be no slower than a plain
 per-pair loop at that size as well as faster at 32..64; there is one form
@@ -226,6 +235,14 @@ def _owners(cone):
     return owner
 
 
+def _position_masks(rows, value):
+    """Per ``bytes`` row, the mask of the positions holding ``value``: the
+    row's bytes translated to binary digits, 1 at ``value``, lowest first."""
+    digits = bytearray(b"0" * 256)
+    digits[value] = ord("1")
+    return [int(row.translate(digits)[::-1], 2) for row in rows]
+
+
 def _positions(row, value):
     """Indices of ``value`` in the table row ``row`` (list or bytes), lowest first.
 
@@ -328,7 +345,12 @@ class PcdLattice:
         if tables is None:
             self.meet, self._meets = _bound_table(self._down_owner, down)
             self.join, self._joins = _bound_table(self._up_owner, up)
-            self.pstar = [self._pstar_of(y) for y in range(n)]
+            # y* owns the elements disjoint from y when they form a down cone
+            # of a transitive order with every meet (module docstring)
+            owned = self._intransitive is None and self._meets and self.bottom is not None
+            apart = _position_masks(self.meet, self.bottom) if owned else [None] * n
+            self.pstar = [cones[m] if m in cones else self._pstar_of(y)
+                          for y, m in enumerate(apart)]
         else:
             (self.meet, self.join, self.pstar), self._meets, self._joins = tables, True, True
         self._memo = {}  # derivation key -> checked result; see once()
@@ -780,12 +802,8 @@ def well_inside(l):
 
 def _well_inside(l):
     l.require_valid()
-    # the join table is symmetric, so row y* holds every x v y*; its bytes
-    # translate to binary digits, 1 at the top
-    digits = bytearray(b"0" * 256)
-    digits[l.top] = ord("1")
-    join = l.join
-    rows = [int(join[s].translate(digits)[::-1], 2) for s in l.pstar]
+    # the join table is symmetric, so row y* holds every x v y*
+    rows = _position_masks(map(l.join.__getitem__, l.pstar), l.top)
     return Relation._from_rows(l, rows, frozenset(range(l.n)))
 
 

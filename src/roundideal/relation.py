@@ -99,6 +99,7 @@ from .lattice import (
     _flags,
     _index,
     _is_compatible,
+    _items,
     _lowest,
     _mask,
     _require_type,
@@ -153,16 +154,32 @@ class SiReport(_Value):
 
 
 class Scale(_Value):
-    """A dyadic-indexed chain s(0)=start, s(1)=end with s(p) well-inside s(q) for p<q."""
+    """A dyadic-indexed chain s(0)=start, s(1)=end with s(p) well-inside s(q) for p<q.
+
+    Its fields are checked for shape: a lattice, a depth in 0..16 and
+    2^depth + 1 element indices of the lattice, held as a tuple of ints.
+    """
 
     _fields = ("lattice", "depth", "values")
 
     def __init__(self, lattice, depth, values):
+        _require_type(lattice, PcdLattice, "scale lattice")
+        values = tuple(_index(v, lattice.n, "scale value") for v in _items(values, "scale values"))
+        if len(values) != 2 ** _checked_depth(depth) + 1:
+            raise MalformedInput(f"a scale of depth {depth} has {2 ** depth + 1} values")
         self.__dict__.update(lattice=lattice, depth=depth, values=values)
 
     def as_fractions(self):
         d = 2 ** self.depth
         return {Fraction(k, d): v for k, v in enumerate(self.values)}
+
+
+def _checked_depth(depth):
+    """``depth``, a scale depth: MalformedInput unless an int in 0..16."""
+    _require_type(depth, int, "scale depth")
+    if not 0 <= depth <= 16:
+        raise MalformedInput("scale depth must be between 0 and 16")
+    return depth
 
 
 def _uninterpolated(rel):
@@ -514,9 +531,7 @@ def build_scale(si, y, x, depth):
     _require_type(si, Relation, "relation")
     lat = si.lattice
     lat.require_valid()
-    _require_type(depth, int, "scale depth")
-    if not 0 <= depth <= 16:
-        raise MalformedInput("scale depth must be between 0 and 16")
+    _checked_depth(depth)
     y, x = (_index(v, lat.n, "scale endpoints: element") for v in (y, x))
     names = lat.names
     wi = well_inside(lat)

@@ -637,6 +637,26 @@ def reference_frame_failure(frame_tables, source_tables, masks, tops, keep):
     return None
 
 
+def reference_fold(f, source_tables):
+    """The vector of the map ``f`` by its definition: for each target element
+    a, the join of the assignment over the basis elements below a, folded
+    from the bottom, lowest basis element first.
+
+    Reads the target's order matrix (``leq``) and the source's bottom and
+    join table from ``source_tables``, ``reference_tables`` of the source's
+    order matrix, so it shares no code with ``framemap``.
+    """
+    tgt, asg = f.target, f.assignment
+    join, out = source_tables["join"], []
+    for a in range(tgt.n):
+        value = source_tables["bottom"]
+        for b in sorted(asg):
+            if tgt.leq(b, a):
+                value = join[value][asg[b]]
+        out.append(value)
+    return tuple(out)
+
+
 def reference_extension(f, carrier):
     """The paper's extension of ``f`` by its definition: for each target
     element a, the set of carrier elements x with x <= f(b) for some b

@@ -54,7 +54,12 @@ from roundideal.lattice import (
     pseudocomplement,
     well_inside,
 )
-from roundideal.relation import build_scale, check_strong_inclusion, interpolative_core_on_basis
+from roundideal.relation import (
+    Scale,
+    build_scale,
+    check_strong_inclusion,
+    interpolative_core_on_basis,
+)
 
 L = boolean(2)
 B = full_basis(L)
@@ -108,6 +113,7 @@ ENTRY_POINTS = {
     "compare": (compare, [K, K]),
     "interpolated_subcover": (interpolated_subcover, [L, B, 0, [3]]),
     "build_scale": (build_scale, [SI, 0, 3, 1]),
+    "Scale": (Scale, [L, 1, (0, 1, 3)]),
     "parse_lattice": (rio.parse_lattice, ["lattice x lattice\nelements a\n"]),
     "serialize_lattice": (rio.serialize_lattice, [L]),
     "parse_relation": (rio.parse_relation, ["pair {} {a}\n", L]),
@@ -173,10 +179,17 @@ def test_wrong_typed_argument_gives_result_or_library_error(name, data):
     lambda: is_compact(L, B, None),
     lambda: validate_map(None),
     lambda: compare(K, 5),
+    lambda: Scale(L, "x", (0,)),
+    lambda: Scale("nolattice", 1, (0, 1, 2)),
+    lambda: Scale(L, 2, "ab"),
+    lambda: Scale(L, 17, (0,)),
+    lambda: Scale(L, 1, (0, 3)),
+    lambda: Scale(L, 1, (0, 1, L.n)),
 ], ids=["labels-int", "order-none", "order-row-int", "boolean-str", "chain-str",
         "downsets-ragged", "downsets-order-int", "parse-int", "serialize-none",
         "dot-str", "map-basis-none", "maps-none", "maps-of-ints", "cover-none",
-        "validate-map-none", "compare-int"])
+        "validate-map-none", "compare-int", "scale-depth-str", "scale-lattice-str",
+        "scale-values-str", "scale-depth-17", "scale-values-short", "scale-value-out-of-range"])
 def test_named_wrong_types_are_malformed_input(call):
     with pytest.raises(MalformedInput):
         call()

@@ -366,6 +366,36 @@ class TestExtensionMap:
                 narrow += p.elements != frozenset(range(l.n))
         assert (maps, narrow) == (499, 410)
 
+    def test_every_map_the_library_builds_is_the_fold(self):
+        """The join map, each extension, the reconstruction witness and both
+        mediating maps hold the fold of their assignment, computed apart from
+        ``framemap``: over every atom map boolean(k) -> boolean(j), k and j at
+        most 4, its extensions through the canonical frame and through the
+        frame of its own strong inclusion, and a comparison of the canonical
+        compactification with the identity."""
+        tables = {}
+
+        def fold(g):
+            if g.source not in tables:
+                tables[g.source] = oracles.reference_tables(*util.order_of(g.source))
+            return oracles.reference_fold(g, tables[g.source])
+
+        maps = 0
+        for k, j in itertools.product(range(5), repeat=2):
+            l, tgt = boolean(k), boolean(j)
+            identity = Compactification(map=ContinuousMap.identity(l))
+            for phi in itertools.product(range(j), repeat=k):
+                f = util.atom_map(l, tgt, list(phi))
+                comp, (g,) = compactify_extending(l, full_basis(l), [f])
+                own_frame = enumerate_round_ideals(*strong_inclusion_from_maps(l, (), [f]))
+                own = extension_map(own_frame, f)
+                result = compare(comp, identity)
+                built = (comp.map, g, own, from_compactification(comp).iso,
+                         result.le_witness, result.ge_witness)
+                assert [h.ext for h in built] == [fold(h) for h in built]
+                maps += 1
+        assert maps == 499
+
 
 class TestLhdFromMaps:
     def test_empty_family_gives_bounds_and_trivial(self):

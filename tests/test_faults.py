@@ -30,6 +30,7 @@ from roundideal.errors import InvariantViolation
 from roundideal.framemap import (
     ContinuousMap,
     MapClassTag,
+    _continuity_failures,
     compose,
     finer_than,
     validate_map,
@@ -75,6 +76,26 @@ def tampered(f, ext):
 
 def raises(message):
     return pytest.raises(InvariantViolation, match=message)
+
+
+def bend_vectors(monkeypatch, picked, whole):
+    """Hand ``ContinuousMap._built`` each vector of a map that
+    ``picked(target)`` selects with its top entry moved to the source's
+    bottom; with ``whole`` the assignment moves with it, as a full-basis
+    vector is its assignment.  Returns the list of the bent maps'
+    ``(source, target, basis, assignment)``, filled as they are built."""
+    real, seen = ContinuousMap._built.__func__, []
+
+    def bent(cls, source, target, basis, assignment, ext=None):
+        if ext is not None and picked(target):
+            ext = (*ext[:target.top], source.bottom, *ext[target.top + 1:])
+            if whole:
+                assignment = dict(enumerate(ext))
+            seen.append((source, target, basis, assignment))
+        return real(cls, source, target, basis, assignment, ext)
+
+    monkeypatch.setattr(ContinuousMap, "_built", classmethod(bent))
+    return seen
 
 
 class TestMaps:
@@ -170,6 +191,38 @@ class TestExtensions:
         with raises("extension does not factor the map through join_map"):
             extension_map(k.frame, atom_map(l))
 
+    def test_bent_extension_vector_is_not_continuous(self, monkeypatch):
+        # the bent vector, whose scans open with the covering line, is not
+        # the fold of its assignment: the fold's failures are named, and the
+        # verdict stored for that assignment is the fold's
+        l = boolean(3)
+        f = atom_map(l)
+        bent = bend_vectors(monkeypatch, lambda target: target is f.target, whole=True)
+        with raises("extension map is not continuous: meets: "):
+            extension_map(frame_of(l), f)
+        g = ContinuousMap(*bent[0])
+        assert validate_map(g) == list(_continuity_failures(g))
+
+    def test_bent_extension_vector_whose_assignment_is_continuous(self, monkeypatch):
+        # the vector leaves the intact, monotone assignment at the top: the
+        # scans of the vector find no pair of the assignment to name
+        l = boolean(3)
+        f = atom_map(l)
+        bend_vectors(monkeypatch, lambda target: target is f.target, whole=False)
+        with raises("monotonicity on the basis fails its row test"):
+            extension_map(frame_of(l), f)
+
+    def test_bent_extension_vector_under_a_stored_verdict(self, monkeypatch):
+        # a codomain equal but for its name has an extension of its own, and
+        # the continuity verdict of the intact assignment is a memo hit
+        l = boolean(3)
+        fr = frame_of(l)
+        extension_map(fr, atom_map(l))
+        twin = util.atom_map(l, boolean(2, "twin"), [0, 1, 1])
+        bend_vectors(monkeypatch, lambda target: target is twin.target, whole=False)
+        with raises("extension does not factor the map through join_map"):
+            extension_map(fr, twin)
+
 
 class TestCompactifications:
     def test_core_that_is_not_compatible(self, monkeypatch):
@@ -218,6 +271,21 @@ class TestCompactifications:
         rec = from_compactification(k)  # warm: compare reads this reconstruction
         rec.iso.ext = rec.iso.ext[::-1]  # still a bijection onto the frame
         with raises("mediating map is not continuous: meets: "):
+            compare(k, k)
+
+    @pytest.mark.parametrize("stored, whole, message", [
+        (False, True, "mediating map is not continuous: meets: "),
+        (True, False, "mediating map does not factor the compactification"),
+    ], ids=["cold", "stored-verdict"])
+    def test_bent_mediating_vector(self, monkeypatch, stored, whole, message):
+        # with the extensions warm, compare builds the mediating maps alone
+        k = canonical(boolean(2))
+        if stored:
+            compare(k, k)  # the mediating maps' verdicts are stored too
+        else:
+            from_compactification(k)
+        bend_vectors(monkeypatch, lambda target: True, whole)
+        with raises(message):
             compare(k, k)
 
     def test_tampered_join_map_fails_the_mediating_factorisation(self):

@@ -121,7 +121,7 @@ def pipeline(l, target=None):
 class TestLookupsPerOperation:
     # each value is checked where it enters; the library's own calls reach
     # its derivations through their lookups, with no entry checks repeated
-    ONCE, REQUIRE_VALID = 106, 24
+    ONCE, REQUIRE_VALID = 104, 24
 
     def test_compactify_reconstruct_compare_on_two_maps(self, monkeypatch):
         l = boolean(4)
