@@ -21,7 +21,7 @@ from .compactify import (
     compactify_extending,
 )
 from .errors import RoundIdealError, ValidationFailure
-from .framemap import _continuity, is_dense, is_embedding
+from .framemap import _continuity, _is_dense, _is_embedding
 from .lattice import (
     Basis,
     _bits,
@@ -184,7 +184,8 @@ def cmd_compactify(args):
     print(f"round ideals: {fr.lattice.n}")
     report = check_compact_regular(fr)
     print(f"compact regular: {'yes' if report.ok else 'NO: ' + '; '.join(report.problems)}")
-    print(f"dense: {is_dense(comp.map)}  embedding: {is_embedding(comp.map)}")
+    # compactify_extending checked the map: the kernels skip its re-check
+    print(f"dense: {_is_dense(comp.map)}  embedding: {_is_embedding(comp.map)}")
     for i, g in enumerate(exts):
         print(
             f"extension {i}: factors its map through the compactification "

@@ -72,13 +72,15 @@ the ``cols`` and ``pairs`` views of a ``Relation`` and the ``mask`` of a
 ``Basis``): its axiom report, full basis and well-inside relation, the
 pcd-closure of each seed set (and of each closure, which is its own; the
 set of every element closes to the full basis with no derivation),
-compatibility tests, strong-inclusion reports, order sandwiches, least
-strong inclusions, interpolative cores, round-ideal frames and their join
-maps, and for maps out of it continuity reports, extension-class verdicts
-and sandwich witnesses, extension maps, compactification reports and
-reconstructions.  Each is computed and checked in full once per distinct
-value (a key holding everything the result depends on and stores) and
-then shared, so equal values built apart are checked once.
+compatibility tests, the principal filters and ideals of each carrier
+mask short of the whole lattice, keyed by their cones (``_cone_keys``),
+strong-inclusion reports, order sandwiches, least strong inclusions,
+interpolative cores, round-ideal frames and their join maps, and for
+maps out of it continuity reports, extension-class verdicts and sandwich
+witnesses, extension maps, compactification reports and reconstructions.
+Each is computed and checked in full once per distinct value (a key
+holding everything the result depends on and stores) and then shared, so
+equal values built apart are checked once.
 
 Every carrier question is decided by one of two kernels.  A carrier is a
 closed sub-pcd exactly when it is its own ``pcd_closure``.  Regularity,
@@ -592,9 +594,11 @@ def _first_none(table):
 
 
 def _require_type(value, kind, what):
-    """MalformedInput naming ``what`` unless ``value`` is a ``kind``."""
-    if not isinstance(value, kind):
-        raise MalformedInput(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    """MalformedInput naming ``what`` unless ``value`` is a ``kind``; a ``bool``
+    is no ``int`` here, though Python makes it one."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        an = "an" if kind.__name__[0] in "AEIOaeio" else "a"  # yet "a Universe"
+        raise MalformedInput(f"{what} must be {an} {kind.__name__}, not {type(value).__name__}")
 
 
 def _checked_carrier(lattice, carrier):
@@ -608,7 +612,7 @@ class Relation:
     """A binary relation over a lattice, held as one row mask per element.
 
     Bit b of ``rows[a]`` says (a, b) is related; ``cols`` is the transpose,
-    derived once.  The carrier records which sublattice the relation is
+    derived once, or handed over by the code that built the rows.  The carrier records which sublattice the relation is
     considered on and holds every related element.  ``pairs``, membership,
     iteration (in index order), ``len`` and ``repr`` are views of the rows;
     equality ignores the carrier and compares the rows (matrix equality).
@@ -628,11 +632,12 @@ class Relation:
         self._cols = self._pairs = None
 
     @classmethod
-    def _from_rows(cls, lattice, rows, carrier):
-        """The relation with these row masks on a checked carrier holding them."""
+    def _from_rows(cls, lattice, rows, carrier, cols=None):
+        """The relation with these row masks on a checked carrier holding them,
+        and with their column masks, a tuple, when the caller already has them."""
         rel = cls.__new__(cls)
-        rel.lattice, rel.carrier, rel.rows = lattice, carrier, tuple(rows)
-        rel._cols = rel._pairs = None
+        rel.lattice, rel.carrier, rel.rows, rel._cols = lattice, carrier, tuple(rows), cols
+        rel._pairs = None
         return rel
 
     @property
@@ -684,15 +689,19 @@ def _cone_keys(lat, keep):
 
     Members of K have distinct cones in K (antisymmetry), so each key has
     one value, its least (greatest) member.  On the whole lattice the dicts
-    are ``_up_owner`` and ``_down_owner``.
+    are ``_up_owner`` and ``_down_owner``; any other pair is derived once
+    per carrier mask in the lattice's memo.
     """
     n = lat.n
     if keep == (1 << n) - 1:
         return lat._up_owner, lat._down_owner
-    picked = _flags(keep, n)
-    members = list(compress(range(n), picked))
-    return tuple(dict(zip(map(and_, compress(cones, picked), repeat(keep)), members))
-                 for cones in (lat._up, lat._down))
+
+    def derive():
+        picked = _flags(keep, n)
+        return tuple(dict(zip(map(and_, compress(cones, picked), repeat(keep)),
+                              compress(range(n), picked))) for cones in (lat._up, lat._down))
+
+    return lat.once(("cone_keys", keep), derive)
 
 
 class _Value:

@@ -6,12 +6,13 @@ form, strong regularity (compatibility of the core), and dyadic scales.
 
 A ``Relation`` (defined in ``lattice``, next to the lattices it lives on)
 stores one row mask per element: bit b of ``rows[a]`` says (a, b) is
-related, and the column masks ``cols`` are derived once.  Every kernel here
-works on those masks.  y interpolates in row x exactly when it lies in
-the row of a member of row x, so a row's gaps are its bits outside the OR
-of its members' rows: one gather, with no column transpose.  The order
-sandwich gathers the up cones of a nonempty row's members into one mask and
-ORs it into the row of each carrier element below the row's element.
+related, and the column masks ``cols`` are derived once, or stored with the
+rows by the sandwich that built them.  Every kernel here works on those
+masks.  y interpolates in row x exactly when it lies in the row of a member
+of row x, so a row's gaps are its bits outside the OR of its members' rows:
+one gather, with no column transpose.  The public ``ordered_sandwich`` of
+any relation gathers the up cones of a nonempty row's members into one mask
+and ORs it into the row of each carrier element below the row's element.
 
 Each strong-inclusion condition is decided by a test on whole rows or
 columns:
@@ -55,10 +56,19 @@ and so inside <=, the whole cycle equals s, so s <| s and x <= s <= y
 interpolative seed is the sandwich of the ``pcd_closure`` of the seed's
 self-related elements, and the interpolative core of well-inside on any
 carrier is the sandwich of the carrier elements well-inside themselves.
-Both are built by ``ordered_sandwich``; the least strong inclusion is still
-checked against all seven conditions, and the core is asserted
-interpolative and inside well-inside.  ``largest_interpolative`` keeps its
-pruning loop, as it takes relations that need not lie inside the order.
+Both are built from the closure map of S in one pass over the carrier K
+(``_sandwich_of``).  Row x is ``up[m] & K`` for m the least element of S
+above x, which is the key of ``up[x] & S`` among the principal filters of
+S (``lattice._cone_keys``); column x is dually ``down[j] & K`` for j the
+greatest element of S below x, the key of ``down[x] & S`` among its
+principal ideals.  Rows and columns are stored together, so no sandwich is
+transposed.  An empty ``up[x] & S`` gives the empty row; one that is no key,
+as when S is not closed under meet (the core of a carrier that is not
+closed), gathers the up cones of its members, and dually for columns.  The
+least strong inclusion is still checked against all seven conditions, and
+the core is asserted interpolative and inside well-inside.
+``largest_interpolative`` keeps its pruning loop, as it takes relations
+that need not lie inside the order.
 
 Reports, sandwiches, least strong inclusions and cores are derived once per
 value in the memo their lattice keeps (``PcdLattice.once``): a report per
@@ -70,7 +80,11 @@ the core's compatibility verdict, memoised per (core rows, carrier).
 Argument checks run on every call, before the lookup; a report's stray
 pairs and a least strong inclusion's seed checks (pairs outside
 well-inside or the carrier, uninterpolated pairs) depend on the key alone
-and run inside the derivation, which stores nothing when it raises.
+and run inside the derivation, which stores nothing when it raises.  A
+least strong inclusion, whose entry has checked the lattice and the
+carrier, reaches its closure and its postcondition's report through their
+kernels (``lattice._closure``, ``_report``), with the same memo keys and
+the report's stray-pair check.
 """
 
 from __future__ import annotations
@@ -103,7 +117,6 @@ from .lattice import (
     _lowest,
     _mask,
     _require_type,
-    pcd_closure,
     well_inside,
 )
 
@@ -263,6 +276,13 @@ def check_strong_inclusion(si, on):
     if on.lattice != lat:
         raise MalformedInput("relation and carrier live on different lattices")
     _require_sub_pcd(on)
+    return _report(si, on)
+
+
+def _report(si, on):
+    """``check_strong_inclusion`` of a relation on a valid lattice and a closed
+    carrier on it, both checked by the caller: the memo lookup of its report."""
+    lat = si.lattice
 
     def derive():
         # a stray pair is decided by the key alone, and raising stores nothing
@@ -275,9 +295,10 @@ def check_strong_inclusion(si, on):
     return lat.once(("si_report", si.rows, on.elements), derive)
 
 
-def _require_strong_inclusion(si, p, error, what):
-    """Raise ``error`` naming the first failed condition of ``si`` on ``p``, by label."""
-    report = check_strong_inclusion(si, p)
+def _require_strong_inclusion(si, p, error, what, check=check_strong_inclusion):
+    """Raise ``error`` naming the first failed condition of ``si`` on ``p``, by
+    label, from the report of ``check`` (``_report`` where ``p`` is checked)."""
+    report = check(si, p)
     if not report.ok:
         bad = report.failed()[0]
         raise error(f"{what}: condition {bad.number} ({bad.name}) fails at {report._at(bad)}")
@@ -434,10 +455,10 @@ def _least_strong_inclusion(p, seed, keep):
         raise PreconditionError(
             f"seed pair ({names[a]}, {names[b]}) has no interpolant in the seed"
         )
-    selves = pcd_closure(lat, (a for a in _bits(keep) if seed.rows[a] >> a & 1))
-    result = _sandwich(lat, selves.elements, p.elements)
+    selves = _closure(lat, frozenset(a for a in p.elements if seed.rows[a] >> a & 1))
+    result = _sandwich(lat, selves.mask, p)
     _require_strong_inclusion(result, p, InvariantViolation,
-                              "closure is not a strong inclusion")
+                              "closure is not a strong inclusion", _report)
     return result
 
 
@@ -457,7 +478,7 @@ def interpolative_core_on_basis(l, b):
 def _interpolative_core(l, b):
     """The core on the carrier ``b``, uncached; asserted interpolative and well-inside."""
     wi = well_inside(l).rows
-    core = _sandwich(l, frozenset(a for a in b.elements if wi[a] >> a & 1), b.elements)
+    core = _sandwich(l, _mask(a for a in b.elements if wi[a] >> a & 1), b)
     # a row up[m] & K has no gap when m relates to all of it: m interpolates
     filters, rows = _cone_keys(l, b.mask)[0], core.rows
     settled = all(row in filters and not row & ~rows[filters[row]] for row in rows if row)
@@ -506,17 +527,34 @@ def ordered_sandwich(rel, carrier=None):
     return Relation._from_rows(lat, rows, carrier)
 
 
-def _sandwich(lat, selves, carrier):
-    """The order sandwich of the diagonal on the set ``selves``, on ``carrier``; memoised."""
-    return lat.once(("sandwich", selves, carrier), lambda: _sandwich_of(lat, selves, carrier))
+def _sandwich(lat, selves, p):
+    """The order sandwich of the diagonal on the mask ``selves``, a subset of
+    the carrier ``p``, on ``p``; memoised."""
+    return lat.once(("sandwich", selves, p.elements), lambda: _sandwich_of(lat, selves, p))
 
 
-def _sandwich_of(lat, selves, carrier):
-    """``_sandwich``, uncached."""
-    rows = [0] * lat.n
-    for s in selves:
-        rows[s] = 1 << s
-    return ordered_sandwich(Relation._from_rows(lat, rows, carrier))
+def _sandwich_of(lat, selves, p):
+    """``_sandwich``, uncached, with its columns: one pass over the carrier K.
+
+    Row x is ``up[m] & K`` for m the least element of S = ``selves`` above x,
+    the key of ``up[x] & S`` among the principal filters of S, and column x
+    dually ``down[j] & K``.  A set of S that is no key (S is not closed
+    under meet or join) ORs the cones of its members; an empty S has every
+    row and column empty and derives no keys.
+    """
+    n, up, down, keep = lat.n, lat._up, lat._down, p.mask
+    filters, ideals = _cone_keys(lat, selves) if selves else ({}, {})
+    rows, cols = [0] * n, [0] * n
+    for x in p.elements:
+        if above := up[x] & selves:
+            m = filters.get(above)
+            rows[x] = keep & (up[m] if m is not None
+                              else reduce(or_, compress(up, _flags(above, n))))
+        if below := down[x] & selves:
+            j = ideals.get(below)
+            cols[x] = keep & (down[j] if j is not None
+                              else reduce(or_, compress(down, _flags(below, n))))
+    return Relation._from_rows(lat, rows, p.elements, tuple(cols))
 
 
 def build_scale(si, y, x, depth):

@@ -525,20 +525,20 @@ def reference_well_inside(lat, carrier):
     )
 
 
-def sandwich(lat, carrier, selves):
-    """Pairs (x, y) of carrier elements with x <= s <= y for some s in ``selves``.
-
-    The order is read off the meet table (x <= y when x ^ y = x).
-    """
-    members = sorted(carrier)
-
-    def le(x, y):
-        return lat.meet[x][y] == x
-
+def reference_sandwich(leq, carrier, selves):
+    """Pairs (x, y) of carrier elements with x <= s <= y for some s in ``selves``,
+    over the truth matrix ``leq`` (x <= y when ``leq[x][y]``), pair by pair."""
     return frozenset(
-        (x, y) for x in members for y in members
-        if any(le(x, s) and le(s, y) for s in selves)
+        (x, y) for x in carrier for y in carrier
+        if any(leq[x][s] and leq[s][y] for s in selves)
     )
+
+
+def sandwich(lat, carrier, selves):
+    """``reference_sandwich`` with the order read off the meet table (x <= y
+    when x ^ y = x)."""
+    leq = [[m == x for m in row] for x, row in enumerate(lat.meet)]
+    return reference_sandwich(leq, carrier, selves)
 
 
 def reference_continuity_report(f):

@@ -56,6 +56,7 @@ from roundideal.lattice import (
 )
 from roundideal.relation import (
     Scale,
+    _checked_depth,
     build_scale,
     check_strong_inclusion,
     interpolative_core_on_basis,
@@ -193,3 +194,20 @@ def test_wrong_typed_argument_gives_result_or_library_error(name, data):
 def test_named_wrong_types_are_malformed_input(call):
     with pytest.raises(MalformedInput):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _checked_depth(True), "scale depth must be an int, not bool"),
+    (lambda: Scale(L, True, (0, 1, 3)), "scale depth must be an int, not bool"),
+    (lambda: build_scale(SI, 0, 3, False), "scale depth must be an int, not bool"),
+    (lambda: chain(True), "chain length must be an int, not bool"),
+    (lambda: boolean(True), "atom count must be an int, not bool"),
+    (lambda: rio.generate(True, 2), "seed must be an int, not bool"),
+    (lambda: rio.generate(1, True), "poset size must be an int, not bool"),
+], ids=["checked-depth", "scale-depth", "build-scale-depth", "chain-length",
+        "boolean-atoms", "generate-seed", "generate-size"])
+def test_bool_is_refused_where_an_int_is_required(call, message):
+    # Python makes a bool an int: True would pass as depth, length or seed 1
+    with pytest.raises(MalformedInput) as caught:
+        call()
+    assert str(caught.value) == message

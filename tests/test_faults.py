@@ -330,8 +330,8 @@ class TestSubcovers:
 class TestRelations:
     def test_core_that_is_not_interpolative(self, monkeypatch):
         # the bottom related to the top alone, with nothing in between
-        monkeypatch.setattr(relation, "_sandwich", lambda lat, selves, carrier: (
-            Relation._from_rows(lat, [0b10, 0], carrier)))
+        monkeypatch.setattr(relation, "_sandwich", lambda lat, selves, p: (
+            Relation._from_rows(lat, [0b10, 0], p.elements)))
         l = boolean(1)
         with raises(r"core pair \(\{\}, \{a\}\) is uninterpolated or not well-inside"):
             interpolative_core_on_basis(l, full_basis(l))

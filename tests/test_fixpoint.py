@@ -175,11 +175,11 @@ DEFN = InductiveDefinition(U, [(1, []), (2, [1])])
     (lambda: InductiveDefinition(U, [([1], [])]), "conclusion [1] outside universe"),
     (lambda: InductiveDefinition(U, [(1, [[2]])]), "premise [2] outside universe"),
     (lambda: InductiveDefinition(U, ["x"]), "steps must be a collection of pairs"),
-    (lambda: consequences(None, []), "definition must be a InductiveDefinition"),
+    (lambda: consequences(None, []), "definition must be an InductiveDefinition"),
     (lambda: consequences(DEFN, [[1]]), "token [1] outside universe"),
     (lambda: consequences(DEFN, 5), "tokens must be a collection"),
-    (lambda: lfp(None), "definition must be a InductiveDefinition"),
-    (lambda: gfp(5), "definition must be a InductiveDefinition"),
+    (lambda: lfp(None), "definition must be an InductiveDefinition"),
+    (lambda: gfp(5), "definition must be an InductiveDefinition"),
     (lambda: U.sort([3]), "token 3 outside universe"),
 ])
 def test_malformed_arguments_are_refused(call, message):

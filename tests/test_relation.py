@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import util
-from roundideal import relation
+from roundideal import lattice, relation
 from roundideal.compactify import (
     RoundIdeal,
     enumerate_round_ideals,
@@ -25,6 +25,7 @@ from roundideal.lattice import (
     Basis,
     Cover,
     PcdLattice,
+    _transpose,
     boolean,
     chain,
     downset_lattice,
@@ -45,6 +46,7 @@ from roundideal.relation import (
     least_strong_inclusion,
     ordered_sandwich,
 )
+from test_lattice import posets
 
 
 def zigzag():
@@ -522,6 +524,47 @@ class TestStructureTheorem:
                     assert got.carrier == p
                     checked += 1
         assert checked >= 100
+
+
+def label_order(l):
+    """The order of a chain or a downset lattice read off its labels alone:
+    ``c<i>`` by i, a downset ``{a,b}`` by inclusion of the points it lists."""
+    if l.names[0].startswith("c"):
+        return [[int(x[1:]) <= int(y[1:]) for y in l.names] for x in l.names]
+    points = [set(name.strip("{}").split(",")) - {""} for name in l.names]
+    return [[x <= y for y in points] for x in points]
+
+
+def test_sandwich_from_the_closure_map_matches_reference():
+    # every S inside every carrier K, closed or not and S empty included: a
+    # set of S that is no cone key is gathered, an empty one is 0
+    lattices = [boolean(k) for k in range(4)] + [chain(k) for k in range(1, 6)]
+    lattices += [downset_lattice("abc"[:k], leq) for k in range(4) for leq in posets(k)]
+    sandwiches = gathered = 0
+    for l in lattices:
+        leq, n = label_order(l), l.n
+        for keep in range(1 << n):
+            p = Basis(l, [x for x in range(n) if keep >> x & 1])
+            selves = keep
+            while True:  # every submask of keep, down to 0
+                rel = relation._sandwich(l, selves, p)
+                rows, cols = [0] * n, [0] * n
+                for x, y in oracles.reference_sandwich(
+                        leq, p.elements, [s for s in range(n) if selves >> s & 1]):
+                    rows[x] |= 1 << y
+                    cols[y] |= 1 << x
+                assert (rel.rows, rel._cols) == (tuple(rows), tuple(cols)), \
+                    (l.name, sorted(p.elements), selves)
+                assert rel._cols == tuple(_transpose(rel.rows, n))
+                assert rel.carrier == p.elements
+                filters = lattice._cone_keys(l, selves)[0]
+                gathered += any(up & selves not in filters
+                                for x, up in enumerate(l._up) if keep >> x & 1 and up & selves)
+                sandwiches += 1
+                if not selves:
+                    break
+                selves = (selves - 1) & keep
+    assert sandwiches == 20043 and gathered > 3000
 
 
 class TestStrongRegularity:
