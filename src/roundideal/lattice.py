@@ -16,20 +16,46 @@ down cone is the common down cone of i and j, and the join the unique one
 whose up cone is their common up cone, None when there is no such element
 or more than one; in a transitive order that is the greatest (least) member
 of the common cone.  So each table entry is one subscript of one dict from
-cones to their single owners.  A complete table, as every valid lattice
-has, holds ``bytes`` rows (at most 256 elements, so every index is a byte);
-only a table missing a bound is rebuilt with list rows of ints and None
-entries and scanned for it.  A sublattice closed under the bounds, meet,
-join and pseudocomplement, such as a round-ideal frame, derives no table:
-it reads its tables and pseudocomplements off its source's rows at its
-elements' positions, and its order off its meet table (``_sublattice``).
-The order axioms
-are checked on the masks in O(n^2) word operations, each a pass over a
-whole row: row i is transitive when one C-level OR of the up cones that
-up(i) selects adds nothing to it, and only the first failing row is
-scanned to name the witness.  Every whole-row check in the package names
-its failure so, through ``_explain``: the scan starts only after the row
-test has failed, and an exact test whose scan finds nothing is an internal
+cones to their single owners, except on a partial order (transitive, and
+every element owning its cone), where some rows follow from a cover's row.
+
+There let i be join-irreducible with lower cover c, so down(i) is down(c)
+with i added.  For j >= i the common down cone of i and j is down(i), owned
+by i; for any other j it is the common cone of c and j, as i is not in
+down(j).  Row c holds c at every position in up(i), since c <= i <= j.  So
+meet row i is row c, read as a little-endian integer, plus i - c times the
+0/1 selector of up(i) (``_flags``), with no carry, as every entry stays a
+byte.  Dually join row m of a meet-irreducible m with upper cover u is row
+u plus m - u times the selector of down(m).  A derived row misses a bound
+exactly where its cover's row does, so by induction along covers a table is
+complete exactly when its looked-up rows are, and the one pass of lookups
+that raises on a missing bound still decides ``_meets`` and ``_joins``.
+The rows of atoms and coatoms, whose covers are the bounds, are looked up
+like all others: a Boolean algebra has no other irreducibles, and at its
+sizes a looked-up row is the cheaper.  Below about 20 elements any derived
+row costs more than the subscripts it saves, so a small order with
+irreducibles off the bounds, such as a chain of 4..16 elements, builds at
+0.75-0.9 times the speed of lookups alone; this kernel alone breaks the
+size rule below.  The join table seeks its covers only when the meet table
+found some: in a distributive lattice j -> the greatest element not above j
+is an order isomorphism from the join-irreducibles onto the
+meet-irreducibles, so the meet-irreducibles are all coatoms exactly when
+the join-irreducibles are all atoms; on any other order a row not derived
+is looked up, so the tables are the same either way.
+
+A complete table, as every valid lattice has, holds ``bytes`` rows (at most
+256 elements, so every index is a byte); only a table missing a bound is
+rebuilt, whole and by lookups, with list rows of ints and None entries, and
+scanned for it.  A sublattice closed under the bounds, meet, join and
+pseudocomplement, such as a round-ideal frame, derives no table: it reads
+its tables and pseudocomplements off its source's rows at its elements'
+positions, and its order off its meet table (``_sublattice``).  The order
+axioms are checked on the masks in O(n^2) word operations, each a pass over
+a whole row: row i is transitive when one C-level OR of the up cones that
+up(i) selects adds nothing to it, and only the first failing row is scanned
+to name the witness.  Every whole-row check in the package names its
+failure so, through ``_explain``: the scan starts only after the row test
+has failed, and an exact test whose scan finds nothing is an internal
 fault.  The elements disjoint from y are the positions of the bottom in
 meet row y, one mask per row from one ``bytes.translate``
 (``_position_masks``).  On a transitive order with every meet, y* is the
@@ -42,11 +68,11 @@ the owner of up(s), which is s.  Anywhere else (in M3, or on any other
 order) y* folds the positions, found by C-level list searches
 (``_positions``), through the join table, and the check compares their
 number with the size of down(y*).  A well-inside row is join row y*, read
-off by the same translation with 1 at the top.  Cover
-pairs take one mask test per comparable pair.  Most round-ideal frames and
-sources have 4..16 elements, so a kernel form must be no slower than a plain
-per-pair loop at that size as well as faster at 32..64; there is one form
-per kernel and no size threshold.
+off by the same translation with 1 at the top.  Cover pairs take one mask
+test per comparable pair.  Most round-ideal frames and sources have 4..16
+elements, so a kernel form must be no slower than a plain per-pair loop at
+that size as well as faster at 32..64; there is one form per kernel and no
+size threshold.
 
 The same holds for a family M in a valid lattice: the common up cone of M
 is the up cone of its join, so the join is one AND over the members' up
@@ -91,13 +117,14 @@ one memo entry per (relation rows, carrier) (``_is_compatible``).
 Generation needs neither: a subset B generates L (each element is the join
 of the members of B below it) exactly when B holds every join-irreducible
 element, so each lattice keeps the set J of them as one mask
-(``_irreducibles``) and a basis is tested by one AND.  If j in J is the
-join of the members of B below it, j is one of them, for otherwise they
-all lie below the one lower cover of j and so does their join.
-Conversely each element a is the join of the elements of J below it, by
-induction: a is the bottom (the empty join), in J, or the join of two
-elements strictly below it.  Once B holds J those lie in B, so the
-members of B below a join to a (Davey & Priestley, ch. 2).
+(``_irreducibles``, the keys of the dict from each to its lower cover that
+the meet table derives its rows from) and a basis is tested by one AND.  If
+j in J is the join of the members of B below it, j is one of them, for
+otherwise they all lie below the one lower cover of j and so does their
+join.  Conversely each element a is the join of the elements of J below it,
+by induction: a is the bottom (the empty join), in J, or the join of two
+elements strictly below it.  Once B holds J those lie in B, so the members
+of B below a join to a (Davey & Priestley, ch. 2).
 
 Argument checks (argument types, foreign lattice, index range, carrier
 closure) run on every call before the lookup.  A check that is a function
@@ -174,8 +201,11 @@ def _mask(indices):
 
 
 def _index(x, n, what):
-    """``x`` as an int in range(n); MalformedInput naming ``what`` otherwise."""
+    """``x`` as an int in range(n); MalformedInput naming ``what`` otherwise,
+    and for a ``bool``, which ``_require_type`` refuses as no ``int``."""
     if type(x) is not int:
+        if type(x) is bool:
+            _require_type(x, int, what)
         try:
             x = index(x)
         except TypeError:
@@ -341,12 +371,21 @@ class PcdLattice:
         self._intransitive = self._transitivity_witness(selectors)
         # kept for the family bounds and the distributivity test too
         self._down_owner, self._up_owner = _owners(down), _owners(up)
-        # the join-irreducibles: each strict down set that is one element's cone
-        cones = self._down_owner
-        self._irreducibles = _mask(j for j, d in enumerate(down) if d ^ 1 << j in cones)
+        # each join-irreducible, whose strict down set is one element's cone,
+        # to that element, its lower cover
+        cones, owner = self._down_owner, self._up_owner
+        lower = {j: cones[d ^ 1 << j] for j, d in enumerate(down) if d ^ 1 << j in cones}
+        self._irreducibles = _mask(lower)
         if tables is None:
-            self.meet, self._meets = _bound_table(self._down_owner, down)
-            self.join, self._joins = _bound_table(self._up_owner, up)
+            # on a partial order the row of an irreducible whose cover is no
+            # bound comes from its cover's row; the join table seeks such
+            # covers only when the meet table found some (module docstring)
+            order = self._intransitive is None and len(cones) == n
+            derived = order and {j: c for j, c in lower.items() if c != self.bottom}
+            self.meet, self._meets = _bound_table(cones, down, up, derived)
+            self.join, self._joins = _bound_table(owner, up, down, derived and {
+                m: c for m, u in enumerate(up)
+                if (c := owner.get(u ^ 1 << m, self.top)) != self.top})
             # y* owns the elements disjoint from y when they form a down cone
             # of a transitive order with every meet (module docstring)
             owned = self._intransitive is None and self._meets and self.bottom is not None
@@ -565,20 +604,33 @@ class PcdLattice:
         return f"PcdLattice({self.name!r}, n={self.n})"
 
 
-def _bound_table(owner, cone):
+def _bound_table(owner, cone, other, derived):
     """The table of owners of common cones, and whether it is complete.
 
-    A complete table has ``bytes`` rows (an index is below 256), sliced from
-    one flat pass; only a missing bound rebuilds it, with list rows holding
-    None entries.
+    A complete table has ``bytes`` rows (an index is below 256).  The row of
+    each i that ``derived`` maps to a cover c, on a partial order, is row c
+    with i at the positions ``other[i]`` selects: one multiply-add on the
+    rows read as integers, after row c, as a cover's cone is a smaller mask
+    (module docstring).  Every other row is sliced from one flat pass of
+    subscripts; only a missing bound rebuilds the whole table, with list
+    rows holding None entries.
     """
     n = len(cone)
+    looked = [c for i, c in enumerate(cone) if i not in derived] if derived else cone
     try:
-        flat = bytes([owner[c & d] for c in cone for d in cone])
+        flat = bytes([owner[c & d] for c in looked for d in cone])
     except KeyError:
         get = owner.get
         return [[get(c & d) for d in cone] for c in cone], False
-    return [flat[i:i + n] for i in range(0, n * n, n or 1)], True
+    table = [flat[k:k + n] for k in range(0, len(flat), n or 1)]
+    if derived:
+        for i in sorted(derived):  # a place for each derived row, lowest first
+            table.insert(i, None)
+        for i in sorted(derived, key=cone.__getitem__):
+            c = derived[i]
+            table[i] = (int.from_bytes(table[c], "little") + int.from_bytes(
+                _flags(other[i], n), "little") * (i - c)).to_bytes(n, "little")
+    return table, True
 
 
 def _picker(indices):

@@ -66,7 +66,12 @@ transposed.  An empty ``up[x] & S`` gives the empty row; one that is no key,
 as when S is not closed under meet (the core of a carrier that is not
 closed), gathers the up cones of its members, and dually for columns.  The
 least strong inclusion is still checked against all seven conditions, and
-the core is asserted interpolative and inside well-inside.
+the core is asserted interpolative and inside well-inside.  A row that is
+a principal filter ``up[m] & K`` of the carrier and lies inside row m has
+no gap, as m is in it and interpolates all of it: a relation settled so,
+row by row (``_settled``), skips the gap scan, which runs on any other
+relation and names its first gap.  The core's assertion and the least
+strong inclusion's seed check both start with it.
 ``largest_interpolative`` keeps its pruning loop, as it takes relations
 that need not lie inside the order.
 
@@ -211,6 +216,13 @@ def _uninterpolated(rel):
             continue
         for y in _bits(gaps):
             yield x, y
+
+
+def _settled(rows, filters):
+    """Whether every nonempty row is a key ``up[m] & K`` of the carrier's
+    ``filters`` (``lattice._cone_keys``) lying inside row m: then no row has
+    a gap, as m is in the row and interpolates all of it."""
+    return all(row in filters and not row & ~rows[filters[row]] for row in rows if row)
 
 
 def _first_missing(rows, allowed):
@@ -449,7 +461,9 @@ def _least_strong_inclusion(p, seed, keep):
         a, b = bad
         why = "is not well-inside" if square[a] >> b & 1 else "leaves the carrier"
         raise PreconditionError(f"seed pair ({names[a]}, {names[b]}) {why}")
-    gap = next(_uninterpolated(seed), None)
+    # a seed settled by its cone keys has no gap; only another one is scanned
+    gap = None if _settled(seed.rows, _cone_keys(lat, keep)[0]) else next(
+        _uninterpolated(seed), None)
     if gap is not None:
         a, b = gap
         raise PreconditionError(
@@ -479,9 +493,8 @@ def _interpolative_core(l, b):
     """The core on the carrier ``b``, uncached; asserted interpolative and well-inside."""
     wi = well_inside(l).rows
     core = _sandwich(l, _mask(a for a in b.elements if wi[a] >> a & 1), b)
-    # a row up[m] & K has no gap when m relates to all of it: m interpolates
-    filters, rows = _cone_keys(l, b.mask)[0], core.rows
-    settled = all(row in filters and not row & ~rows[filters[row]] for row in rows if row)
+    rows = core.rows
+    settled = _settled(rows, _cone_keys(l, b.mask)[0])
     gap = (None if settled else next(_uninterpolated(core), None)) or _first_missing(rows, wi)
     if gap is not None:
         a, c = gap

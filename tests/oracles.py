@@ -273,6 +273,35 @@ def reference_tables(names, leq):
     }
 
 
+def reference_bound_tables(leq):
+    """Meet and join tables of the truth matrix ``leq``, each with whether it
+    holds every bound, read straight off the matrix entries.
+
+    The meet of i and j is the k with a true ``leq[k][k]`` whose column of
+    ``leq`` (the c with ``leq[c][k]``) is true exactly where the columns of
+    i and j both are, the join dually on rows; an entry is None unless
+    exactly one k qualifies.  Entries count by truth value, so 2 reads as
+    True.
+    """
+    el = range(len(leq))
+    rows = [tuple(bool(x) for x in row) for row in leq]
+    cols = list(zip(*rows))
+
+    def table(lines):
+        out = []
+        for i in el:
+            out.append([])
+            for j in el:
+                both = tuple(a and b for a, b in zip(lines[i], lines[j]))
+                found = [k for k in el if rows[k][k] and lines[k] == both]
+                out[i].append(found[0] if len(found) == 1 else None)
+        return out
+
+    meet, join = table(cols), table(rows)
+    return (meet, join, all(None not in row for row in meet),
+            all(None not in row for row in join))
+
+
 def reference_transitivity_witness(leq):
     """First triple (i, j, k) in lexicographic order with i <= j <= k but not
     i <= k, from the order as a set of pairs; None for a transitive order."""

@@ -204,10 +204,16 @@ def test_named_wrong_types_are_malformed_input(call):
     (lambda: boolean(True), "atom count must be an int, not bool"),
     (lambda: rio.generate(True, 2), "seed must be an int, not bool"),
     (lambda: rio.generate(1, True), "poset size must be an int, not bool"),
+    (lambda: pseudocomplement(L, True), "element must be an int, not bool"),
+    (lambda: Basis(L, [True, 0]), "basis index must be an int, not bool"),
+    (lambda: build_scale(SI, False, 3, 1),
+     "scale endpoints: element must be an int, not bool"),
 ], ids=["checked-depth", "scale-depth", "build-scale-depth", "chain-length",
-        "boolean-atoms", "generate-seed", "generate-size"])
+        "boolean-atoms", "generate-seed", "generate-size", "pseudocomplement-element",
+        "basis-index", "build-scale-endpoint"])
 def test_bool_is_refused_where_an_int_is_required(call, message):
-    # Python makes a bool an int: True would pass as depth, length or seed 1
+    # Python makes a bool an int: True would pass as depth, length, seed or
+    # element 1, and False as element 0
     with pytest.raises(MalformedInput) as caught:
         call()
     assert str(caught.value) == message

@@ -669,16 +669,58 @@ def assert_tables_match(names, leq):
     return lat
 
 
+def assert_bounds_match(names, leq):
+    """``meet``, ``join``, ``_meets`` and ``_joins`` are the matrix reading of
+    ``oracles.reference_bound_tables``, and a complete table has ``bytes`` rows."""
+    lat = PcdLattice(names, leq)
+    meet, join, meets, joins = oracles.reference_bound_tables(leq)
+    assert ([list(r) for r in lat.meet], [list(r) for r in lat.join]) == (meet, join)
+    assert (lat._meets, lat._joins) == (meets, joins)
+    for table, complete in ((lat.meet, meets), (lat.join, joins)):
+        assert {type(row) for row in table} <= {bytes if complete else list}
+    return lat
+
+
 class TestBoundTables:
-    """Meet and join tables built by subscript, complete by construction."""
+    """Meet and join tables built by subscript, or on a partial order from a
+    cover's row, complete by construction."""
 
     def test_every_small_order_matches_reference(self):
-        # every matrix on at most 3 elements and every reflexive one on 4
+        # every matrix on at most 3 elements and every reflexive one on 4,
+        # each also with 2 for True against the matrix reading: a truthy
+        # entry is a pair of the order, and no row is taken from the matrix
         orders = [order for n in range(4) for order in every_order(n)]
         orders += every_order(4, reflexive=True)
         assert len(orders) == 1 + 2 + 16 + 512 + 4096
-        complete = sum(assert_tables_match(*order)._meets for order in orders)
+        complete = 0
+        for names, leq in orders:
+            complete += assert_tables_match(names, leq)._meets
+            assert_bounds_match(names, leq)
+            assert_bounds_match(names, [[x and 2 for x in row] for row in leq])
         assert 0 < complete < len(orders)
+
+    def test_relabelled_lattices_match_the_matrix_reading(self):
+        # chains derive all but two rows of each table from a cover's row,
+        # Boolean algebras none, downset lattices some; listed in a shuffled
+        # order, a cover's index may lie above or below its own
+        rng = random.Random(35)
+        lattices = [chain(k) for k in range(1, 65)] + [boolean(k) for k in range(6)]
+        lattices += [rio.generate(seed, size) for seed in range(50) for size in range(1, 7)]
+        for lat in lattices:
+            assert_bounds_match(*util.relabel(*util.order_of(lat), rng))
+
+    def test_missing_meet_below_an_irreducible_rebuilds_the_table(self):
+        # a, b < c < d: d is join-irreducible with lower cover c, not a
+        # bottom, so its meet row would come from c's; a and b have no meet,
+        # and the whole table is rebuilt with None entries and scanned
+        names = ["d", "c", "b", "a"]
+        above = {"a": "cd", "b": "cd", "c": "d"}
+        leq = [[x == y or y in above.get(x, "") for y in names] for x in names]
+        lat = assert_bounds_match(names, leq)
+        assert lat._intransitive is None and lat._irreducibles == 1  # d alone
+        assert (lat._meets, lat._joins) == (False, True)
+        assert lat.meet[0] == [0, 1, 2, 3] and lat.meet[2][3] is None
+        assert lat.validate() == ["no bottom element", "no greatest lower bound for (b, a)"]
 
     @pytest.mark.parametrize("above, meets, joins, missing", [
         # a and b below i, with no bottom: only a meet is missing

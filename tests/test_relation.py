@@ -352,15 +352,16 @@ class TestLeastStrongInclusion:
 
     def test_seed_is_checked_once_per_key(self, monkeypatch):
         # the seed checks run inside the derivation: a warm call scans nothing,
-        # and a seed that fails them stores nothing, so it fails every call
+        # and a seed that fails them stores nothing, so it fails every call;
+        # the interpolation check starts with the cone-key test on every seed
         calls = []
 
-        def counting(rel):
-            calls.append(rel.rows)
-            return real(rel)
+        def counting(rows, filters):
+            calls.append(rows)
+            return real(rows, filters)
 
-        real = relation._uninterpolated
-        monkeypatch.setattr(relation, "_uninterpolated", counting)
+        real = relation._settled
+        monkeypatch.setattr(relation, "_settled", counting)
         l = boolean(2)
         p = full_basis(l)
         seed = Relation(l, well_inside(l).pairs)
@@ -375,6 +376,22 @@ class TestLeastStrongInclusion:
                 least_strong_inclusion(p, bad)
             assert str(caught.value) == "seed pair ({}, {a,b}) has no interpolant in the seed"
         assert len(calls) == 3
+
+    def test_seed_settled_by_its_cone_keys_is_not_scanned(self, monkeypatch):
+        # each row of well-inside on a Boolean algebra is a principal filter
+        # up[m] lying inside row m, which interpolates it: no gap scan runs;
+        # the row {0, a} is no filter, so that seed is scanned, and has no gap
+        scanned = []
+        real = relation._uninterpolated
+        monkeypatch.setattr(relation, "_uninterpolated",
+                            lambda rel: scanned.append(rel.rows) or real(rel))
+        l = boolean(3)
+        p = full_basis(l)
+        least_strong_inclusion(p, Relation(l, well_inside(l).pairs))
+        assert scanned == []
+        seed = Relation(l, [(l.bottom, l.bottom), (l.bottom, l.element("{a}"))])
+        least_strong_inclusion(p, seed)
+        assert scanned == [seed.rows]
 
     @given(st.integers(0, 3000))
     @settings(max_examples=40, deadline=None)
